@@ -1,23 +1,27 @@
-"""Numpy implementation of the master-equation propagation kernel.
+"""The master-equation propagation engine.
 
-This is the reference backend; ``_lindblad_cy`` implements the identical
-algorithm (Dormand-Prince 5(4), same tableau, same step control) in C and is
-preferred at import time when available.
-
-The structured problem solved here is
+The problem solved here is
 
     drho/dt = -i [H(t), rho] + sum_k L_k rho L_k^dag - 1/2 {G, rho}
 
 with H(t) = H0 + exp(i*phi(t)) C + exp(-i*phi(t)) C^dag + delta * D,
-phi(t) = a*cos(w t + p) + s*t, delta a constant, D and G diagonal, and the
-L_k given in concatenated sparse (row, col, amplitude) form with the decay
-rates folded into the amplitudes. G = sum_k L_k^dag L_k is precomputed by the
-caller.
+phi(t) = a*cos(w t + p) + s*t, delta constant on each time segment, D
+diagonal, G = sum_k L_k^dag L_k (any pattern) and the decay rates folded into
+the L_k. In row-major vector form, vec(rho)[i*d + j] = rho[i, j], the
+generator is the sum of four sparse parts,
+
+    L(t) = L0 + delta * L_delta + e^{i phi(t)} L_plus + e^{-i phi(t)} L_minus,
+
+and only the entries reachable from the input's nonzeros along the pattern
+of those parts (a breadth-first closure) are ever integrated: every other
+entry starts at zero and stays exactly zero. Integration is adaptive
+Dormand-Prince 5(4).
+
+``scipy.sparse`` is imported on first use, so importing the package does not
+pay for it.
 """
 
 import numpy as np
-
-BACKEND_NAME = "python"
 
 # Dormand-Prince 5(4) tableau
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
@@ -106,89 +110,95 @@ def rk4(rhs, y0, t0, t1, n_steps):
     return y
 
 
-def make_structured_rhs(
-    h0,
-    coup,
-    phase_amp,
-    phase_freq,
-    phase_offset,
-    phase_slope,
-    det_const,
-    det_diag,
-    jump_ptr,
-    jump_rows,
-    jump_cols,
-    jump_amps,
-    gdiag,
-):
-    """Build the batched Lindblad right-hand side for the structured problem."""
-    d = h0.shape[0]
-    hbase = np.array(h0, dtype=complex)
-    if det_diag is not None and det_const != 0.0:
-        hbase[np.arange(d), np.arange(d)] += det_const * det_diag
-    coup_dag = None if coup is None else coup.conj().T
-    has_g = gdiag is not None and np.any(gdiag != 0.0)
-    n_jumps = len(jump_ptr) - 1 if jump_ptr is not None else 0
-    jumps = []
-    for kk in range(n_jumps):
-        s, e = jump_ptr[kk], jump_ptr[kk + 1]
-        rows = jump_rows[s:e]
-        cols = jump_cols[s:e]
-        amps = jump_amps[s:e]
-        jumps.append((rows, cols, np.outer(amps, amps.conj())))
-
-    def rhs(t, rho):
-        if coup is None:
-            h = hbase
-        else:
-            ph = phase_amp * np.cos(phase_freq * t + phase_offset) + phase_slope * t
-            e = np.exp(1j * ph)
-            h = hbase + e * coup + np.conj(e) * coup_dag
-        out = -1j * (h @ rho - rho @ h)
-        if has_g:
-            out -= 0.5 * (gdiag[:, None] * rho + rho * gdiag[None, :])
-        for rows, cols, w in jumps:
-            sub = rho[..., cols[:, None], cols[None, :]]
-            out[..., rows[:, None], rows[None, :]] += w * sub
-        return out
-
-    return rhs
-
-
-def propagate(
-    rho,
-    t0,
-    t1,
-    rtol,
-    atol,
-    h0,
-    coup,
-    phase_amp,
-    phase_freq,
-    phase_offset,
-    phase_slope,
-    det_const,
-    det_diag,
-    jump_ptr,
-    jump_rows,
-    jump_cols,
-    jump_amps,
-    gdiag,
-):
-    """Propagate a (B, d, d) batch of density matrices from t0 to t1."""
-    rhs = make_structured_rhs(
-        h0,
-        coup,
-        phase_amp,
-        phase_freq,
-        phase_offset,
-        phase_slope,
-        det_const,
-        det_diag,
-        jump_ptr,
-        jump_rows,
-        jump_cols,
-        jump_amps,
-        gdiag,
+def _kron_terms(a, b, scale=1.0):
+    """COO triplets (rows, cols, values) of scale * (a (x) b), a and b dense."""
+    d = b.shape[0]
+    ra, ca = np.nonzero(a)
+    rb, cb = np.nonzero(b)
+    return (
+        (ra[:, None] * d + rb).ravel(),
+        (ca[:, None] * d + cb).ravel(),
+        (scale * np.outer(a[ra, ca], b[rb, cb])).ravel(),
     )
-    return dopri5(rhs, rho, t0, t1, rtol, atol)
+
+
+def _commutator_terms(h):  # rho -> -i [h, rho]
+    eye = np.eye(h.shape[0])
+    return [_kron_terms(h, eye, -1j), _kron_terms(eye, h.T, 1j)]
+
+
+def _sparse(terms, n):
+    from scipy import sparse
+
+    rows, cols, vals = (np.concatenate(x) for x in zip(*terms))
+    m = sparse.csr_array((vals, (rows, cols)), shape=(n, n))  # sums duplicates
+    m.eliminate_zeros()
+    return m
+
+
+def liouvillian_parts(h0, coupling, detuning_diag, jumps):
+    """(L0, L_plus, L_minus, L_delta) as sparse row-major superoperators.
+
+    ``jumps`` are full-space operators with sqrt(rate) folded in. A part
+    whose Hamiltonian term is absent (``coupling`` or ``detuning_diag`` is
+    None) is None.
+    """
+    d = h0.shape[0]
+    eye = np.eye(d)
+    g = sum((op.conj().T @ op for op in jumps), np.zeros((d, d), dtype=complex))
+    l0 = _commutator_terms(np.asarray(h0, dtype=complex))
+    l0 += [_kron_terms(op, op.conj()) for op in jumps]
+    l0 += [_kron_terms(g, eye, -0.5), _kron_terms(eye, g.T, -0.5)]
+    parts = [_sparse(l0, d * d), None, None, None]
+    if coupling is not None:
+        coupling = np.asarray(coupling, dtype=complex)
+        parts[1] = _sparse(_commutator_terms(coupling), d * d)
+        parts[2] = _sparse(_commutator_terms(coupling.conj().T), d * d)
+    if detuning_diag is not None:
+        parts[3] = _sparse(_commutator_terms(np.diag(detuning_diag)), d * d)
+    return tuple(parts)
+
+
+def closed_support(parts, seed):
+    """Sorted vector indices reachable from the ``seed`` mask along the
+    nonzero pattern of the generator ``parts`` (breadth-first)."""
+    pattern = sum(abs(p) for p in parts if p is not None)
+    reach = np.array(seed, dtype=bool)
+    frontier = reach
+    while frontier.any():
+        frontier = (pattern @ frontier.astype(float) != 0) & ~reach
+        reach |= frontier
+    return np.flatnonzero(reach)
+
+
+def propagate(rho, h0, coupling, phase, detuning_diag, segments, jumps, rtol, atol):
+    """Propagate a (B, d, d) batch of matrices through ``segments``.
+
+    ``phase`` is (amp, freq, offset, slope) of phi(t); ``segments`` lists
+    (t0, t1, delta) pieces with a constant detuning delta along
+    ``detuning_diag``; ``jumps`` are full-space collapse operators with
+    sqrt(rate) folded in.
+    """
+    b, d, _ = rho.shape
+    flat = rho.reshape(b, d * d)
+    parts = liouvillian_parts(h0, coupling, detuning_diag, jumps)
+    live = closed_support(parts, np.any(flat != 0, axis=0))
+    l0, lplus, lminus, ldelta = (
+        None if p is None else p[live][:, live] for p in parts
+    )
+    amp, freq, offset, slope = phase
+    y = flat[:, live].T
+    for t0, t1, delta in segments:
+        a = l0 if ldelta is None or delta == 0.0 else l0 + delta * ldelta
+
+        def rhs(t, y, a=a):
+            out = a @ y
+            if lplus is not None:
+                e = np.exp(1j * (amp * np.cos(freq * t + offset) + slope * t))
+                out += e * (lplus @ y) + np.conj(e) * (lminus @ y)
+            return out
+
+        y = dopri5(rhs, y, t0, t1, rtol, atol)
+    out = np.zeros((b, d * d), dtype=complex)
+    out[:, live] = y.T
+    return out.reshape(b, d, d)

@@ -5,13 +5,7 @@ import numpy as np
 
 from ..fitting import fit_sinusoid_fixed_period
 from ..levels import DIM, Q0, Q1
-from ..pulses import rotation
-
-
-def _embed6(u2):
-    u = np.eye(DIM, dtype=complex)
-    u[np.ix_((Q0, Q1), (Q0, Q1))] = u2
-    return u
+from ..pulses import embed_qubit_unitary, rotation
 
 
 def ramsey_envelope_time(sigma: float) -> float:
@@ -45,7 +39,7 @@ def simulate_ramsey(
         nodes, weights = np.polynomial.hermite_e.hermegauss(n_nodes)
         weights = weights / np.sqrt(2 * np.pi)
     phases = np.linspace(0, 2 * np.pi, n_phases, endpoint=False)
-    open_pulse = _embed6(rotation(np.pi / 2, 0.0))
+    open_pulse = embed_qubit_unitary(rotation(np.pi / 2, 0.0))
     erasure_block = np.eye(DIM, dtype=complex)  # no qubit back-action
 
     psi0 = np.zeros(DIM, dtype=complex)
@@ -62,7 +56,7 @@ def simulate_ramsey(
             if mid_circuit_erasure:
                 psi = erasure_block @ psi
             for ip, phi in enumerate(phases):
-                out = _embed6(rotation(np.pi / 2, phi)) @ psi
+                out = embed_qubit_unitary(rotation(np.pi / 2, phi)) @ psi
                 fringe[ip] += w * abs(out[Q1]) ** 2
         amp, _, offset, _ = fit_sinusoid_fixed_period(phases, fringe,
                                                       period=2 * np.pi)

@@ -11,11 +11,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..channels import Superoperator, channel_superoperator, vec
-from ..cliffords import CliffordGate, clifford_group, find_index, invert
+from ..channels import channel_superoperator, vec
+from ..cliffords import CliffordGate, clifford_group, find_index
 from ..fitting import DecayFit, fit_power_decay
 from ..levels import DIM, G, Q0, Q1, lop
 from ..noise import NoiseConfig, raman_scatter_collapse_ops
+from ..pulses import embed_qubit_unitary
 from ..readout import PhotonCountModel
 
 RAMAN_RABI = 2 * np.pi * 0.017  # rad/us (2 pi x 17 kHz Clifford drive)
@@ -43,12 +44,6 @@ def generate_crb(length: int, seed: int) -> RBSequence:
         u = group[i].unitary @ u
     inverse = find_index(u.conj().T)
     return RBSequence(clifford_indices=idx, inverse_index=inverse, seed=seed)
-
-
-def _embed_qubit_unitary(u2: np.ndarray) -> np.ndarray:
-    u = np.eye(DIM, dtype=complex)
-    u[np.ix_((Q0, Q1), (Q0, Q1))] = u2
-    return u
 
 
 def _z_superop_diag(angle: float) -> np.ndarray:
@@ -103,7 +98,7 @@ def depolarizing_channel(epsilon: float) -> np.ndarray:
     ]
     s = np.zeros((DIM * DIM, DIM * DIM), dtype=complex)
     for p in paulis:
-        u = _embed_qubit_unitary(p)
+        u = embed_qubit_unitary(p)
         s += 0.25 * np.kron(u.conj(), u)
     return (1.0 - gamma) * np.eye(DIM * DIM, dtype=complex) + gamma * s
 

@@ -12,12 +12,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..channels import channel_on_pairs, gate_pair_basis
+from ..channels import channel_on_pairs, conjugation_on_pairs, gate_pair_basis
 from ..cliffords import clifford_group
 from ..fitting import DecayFit, fit_power_decay, fit_sinusoid_fixed_period
 from ..levels import B, DIM, G, Q0, Q1, R, X, unravel_index
 from ..noise import NoiseConfig, gate_collapse_ops
-from ..pulses import rotation, virtual_z_equivalent
+from ..pulses import embed_qubit_unitary, rotation, virtual_z_equivalent
 from ..rydberg import (
     CZPulseProfile,
     RydbergDrive,
@@ -38,12 +38,6 @@ DETECTED_1 = "detected-1"
 LOSS = "loss"
 
 
-def _embed6(u2: np.ndarray) -> np.ndarray:
-    u = np.eye(DIM, dtype=complex)
-    u[np.ix_((Q0, Q1), (Q0, Q1))] = u2
-    return u
-
-
 class GateExecutor:
     """Pair-basis circuit simulator around one calibrated CZ gate channel."""
 
@@ -62,8 +56,6 @@ class GateExecutor:
         self.noise = noise
         self.pairs = gate_pair_basis(2)
         self._index = {p: k for k, p in enumerate(self.pairs)}
-        self._rows = np.array([p[0] for p in self.pairs])
-        self._cols = np.array([p[1] for p in self.pairs])
         self._diag_slots = {
             unravel_index(p[0], 2): k
             for k, p in enumerate(self.pairs)
@@ -72,11 +64,12 @@ class GateExecutor:
         if ideal_cz:
             from ..rydberg import ideal_cz_unitary
 
-            self._cz = self._unitary_on_pairs(ideal_cz_unitary())
+            self._cz = conjugation_on_pairs(ideal_cz_unitary(), self.pairs)
         else:
             self._cz = self._build_cz_channel(dephasing_nodes, rtol, atol)
             comp = virtual_z_equivalent(profile.phi_sq)
-            self._cz = self.product_unitary(_embed6(comp), _embed6(comp)) @ self._cz
+            z = embed_qubit_unitary(comp)
+            self._cz = self.product_unitary(z, z) @ self._cz
 
     # -- channel construction -------------------------------------------
 
@@ -108,22 +101,16 @@ class GateExecutor:
                 )
             else:
                 u2, u4 = sector_unitaries(self.profile, shifted, rtol, atol)
-                m = self._unitary_on_pairs(assemble_unitary(u2, u4))
+                m = conjugation_on_pairs(assemble_unitary(u2, u4), self.pairs)
             s += weight * m
         return s
 
-    def _unitary_on_pairs(self, u: np.ndarray) -> np.ndarray:
-        cols = []
-        for (i, j) in self.pairs:
-            cols.append(u[self._rows, i] * np.conj(u[self._cols, j]))
-        return np.array(cols).T
-
     def product_unitary(self, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
         """Pair-basis matrix of rho -> (u1 x u2) rho (u1 x u2)^dag."""
-        return self._unitary_on_pairs(np.kron(u1, u2))
+        return conjugation_on_pairs(np.kron(u1, u2), self.pairs)
 
     def global_pulse(self, phase: float, area: float = np.pi / 2) -> np.ndarray:
-        u = _embed6(rotation(area, phase))
+        u = embed_qubit_unitary(rotation(area, phase))
         return self.product_unitary(u, u)
 
     # -- states and measurement ------------------------------------------
@@ -259,12 +246,12 @@ def _run_sequence(executor: GateExecutor, seq: SSBSequence) -> np.ndarray:
         v = executor.global_pulse(seq.phases[k + 1]) @ v
     if seq.recovery_cz:
         if seq.recovery_pre[0] is not None:
-            b1 = _embed6(group[seq.recovery_pre[0]].unitary)
-            b2 = _embed6(group[seq.recovery_pre[1]].unitary)
+            b1 = embed_qubit_unitary(group[seq.recovery_pre[0]].unitary)
+            b2 = embed_qubit_unitary(group[seq.recovery_pre[1]].unitary)
             v = executor.product_unitary(b1, b2) @ v
         v = executor.apply_cz(v)
-    u1 = _embed6(group[seq.recovery_cliffords[0]].unitary)
-    u2 = _embed6(group[seq.recovery_cliffords[1]].unitary)
+    u1 = embed_qubit_unitary(group[seq.recovery_cliffords[0]].unitary)
+    u2 = embed_qubit_unitary(group[seq.recovery_cliffords[1]].unitary)
     v = executor.product_unitary(u1, u2) @ v
     return executor.populations(v)
 

@@ -6,11 +6,12 @@ loss-corrected variant conditions on population remaining in the valid
 computational levels {q0, q1, x}, with x read out as q0.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .benchmarking.twoq import KEPT_LEVELS, GateExecutor, run_ssb
+from .channels import conjugation_on_pairs
 from .czopt import default_profile
 from .levels import DIM, Q0, Q1, X
 from .noise import BUDGET_SOURCES, NoiseConfig
@@ -95,22 +96,16 @@ def process_infidelity_from_executor(executor: GateExecutor) -> float:
 def _kept_map_matrix(executor: GateExecutor) -> np.ndarray:
     """Pair-basis matrix of the per-atom keep-and-relabel map
     {project onto q0/q1, relabel x -> q0}."""
-    kraus_local = []
     proj = np.zeros((DIM, DIM), dtype=complex)
     proj[Q0, Q0] = proj[Q1, Q1] = 1.0
     xq = np.zeros((DIM, DIM), dtype=complex)
     xq[Q0, X] = 1.0
     kraus_local = [proj, xq]
-    n = len(executor.pairs)
-    m = np.zeros((n, n), dtype=complex)
-    for a1 in kraus_local:
-        for a2 in kraus_local:
-            k = np.kron(a1, a2)
-            cols = []
-            for (i, j) in executor.pairs:
-                cols.append(k[executor._rows, i] * np.conj(k[executor._cols, j]))
-            m += np.array(cols).T
-    return m
+    return sum(
+        conjugation_on_pairs(np.kron(a1, a2), executor.pairs)
+        for a1 in kraus_local
+        for a2 in kraus_local
+    )
 
 
 def corrected_process_infidelity_from_executor(executor: GateExecutor) -> float:

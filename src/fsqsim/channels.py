@@ -94,11 +94,12 @@ def channel_superoperator(
     rtol: float = 1e-8,
     atol: float = 1e-10,
 ) -> Superoperator:
-    """Lindblad channel as a superoperator, by propagating all matrix units.
+    """Lindblad channel as a superoperator, by propagating all d^2 matrix
+    units as one batch.
 
-    Exact but O(d^2) propagations; for the two-atom gate channels used in the
-    error budget prefer :func:`channel_on_pairs`, which exploits the closed
-    operator subspace.
+    For the two-atom gate channels used in the error budget prefer
+    :func:`channel_on_pairs`, which propagates only the closed operator
+    subspace.
     """
     d = DIM**n_atoms
     basis = np.zeros((d * d, d, d), dtype=complex)
@@ -146,6 +147,14 @@ def channel_on_pairs(
     return m, leak
 
 
+def conjugation_on_pairs(k: np.ndarray, pairs) -> np.ndarray:
+    """Pair-basis matrix of rho -> K rho K^dag: entry [p, q] is the
+    coefficient of E_pairs[p] in K E_pairs[q] K^dag."""
+    rows = np.array([p[0] for p in pairs])
+    cols = np.array([p[1] for p in pairs])
+    return k[np.ix_(rows, rows)] * np.conj(k[np.ix_(cols, cols)])
+
+
 def gate_pair_basis(n_atoms: int = 2):
     """Matrix-unit pairs spanning the operator subspace closed under a
     Rydberg gate with decay, dephasing and ionization channels.
@@ -153,7 +162,8 @@ def gate_pair_basis(n_atoms: int = 2):
     Per atom: all (row, col) pairs over {q0, q1, r} plus the sink diagonals
     (g,g), (x,x), (B,B) -- jumps only ever populate sink populations, never
     sink coherences, so this 12-pair local set (144 pairs for two atoms) is
-    exactly closed. Closure is asserted by channel_on_pairs at use time.
+    exactly closed: the engine's breadth-first support from these matrix
+    units is this set, and channel_on_pairs asserts no leak at use time.
     """
     from .levels import B, G, R, X
 
@@ -166,18 +176,6 @@ def gate_pair_basis(n_atoms: int = 2):
     for (r1, c1) in local:
         for (r2, c2) in local:
             pairs.append((r1 * DIM + r2, c1 * DIM + c2))
-    return pairs
-
-
-def qubit_pairs(n_atoms: int, levels=(Q0, Q1)):
-    """Matrix-unit index pairs spanning the computational operator space."""
-    singles = [(a, b) for a in levels for b in levels]
-    if n_atoms == 1:
-        return singles
-    pairs = []
-    for (a1, b1) in singles:
-        for (a2, b2) in singles:
-            pairs.append((a1 * DIM + a2, b1 * DIM + b2))
     return pairs
 
 

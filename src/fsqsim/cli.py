@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import KERNEL_BACKEND, __version__
-from .levels import B, DIM, G, Q0, Q1, R, X, lop
+from .levels import B, G, Q0, Q1, R, X, lop
 from .lindblad import evolve_lindblad
 from .noise import (
     NoiseConfig,
@@ -120,6 +120,20 @@ def _summary(path: Path, payload: dict):
 # --- protocol implementations ----------------------------------------------
 
 
+def _rabi_rows(h, ops, t_max, n, groups):
+    """(t, population of each level group) from |q1> at n times in
+    [0, t_max], each sample evolved on from the previous one."""
+    times = np.linspace(0.0, t_max, n)
+    st = QuantumState.pure([Q1])
+    rows = []
+    for k, t in enumerate(times):
+        if k:
+            st = evolve_lindblad(st, h, ops, t - times[k - 1])
+        d = np.diag(st.rho).real
+        rows.append((t,) + tuple(sum(d[lv] for lv in group) for group in groups))
+    return rows
+
+
 @protocol("rabi")
 def run_rabi(ctx):
     cfg = ctx.proto
@@ -130,11 +144,7 @@ def run_rabi(ctx):
     noiseless = _bool(cfg.get("noiseless", "false"))
     ops = [] if noiseless else raman_scatter_collapse_ops(ctx.noise)
     h = (rabi / 2) * (lop(Q0, Q1) + lop(Q1, Q0))
-    rows = []
-    for t in np.linspace(0.0, t_max, n):
-        st = evolve_lindblad(QuantumState.pure([Q1]), h, ops, t)
-        d = np.diag(st.rho).real
-        rows.append((t, d[Q0], d[Q1], d[G] + d[X]))
+    rows = _rabi_rows(h, ops, t_max, n, [(Q0,), (Q1,), (G, X)])
     ctx.emit("rabi", ["t_us", "p_q0", "p_q1", "p_leak"], rows)
     _summary(ctx.out / "summary.json", {
         "protocol": "rabi", "rabi_rad_per_us": rabi, "points": n,
@@ -152,11 +162,7 @@ def run_rydberg_rabi(ctx):
     noiseless = _bool(cfg.get("noiseless", "false"))
     ops = [] if noiseless else rydberg_collapse_ops(ctx.noise)
     h = (rabi / 2) * (lop(Q1, R) + lop(R, Q1))
-    rows = []
-    for t in np.linspace(0.0, t_max, n):
-        st = evolve_lindblad(QuantumState.pure([Q1]), h, ops, t)
-        d = np.diag(st.rho).real
-        rows.append((t, d[Q1], d[R], d[B]))
+    rows = _rabi_rows(h, ops, t_max, n, [(Q1,), (R,), (B,)])
     ctx.emit("rydberg_rabi", ["t_us", "p_q1", "p_r", "p_lost"], rows)
     _summary(ctx.out / "summary.json", {
         "protocol": "rydberg-rabi", "rabi_rad_per_us": rabi, "points": n,
@@ -253,17 +259,20 @@ def run_ssb_cmd(ctx):
 
 @protocol("bell")
 def run_bell_cmd(ctx):
-    from .benchmarking import bell_protocol
+    from .benchmarking import GateExecutor, bell_protocol
+    from .czopt import default_profile
+    from .rydberg import RydbergDrive
 
     cfg = ctx.proto
     _known(cfg, {"n_phases", "noiseless"}, "bell")
     n_phases = int(cfg.get("n_phases", 16))
     noise = None if _bool(cfg.get("noiseless", "false")) else ctx.noise
     phases = np.linspace(0, 2 * np.pi, n_phases, endpoint=False)
+    executor = GateExecutor(default_profile(), RydbergDrive(), noise)
     results = {}
     for tag, excise in (("raw", False), ("excised", True)):
         r = bell_protocol(noise, phases, ctx.shots, loss_excision=excise,
-                          seed=ctx.seed)
+                          seed=ctx.seed, executor=executor)
         results[tag] = r
     ctx.emit(
         "bell_summary",

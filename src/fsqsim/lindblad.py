@@ -1,9 +1,10 @@
 """Master-equation time evolution for one- and two-atom density matrices.
 
 Hamiltonians may be supplied as a static matrix, as a :class:`ModulatedDrive`
-(the structured form every hot path uses, handled by the compiled kernel when
-available), as an arbitrary callable ``t -> matrix`` (slow generic path), or
-as ``None`` for free decay.
+(the structured form every hot path uses, propagated by the sparse engine in
+``_kernels``), as an arbitrary callable ``t -> matrix`` (slow generic path),
+or as ``None`` for free decay. Static matrices and ``None`` go through the
+sparse engine too.
 """
 
 from dataclasses import dataclass, field
@@ -91,9 +92,7 @@ class ModulatedDrive:
     def detuning(self, t: float) -> float:
         if self.detuning_values is None:
             return 0.0
-        j = np.searchsorted(self.detuning_edges, t, side="right") - 1
-        j = min(max(j, 0), len(self.detuning_values) - 1)
-        return float(self.detuning_values[j])
+        return _piece_value(self.detuning_edges, self.detuning_values, t)
 
     def hamiltonian(self, t: float) -> np.ndarray:
         h = np.array(self.h0, dtype=complex)
@@ -107,38 +106,26 @@ class ModulatedDrive:
         return h
 
 
-def _jump_arrays(collapses, n_atoms):
-    """Flatten collapse operators to the kernel's sparse layout.
+def _piece_value(edges, values, t: float) -> float:
+    j = np.searchsorted(edges, t, side="right") - 1
+    return float(values[min(max(j, 0), len(values) - 1)])
 
-    Returns (ptr, rows, cols, amps, gdiag) with sqrt(rate) folded into the
-    amplitudes, or None in the last slot if G = sum L^dag L is not diagonal
-    (which forces the generic dense path).
+
+def detuning_segments(edges, values, duration: float) -> list:
+    """(t0, t1, delta) pieces of [0, duration] with a constant detuning.
+
+    ``values[k]`` holds from ``edges[k]`` on; with ``values`` None the whole
+    span is one zero-detuning piece. Empty pieces are dropped.
     """
-    d = DIM**n_atoms
-    ptr, rows, cols, amps = [0], [], [], []
-    g = np.zeros((d, d), dtype=complex)
-    for c in collapses or []:
-        for rate, op in c.expand(n_atoms):
-            if rate == 0.0:
-                continue
-            rr, cc = np.nonzero(op)
-            vals = np.sqrt(rate) * op[rr, cc]
-            rows.extend(rr)
-            cols.extend(cc)
-            amps.extend(vals)
-            ptr.append(len(rows))
-            g += rate * (op.conj().T @ op)
-    gd = np.diag(g).real.copy()
-    off = g - np.diag(np.diag(g))
-    gdiag_ok = np.max(np.abs(off)) < 1e-14 if g.size else True
-    return (
-        np.asarray(ptr, dtype=np.int64),
-        np.asarray(rows, dtype=np.int64),
-        np.asarray(cols, dtype=np.int64),
-        np.asarray(amps, dtype=complex),
-        gd if gdiag_ok else None,
-        g,
-    )
+    if values is None:
+        return [(0.0, duration, 0.0)] if duration > 0 else []
+    edges = np.asarray(edges, dtype=float)
+    cuts = [0.0] + [float(e) for e in edges if 0.0 < e < duration] + [duration]
+    return [
+        (t0, t1, _piece_value(edges, values, 0.5 * (t0 + t1)))
+        for t0, t1 in zip(cuts, cuts[1:])
+        if t1 > t0
+    ]
 
 
 def _dense_lindblad_rhs(h_of_t, pairs):
@@ -175,11 +162,9 @@ def evolve_rho(
     batched = rho.ndim == 3
     work = rho if batched else rho[None, :, :]
     d = work.shape[-1]
-
-    ptr, rows, cols, amps, gdiag, gdense = _jump_arrays(collapses, n_atoms)
+    pairs = [p for c in (collapses or []) for p in c.expand(n_atoms)]
 
     if callable(hamiltonian) and not isinstance(hamiltonian, ModulatedDrive):
-        pairs = [p for c in (collapses or []) for p in c.expand(n_atoms)]
         rhs = _dense_lindblad_rhs(hamiltonian, pairs)
         out = _kernels.dopri5(rhs, work, 0.0, duration, rtol, atol)
         return out if batched else out[0]
@@ -193,56 +178,18 @@ def evolve_rho(
     if drive.dim != d:
         raise ValueError("Hamiltonian dimension does not match the state")
 
-    if gdiag is None:
-        # Non-diagonal G: fall back to the dense generic path.
-        pairs = [p for c in (collapses or []) for p in c.expand(n_atoms)]
-        rhs = _dense_lindblad_rhs(drive.hamiltonian, pairs)
-        out = _kernels.dopri5(rhs, work, 0.0, duration, rtol, atol)
-        return out if batched else out[0]
-
-    coup = None
-    if drive.coupling is not None:
-        coup = np.ascontiguousarray(drive.coupling, dtype=complex)
-    det_diag = drive.detuning_diag
-    if det_diag is not None:
-        det_diag = np.ascontiguousarray(det_diag, dtype=complex)
-
-    # Split on detuning discontinuities so each kernel call sees a constant.
-    if drive.detuning_values is None:
-        segments = [(0.0, duration, 0.0)]
-    else:
-        edges = np.asarray(drive.detuning_edges, dtype=float)
-        cuts = [0.0] + [float(e) for e in edges if 0.0 < e < duration] + [duration]
-        segments = [
-            (cuts[i], cuts[i + 1], drive.detuning((cuts[i] + cuts[i + 1]) / 2))
-            for i in range(len(cuts) - 1)
-        ]
-
-    h0m = np.ascontiguousarray(drive.h0, dtype=complex)
-    for t0, t1, det in segments:
-        if t1 <= t0:
-            continue
-        work = _kernels.propagate(
-            work,
-            t0,
-            t1,
-            rtol,
-            atol,
-            h0m,
-            coup,
-            drive.phase_amp,
-            drive.phase_freq,
-            drive.phase_offset,
-            drive.phase_slope,
-            det,
-            det_diag,
-            ptr,
-            rows,
-            cols,
-            amps,
-            gdiag,
-        )
-    return work if batched else work[0]
+    out = _kernels.propagate(
+        work,
+        drive.h0,
+        drive.coupling,
+        (drive.phase_amp, drive.phase_freq, drive.phase_offset, drive.phase_slope),
+        drive.detuning_diag,
+        detuning_segments(drive.detuning_edges, drive.detuning_values, duration),
+        [np.sqrt(rate) * op for rate, op in pairs if rate != 0.0],
+        rtol,
+        atol,
+    )
+    return out if batched else out[0]
 
 
 def evolve_lindblad(

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .levels import DIM, Q0, Q1
+
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -55,6 +57,13 @@ def virtual_z(frame: VirtualFrame, atom: int, angle: float) -> VirtualFrame:
     phases = list(frame.phases)
     phases[atom] += angle
     return VirtualFrame(phases=tuple(phases))
+
+
+def embed_qubit_unitary(u2: np.ndarray) -> np.ndarray:
+    """6x6 single-atom unitary acting as ``u2`` on (q0, q1), identity elsewhere."""
+    u = np.eye(DIM, dtype=complex)
+    u[np.ix_((Q0, Q1), (Q0, Q1))] = u2
+    return u
 
 
 def virtual_z_equivalent(angle: float) -> np.ndarray:

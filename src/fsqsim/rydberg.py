@@ -9,12 +9,12 @@ together as a single 6x6 Schrodinger problem and then assembled into the full
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
-from .lindblad import CollapseOperator, ModulatedDrive, evolve_rho
+from .lindblad import ModulatedDrive, detuning_segments, evolve_rho
 from .channels import Superoperator, channel_on_pairs, channel_superoperator
 from .levels import B, DIM, G, Q0, Q1, R, X, full_index, lop
 from .states import embed_local
@@ -193,25 +193,10 @@ def sector_unitaries(
     coup_dag = coup.conj().T
     ndiag = np.array([0.0, 1.0, 0.0, 1.0, 1.0, 2.0])
 
-    if detuning_values is None:
-        segments = [(0.0, profile.t_gate, 0.0)]
-    else:
-        edges = np.asarray(detuning_edges, dtype=float)
-        vals = np.asarray(detuning_values, dtype=float)
-        cuts = [0.0] + [float(e) for e in edges if 0.0 < e < profile.t_gate]
-        cuts.append(profile.t_gate)
-        segments = []
-        for i in range(len(cuts) - 1):
-            tm = 0.5 * (cuts[i] + cuts[i + 1])
-            j = min(
-                max(np.searchsorted(edges, tm, side="right") - 1, 0), len(vals) - 1
-            )
-            segments.append((cuts[i], cuts[i + 1], float(vals[j])))
-
     u = np.eye(6, dtype=complex)
-    for t0, t1, det in segments:
-        if t1 <= t0:
-            continue
+    for t0, t1, det in detuning_segments(
+        detuning_edges, detuning_values, profile.t_gate
+    ):
         hseg = h0 - det * np.diag(ndiag)
 
         def rhs(t, y):

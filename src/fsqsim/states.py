@@ -98,13 +98,3 @@ def measure_populations(state: QuantumState, level_sets) -> float:
     if not -1e-9 <= p <= 1 + 1e-9:
         raise AssertionError(f"population {p} outside [0, 1]")
     return min(max(p, 0.0), 1.0)
-
-
-def population_by_level(rho: np.ndarray, n_atoms: int) -> np.ndarray:
-    """(n_atoms, 6) array of per-atom level populations."""
-    diag = np.diag(rho).real
-    out = np.zeros((n_atoms, DIM))
-    for idx, p in enumerate(diag):
-        for atom, lv in enumerate(levels.unravel_index(idx, n_atoms)):
-            out[atom, lv] += p
-    return out

@@ -3,6 +3,7 @@ import pytest
 from scipy.linalg import expm
 
 from fsqsim import levels
+from fsqsim._kernels._lindblad_py import closed_support, liouvillian_parts
 from fsqsim.channels import (
     Superoperator,
     channel_on_pairs,
@@ -172,6 +173,14 @@ def test_gate_pair_basis_is_closed(cz_profile, drive, reference_config):
     _, leak = channel_on_pairs(mdrive, ops, cz_profile.t_gate, 2, pairs,
                                rtol=1e-6, atol=1e-9)
     assert leak < 1e-9
+    # the engine's support derived from these matrix units is the same set
+    jumps = [np.sqrt(r) * op for c in ops for r, op in c.expand(2)]
+    parts = liouvillian_parts(mdrive.h0, mdrive.coupling,
+                              mdrive.detuning_diag, jumps)
+    seed = np.zeros(36 * 36, dtype=bool)
+    seed[[i * 36 + j for i, j in pairs]] = True
+    support = closed_support(parts, seed)
+    assert set(support.tolist()) == {i * 36 + j for i, j in pairs}
 
 
 def test_pair_restriction_matches_full_superoperator():

@@ -191,7 +191,7 @@ def test_parity_period_is_pi(noiseless_executor):
 
 
 def test_parity_contrast_invariant_under_global_virtual_z(noiseless_executor):
-    from fsqsim.benchmarking.twoq import _embed6
+    from fsqsim.pulses import embed_qubit_unitary
     from fsqsim.fitting import fit_sinusoid_fixed_period
     from fsqsim.pulses import virtual_z_equivalent
 
@@ -207,7 +207,7 @@ def test_parity_contrast_invariant_under_global_virtual_z(noiseless_executor):
         c, _, _, _ = fit_sinusoid_fixed_period(phases, vals, period=np.pi)
         return c
 
-    z = _embed6(virtual_z_equivalent(0.77))
+    z = embed_qubit_unitary(virtual_z_equivalent(0.77))
     rotated = noiseless_executor.product_unitary(z, z) @ bell
     assert contrast(rotated) == pytest.approx(contrast(bell), abs=1e-9)
 
