@@ -394,11 +394,15 @@ def replay_plan(plan: MovePlan, initial, geometry: ArrayGeometry,
     return occ
 
 
+# Default per-move success of the rearrangement Monte Carlo.
+PER_MOVE_SUCCESS = 0.9907
+
+
 def simulate_assembly(
     geometry: ArrayGeometry,
     target,
     loading_probability: float = 0.5,
-    per_move_success: float = 0.9907,
+    per_move_success: float = PER_MOVE_SUCCESS,
     imaging_survival: float = 0.999,
     n_trials: int = 2000,
     seed: int = 0,
@@ -409,9 +413,10 @@ def simulate_assembly(
     Each trial: stochastic loading, plan, execute with Bernoulli move
     failures (a failed move loses the atom), then a per-atom imaging
     survival on the target sites. Returns (probability, mc_error).
-    The default per-move success is the value fitted to reproduce the
-    reference 0.955 defect-free probability for a 2x4 target from 32 sites
-    at half loading.
+    For a 2x4 target from 32 sites at half loading, the default per-move
+    success gives a defect-free probability of 0.9505(14) (mean over 12
+    seeds x 2000 trials): inside the +-0.01 acceptance band around the
+    reference 0.955, though 3 standard errors below it.
     """
     target = np.asarray(target, dtype=bool)
     rng = np.random.default_rng(seed)

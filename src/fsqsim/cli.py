@@ -365,7 +365,7 @@ def run_prep_cmd(ctx):
 
 @protocol("srd")
 def run_srd_cmd(ctx):
-    from .readout import SRDModel, srd_detect, srd_probabilities
+    from .readout import SRDModel, srd_counts, srd_probabilities
 
     cfg = ctx.proto
     _known(cfg, {"n_trials"}, "srd")
@@ -376,9 +376,7 @@ def run_srd_cmd(ctx):
     labels = {Q0: "q0", Q1: "q1", X: "x", G: "g", B: "B"}
     for lv, name in labels.items():
         probs = srd_probabilities(lv, model)
-        counts = {"detected-0": 0, "detected-1": 0, "loss": 0}
-        for _ in range(n):
-            counts[srd_detect(lv, model, rng)] += 1
+        counts = srd_counts(lv, model, n, rng)
         for outcome in ("detected-0", "detected-1", "loss"):
             rows.append((name, outcome, probs[outcome], counts[outcome] / n, n))
     ctx.emit("srd",
@@ -490,8 +488,8 @@ def run_psd_cmd(ctx):
 
 @protocol("rearrange")
 def run_rearrange_cmd(ctx):
-    from .assembly import (pair_grid_geometry, plan_rearrangement,
-                           replay_plan, simulate_assembly)
+    from .assembly import (PER_MOVE_SUCCESS, pair_grid_geometry,
+                           plan_rearrangement, replay_plan, simulate_assembly)
 
     cfg = ctx.proto
     _known(cfg, {"n_trials", "loading_probability", "per_move_success",
@@ -502,7 +500,7 @@ def run_rearrange_cmd(ctx):
     target[tgt] = True
     n_trials = int(cfg.get("n_trials", 2000))
     p_load = float(cfg.get("loading_probability", 0.5))
-    p_move = float(cfg.get("per_move_success", 0.9907))
+    p_move = float(cfg.get("per_move_success", PER_MOVE_SUCCESS))
     prob, err = simulate_assembly(
         geom, target, loading_probability=p_load, per_move_success=p_move,
         n_trials=n_trials, seed=ctx.seed,

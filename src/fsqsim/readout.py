@@ -8,7 +8,7 @@ reported counts are continuous and can be negative.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.optimize import brentq
@@ -19,6 +19,16 @@ from .levels import B, G, Q0, Q1, X
 DETECTED_0 = "detected-0"
 DETECTED_1 = "detected-1"
 LOSS = "loss"
+
+
+@lru_cache(maxsize=1)
+def _legendre_rule():
+    """64-node Gauss-Legendre rule on [-1, 1] for the shoulder integral.
+
+    Built on first use (about 2 ms), not at import: modules that import
+    this one only for the SRD channel then never load numpy.polynomial.
+    """
+    return np.polynomial.legendre.leggauss(64)
 
 
 @dataclass(frozen=True)
@@ -53,7 +63,7 @@ class PhotonCountModel:
 
     def _shoulder(self, k: np.ndarray) -> np.ndarray:
         """Uniformly truncated signal: photon mean U*lam, U ~ Uniform(0, 1)."""
-        nodes, weights = np.polynomial.legendre.leggauss(64)
+        nodes, weights = _legendre_rule()
         means = 0.5 * self.signal_mean * (nodes + 1.0)
         w = 0.5 * weights
         return (w[:, None] * poisson.pmf(k[None, :], means[:, None])).sum(axis=0)
@@ -76,8 +86,14 @@ class PhotonCountModel:
             pk = pk + q * self._shoulder(k)
         return k, pk
 
+    @cached_property
+    def _mixtures(self) -> dict:
+        """``_poisson_mixture`` for empty (False) and occupied (True) sites,
+        built once per model; the model is frozen, so they never go stale."""
+        return {occ: self._poisson_mixture(occ) for occ in (False, True)}
+
     def pdf(self, counts, occupied: bool) -> np.ndarray:
-        k, pk = self._poisson_mixture(occupied)
+        k, pk = self._mixtures[bool(occupied)]
         c = np.atleast_1d(np.asarray(counts, dtype=float))
         out = (pk[None, :] * norm.pdf(c[:, None], loc=k[None, :],
                                       scale=self.read_noise)).sum(axis=1)
@@ -85,7 +101,7 @@ class PhotonCountModel:
 
     def survival_function(self, threshold, occupied: bool):
         """P(count >= threshold)."""
-        k, pk = self._poisson_mixture(occupied)
+        k, pk = self._mixtures[bool(occupied)]
         th = np.atleast_1d(np.asarray(threshold, dtype=float))
         out = (pk[None, :] * norm.sf(th[:, None], loc=k[None, :],
                                      scale=self.read_noise)).sum(axis=1)
@@ -103,8 +119,9 @@ class PhotonCountModel:
         k = rng.poisson(lam)
         return float(k + rng.normal(0.0, self.read_noise))
 
-    def classification_fidelity(self, threshold) -> float:
-        """Equal-prior average accuracy: 1 - (FN + FP)/2."""
+    def classification_fidelity(self, threshold):
+        """Equal-prior average accuracy: 1 - (FN + FP)/2 (elementwise for an
+        array of thresholds)."""
         tp = self.survival_function(threshold, occupied=True)
         fp = self.survival_function(threshold, occupied=False)
         return 1.0 - ((1.0 - tp) + fp) / 2.0
@@ -116,7 +133,7 @@ class PhotonCountModel:
             self.signal_mean + 5 * math.sqrt(self.signal_mean),
             400,
         )
-        fids = [self.classification_fidelity(t) for t in grid]
+        fids = self.classification_fidelity(grid)
         i = int(np.argmax(fids))
         lo = grid[max(i - 1, 0)]
         hi = grid[min(i + 1, len(grid) - 1)]
@@ -216,7 +233,7 @@ def roc_sweep(model: PhotonCountModel, thresholds) -> list:
 @lru_cache(maxsize=1)
 def erasure_operating_point():
     """(TP, per-image FP) of the shallow-trap model at the threshold chosen
-    to reproduce the conversion operating point; cached, ~20 s to build."""
+    to reproduce the conversion operating point; cached, ~0.3 s to build."""
     model = shallow_trap_model()
     th = operating_threshold(model)
     tp = model.survival_function(th, occupied=True)
@@ -363,3 +380,18 @@ def srd_detect(true_state: int, model: SRDModel, rng: np.random.Generator) -> st
     if u < probs[DETECTED_0] + probs[DETECTED_1]:
         return DETECTED_1
     return LOSS
+
+
+def srd_counts(
+    true_state: int, model: SRDModel, n: int, rng: np.random.Generator
+) -> dict:
+    """Outcome tally of ``n`` detection shots of one input state.
+
+    Draws the same uniforms, in the same order, as ``n`` calls of
+    ``srd_detect`` with the same comparisons, so the counts are identical.
+    """
+    probs = srd_probabilities(true_state, model)
+    u = rng.random(n)
+    n0 = int(np.count_nonzero(u < probs[DETECTED_0]))
+    n01 = int(np.count_nonzero(u < probs[DETECTED_0] + probs[DETECTED_1]))
+    return {DETECTED_0: n0, DETECTED_1: n01 - n0, LOSS: n - n01}

@@ -34,7 +34,7 @@ def ideal_executor(cz_profile, drive):
 
 @pytest.fixture(scope="session")
 def reference_executor(cz_profile, drive, reference_config):
-    # combined gate channel with every CZ error source on (~15 s to build)
+    # combined gate channel with every CZ error source on (~1.3 s to build)
     return GateExecutor(cz_profile, drive, reference_config)
 
 

@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.optimize import brentq
+from scipy.stats import norm
 
-from fsqsim.levels import B, G, Q0, Q1, X
+from fsqsim.levels import B, G, Q0, Q1, R, X
 from fsqsim.readout import (
     DETECTED_0,
     DETECTED_1,
@@ -13,6 +17,7 @@ from fsqsim.readout import (
     operating_threshold,
     roc_sweep,
     sandwich_stats,
+    srd_counts,
     srd_detect,
     srd_probabilities,
     state_prep_curve,
@@ -199,3 +204,96 @@ def test_x_population_biases_detected_zero():
 def test_srd_rejects_unknown_state():
     with pytest.raises(ValueError):
         srd_probabilities(2, SRDModel())  # Rydberg is not a valid input
+
+
+def _reference_optimal_threshold(m):
+    """Scalar reference for ``optimal_threshold``: one threshold per call on
+    mixtures built directly by ``_poisson_mixture``, then the same
+    golden-section steps."""
+    mix = {occ: m._poisson_mixture(occ) for occ in (False, True)}
+
+    def sf(t, occ):
+        k, pk = mix[occ]
+        th = np.atleast_1d(np.asarray(t, dtype=float))
+        return float((pk[None, :] * norm.sf(th[:, None], loc=k[None, :],
+                                             scale=m.read_noise)).sum(axis=1)[0])
+
+    def fid(t):
+        return 1.0 - ((1.0 - sf(t, True)) + sf(t, False)) / 2.0
+
+    grid = np.linspace(m.background_mean - 5 * m.read_noise,
+                       m.signal_mean + 5 * math.sqrt(m.signal_mean), 400)
+    i = int(np.argmax([fid(t) for t in grid]))
+    lo = grid[max(i - 1, 0)]
+    hi = grid[min(i + 1, len(grid) - 1)]
+    for _ in range(50):
+        m1 = lo + 0.381966 * (hi - lo)
+        m2 = hi - 0.381966 * (hi - lo)
+        if fid(m1) < fid(m2):
+            lo = m1
+        else:
+            hi = m2
+    t = 0.5 * (lo + hi)
+    return float(t), float(fid(t))
+
+
+def _reference_signal_mean(fidelity, early, bright):
+    def gap(signal):
+        m = PhotonCountModel(signal, 1.0, 2.0, early, bright)
+        return _reference_optimal_threshold(m)[1] - fidelity
+
+    lo, hi = 1.5, 3.0
+    while gap(hi) < 0:
+        hi *= 2.0
+    return brentq(gap, lo, hi, xtol=1e-4)
+
+
+@pytest.mark.parametrize("which, fidelity, early, bright", [
+    ("shallow", 0.96, 0.2, 0.05),
+    ("deep", 0.9931, 0.02, 0.0),
+])
+def test_calibration_bit_identical_to_scalar_reference(
+        which, fidelity, early, bright, shallow_model, deep_model):
+    model = shallow_model if which == "shallow" else deep_model
+    assert model.signal_mean == _reference_signal_mean(fidelity, early, bright)
+    assert model.optimal_threshold() == _reference_optimal_threshold(model)
+
+
+def test_mixture_built_once_per_model_and_occupancy(monkeypatch):
+    built = []
+    build = PhotonCountModel._poisson_mixture
+
+    def counting(self, occupied):
+        built.append((id(self), occupied))
+        return build(self, occupied)
+
+    monkeypatch.setattr(PhotonCountModel, "_poisson_mixture", counting)
+    models = [PhotonCountModel(signal_mean=s) for s in (20.0, 30.0)]
+    for m in models:
+        for occ in (True, False):
+            for _ in range(3):
+                m.survival_function(np.linspace(-2.0, 25.0, 7), occ)
+                m.survival_function(4.0, occ)
+                m.pdf(4.0, occ)
+        m.optimal_threshold()
+    assert sorted(built) == sorted(
+        (id(m), occ) for m in models for occ in (False, True))
+
+
+def test_srd_counts_match_per_shot_tally():
+    model = SRDModel()
+    n = 20_000
+    for state in (Q0, Q1, X, G, B):
+        rng_shots = np.random.default_rng(13)
+        rng_batch = np.random.default_rng(13)
+        tally = {DETECTED_0: 0, DETECTED_1: 0, LOSS: 0}
+        for _ in range(n):
+            tally[srd_detect(state, model, rng_shots)] += 1
+        assert srd_counts(state, model, n, rng_batch) == tally
+        # both generators consumed the same draws
+        assert rng_batch.random() == rng_shots.random()
+
+
+def test_srd_counts_rejects_unknown_state():
+    with pytest.raises(ValueError):
+        srd_counts(R, SRDModel(), 10, np.random.default_rng(0))
