@@ -46,7 +46,9 @@ MAX_STEPS = 1_000_000
 def dopri5(rhs, y0, t0, t1, rtol, atol, first_step=None):
     """Adaptive Dormand-Prince integration of dy/dt = rhs(t, y).
 
-    ``y`` may be a complex array of any shape. Returns y(t1).
+    ``y`` may be a complex array of any shape. Returns y(t1). A 3-d ``y`` is
+    a stack of independent members along axis 0, each held to its own RMS
+    error norm (the step error is the largest of them).
     """
     span = t1 - t0
     if span < 0:
@@ -78,7 +80,9 @@ def dopri5(rhs, y0, t0, t1, rtol, atol, first_step=None):
                 err_vec = err_vec + _E[j] * k[j]
         err_vec = err_vec * h
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
-        err = np.sqrt(np.mean(np.abs(err_vec / scale) ** 2))
+        ratio2 = np.abs(err_vec / scale) ** 2
+        err = np.sqrt(np.max(np.mean(ratio2, axis=(1, 2))) if ratio2.ndim == 3
+                      else np.mean(ratio2))
         if err <= 1.0:
             t = t + h
             y = y5

@@ -136,9 +136,9 @@ class MovePlan:
 def _blocking_sites(p0, p1, sites, occupied_mask, exclusion, skip):
     """Occupied static sites within ``exclusion`` of the segment p0 -> p1
     (excluding the ``skip`` site indices), nearest-first along the path."""
-    idxs = np.nonzero(occupied_mask)[0]
-    if skip:
-        idxs = idxs[~np.isin(idxs, list(skip))]
+    candidates = np.array(occupied_mask, dtype=bool)
+    candidates[list(skip)] = False
+    idxs = np.flatnonzero(candidates)
     if idxs.size == 0:
         return []
     p0 = np.asarray(p0, dtype=float)

@@ -5,6 +5,7 @@ import numpy as np
 
 from ..fitting import fit_sinusoid_fixed_period
 from ..levels import DIM, Q0, Q1
+from ..noise import gaussian_quadrature
 from ..pulses import embed_qubit_unitary, rotation
 
 
@@ -33,11 +34,7 @@ def simulate_ramsey(
     if sigma < 0:
         raise ValueError("sigma must be non-negative")
     times = np.asarray(times, dtype=float)
-    if sigma == 0.0:
-        nodes, weights = np.array([0.0]), np.array([1.0])
-    else:
-        nodes, weights = np.polynomial.hermite_e.hermegauss(n_nodes)
-        weights = weights / np.sqrt(2 * np.pi)
+    deltas, weights = gaussian_quadrature(sigma, n_nodes)
     phases = np.linspace(0, 2 * np.pi, n_phases, endpoint=False)
     open_pulse = embed_qubit_unitary(rotation(np.pi / 2, 0.0))
     erasure_block = np.eye(DIM, dtype=complex)  # no qubit back-action
@@ -47,8 +44,7 @@ def simulate_ramsey(
     contrast = np.zeros(len(times))
     for it, t in enumerate(times):
         fringe = np.zeros(len(phases))
-        for delta, w in zip(nodes, weights):
-            d = sigma * delta
+        for d, w in zip(deltas, weights):
             phase_gate = np.eye(DIM, dtype=complex)
             phase_gate[Q0, Q0] = np.exp(0.5j * d * t)
             phase_gate[Q1, Q1] = np.exp(-0.5j * d * t)

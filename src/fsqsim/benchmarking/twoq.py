@@ -16,7 +16,7 @@ from ..channels import channel_on_pairs, conjugation_on_pairs, gate_pair_basis
 from ..cliffords import clifford_group
 from ..fitting import DecayFit, fit_power_decay, fit_sinusoid_fixed_period
 from ..levels import B, DIM, G, Q0, Q1, R, X, unravel_index
-from ..noise import NoiseConfig, gate_collapse_ops
+from ..noise import NoiseConfig, gate_collapse_ops, gaussian_quadrature
 from ..pulses import embed_qubit_unitary, rotation, virtual_z_equivalent
 from ..rydberg import (
     CZPulseProfile,
@@ -76,11 +76,8 @@ class GateExecutor:
     def _detuning_ensemble(self, n_nodes):
         if self.noise is None:
             return [(0.0, 1.0)]
-        sigma = self.noise.rydberg_detuning_sigma
-        if sigma == 0.0:
-            return [(0.0, 1.0)]
-        nodes, weights = np.polynomial.hermite_e.hermegauss(n_nodes)
-        return [(sigma * z, w / np.sqrt(2 * np.pi)) for z, w in zip(nodes, weights)]
+        return list(zip(*gaussian_quadrature(
+            self.noise.rydberg_detuning_sigma, n_nodes)))
 
     def _build_cz_channel(self, n_nodes, rtol, atol):
         collapses = []

@@ -73,10 +73,6 @@ def _noise_from_run(run, base_dir: Path) -> NoiseConfig:
     return reference_budget_config()
 
 
-def _floats(s):
-    return [float(x) for x in s.replace(",", " ").split()]
-
-
 def _ints(s):
     return [int(x) for x in s.replace(",", " ").split()]
 
@@ -471,8 +467,7 @@ def run_psd_cmd(ctx):
         psd = psd_to_uv(psd)
     n_traj = int(cfg.get("n_trajectories", 40))
     mean, err = mc_gate_infidelity(
-        psd, default_profile(), RydbergDrive(), n_traj, ctx.seed,
-        threads=ctx.threads,
+        psd, default_profile(), RydbergDrive(), n_traj, ctx.seed
     )
     ctx.emit("psd_infidelity",
              ["n_trajectories", "infidelity", "std_error"],
@@ -581,7 +576,6 @@ class RunContext:
             raise ConfigError("seed is mandatory (config [run] or --seed)")
         self.seed = int(seed)
         self.shots = int(run.get("shots", 200))
-        self.threads = args.threads
         self.fmt = args.format
         self.noise = _noise_from_run(run, base_dir)
         out_root = Path(args.out if args.out else run.get("out", "runs"))
@@ -602,7 +596,6 @@ def main(argv=None) -> int:
         p.add_argument("--config", type=Path, default=None)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", type=str, default=None)
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
     args = parser.parse_args(argv)
 

@@ -106,16 +106,18 @@ class ModulatedDrive:
         return h
 
 
-def _piece_value(edges, values, t: float) -> float:
+def _piece_value(edges, values, t: float):
+    values = np.asarray(values, dtype=float)
     j = np.searchsorted(edges, t, side="right") - 1
-    return float(values[min(max(j, 0), len(values) - 1)])
+    v = values[..., min(max(j, 0), values.shape[-1] - 1)]
+    return float(v) if v.ndim == 0 else v  # one value per stack member
 
 
 def detuning_segments(edges, values, duration: float) -> list:
     """(t0, t1, delta) pieces of [0, duration] with a constant detuning.
 
-    ``values[k]`` holds from ``edges[k]`` on; with ``values`` None the whole
-    span is one zero-detuning piece. Empty pieces are dropped.
+    ``values[..., k]`` holds from ``edges[k]`` on; with ``values`` None the
+    whole span is one zero-detuning piece. Empty pieces are dropped.
     """
     if values is None:
         return [(0.0, duration, 0.0)] if duration > 0 else []

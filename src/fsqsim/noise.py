@@ -25,6 +25,15 @@ DEFAULT_BRANCHING = {
 }
 
 
+def gaussian_quadrature(sigma: float, n_nodes: int):
+    """(points, weights) of an ``n_nodes`` Gauss-Hermite average over a
+    zero-mean Gaussian of width ``sigma``; ``sigma`` = 0 gives ([0], [1])."""
+    if sigma == 0.0:
+        return np.array([0.0]), np.array([1.0])
+    nodes, weights = np.polynomial.hermite_e.hermegauss(n_nodes)
+    return sigma * nodes, weights / np.sqrt(2 * np.pi)
+
+
 def _check_branching(b):
     total = sum(b.values())
     if abs(total - 1.0) > 1e-9:

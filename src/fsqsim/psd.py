@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .noise import gaussian_quadrature
 from .rydberg import (
     CZPulseProfile,
     RydbergDrive,
@@ -84,7 +85,8 @@ def psd_to_uv(psd: FrequencyNoisePSD) -> FrequencyNoisePSD:
 
 @dataclass(frozen=True)
 class NoiseTrajectory:
-    """Sampled instantaneous detuning, piecewise constant between samples."""
+    """Sampled instantaneous detuning, piecewise constant between samples;
+    ``detuning_rad_per_us`` may be a ``(members, n)`` stack."""
 
     times_us: np.ndarray = field(repr=False)
     detuning_rad_per_us: np.ndarray = field(repr=False)
@@ -141,10 +143,11 @@ def gate_fidelity_with_detuning(
     trajectory: NoiseTrajectory | float,
     rtol: float = 1e-8,
     atol: float = 1e-10,
-) -> float:
+) -> float | np.ndarray:
     """Noiseless-gate fidelity with a detuning trajectory (or constant) added
     to the Rydberg level; the single-qubit phase stays at the calibrated
-    profile value, as it would in an experiment."""
+    profile value, as it would in an experiment. A stacked trajectory is
+    integrated at once and gives one fidelity per member."""
     if isinstance(trajectory, NoiseTrajectory):
         edges = np.append(
             trajectory.times_us, trajectory.times_us[-1] + trajectory.dt
@@ -178,14 +181,11 @@ def quasi_static_infidelity(
 ) -> float:
     """Gauss-Hermite average of the gate infidelity over a Gaussian detuning
     ensemble; the deterministic reference for slow drift."""
-    if sigma_rad_per_us == 0.0:
-        return 1.0 - gate_fidelity_with_detuning(profile, drive, 0.0)
-    nodes, weights = np.polynomial.hermite_e.hermegauss(n_nodes)
-    total = 0.0
-    for z, w in zip(nodes, weights):
-        f = gate_fidelity_with_detuning(profile, drive, sigma_rad_per_us * z)
-        total += w * (1.0 - f)
-    return float(total / np.sqrt(2 * np.pi))
+    deltas, weights = gaussian_quadrature(sigma_rad_per_us, n_nodes)
+    return float(sum(
+        w * (1.0 - gate_fidelity_with_detuning(profile, drive, d))
+        for d, w in zip(deltas, weights)
+    ))
 
 
 def mc_gate_infidelity(
@@ -196,13 +196,12 @@ def mc_gate_infidelity(
     seed: int,
     dt: float | None = None,
     allow_truncation: bool = False,
-    threads: int = 1,
 ):
     """Monte Carlo infidelity under sampled laser-noise trajectories.
 
-    Returns (mean_infidelity, standard_error). Deterministic per seed and
-    independent of ``threads``: each trajectory uses a counter-derived child
-    seed and results land in a preallocated slot.
+    Returns (mean_infidelity, standard_error). Deterministic per seed:
+    trajectory k has the child seed ``seed * 100003 + k``, and all
+    trajectories are integrated together as one stack.
     """
     if n_traj < 10:
         raise ValueError("need at least 10 trajectories")
@@ -210,21 +209,13 @@ def mc_gate_infidelity(
         support = psd.frequency_hz[psd.psd_hz2_per_hz > 0]
         f_max = support.max() if support.size else psd.frequency_hz[-1]
         dt = min(profile.t_gate / 16.0, 1e6 / (2.0 * f_max) / 2.0)
-    infs = np.empty(n_traj)
-
-    def one(k):
-        traj = sample_detuning_trajectory(
-            psd, dt, profile.t_gate, seed=seed * 100003 + k,
-            allow_truncation=allow_truncation,
-        )
-        infs[k] = 1.0 - gate_fidelity_with_detuning(profile, drive, traj)
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(one, range(n_traj)))
-    else:
-        for k in range(n_traj):
-            one(k)
+    trajs = [
+        sample_detuning_trajectory(psd, dt, profile.t_gate, seed=seed * 100003 + k,
+                                   allow_truncation=allow_truncation)
+        for k in range(n_traj)
+    ]
+    stack = NoiseTrajectory(
+        trajs[0].times_us, np.stack([t.detuning_rad_per_us for t in trajs]), seed
+    )
+    infs = 1.0 - gate_fidelity_with_detuning(profile, drive, stack)
     return float(np.mean(infs)), float(np.std(infs, ddof=1) / np.sqrt(n_traj))

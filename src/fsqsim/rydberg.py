@@ -179,7 +179,8 @@ def sector_unitaries(
     """(u2, u4) propagators of the driven sectors over one gate.
 
     Optional piecewise-constant extra detuning (common to both atoms) models
-    sampled laser frequency noise.
+    sampled laser frequency noise; ``(members, n_pieces)`` values integrate
+    a stack at once and give ``(members, 2, 2)`` and ``(members, 4, 4)``.
     """
     h2, c2, h4, c4 = _sector_parts(drive)
     amp, freq, offset, slope, const = profile.modulation()
@@ -197,15 +198,15 @@ def sector_unitaries(
     for t0, t1, det in detuning_segments(
         detuning_edges, detuning_values, profile.t_gate
     ):
-        hseg = h0 - det * np.diag(ndiag)
+        hseg = h0 - np.multiply.outer(det, np.diag(ndiag))
 
         def rhs(t, y):
             e = np.exp(1j * (amp * np.cos(freq * t + offset) + slope * t))
             h = hseg + e * coup + np.conj(e) * coup_dag
             return -1j * (h @ y)
 
-        u = _kernels.dopri5(rhs, u, t0, t1, rtol, atol)
-    return u[:2, :2].copy(), u[2:, 2:].copy()
+        u = _kernels.dopri5(rhs, np.broadcast_to(u, hseg.shape), t0, t1, rtol, atol)
+    return u[..., :2, :2].copy(), u[..., 2:, 2:].copy()
 
 
 def assemble_unitary(u2: np.ndarray, u4: np.ndarray) -> np.ndarray:
@@ -230,7 +231,7 @@ def assemble_unitary(u2: np.ndarray, u4: np.ndarray) -> np.ndarray:
 
 def computational_amplitudes(u2: np.ndarray, u4: np.ndarray):
     """(a01, a11): return amplitudes of |q0 q1> and |q1 q1|."""
-    return u2[0, 0], u4[0, 0]
+    return u2[..., 0, 0], u4[..., 0, 0]
 
 
 def cz_average_fidelity(a01, a11, phi_sq=None):

@@ -79,3 +79,18 @@ def test_zero_span_returns_input():
     out = _kernels.propagate(rho.copy(), *args)
     assert np.array_equal(out, rho)
 
+
+def test_dopri5_stack_members_keep_their_own_tolerance():
+    # y' = -i w y with one fast member among slow ones: under a joint RMS
+    # norm the fast member's error would be diluted by the others and come
+    # out about six times larger than when it is integrated alone
+    w = np.ones((40, 1, 1))
+    w[0] = 300.0
+    y0 = np.ones((40, 2, 2), dtype=complex)
+    stacked = _kernels.dopri5(lambda t, y: -1j * w * y, y0, 0.0, 1.0,
+                              1e-8, 1e-10)
+    solo = _kernels.dopri5(lambda t, y: -300j * y, y0[:1], 0.0, 1.0,
+                           1e-8, 1e-10)
+    assert np.max(np.abs(stacked[0] - solo[0])) <= 1e-12
+    assert np.max(np.abs(solo[0] - np.exp(-300j))) < 1e-6
+

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fsqsim.psd import (
     FrequencyNoisePSD,
+    NoiseTrajectory,
     gate_fidelity_with_detuning,
     mc_gate_infidelity,
     psd_to_uv,
@@ -143,11 +146,32 @@ def test_mc_infidelity_grows_with_psd_scale(cz_profile, drive):
     assert results[0] < results[1] < results[2]
 
 
-def test_mc_threads_deterministic(cz_profile, drive):
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1))
+def test_stacked_trajectories_match_solo(cz_profile, drive, seed):
     f = np.linspace(0.0, 4e7, 40)
     psd = FrequencyNoisePSD(f, np.full(40, 2e3))
-    a = mc_gate_infidelity(psd, cz_profile, drive, 12, seed=5, threads=1)
-    b = mc_gate_infidelity(psd, cz_profile, drive, 12, seed=5, threads=4)
+    trajs = [
+        sample_detuning_trajectory(psd, cz_profile.t_gate / 16,
+                                   cz_profile.t_gate, seed=seed + k,
+                                   allow_truncation=True)
+        for k in range(3)
+    ]
+    stack = NoiseTrajectory(
+        times_us=trajs[0].times_us,
+        detuning_rad_per_us=np.stack([t.detuning_rad_per_us for t in trajs]),
+    )
+    stacked = gate_fidelity_with_detuning(cz_profile, drive, stack)
+    solo = [gate_fidelity_with_detuning(cz_profile, drive, t) for t in trajs]
+    assert stacked.shape == (3,)
+    assert np.max(np.abs(stacked - solo)) <= 1e-10
+
+
+def test_mc_deterministic_per_seed(cz_profile, drive):
+    f = np.linspace(0.0, 4e7, 40)
+    psd = FrequencyNoisePSD(f, np.full(40, 2e3))
+    a = mc_gate_infidelity(psd, cz_profile, drive, 12, seed=5)
+    b = mc_gate_infidelity(psd, cz_profile, drive, 12, seed=5)
     assert a == b
 
 
