@@ -9,7 +9,6 @@ two-stage trap-depth equalization feedback.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 
 @dataclass(frozen=True)
@@ -73,13 +72,6 @@ class ArrayGeometry:
     def n_sites(self) -> int:
         return len(self.sites)
 
-    def discard_positions(self, n: int) -> np.ndarray:
-        """Parking slots well below the array for surplus atoms."""
-        x0 = self.sites[:, 0].min()
-        y = self.sites[:, 1].min() - 20.0
-        pitch = 3.0
-        return np.array([[x0 + k * pitch, y] for k in range(n)])
-
 
 def pair_grid_geometry(
     n_columns: int = 8,
@@ -129,29 +121,42 @@ class MovePlan:
     def __len__(self) -> int:
         return len(self.moves)
 
-    def total_path_length(self) -> float:
-        return float(sum(_path_length(m.path) for m in self.moves))
+
+_SEGMENT_HITS = {}
+
+
+def _segment_hits(p0, p1, sites, exclusion):
+    """Indices of all ``sites`` within ``exclusion`` of the segment p0 -> p1,
+    nearest-first along the path (ties in index order), whatever their
+    occupancy.
+
+    Memoized in the module dict ``_SEGMENT_HITS``, keyed by the exact endpoint
+    and exclusion floats plus ``sites.tobytes()``, so a different geometry
+    never reuses a hit list. The cache is unbounded: it grows by one entry per
+    distinct (geometry, segment, exclusion), about 800 for a 2000-trial
+    ``rearrange`` run.
+    """
+    key = (float(p0[0]), float(p0[1]), float(p1[0]), float(p1[1]),
+           float(exclusion), sites.tobytes())
+    hits = _SEGMENT_HITS.get(key)
+    if hits is None:
+        p0 = np.asarray(p0, dtype=float)
+        d = np.asarray(p1, dtype=float) - p0
+        l2 = float(d @ d)
+        t = (np.zeros(len(sites)) if l2 == 0
+             else np.clip((sites - p0) @ d / l2, 0.0, 1.0))
+        dist = np.hypot(*(sites - (p0 + t[:, None] * d)).T)
+        idxs = np.flatnonzero(dist < exclusion)
+        hits = tuple(int(i) for i in idxs[np.argsort(t[idxs], kind="stable")])
+        _SEGMENT_HITS[key] = hits
+    return hits
 
 
 def _blocking_sites(p0, p1, sites, occupied_mask, exclusion, skip):
     """Occupied static sites within ``exclusion`` of the segment p0 -> p1
     (excluding the ``skip`` site indices), nearest-first along the path."""
-    candidates = np.array(occupied_mask, dtype=bool)
-    candidates[list(skip)] = False
-    idxs = np.flatnonzero(candidates)
-    if idxs.size == 0:
-        return []
-    p0 = np.asarray(p0, dtype=float)
-    p1 = np.asarray(p1, dtype=float)
-    d = p1 - p0
-    l2 = float(d @ d)
-    rel = sites[idxs] - p0
-    t = np.zeros(len(idxs)) if l2 == 0 else np.clip(rel @ d / l2, 0.0, 1.0)
-    closest = p0 + t[:, None] * d
-    dist = np.hypot(*(sites[idxs] - closest).T)
-    hit = dist < exclusion
-    order = np.argsort(t[hit])
-    return [int(i) for i in idxs[hit][order]]
+    return [i for i in _segment_hits(p0, p1, sites, exclusion)
+            if occupied_mask[i] and i not in skip]
 
 
 def _segment_clear(p0, p1, sites, occupied_mask, exclusion, skip):
@@ -250,9 +255,10 @@ def plan_rearrangement(
 
     pending = {}
     if needed:
-        cost = np.array(
-            [[np.hypot(*(sites[t] - sites[s])) for t in needed] for s in sources]
-        )
+        from scipy.optimize import linear_sum_assignment
+
+        # cost[i, j] = distance from sources[i] to needed[j]
+        cost = np.hypot(*(sites[needed] - sites[sources][:, None]).transpose(2, 0, 1))
         rows, cols = linear_sum_assignment(cost)
         pending = {needed[c]: sources[r] for r, c in zip(rows, cols)}
     surplus = [s for s in sources if s not in pending.values()]

@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
+from fsqsim import assembly
 from fsqsim.assembly import (
     AffineMap,
+    ArrayGeometry,
     EqualizationResult,
     affine_fit,
     equalize_depths,
@@ -122,6 +126,54 @@ def test_plan_beats_greedy_baseline(geometry, target):
             for m in fill_moves
         )
         assert fill_length <= greedy_length(occ) + 1e-9
+
+
+def _reference_blocking_sites(p0, p1, sites, occupied_mask, exclusion, skip):
+    # Oracle for assembly._blocking_sites: plain-Python point-to-segment
+    # distances over the occupied sites, no cache, nearest-first along the
+    # path with ties in index order.
+    x0, y0 = float(p0[0]), float(p0[1])
+    dx, dy = float(p1[0]) - x0, float(p1[1]) - y0
+    l2 = dx * dx + dy * dy
+    hits = []
+    for i, (x, y) in enumerate(sites.tolist()):
+        if not occupied_mask[i] or i in skip:
+            continue
+        t = 0.0 if l2 == 0 else ((x - x0) * dx + (y - y0) * dy) / l2
+        t = min(max(t, 0.0), 1.0)
+        if math.hypot(x - (x0 + t * dx), y - (y0 + t * dy)) < exclusion:
+            hits.append((t, i))
+    return [i for _, i in sorted(hits)]
+
+
+def _reference_plan(monkeypatch, occ, tgt, geometry):
+    with monkeypatch.context() as m:
+        m.setattr(assembly, "_blocking_sites", _reference_blocking_sites)
+        return plan_rearrangement(occ, tgt, geometry)
+
+
+def test_plan_matches_uncached_reference(monkeypatch, geometry, target):
+    rng = np.random.default_rng(2024)
+    for _ in range(2000):
+        occ = rng.random(geometry.n_sites) < rng.uniform(0.3, 0.7)
+        assert plan_rearrangement(occ, target, geometry) == _reference_plan(
+            monkeypatch, occ, target, geometry)
+
+
+def test_segment_hits_keyed_by_site_coordinates(monkeypatch):
+    # Both geometries contain the segment (0, 0) -> (10, 0); the second has
+    # an occupied settled site on it, which a hit list cached for the first
+    # geometry would miss.
+    bare = ArrayGeometry(sites=np.array([[0.0, 0.0], [10.0, 0.0]]))
+    plan = plan_rearrangement([True, False], [False, True], bare)
+    assert [(m.source, m.destination, len(m.path))
+            for m in plan.moves] == [(0, 1, 2)]
+    crowded = ArrayGeometry(sites=np.array([[0.0, 0.0], [10.0, 0.0], [5.0, 0.0]]))
+    occ, tgt = [True, False, True], [False, True, True]
+    plan = plan_rearrangement(occ, tgt, crowded)
+    assert any(m.source == 2 for m in plan.moves)  # the middle atom is parked
+    assert plan == _reference_plan(monkeypatch, occ, tgt, crowded)
+    assert not plan.unplaced_targets
 
 
 def test_assembly_perfect_components(geometry, target):
