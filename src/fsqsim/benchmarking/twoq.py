@@ -73,34 +73,30 @@ class GateExecutor:
 
     # -- channel construction -------------------------------------------
 
-    def _detuning_ensemble(self, n_nodes):
-        if self.noise is None:
-            return [(0.0, 1.0)]
-        return list(zip(*gaussian_quadrature(
-            self.noise.rydberg_detuning_sigma, n_nodes)))
-
     def _build_cz_channel(self, n_nodes, rtol, atol):
-        collapses = []
+        collapses, sigma = [], 0.0
         if self.noise is not None:
             collapses = gate_collapse_ops(self.noise, self.drive.rabi_frequency)
-        s = np.zeros((len(self.pairs), len(self.pairs)), dtype=complex)
-        for delta, weight in self._detuning_ensemble(n_nodes):
-            shifted = RydbergDrive(
-                rabi_frequency=self.drive.rabi_frequency,
-                detuning=self.drive.detuning + delta,
-                interaction=self.drive.interaction,
+            sigma = self.noise.rydberg_detuning_sigma
+        deltas, weights = gaussian_quadrature(sigma, n_nodes)
+        if collapses:
+            maps = [
+                channel_on_pairs(
+                    modulated_drive(self.profile, self.drive, 2, [0.0], [delta]),
+                    collapses, self.profile.t_gate, 2, self.pairs, rtol, atol,
+                )[0]
+                for delta in deltas
+            ]
+        else:
+            u2, u4 = sector_unitaries(
+                self.profile, self.drive, rtol, atol,
+                detuning_edges=[0.0], detuning_values=deltas[:, None],
             )
-            if collapses:
-                mdrive = modulated_drive(self.profile, shifted, 2)
-                m, _ = channel_on_pairs(
-                    mdrive, collapses, self.profile.t_gate, 2, self.pairs,
-                    rtol, atol,
-                )
-            else:
-                u2, u4 = sector_unitaries(self.profile, shifted, rtol, atol)
-                m = conjugation_on_pairs(assemble_unitary(u2, u4), self.pairs)
-            s += weight * m
-        return s
+            maps = [
+                conjugation_on_pairs(assemble_unitary(a, b), self.pairs)
+                for a, b in zip(u2, u4)
+            ]
+        return sum(w * m for w, m in zip(weights, maps))
 
     def product_unitary(self, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
         """Pair-basis matrix of rho -> (u1 x u2) rho (u1 x u2)^dag."""

@@ -14,7 +14,14 @@ from .benchmarking.twoq import KEPT_LEVELS, GateExecutor, run_ssb
 from .channels import conjugation_on_pairs
 from .czopt import default_profile
 from .levels import DIM, Q0, Q1, X
-from .noise import BUDGET_SOURCES, NoiseConfig
+# The reference config lives in noise, so the CLI builds it without importing
+# this module; both names stay importable from here.
+from .noise import (  # noqa: F401
+    BUDGET_SOURCES,
+    DEPHASING_RATE_DEFAULT,
+    NoiseConfig,
+    reference_budget_config,
+)
 from .rydberg import CZPulseProfile, RydbergDrive
 
 # sources that act during a Rydberg gate (raman_scattering and state_prep
@@ -151,22 +158,6 @@ def _entry(name: str, executor: GateExecutor, n_cz_list, n_seq, seed) -> BudgetE
         corrected_process=corrected_process_infidelity_from_executor(executor),
         corrected_ssb=cor_ssb,
     )
-
-
-def reference_budget_config() -> NoiseConfig:
-    """Reference gate-error configuration: measured lifetimes and ionization
-    constant, plus Markovian Rydberg dephasing at the calibrated default rate
-    (the drift model used for coherence fits is turned off here; the
-    dephasing rate behind the reported budget is a free parameter)."""
-    return NoiseConfig(
-        rydberg_detuning_sigma_mhz=0.0,
-        rydberg_dephasing_rate=DEPHASING_RATE_DEFAULT,
-    )
-
-
-# Free parameter (see noise module open questions); calibrated so the full
-# budget lands near the reference totals (raw ~2%, loss-corrected ~0.25%).
-DEPHASING_RATE_DEFAULT = 0.070  # 1/us
 
 
 def error_budget(

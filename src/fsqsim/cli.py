@@ -21,6 +21,7 @@ from .noise import (
     NoiseConfig,
     noise_config_from_text,
     raman_scatter_collapse_ops,
+    reference_budget_config,
     rydberg_collapse_ops,
 )
 from .states import QuantumState
@@ -68,8 +69,6 @@ def _noise_from_run(run, base_dir: Path) -> NoiseConfig:
         if not p.is_absolute():
             p = base_dir / p
         return noise_config_from_text(p.read_text())
-    from .budget import reference_budget_config
-
     return reference_budget_config()
 
 

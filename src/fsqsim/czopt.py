@@ -55,26 +55,33 @@ OBJECTIVE_ATOL = 1e-9
 
 
 def echo_return_probability(
-    profile: CZPulseProfile,
+    profile,
     drive: RydbergDrive,
     n_cz: int = 10,
     rtol: float = OBJECTIVE_RTOL,
     atol: float = OBJECTIVE_ATOL,
-) -> float:
-    """P(|11> -> |11>) after n_cz gates with a global X(pi) echo after each."""
+):
+    """P(|11> -> |11>) after n_cz gates with a global X(pi) echo after each.
+
+    A sequence of profiles is integrated as one stack and gives one value per
+    profile; a single profile gives a float.
+    """
     u2, u4 = sector_unitaries(profile, drive, rtol=rtol, atol=atol)
-    u = assemble_unitary(u2, u4)
     echo = _global_xpi(2)
-    psi = np.zeros(36, dtype=complex)
     i11 = full_index([Q1, Q1])
-    psi[i11] = 1.0
-    for _ in range(n_cz):
-        psi = echo @ (u @ psi)
-    return float(abs(psi[i11]) ** 2)
+    probs = []
+    for a, b in zip(u2.reshape(-1, 2, 2), u4.reshape(-1, 4, 4)):
+        u = assemble_unitary(a, b)
+        psi = np.zeros(36, dtype=complex)
+        psi[i11] = 1.0
+        for _ in range(n_cz):
+            psi = echo @ (u @ psi)
+        probs.append(abs(psi[i11]) ** 2)
+    return float(probs[0]) if u2.ndim == 2 else np.array(probs)
 
 
 def make_echo_objective(drive: RydbergDrive, n_cz: int = 10):
-    return lambda profile: echo_return_probability(profile, drive, n_cz)
+    return lambda profiles: echo_return_probability(list(profiles), drive, n_cz)
 
 
 def make_fidelity_objective(
@@ -82,11 +89,10 @@ def make_fidelity_objective(
 ):
     """Average gate fidelity to CZ, single-qubit phase optimized out."""
 
-    def objective(profile: CZPulseProfile) -> float:
-        u2, u4 = sector_unitaries(profile, drive, rtol=rtol, atol=atol)
+    def objective(profiles) -> np.ndarray:
+        u2, u4 = sector_unitaries(list(profiles), drive, rtol=rtol, atol=atol)
         a01, a11 = computational_amplitudes(u2, u4)
-        f, _ = cz_average_fidelity(a01, a11)
-        return f
+        return np.array([cz_average_fidelity(a, b)[0] for a, b in zip(a01, a11)])
 
     return objective
 
@@ -120,55 +126,54 @@ def optimize_cz(
     hessian_refresh: int = 4,
     seed: int = 0,
 ) -> OptimizeResult:
-    """Maximize ``objective(profile)`` over (theta1, theta2, theta3, t_gate).
+    """Maximize ``objective`` over (theta1, theta2, theta3, t_gate).
 
-    theta4 is a pure gauge for any objective built on populations and is held
-    fixed. The search is fully deterministic (``seed`` is accepted for API
-    uniformity but nothing here is stochastic).
+    ``objective`` takes a sequence of profiles and returns one value per
+    profile. Each gradient (and Hessian) is one call on its whole central
+    difference stencil, 9 points (21 with the Hessian); each line-search
+    trial is a call on one profile. ``n_evaluations`` counts the profiles
+    handed to the objective. theta4 is a pure gauge for any objective built
+    on populations and is held fixed. The search is fully deterministic
+    (``seed`` is accepted for API uniformity but nothing here is stochastic).
     """
     drive_obj = objective or make_echo_objective(drive)
     theta4 = initial.theta[3]
     nev = 0
 
-    def cost(p) -> float:
+    def cost(points) -> np.ndarray:
+        """1 - objective at each row of ``points``; 2 where t_gate <= 0."""
         nonlocal nev
-        nev += 1
-        if p[3] <= 0:
-            return 2.0
-        return 1.0 - drive_obj(_profile(p, theta4))
+        out = np.full(len(points), 2.0)
+        ok = points[:, 3] > 0
+        nev += int(ok.sum())
+        if ok.any():
+            values = drive_obj([_profile(q, theta4) for q in points[ok]])
+            out[ok] = 1.0 - np.asarray(values, dtype=float)
+        return out
 
     scales = np.array(
         [1.0, 1.0, max(drive.rabi_frequency, 1.0), max(initial.t_gate, 1e-3)]
     )
+    pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
 
     def grad_hess(p, need_hess=True):
         h = fd_step * scales
-        g = np.zeros(4)
-        hess = np.zeros((4, 4))
-        f0 = cost(p)
-        fp = np.zeros(4)
-        fm = np.zeros(4)
-        for i in range(4):
-            e = np.zeros(4)
-            e[i] = h[i]
-            fp[i] = cost(p + e)
-            fm[i] = cost(p - e)
-            g[i] = (fp[i] - fm[i]) / (2 * h[i])
-            if need_hess:
-                hess[i, i] = (fp[i] - 2 * f0 + fm[i]) / h[i] ** 2
+        e = np.diag(h)
+        stencil = [np.zeros(4)] + [s * e[i] for i in range(4) for s in (1, -1)]
         if need_hess:
-            for i in range(4):
-                for j in range(i + 1, 4):
-                    ei = np.zeros(4)
-                    ej = np.zeros(4)
-                    ei[i] = h[i]
-                    ej[j] = h[j]
-                    fpp = cost(p + ei + ej)
-                    fmm = cost(p - ei - ej)
-                    hij = (fpp - fp[i] - fp[j] + 2 * f0 - fm[i] - fm[j] + fmm) / (
-                        2 * h[i] * h[j]
-                    )
-                    hess[i, j] = hess[j, i] = hij
+            stencil += [s * (e[i] + e[j]) for i, j in pairs for s in (1, -1)]
+        f = cost(p + np.array(stencil))
+        f0, fp, fm = f[0], f[1:9:2], f[2:9:2]
+        g = (fp - fm) / (2 * h)
+        hess = np.zeros((4, 4))
+        if need_hess:
+            hess[np.diag_indices(4)] = (fp - 2 * f0 + fm) / h**2
+            for k, (i, j) in enumerate(pairs):
+                fpp, fmm = f[9 + 2 * k], f[10 + 2 * k]
+                hij = (fpp - fp[i] - fp[j] + 2 * f0 - fm[i] - fm[j] + fmm) / (
+                    2 * h[i] * h[j]
+                )
+                hess[i, j] = hess[j, i] = hij
         return f0, g, hess
 
     p = _pvec(initial)
@@ -191,7 +196,7 @@ def optimize_cz(
                 )
             except np.linalg.LinAlgError:
                 step = -g * scales**2
-            f_new = cost(p + step)
+            f_new = cost((p + step)[None])[0]
             if f_new < f:
                 p = p + step
                 df = f - f_new
@@ -219,7 +224,7 @@ def optimize_cz(
                           phi_sq=extract_phi_sq(u2))
     return OptimizeResult(
         profile=best,
-        objective_value=1.0 - f,
+        objective_value=float(1.0 - f),
         converged=converged,
         n_iterations=it,
         n_evaluations=nev,

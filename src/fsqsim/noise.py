@@ -112,6 +112,22 @@ class NoiseConfig:
         return self.without(*(s for s in _SOURCE_OFF if s not in sources))
 
 
+# Free parameter (see noise module open questions); calibrated so the full
+# budget lands near the reference totals (raw ~2%, loss-corrected ~0.25%).
+DEPHASING_RATE_DEFAULT = 0.070  # 1/us
+
+
+def reference_budget_config() -> NoiseConfig:
+    """Reference gate-error configuration: measured lifetimes and ionization
+    constant, plus Markovian Rydberg dephasing at the calibrated default rate
+    (the drift model used for coherence fits is turned off here; the
+    dephasing rate behind the reported budget is a free parameter)."""
+    return NoiseConfig(
+        rydberg_detuning_sigma_mhz=0.0,
+        rydberg_dephasing_rate=DEPHASING_RATE_DEFAULT,
+    )
+
+
 _SOURCE_OFF = {
     "rydberg_decay": {"tau_bright": np.inf, "tau_dark": np.inf},
     "ionization": {"ionization_a": np.inf},

@@ -140,34 +140,29 @@ def sample_detuning_trajectory(
 def gate_fidelity_with_detuning(
     profile: CZPulseProfile,
     drive: RydbergDrive,
-    trajectory: NoiseTrajectory | float,
+    trajectory: NoiseTrajectory | float | np.ndarray,
     rtol: float = 1e-8,
     atol: float = 1e-10,
 ) -> float | np.ndarray:
-    """Noiseless-gate fidelity with a detuning trajectory (or constant) added
-    to the Rydberg level; the single-qubit phase stays at the calibrated
-    profile value, as it would in an experiment. A stacked trajectory is
-    integrated at once and gives one fidelity per member."""
+    """Noiseless-gate fidelity with a detuning trajectory added to the
+    Rydberg level; the single-qubit phase stays at the calibrated profile
+    value, as it would in an experiment.
+
+    ``trajectory`` is a :class:`NoiseTrajectory`, a constant detuning in
+    rad/us, or an array of constants. A stacked trajectory or an array is
+    integrated at once and gives one fidelity per member; a single
+    trajectory or constant gives a float."""
     if isinstance(trajectory, NoiseTrajectory):
         edges = np.append(
             trajectory.times_us, trajectory.times_us[-1] + trajectory.dt
         )
-        u2, u4 = sector_unitaries(
-            profile,
-            drive,
-            rtol=rtol,
-            atol=atol,
-            detuning_edges=edges,
-            detuning_values=trajectory.detuning_rad_per_us,
-        )
-    else:
-        delta = float(trajectory)
-        shifted = RydbergDrive(
-            rabi_frequency=drive.rabi_frequency,
-            detuning=drive.detuning + delta,
-            interaction=drive.interaction,
-        )
-        u2, u4 = sector_unitaries(profile, shifted, rtol=rtol, atol=atol)
+        values = trajectory.detuning_rad_per_us
+    else:  # a constant is a one-piece trajectory
+        edges, values = [0.0], np.asarray(trajectory, dtype=float)[..., None]
+    u2, u4 = sector_unitaries(
+        profile, drive, rtol=rtol, atol=atol,
+        detuning_edges=edges, detuning_values=values,
+    )
     a01, a11 = computational_amplitudes(u2, u4)
     f, _ = cz_average_fidelity(a01, a11, phi_sq=profile.phi_sq)
     return f
@@ -182,10 +177,8 @@ def quasi_static_infidelity(
     """Gauss-Hermite average of the gate infidelity over a Gaussian detuning
     ensemble; the deterministic reference for slow drift."""
     deltas, weights = gaussian_quadrature(sigma_rad_per_us, n_nodes)
-    return float(sum(
-        w * (1.0 - gate_fidelity_with_detuning(profile, drive, d))
-        for d, w in zip(deltas, weights)
-    ))
+    fids = gate_fidelity_with_detuning(profile, drive, deltas)
+    return float(weights @ (1.0 - fids))
 
 
 def mc_gate_infidelity(

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .lindblad import ModulatedDrive, detuning_segments, evolve_rho
-from .channels import Superoperator, channel_on_pairs, channel_superoperator
+from .lindblad import ModulatedDrive, detuning_segments
 from .levels import B, DIM, G, Q0, Q1, R, X, full_index, lop
 from .states import embed_local
 
@@ -169,7 +168,7 @@ def _sector_parts(drive: RydbergDrive):
 
 
 def sector_unitaries(
-    profile: CZPulseProfile,
+    profile,
     drive: RydbergDrive,
     rtol: float = 1e-9,
     atol: float = 1e-11,
@@ -178,34 +177,52 @@ def sector_unitaries(
 ):
     """(u2, u4) propagators of the driven sectors over one gate.
 
-    Optional piecewise-constant extra detuning (common to both atoms) models
-    sampled laser frequency noise; ``(members, n_pieces)`` values integrate
-    a stack at once and give ``(members, 2, 2)`` and ``(members, 4, 4)``.
+    ``profile`` is one :class:`CZPulseProfile` or a sequence of them. A
+    sequence is integrated as one stack in normalized time: the clock runs
+    over the first member's gate and member m reads it scaled by
+    t_gate[m] / t_gate[0], so members with different gate times share one
+    step grid (with equal gate times the scale is exactly 1 and each member's
+    right-hand side is the one a solo call evaluates). Optional
+    piecewise-constant extra detuning (common to both atoms, edges in us)
+    models sampled laser frequency noise; ``(members, n_pieces)`` values
+    stack along the same member axis, a constant is the one piece
+    ``edges=[0.0]``, and detuning needs one gate time for every member. A
+    stack gives ``(members, 2, 2)`` and ``(members, 4, 4)``.
     """
+    solo = isinstance(profile, CZPulseProfile)
+    profiles = [profile] if solo else list(profile)
+    shape = () if solo else (len(profiles), 1, 1)
+    th1, th2, th3, th4 = (  # [()] turns a solo 0-d array into a scalar
+        np.reshape([p.theta[i] for p in profiles], shape)[()] for i in range(4)
+    )
+    t_ref = profiles[0].t_gate
+    rate = np.reshape([p.t_gate for p in profiles], shape) / t_ref
+    if detuning_values is not None and np.ptp(rate) > 0:
+        raise ValueError("detuning pieces need one gate time for every member")
     h2, c2, h4, c4 = _sector_parts(drive)
-    amp, freq, offset, slope, const = profile.modulation()
-    phase_const = np.exp(1j * const)
     h0 = np.zeros((6, 6), dtype=complex)
     h0[:2, :2] = h2
     h0[2:, 2:] = h4
     coup = np.zeros((6, 6), dtype=complex)
-    coup[:2, :2] = c2 * phase_const
-    coup[2:, 2:] = c4 * phase_const
-    coup_dag = coup.conj().T
-    ndiag = np.array([0.0, 1.0, 0.0, 1.0, 1.0, 2.0])
+    coup[:2, :2] = c2
+    coup[2:, 2:] = c4
+    coup = np.exp(1j * th4) * coup
+    coup_dag = np.swapaxes(coup.conj(), -1, -2)
+    ndiag = np.diag([0.0, 1.0, 0.0, 1.0, 1.0, 2.0])
+    offset, slope = -th2, th3 * rate
+    freq = 2 * np.pi / t_ref  # every member's cosine period on this clock
+    scale = -1j * rate  # dy/dt' = -i (t_gate[m] / t_gate[0]) H y
 
     u = np.eye(6, dtype=complex)
-    for t0, t1, det in detuning_segments(
-        detuning_edges, detuning_values, profile.t_gate
-    ):
-        hseg = h0 - np.multiply.outer(det, np.diag(ndiag))
+    for t0, t1, det in detuning_segments(detuning_edges, detuning_values, t_ref):
+        hseg = h0 - np.multiply.outer(det, ndiag)
 
         def rhs(t, y):
-            e = np.exp(1j * (amp * np.cos(freq * t + offset) + slope * t))
-            h = hseg + e * coup + np.conj(e) * coup_dag
-            return -1j * (h @ y)
+            e = np.exp(1j * (th1 * np.cos(freq * t + offset) + slope * t))
+            return scale * ((hseg + e * coup + np.conj(e) * coup_dag) @ y)
 
-        u = _kernels.dopri5(rhs, np.broadcast_to(u, hseg.shape), t0, t1, rtol, atol)
+        stack = np.broadcast_shapes(hseg.shape, coup.shape)
+        u = _kernels.dopri5(rhs, np.broadcast_to(u, stack), t0, t1, rtol, atol)
     return u[..., :2, :2].copy(), u[..., 2:, 2:].copy()
 
 
@@ -301,54 +318,17 @@ def modulated_drive(
     )
 
 
-@dataclass(frozen=True)
-class CZGateChannel:
-    """Noisy CZ gate: Lindblad evolution over the pulse, applied on demand."""
-
-    profile: CZPulseProfile
-    drive: RydbergDrive
-    collapses: tuple
-    rtol: float = 1e-8
-    atol: float = 1e-10
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        mdrive = modulated_drive(self.profile, self.drive, 2)
-        return evolve_rho(
-            rho, mdrive, list(self.collapses), self.profile.t_gate, 2,
-            self.rtol, self.atol,
-        )
-
-    def superoperator_on_pairs(self, pairs):
-        mdrive = modulated_drive(self.profile, self.drive, 2)
-        m, _ = channel_on_pairs(
-            mdrive, list(self.collapses), self.profile.t_gate, 2, pairs,
-            self.rtol, self.atol,
-        )
-        return m
-
-    def superoperator(self) -> Superoperator:
-        mdrive = modulated_drive(self.profile, self.drive, 2)
-        return channel_superoperator(
-            mdrive, list(self.collapses), self.profile.t_gate, 2,
-            self.rtol, self.atol,
-        )
-
-
 def time_optimal_cz(
     profile: CZPulseProfile,
     drive: RydbergDrive,
-    collapses=None,
     rtol: float = 1e-9,
     atol: float = 1e-11,
 ):
-    """The phase-modulated CZ gate.
+    """The 36x36 unitary of the noiseless phase-modulated CZ gate.
 
-    Returns the 36x36 unitary for noiseless evolution, or a
-    :class:`CZGateChannel` when collapse operators are supplied. A warning is
-    emitted if Rydberg population has not returned at the end of the pulse.
+    A warning is emitted if Rydberg population has not returned at the end
+    of the pulse.
     """
-    if collapses:
-        return CZGateChannel(profile, drive, tuple(collapses))
     u2, u4 = sector_unitaries(profile, drive, rtol, atol)
     res = residual_rydberg_population(u2, u4)
     if res > RESIDUAL_RYDBERG_THRESHOLD:

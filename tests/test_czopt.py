@@ -15,15 +15,32 @@ from fsqsim.rydberg import CZPulseProfile, RydbergDrive
 def test_quadratic_objective_converges_in_three_iterations(drive):
     target = np.array([1.1, 1.5, 8.0, 0.21])
 
-    def objective(profile):
-        p = np.array([*profile.theta[:3], profile.t_gate])
-        return 1.0 - float((p - target) @ (p - target))
+    def objective(profiles):
+        p = np.array([[*pr.theta[:3], pr.t_gate] for pr in profiles])
+        return 1.0 - np.sum((p - target) ** 2, axis=1)
 
     start = CZPulseProfile(theta=(1.0, 1.4, 7.5, 0.0), t_gate=0.19)
     res = optimize_cz(start, drive, objective, max_iterations=3)
     assert res.converged
     assert res.objective_value == pytest.approx(1.0, abs=1e-6)
     assert res.n_iterations <= 3
+
+
+def test_stencil_is_one_objective_call(drive):
+    target = np.array([1.1, 1.5, 8.0, 0.21])
+    batches = []
+
+    def objective(profiles):
+        batches.append(len(profiles))
+        p = np.array([[*pr.theta[:3], pr.t_gate] for pr in profiles])
+        return 1.0 - np.sum((p - target) ** 2, axis=1)
+
+    start = CZPulseProfile(theta=(1.0, 1.4, 7.5, 0.0), t_gate=0.19)
+    res = optimize_cz(start, drive, objective, max_iterations=8)
+    assert batches[0] == 21  # gradient and Hessian at the start
+    assert 9 in batches  # gradient-only refresh
+    assert set(batches) <= {1, 9, 21}
+    assert res.n_evaluations == sum(batches)
 
 
 def test_already_optimal_returns_input(drive, cz_profile):

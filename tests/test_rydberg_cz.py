@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fsqsim import _kernels, levels
 from fsqsim.levels import B, G, Q0, Q1, R, X, full_index
@@ -115,6 +117,47 @@ def test_default_profile_fidelity_and_phase_relation():
     assert abs(gap) < 1e-3
     assert extract_phi_sq(u2) == pytest.approx(profile.phi_sq, abs=1e-6)
     assert residual_rydberg_population(u2, u4) < 1e-6
+
+
+@settings(max_examples=3, deadline=None)
+@given(pert=st.lists(st.floats(-0.05, 0.05), min_size=10, max_size=10))
+def test_profile_stack_matches_solo(pert):
+    # members differ in every modulation parameter and in t_gate
+    base = default_profile()
+    drive = RydbergDrive()
+    profiles = [
+        CZPulseProfile(
+            theta=[x * (1 + d) for x, d in zip(base.theta, pert[5 * m:5 * m + 3])]
+            + [0.3 * pert[5 * m + 3]],
+            t_gate=base.t_gate * (1 + pert[5 * m + 4]),
+        )
+        for m in range(2)
+    ]
+    u2, u4 = sector_unitaries(profiles, drive, rtol=1e-10, atol=1e-12)
+    assert u2.shape == (2, 2, 2) and u4.shape == (2, 4, 4)
+    for m, prof in enumerate(profiles):
+        s2, s4 = sector_unitaries(prof, drive, rtol=1e-10, atol=1e-12)
+        assert np.max(np.abs(u2[m] - s2)) <= 1e-7
+        assert np.max(np.abs(u4[m] - s4)) <= 1e-7
+
+
+def test_constant_detuning_stack_matches_shifted_drive():
+    profile = default_profile()
+    deltas = np.array([-3.0, 0.0, 1.1, 5.0])
+    u2, u4 = sector_unitaries(profile, RydbergDrive(), detuning_edges=[0.0],
+                              detuning_values=deltas[:, None])
+    for m, delta in enumerate(deltas):
+        s2, s4 = sector_unitaries(profile, RydbergDrive(detuning=delta))
+        assert np.max(np.abs(u2[m] - s2)) <= 1e-7
+        assert np.max(np.abs(u4[m] - s4)) <= 1e-7
+
+
+def test_detuning_needs_one_gate_time():
+    base = default_profile()
+    profiles = [base, CZPulseProfile(base.theta, base.t_gate * 1.01)]
+    with pytest.raises(ValueError, match="gate time"):
+        sector_unitaries(profiles, RydbergDrive(), detuning_edges=[0.0],
+                         detuning_values=np.array([[0.1], [0.2]]))
 
 
 def test_q0q0_is_spectator():
