@@ -43,7 +43,7 @@ _E = np.concatenate([_A[6], [0.0]]) - _B4  # error weights, k7 included
 MAX_STEPS = 1_000_000
 
 
-def dopri5(rhs, y0, t0, t1, rtol, atol, first_step=None):
+def dopri5(rhs, y0, t0, t1, rtol, atol):
     """Adaptive Dormand-Prince integration of dy/dt = rhs(t, y).
 
     ``y`` may be a complex array of any shape. Returns y(t1). A 3-d ``y`` is
@@ -59,8 +59,7 @@ def dopri5(rhs, y0, t0, t1, rtol, atol, first_step=None):
     t = t0
     k = [None] * 7
     k[0] = rhs(t, y)
-    h = first_step if first_step is not None else span / 100.0
-    h = min(h, span)
+    h = span / 100.0
     nsteps = 0
     while t < t1:
         if nsteps > MAX_STEPS:

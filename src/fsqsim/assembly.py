@@ -10,6 +10,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# The 32-site layout of pair_grid_geometry.
+GRID_COLUMNS = 8
+GRID_X_SPACING = 6.5  # um
+GRID_Y_PAIR = 2.0  # um
+GRID_Y_INTER_PAIR = 13.0  # um
+GRID_PAIR_ROWS = 2
+GRID_DEPTH = 700.0  # uK
+EXCLUSION_RADIUS = 1.0  # um, closest a moving atom may pass an occupied site
+
 
 @dataclass(frozen=True)
 class AffineMap:
@@ -73,24 +82,18 @@ class ArrayGeometry:
         return len(self.sites)
 
 
-def pair_grid_geometry(
-    n_columns: int = 8,
-    x_spacing: float = 6.5,
-    y_pair: float = 2.0,
-    y_inter_pair: float = 13.0,
-    n_pair_rows: int = 2,
-    depth: float = 700.0,
-) -> ArrayGeometry:
+def pair_grid_geometry() -> ArrayGeometry:
     """The 32-site layout: columns of atom pairs (2 um within a pair)."""
     sites = []
-    for row in range(n_pair_rows):
-        y0 = row * y_inter_pair
-        for col in range(n_columns):
-            x = col * x_spacing
+    for row in range(GRID_PAIR_ROWS):
+        y0 = row * GRID_Y_INTER_PAIR
+        for col in range(GRID_COLUMNS):
+            x = col * GRID_X_SPACING
             sites.append([x, y0])
-            sites.append([x, y0 + y_pair])
+            sites.append([x, y0 + GRID_Y_PAIR])
     return ArrayGeometry(
-        sites=np.array(sites), depths=np.full(2 * n_columns * n_pair_rows, depth)
+        sites=np.array(sites),
+        depths=np.full(2 * GRID_COLUMNS * GRID_PAIR_ROWS, GRID_DEPTH),
     )
 
 
@@ -180,7 +183,7 @@ def _path_blockers(path, sites, occupied_mask, exclusion, skip):
     return out
 
 
-_LANE_OFFSET = 3.25  # um, half the column spacing
+_LANE_OFFSET = GRID_X_SPACING / 2  # um
 
 
 def _route(p0, p1, sites, occupied_mask, exclusion, skip):
@@ -207,7 +210,6 @@ def plan_rearrangement(
     initial,
     target,
     geometry: ArrayGeometry,
-    exclusion_radius: float = 1.0,
 ) -> MovePlan:
     """Plan moves filling ``target`` from ``initial`` occupancy.
 
@@ -237,7 +239,7 @@ def plan_rearrangement(
             a = (x0 + s * _LANE_OFFSET, y0)
             slot = (x0 + s * _LANE_OFFSET + 0.01 * n_park, y_park)
             path = (tuple(sites[site]), a, slot)
-            if _path_clear(path, sites, occ, exclusion_radius, {site}):
+            if _path_clear(path, sites, occ, EXCLUSION_RADIUS, {site}):
                 n_park += 1
                 return path
         return None
@@ -280,7 +282,7 @@ def plan_rearrangement(
             if occ[tgt]:
                 continue
             route = _route(sites[src], sites[tgt], sites, occ,
-                           exclusion_radius, {src, tgt})
+                           EXCLUSION_RADIUS, {src, tgt})
             if route is not None:
                 moves.append(Move(int(src), int(tgt), route))
                 occ[src] = False
@@ -294,7 +296,7 @@ def plan_rearrangement(
         for k, (pos, tgt, deferred) in enumerate(parked):
             if tgt is None or occ[tgt] or (deferred and pending):
                 continue
-            route = _route(pos, sites[tgt], sites, occ, exclusion_radius, {tgt})
+            route = _route(pos, sites[tgt], sites, occ, EXCLUSION_RADIUS, {tgt})
             if route is not None:
                 moves.append(Move(-1, int(tgt), route))
                 occ[tgt] = True
@@ -322,7 +324,7 @@ def plan_rearrangement(
             if occ[tgt]:
                 continue
             blockers = _path_blockers(
-                (sites[src], sites[tgt]), sites, occ, exclusion_radius,
+                (sites[src], sites[tgt]), sites, occ, EXCLUSION_RADIUS,
                 {src, tgt},
             )
             for blocker in blockers:
@@ -368,8 +370,7 @@ def plan_rearrangement(
                     unplaced_targets=tuple(sorted(int(u) for u in unplaced)))
 
 
-def replay_plan(plan: MovePlan, initial, geometry: ArrayGeometry,
-                exclusion_radius: float = 1.0):
+def replay_plan(plan: MovePlan, initial, geometry: ArrayGeometry):
     """Deterministic interpreter: execute moves, enforcing the validity
     invariants; returns the final occupancy."""
     occ = np.asarray(initial, dtype=bool).copy()
@@ -385,7 +386,7 @@ def replay_plan(plan: MovePlan, initial, geometry: ArrayGeometry,
             if occ[m.destination]:
                 raise AssertionError(f"move {k}: destination {m.destination} full")
             skip.add(m.destination)
-        if not _path_clear(m.path, geometry.sites, occ, exclusion_radius, skip):
+        if not _path_clear(m.path, geometry.sites, occ, EXCLUSION_RADIUS, skip):
             raise AssertionError(f"move {k}: path violates the exclusion radius")
         if m.source >= 0:
             occ[m.source] = False
@@ -412,7 +413,6 @@ def simulate_assembly(
     imaging_survival: float = 0.999,
     n_trials: int = 2000,
     seed: int = 0,
-    exclusion_radius: float = 1.0,
 ):
     """Monte Carlo defect-free assembly probability.
 
@@ -429,7 +429,7 @@ def simulate_assembly(
     wins = 0
     for _ in range(n_trials):
         occ = rng.random(geometry.n_sites) < loading_probability
-        plan = plan_rearrangement(occ, target, geometry, exclusion_radius)
+        plan = plan_rearrangement(occ, target, geometry)
         if plan.unplaced_targets:
             continue
         current = occ.copy()
@@ -466,6 +466,13 @@ class EqualizationResult:
     converged: bool
 
 
+# equalize_depths: the first EQ_STAGE_SWITCH iterations run stage 1.
+EQ_STAGE_SWITCH = 4
+EQ_STAGE1_NOISE = 0.01
+EQ_EDGE_SHOTS = 200
+EQ_EDGE_WIDTH = 0.02
+
+
 def _relative_spread(depths) -> float:
     return float(np.std(depths) / np.mean(depths))
 
@@ -474,10 +481,6 @@ def equalize_depths(
     true_gains,
     iterations: int = 8,
     gain: float = 0.7,
-    stage_switch: int = 4,
-    stage1_noise: float = 0.01,
-    edge_shots: int = 200,
-    edge_width: float = 0.02,
     seed: int = 0,
     noiseless: bool = False,
 ):
@@ -485,9 +488,9 @@ def equalize_depths(
 
     depth_i = weight_i * gain_i with the gains hidden. Stage 1 measures a
     depth-proportional proxy (per-site optimal cooling frequency, relative
-    noise ``stage1_noise``); stage 2 measures the survival-edge midpoint,
-    probed with ``edge_shots`` binomial shots per site on a sigmoid of
-    relative width ``edge_width``. Weights update as w *= (mean/y)^gain.
+    noise EQ_STAGE1_NOISE); stage 2 measures the survival-edge midpoint,
+    probed with EQ_EDGE_SHOTS binomial shots per site on a sigmoid of
+    relative width EQ_EDGE_WIDTH. Weights update as w *= (mean/y)^gain.
     """
     gains = np.asarray(true_gains, dtype=float)
     if np.any(gains <= 0):
@@ -503,7 +506,7 @@ def equalize_depths(
         d = depths()
         y = d.copy()
         if not noiseless:
-            y = y * (1.0 + stage1_noise * rng.standard_normal(len(d)))
+            y = y * (1.0 + EQ_STAGE1_NOISE * rng.standard_normal(len(d)))
         return y
 
     def stage2_observable():
@@ -515,10 +518,10 @@ def equalize_depths(
         est = np.empty(len(d))
         probes = np.linspace(-1.5, 1.5, 7)
         for i, m in enumerate(mid):
-            f = m + probes * edge_width
-            p = 1.0 / (1.0 + np.exp(-(f - m) / (edge_width / 4)))
-            k = rng.binomial(edge_shots, p)
-            frac = k / edge_shots
+            f = m + probes * EQ_EDGE_WIDTH
+            p = 1.0 / (1.0 + np.exp(-(f - m) / (EQ_EDGE_WIDTH / 4)))
+            k = rng.binomial(EQ_EDGE_SHOTS, p)
+            frac = k / EQ_EDGE_SHOTS
             # linear fit of survival vs probe frequency around the edge
             slope, intercept = np.polyfit(f, frac, 1)
             est[i] = (0.5 - intercept) / slope if slope > 0 else m
@@ -526,7 +529,7 @@ def equalize_depths(
 
     history.append(_relative_spread(depths()))
     for it in range(iterations):
-        y = stage1_observable() if it < stage_switch else stage2_observable()
+        y = stage1_observable() if it < EQ_STAGE_SWITCH else stage2_observable()
         update = (np.mean(y) / y) ** gain
         weights = weights * update
         weights = weights / np.mean(weights)

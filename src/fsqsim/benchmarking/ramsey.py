@@ -8,6 +8,9 @@ from ..levels import DIM, Q0, Q1
 from ..noise import gaussian_quadrature
 from ..pulses import embed_qubit_unitary, rotation
 
+RAMSEY_NODES = 41  # Gauss-Hermite nodes of the detuning ensemble
+RAMSEY_PHASES = 12  # closing-pulse phases per fringe
+
 
 def ramsey_envelope_time(sigma: float) -> float:
     """1/e time of the dephasing envelope exp(-sigma^2 t^2 / 2), sigma in
@@ -19,8 +22,6 @@ def simulate_ramsey(
     sigma: float,
     times,
     mid_circuit_erasure: bool = False,
-    n_nodes: int = 41,
-    n_phases: int = 12,
 ):
     """Fringe contrast vs wait time, ensemble-averaged over detunings.
 
@@ -34,8 +35,8 @@ def simulate_ramsey(
     if sigma < 0:
         raise ValueError("sigma must be non-negative")
     times = np.asarray(times, dtype=float)
-    deltas, weights = gaussian_quadrature(sigma, n_nodes)
-    phases = np.linspace(0, 2 * np.pi, n_phases, endpoint=False)
+    deltas, weights = gaussian_quadrature(sigma, RAMSEY_NODES)
+    phases = np.linspace(0, 2 * np.pi, RAMSEY_PHASES, endpoint=False)
     open_pulse = embed_qubit_unitary(rotation(np.pi / 2, 0.0))
     erasure_block = np.eye(DIM, dtype=complex)  # no qubit back-action
 

@@ -17,7 +17,6 @@ from ..fitting import DecayFit, fit_power_decay
 from ..levels import DIM, G, Q0, Q1, lop
 from ..noise import NoiseConfig, raman_scatter_collapse_ops
 from ..pulses import embed_qubit_unitary
-from ..readout import PhotonCountModel
 
 RAMAN_RABI = 2 * np.pi * 0.017  # rad/us (2 pi x 17 kHz Clifford drive)
 
@@ -55,30 +54,29 @@ def _z_superop_diag(angle: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _x90_channel_cached(rabi, scatter_g, leak_x, spinflip, noiseless):
-    h = (rabi / 2) * (lop(Q0, Q1) + lop(Q1, Q0))
+def _x90_channel_cached(scatter_g, leak_x, spinflip, noiseless):
+    h = (RAMAN_RABI / 2) * (lop(Q0, Q1) + lop(Q1, Q0))
     if noiseless:
         ops = []
     else:
         cfg = NoiseConfig(raman_scatter_g=scatter_g, raman_leak_x=leak_x,
                           raman_spinflip=spinflip)
         ops = raman_scatter_collapse_ops(cfg)
-    t90 = (np.pi / 2) / rabi
+    t90 = (np.pi / 2) / RAMAN_RABI
     return channel_superoperator(h, ops, t90, n_atoms=1, rtol=1e-10, atol=1e-12).matrix
 
 
-def raman_pulse_channel(
-    config: NoiseConfig | None, rabi: float = RAMAN_RABI
-) -> np.ndarray:
-    """Superoperator of a phase-0 pi/2 Raman pulse with drive-time leakage.
+def raman_pulse_channel(config: NoiseConfig | None) -> np.ndarray:
+    """Superoperator of a phase-0 pi/2 Raman pulse at RAMAN_RABI with
+    drive-time leakage.
 
     Channels at other phases are the virtual-Z conjugation of this one (the
     scattering operators are phase covariant; asserted in tests).
     """
     if config is None:
-        return _x90_channel_cached(rabi, 0.0, 0.0, 0.0, True)
+        return _x90_channel_cached(0.0, 0.0, 0.0, True)
     return _x90_channel_cached(
-        rabi, config.raman_scatter_g, config.raman_leak_x,
+        config.raman_scatter_g, config.raman_leak_x,
         config.raman_spinflip_rate, False
     )
 
@@ -178,37 +176,29 @@ def run_crb(
     erasure: bool = False,
     seed: int = 0,
     injected_depolarizing: float | None = None,
-    erasure_tp: float | None = None,
-    erasure_fp: float | None = None,
-    erasure_model: PhotonCountModel | None = None,
-    erasure_threshold: float | None = None,
-    rabi: float = RAMAN_RABI,
 ) -> CRBResult:
     """Survival vs sequence length with decay fits.
 
-    The erasure pipeline flags shots from the per-shot sampled final level:
-    state-preparation errors sit in g for both images of the sandwich,
-    mid-sequence leakage only for the closing one; unflagged shots form the
-    erasure-corrected survival. Both decay fits pin the asymptote to 1/2.
+    The erasure pipeline flags shots from the per-shot sampled final level
+    at the shallow-trap erasure operating point: state-preparation errors
+    sit in g for both images of the sandwich, mid-sequence leakage only for
+    the closing one; unflagged shots form the erasure-corrected survival.
+    Both decay fits pin the asymptote to 1/2.
     """
     lengths = tuple(int(m) for m in lengths)
     if not lengths:
         raise ValueError("need at least one sequence length")
-    if erasure and erasure_tp is None:
-        if erasure_model is not None and erasure_threshold is not None:
-            erasure_tp = erasure_model.survival_function(erasure_threshold, True)
-            erasure_fp = erasure_model.survival_function(erasure_threshold, False)
-        else:
-            from ..readout import erasure_operating_point
+    if erasure:
+        from ..readout import erasure_operating_point
 
-            erasure_tp, erasure_fp = erasure_operating_point()
+        erasure_tp, erasure_fp = erasure_operating_point()
 
     eps_sp = noise.state_prep_error if noise is not None else 0.0
     if injected_depolarizing is not None:
-        pulse = raman_pulse_channel(None, rabi)
+        pulse = raman_pulse_channel(None)
         extra = depolarizing_channel(injected_depolarizing)
     else:
-        pulse = raman_pulse_channel(noise, rabi)
+        pulse = raman_pulse_channel(noise)
         extra = None
 
     raw_mean = np.zeros(len(lengths))

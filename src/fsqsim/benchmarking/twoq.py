@@ -37,6 +37,10 @@ DETECTED_0 = "detected-0"
 DETECTED_1 = "detected-1"
 LOSS = "loss"
 
+# Integrator tolerances of the CZ channel build.
+CZ_CHANNEL_RTOL = 1e-6
+CZ_CHANNEL_ATOL = 1e-9
+
 
 class GateExecutor:
     """Pair-basis circuit simulator around one calibrated CZ gate channel."""
@@ -47,14 +51,12 @@ class GateExecutor:
         drive: RydbergDrive | None,
         noise: NoiseConfig | None = None,
         dephasing_nodes: int = 9,
-        rtol: float = 1e-6,
-        atol: float = 1e-9,
         ideal_cz: bool = False,
     ):
         self.profile = profile
         self.drive = drive
         self.noise = noise
-        self.pairs = gate_pair_basis(2)
+        self.pairs = gate_pair_basis()
         self._index = {p: k for k, p in enumerate(self.pairs)}
         self._diag_slots = {
             unravel_index(p[0], 2): k
@@ -66,14 +68,14 @@ class GateExecutor:
 
             self._cz = conjugation_on_pairs(ideal_cz_unitary(), self.pairs)
         else:
-            self._cz = self._build_cz_channel(dephasing_nodes, rtol, atol)
+            self._cz = self._build_cz_channel(dephasing_nodes)
             comp = virtual_z_equivalent(profile.phi_sq)
             z = embed_qubit_unitary(comp)
             self._cz = self.product_unitary(z, z) @ self._cz
 
     # -- channel construction -------------------------------------------
 
-    def _build_cz_channel(self, n_nodes, rtol, atol):
+    def _build_cz_channel(self, n_nodes):
         collapses, sigma = [], 0.0
         if self.noise is not None:
             collapses = gate_collapse_ops(self.noise, self.drive.rabi_frequency)
@@ -82,14 +84,15 @@ class GateExecutor:
         if collapses:
             maps = [
                 channel_on_pairs(
-                    modulated_drive(self.profile, self.drive, 2, [0.0], [delta]),
-                    collapses, self.profile.t_gate, 2, self.pairs, rtol, atol,
+                    modulated_drive(self.profile, self.drive, [0.0], [delta]),
+                    collapses, self.profile.t_gate, 2, self.pairs,
+                    CZ_CHANNEL_RTOL, CZ_CHANNEL_ATOL,
                 )[0]
                 for delta in deltas
             ]
         else:
             u2, u4 = sector_unitaries(
-                self.profile, self.drive, rtol, atol,
+                self.profile, self.drive, CZ_CHANNEL_RTOL, CZ_CHANNEL_ATOL,
                 detuning_edges=[0.0], detuning_values=deltas[:, None],
             )
             maps = [
@@ -102,8 +105,10 @@ class GateExecutor:
         """Pair-basis matrix of rho -> (u1 x u2) rho (u1 x u2)^dag."""
         return conjugation_on_pairs(np.kron(u1, u2), self.pairs)
 
-    def global_pulse(self, phase: float, area: float = np.pi / 2) -> np.ndarray:
-        u = embed_qubit_unitary(rotation(area, phase))
+    def global_pulse(self, phase: float) -> np.ndarray:
+        """Pair-basis matrix of a pi/2 pulse of laser phase ``phase`` on both
+        atoms."""
+        u = embed_qubit_unitary(rotation(np.pi / 2, phase))
         return self.product_unitary(u, u)
 
     # -- states and measurement ------------------------------------------
@@ -302,32 +307,26 @@ def run_ssb(
     n_seq: int,
     shots: int,
     noise: NoiseConfig | None,
-    profile: CZPulseProfile | None = None,
-    drive: RydbergDrive | None = None,
     seed: int = 0,
-    erasure_tp: float | None = None,
-    erasure_fp: float | None = None,
     executor: GateExecutor | None = None,
 ) -> SSBResult:
     """Simulate and fit the three SSB variants (raw, erasure, loss-excised).
 
     Shot noise is binomial around the exact simulated probabilities; with
     shots=0 the exact probabilities are fitted directly (used by the error
-    budget, where sampling noise would only obscure the comparison).
+    budget, where sampling noise would only obscure the comparison). Without
+    an executor the default CZ profile and drive are built for ``noise``.
     """
-    from ..czopt import default_profile
-
     if executor is None:
-        profile = profile or default_profile()
-        drive = drive or RydbergDrive()
-        executor = GateExecutor(profile, drive, noise)
-    if erasure_tp is None:
-        if noise is None or noise.raman_scatter_g == 0:
-            erasure_tp, erasure_fp = 0.92, 0.03  # nominal; no g to flag anyway
-        else:
-            from ..readout import erasure_operating_point
+        from ..czopt import default_profile
 
-            erasure_tp, erasure_fp = erasure_operating_point()
+        executor = GateExecutor(default_profile(), RydbergDrive(), noise)
+    if noise is None or noise.raman_scatter_g == 0:
+        erasure_tp, erasure_fp = 0.92, 0.03  # nominal; no g to flag anyway
+    else:
+        from ..readout import erasure_operating_point
+
+        erasure_tp, erasure_fp = erasure_operating_point()
 
     n_cz_list = tuple(int(n) for n in n_cz_list)
     cols = {k: np.zeros((len(n_cz_list), n_seq)) for k in
@@ -428,13 +427,15 @@ def _assigned_probs(pops: np.ndarray):
     return p
 
 
-def _srd_assigned_probs(pops: np.ndarray, srd_model, survival: float):
-    """Joint outcome probabilities through the detection channel."""
+def _srd_assigned_probs(pops: np.ndarray):
+    """Joint outcome probabilities through the default detection channel and
+    the sequence survival factor."""
     from ..readout import DETECTED_0 as D0
     from ..readout import DETECTED_1 as D1
     from ..readout import LOSS as LO
-    from ..readout import srd_probabilities
+    from ..readout import SRDModel, srd_probabilities
 
+    srd_model = SRDModel()
     chan = {lv: srd_probabilities(lv, srd_model) for lv in range(DIM)
             if lv != R}
     # Rydberg residue is ejected during readout
@@ -447,12 +448,12 @@ def _srd_assigned_probs(pops: np.ndarray, srd_model, survival: float):
             if w <= 0:
                 continue
             for o1, p1 in chan[l1].items():
-                q1_ = p1 * (survival if o1 != LO else 1.0)
+                if o1 == LO:
+                    continue
+                q1_ = p1 * SEQUENCE_SURVIVAL
                 for o2, p2 in chan[l2].items():
-                    q2 = p2 * (survival if o2 != LO else 1.0)
-                    if o1 == LO or o2 == LO:
-                        out["loss"] += w * p1 * p2
-                    else:
+                    if o2 != LO:
+                        q2 = p2 * SEQUENCE_SURVIVAL
                         out[bucket[o1] + bucket[o2]] += w * q1_ * q2
     out["loss"] = 1.0 - sum(v for k, v in out.items() if k != "loss")
     return out
@@ -463,12 +464,9 @@ def bell_protocol(
     phases,
     shots: int,
     loss_excision: bool = False,
-    profile: CZPulseProfile | None = None,
-    drive: RydbergDrive | None = None,
     seed: int = 0,
-    executor: GateExecutor | None = None,
-    srd_model=None,
-    sequence_survival: float | None = None,
+    *,
+    executor: GateExecutor,
 ) -> BellResult:
     """Bell-state generation and parity-oscillation analysis.
 
@@ -478,30 +476,14 @@ def bell_protocol(
     each atom in g with probability eps_sp and readout goes through the
     state-resolved detection channel plus the sequence survival factor.
     """
-    from ..czopt import default_profile
-
     phases = np.asarray(phases, dtype=float)
     if np.ptp(phases) < np.pi:
         raise ValueError("analyzer phases must cover at least one pi period")
-    if executor is None:
-        profile = profile or default_profile()
-        drive = drive or RydbergDrive()
-        executor = GateExecutor(profile, drive, noise)
     rng = np.random.default_rng(seed)
     eps_sp = noise.state_prep_error if noise is not None else 0.0
     bell = _bell_state_vector(executor, eps_sp)
 
-    if noise is None:
-        assigned = _assigned_probs
-    else:
-        from ..readout import SRDModel
-
-        srd = srd_model or SRDModel()
-        surv = sequence_survival if sequence_survival is not None \
-            else SEQUENCE_SURVIVAL
-
-        def assigned(pops):
-            return _srd_assigned_probs(pops, srd, surv)
+    assigned = _assigned_probs if noise is None else _srd_assigned_probs
 
     def sampled(probs_dict, n):
         keys = list(probs_dict)

@@ -22,11 +22,12 @@ from .noise import (  # noqa: F401
     NoiseConfig,
     reference_budget_config,
 )
-from .rydberg import CZPulseProfile, RydbergDrive
+from .rydberg import RydbergDrive
 
 # sources that act during a Rydberg gate (raman_scattering and state_prep
 # belong to the single-qubit benchmarks, not the CZ budget)
 CZ_SOURCES = ("rydberg_decay", "ionization", "rydberg_dephasing")
+DEPHASING_NODES = 5  # Gauss-Hermite nodes of each budget channel's detuning average
 
 
 @dataclass(frozen=True)
@@ -162,28 +163,25 @@ def _entry(name: str, executor: GateExecutor, n_cz_list, n_seq, seed) -> BudgetE
 
 def error_budget(
     config: NoiseConfig,
-    profile: CZPulseProfile | None = None,
-    drive: RydbergDrive | None = None,
     sources=CZ_SOURCES,
     n_cz_list=(2, 4, 6),
     n_seq: int = 32,
     seed: int = 12,
-    dephasing_nodes: int = 5,
 ) -> BudgetReport:
-    """Single-source and combined CZ infidelities, raw and loss-corrected."""
-    profile = profile or default_profile()
-    drive = drive or RydbergDrive()
+    """Single-source and combined CZ infidelities, raw and loss-corrected,
+    for the default CZ profile and drive."""
+    profile, drive = default_profile(), RydbergDrive()
     for s in sources:
         if s not in BUDGET_SOURCES:
             raise ValueError(f"unknown error source {s!r}")
     entries = []
     for name in sources:
         executor = GateExecutor(
-            profile, drive, config.only(name), dephasing_nodes=dephasing_nodes
+            profile, drive, config.only(name), dephasing_nodes=DEPHASING_NODES
         )
         entries.append(_entry(name, executor, n_cz_list, n_seq, seed))
     combined = GateExecutor(
-        profile, drive, config.only(*sources), dephasing_nodes=dephasing_nodes
+        profile, drive, config.only(*sources), dephasing_nodes=DEPHASING_NODES
     )
     total = _entry("total", combined, n_cz_list, n_seq, seed)
     return BudgetReport(entries=tuple(entries), total=total, sources=tuple(sources))

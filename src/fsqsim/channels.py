@@ -14,6 +14,7 @@ from .lindblad import evolve_rho
 
 TP_TOL = 1e-8
 CHOI_TOL = 1e-7
+PAIR_LEAK_TOL = 1e-9  # largest entry channel_on_pairs lets leave its span
 
 
 def vec(m: np.ndarray) -> np.ndarray:
@@ -79,10 +80,10 @@ def min_choi_eigenvalue(s: Superoperator) -> float:
     return float(np.linalg.eigvalsh(0.5 * (c + c.conj().T)).min())
 
 
-def is_cptp(s: Superoperator, tp_tol=TP_TOL, choi_tol=CHOI_TOL) -> bool:
+def is_cptp(s: Superoperator) -> bool:
     return (
-        trace_preservation_defect(s) <= tp_tol
-        and min_choi_eigenvalue(s) >= -choi_tol
+        trace_preservation_defect(s) <= TP_TOL
+        and min_choi_eigenvalue(s) >= -CHOI_TOL
     )
 
 
@@ -118,7 +119,6 @@ def channel_on_pairs(
     pairs,
     rtol: float = 1e-8,
     atol: float = 1e-10,
-    leak_tol: float = 1e-9,
 ):
     """Channel restricted to the operator subspace spanned by matrix units.
 
@@ -139,7 +139,7 @@ def channel_on_pairs(
     residual = out.copy()
     residual[:, rows, cols] = 0.0
     leak = float(np.max(np.abs(residual)))
-    if leak > leak_tol:
+    if leak > PAIR_LEAK_TOL:
         raise ValueError(
             f"operator subspace is not closed (leak {leak:.2e}); "
             "pass the full pair set for these collapse channels"
@@ -155,9 +155,9 @@ def conjugation_on_pairs(k: np.ndarray, pairs) -> np.ndarray:
     return k[np.ix_(rows, rows)] * np.conj(k[np.ix_(cols, cols)])
 
 
-def gate_pair_basis(n_atoms: int = 2):
-    """Matrix-unit pairs spanning the operator subspace closed under a
-    Rydberg gate with decay, dephasing and ionization channels.
+def gate_pair_basis():
+    """Two-atom matrix-unit pairs spanning the operator subspace closed under
+    a Rydberg gate with decay, dephasing and ionization channels.
 
     Per atom: all (row, col) pairs over {q0, q1, r} plus the sink diagonals
     (g,g), (x,x), (B,B) -- jumps only ever populate sink populations, never
@@ -170,8 +170,6 @@ def gate_pair_basis(n_atoms: int = 2):
     active = (Q0, Q1, R)
     local = [(a, b) for a in active for b in active]
     local += [(G, G), (X, X), (B, B)]
-    if n_atoms == 1:
-        return local
     pairs = []
     for (r1, c1) in local:
         for (r2, c2) in local:

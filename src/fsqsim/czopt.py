@@ -39,58 +39,60 @@ def default_profile() -> CZPulseProfile:
     )
 
 
-def _global_xpi(n_atoms: int = 2) -> np.ndarray:
+def _global_xpi() -> np.ndarray:
+    """X(pi) on the qubit levels of both atoms."""
     x = np.eye(DIM, dtype=complex)
     x[np.ix_((Q0, Q1), (Q0, Q1))] = rotation(np.pi, 0.0)
-    out = embed_local(x, 0, n_atoms)
-    for a in range(1, n_atoms):
-        out = out @ embed_local(x, a, n_atoms)
-    return out
+    return embed_local(x, 0, 2) @ embed_local(x, 1, 2)
 
 
 # Inside optimization loops the integrator runs at a looser tolerance; the
 # objective only needs ~1e-6 absolute accuracy and this is ~4x faster.
 OBJECTIVE_RTOL = 1e-7
 OBJECTIVE_ATOL = 1e-9
+ECHO_N_CZ = 10  # CZ gates in the echo tune-up sequence
+
+# optimize_cz: stop at a scaled gradient norm below GTOL or an accepted step
+# that gains less than FTOL; central differences step FD_STEP times each
+# parameter's scale; the Hessian is rebuilt every HESSIAN_REFRESH iterations.
+GTOL = 1e-9
+FTOL = 1e-13
+FD_STEP = 1e-4
+HESSIAN_REFRESH = 4
 
 
-def echo_return_probability(
-    profile,
-    drive: RydbergDrive,
-    n_cz: int = 10,
-    rtol: float = OBJECTIVE_RTOL,
-    atol: float = OBJECTIVE_ATOL,
-):
-    """P(|11> -> |11>) after n_cz gates with a global X(pi) echo after each.
+def echo_return_probability(profile, drive: RydbergDrive):
+    """P(|11> -> |11>) after ECHO_N_CZ gates with a global X(pi) echo after
+    each.
 
     A sequence of profiles is integrated as one stack and gives one value per
     profile; a single profile gives a float.
     """
-    u2, u4 = sector_unitaries(profile, drive, rtol=rtol, atol=atol)
-    echo = _global_xpi(2)
+    u2, u4 = sector_unitaries(profile, drive, rtol=OBJECTIVE_RTOL,
+                              atol=OBJECTIVE_ATOL)
+    echo = _global_xpi()
     i11 = full_index([Q1, Q1])
     probs = []
     for a, b in zip(u2.reshape(-1, 2, 2), u4.reshape(-1, 4, 4)):
         u = assemble_unitary(a, b)
         psi = np.zeros(36, dtype=complex)
         psi[i11] = 1.0
-        for _ in range(n_cz):
+        for _ in range(ECHO_N_CZ):
             psi = echo @ (u @ psi)
         probs.append(abs(psi[i11]) ** 2)
     return float(probs[0]) if u2.ndim == 2 else np.array(probs)
 
 
-def make_echo_objective(drive: RydbergDrive, n_cz: int = 10):
-    return lambda profiles: echo_return_probability(list(profiles), drive, n_cz)
+def make_echo_objective(drive: RydbergDrive):
+    return lambda profiles: echo_return_probability(list(profiles), drive)
 
 
-def make_fidelity_objective(
-    drive: RydbergDrive, rtol: float = OBJECTIVE_RTOL, atol: float = OBJECTIVE_ATOL
-):
+def make_fidelity_objective(drive: RydbergDrive):
     """Average gate fidelity to CZ, single-qubit phase optimized out."""
 
     def objective(profiles) -> np.ndarray:
-        u2, u4 = sector_unitaries(list(profiles), drive, rtol=rtol, atol=atol)
+        u2, u4 = sector_unitaries(list(profiles), drive, rtol=OBJECTIVE_RTOL,
+                                  atol=OBJECTIVE_ATOL)
         a01, a11 = computational_amplitudes(u2, u4)
         return np.array([cz_average_fidelity(a, b)[0] for a, b in zip(a01, a11)])
 
@@ -120,11 +122,6 @@ def optimize_cz(
     drive: RydbergDrive,
     objective=None,
     max_iterations: int = 60,
-    gtol: float = 1e-9,
-    ftol: float = 1e-13,
-    fd_step: float = 1e-4,
-    hessian_refresh: int = 4,
-    seed: int = 0,
 ) -> OptimizeResult:
     """Maximize ``objective`` over (theta1, theta2, theta3, t_gate).
 
@@ -133,8 +130,7 @@ def optimize_cz(
     difference stencil, 9 points (21 with the Hessian); each line-search
     trial is a call on one profile. ``n_evaluations`` counts the profiles
     handed to the objective. theta4 is a pure gauge for any objective built
-    on populations and is held fixed. The search is fully deterministic
-    (``seed`` is accepted for API uniformity but nothing here is stochastic).
+    on populations and is held fixed. The search is fully deterministic.
     """
     drive_obj = objective or make_echo_objective(drive)
     theta4 = initial.theta[3]
@@ -157,7 +153,7 @@ def optimize_cz(
     pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
 
     def grad_hess(p, need_hess=True):
-        h = fd_step * scales
+        h = FD_STEP * scales
         e = np.diag(h)
         stencil = [np.zeros(4)] + [s * e[i] for i in range(4) for s in (1, -1)]
         if need_hess:
@@ -183,7 +179,7 @@ def optimize_cz(
     message = "maximum iterations reached"
     it = 0
     for it in range(1, max_iterations + 1):
-        if np.linalg.norm(g * scales) < gtol:
+        if np.linalg.norm(g * scales) < GTOL:
             converged = True
             message = "gradient below tolerance"
             break
@@ -209,11 +205,11 @@ def optimize_cz(
             converged = True
             message = "no improving step found"
             break
-        refresh = it % hessian_refresh == 0
+        refresh = it % HESSIAN_REFRESH == 0
         f, g, hess_new = grad_hess(p, need_hess=refresh)
         if refresh:
             hess = hess_new
-        if df < ftol:
+        if df < FTOL:
             converged = True
             message = "objective change below tolerance"
             break

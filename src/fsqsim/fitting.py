@@ -10,8 +10,26 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+GN_MAX_ITERATIONS = 200
+GN_TOL = 1e-12  # stop when a step improves the cost by less than this (relative)
+GOLDEN = 0.381966  # 1 - 1/phi, rounded; results depend on these digits
+
+
 class FitError(RuntimeError):
     pass
+
+
+def golden_max(f, lo, hi, n_iterations):
+    """Midpoint of [lo, hi] after ``n_iterations`` golden-section steps
+    toward the maximum of a unimodal ``f``."""
+    for _ in range(n_iterations):
+        m1 = lo + GOLDEN * (hi - lo)
+        m2 = hi - GOLDEN * (hi - lo)
+        if f(m1) < f(m2):
+            lo = m1
+        else:
+            hi = m2
+    return 0.5 * (lo + hi)
 
 
 def gauss_newton(
@@ -20,9 +38,6 @@ def gauss_newton(
     x,
     y,
     sigma=None,
-    jacobian=None,
-    max_iterations: int = 200,
-    tol: float = 1e-12,
     bounds=None,
 ):
     """Levenberg-damped Gauss-Newton minimizing sum(((y-model)/sigma)^2).
@@ -37,9 +52,7 @@ def gauss_newton(
     def residuals(pp):
         return (y - model(pp, x)) * w
 
-    def jac(pp):
-        if jacobian is not None:
-            return -jacobian(pp, x) * w[:, None]
+    def jac(pp):  # forward differences
         out = np.empty((len(y), len(pp)))
         r0 = residuals(pp)
         for i in range(len(pp)):
@@ -59,7 +72,7 @@ def gauss_newton(
     cost = float(r @ r)
     lam = 1e-6
     converged = False
-    for _ in range(max_iterations):
+    for _ in range(GN_MAX_ITERATIONS):
         j = jac(p)
         g = j.T @ r
         h = j.T @ j
@@ -83,7 +96,7 @@ def gauss_newton(
         improvement = cost - cost_new
         p, r, cost = p_new, r_new, cost_new
         lam = max(lam / 5, 1e-14)
-        if improvement < tol * max(cost, 1.0):
+        if improvement < GN_TOL * max(cost, 1.0):
             converged = True
             break
     j = jac(p)

@@ -44,9 +44,9 @@ class LevelScheme:
 DEFAULT_LEVELS = LevelScheme()
 
 
-def ket(level: int, dim: int = DIM) -> np.ndarray:
+def ket(level: int) -> np.ndarray:
     """Local basis vector |level>."""
-    v = np.zeros(dim, dtype=complex)
+    v = np.zeros(DIM, dtype=complex)
     v[level] = 1.0
     return v
 
@@ -58,11 +58,9 @@ def lop(a: int, b: int) -> np.ndarray:
     return m
 
 
-def product_ket(levels, n_atoms: int | None = None) -> np.ndarray:
+def product_ket(levels) -> np.ndarray:
     """Tensor-product basis vector; atom 0 is the leftmost factor."""
     levels = tuple(levels)
-    if n_atoms is not None and len(levels) != n_atoms:
-        raise ValueError("level list does not match atom count")
     v = ket(levels[0])
     for lv in levels[1:]:
         v = np.kron(v, ket(lv))

@@ -199,13 +199,10 @@ def evolve_lindblad(
     hamiltonian,
     collapses,
     duration: float,
-    rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
 ) -> QuantumState:
-    """Evolve a state under the Lindblad equation for ``duration`` (us)."""
-    out = evolve_rho(
-        state.rho, hamiltonian, collapses, duration, state.n_atoms, rtol, atol
-    )
+    """Evolve a state under the Lindblad equation for ``duration`` (us) at
+    the default tolerances."""
+    out = evolve_rho(state.rho, hamiltonian, collapses, duration, state.n_atoms)
     drift = abs(np.trace(out).real - 1.0)
     if drift > TRACE_DRIFT_TOL:
         raise IntegrationError(

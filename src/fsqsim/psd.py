@@ -20,6 +20,10 @@ from .rydberg import (
 )
 
 TWO_PI = 2 * np.pi
+# Integrator tolerances of the gate under a detuning trajectory.
+DETUNED_GATE_RTOL = 1e-8
+DETUNED_GATE_ATOL = 1e-10
+QUASI_STATIC_NODES = 15  # Gauss-Hermite nodes of the quasi-static average
 
 
 @dataclass(frozen=True)
@@ -141,8 +145,6 @@ def gate_fidelity_with_detuning(
     profile: CZPulseProfile,
     drive: RydbergDrive,
     trajectory: NoiseTrajectory | float | np.ndarray,
-    rtol: float = 1e-8,
-    atol: float = 1e-10,
 ) -> float | np.ndarray:
     """Noiseless-gate fidelity with a detuning trajectory added to the
     Rydberg level; the single-qubit phase stays at the calibrated profile
@@ -160,7 +162,7 @@ def gate_fidelity_with_detuning(
     else:  # a constant is a one-piece trajectory
         edges, values = [0.0], np.asarray(trajectory, dtype=float)[..., None]
     u2, u4 = sector_unitaries(
-        profile, drive, rtol=rtol, atol=atol,
+        profile, drive, rtol=DETUNED_GATE_RTOL, atol=DETUNED_GATE_ATOL,
         detuning_edges=edges, detuning_values=values,
     )
     a01, a11 = computational_amplitudes(u2, u4)
@@ -172,11 +174,10 @@ def quasi_static_infidelity(
     profile: CZPulseProfile,
     drive: RydbergDrive,
     sigma_rad_per_us: float,
-    n_nodes: int = 15,
 ) -> float:
     """Gauss-Hermite average of the gate infidelity over a Gaussian detuning
     ensemble; the deterministic reference for slow drift."""
-    deltas, weights = gaussian_quadrature(sigma_rad_per_us, n_nodes)
+    deltas, weights = gaussian_quadrature(sigma_rad_per_us, QUASI_STATIC_NODES)
     fids = gate_fidelity_with_detuning(profile, drive, deltas)
     return float(weights @ (1.0 - fids))
 
@@ -187,24 +188,21 @@ def mc_gate_infidelity(
     drive: RydbergDrive,
     n_traj: int,
     seed: int,
-    dt: float | None = None,
-    allow_truncation: bool = False,
 ):
     """Monte Carlo infidelity under sampled laser-noise trajectories.
 
     Returns (mean_infidelity, standard_error). Deterministic per seed:
     trajectory k has the child seed ``seed * 100003 + k``, and all
-    trajectories are integrated together as one stack.
+    trajectories are integrated together as one stack. The sample step is
+    at most t_gate / 16 and puts the Nyquist frequency at twice the PSD band.
     """
     if n_traj < 10:
         raise ValueError("need at least 10 trajectories")
-    if dt is None:
-        support = psd.frequency_hz[psd.psd_hz2_per_hz > 0]
-        f_max = support.max() if support.size else psd.frequency_hz[-1]
-        dt = min(profile.t_gate / 16.0, 1e6 / (2.0 * f_max) / 2.0)
+    support = psd.frequency_hz[psd.psd_hz2_per_hz > 0]
+    f_max = support.max() if support.size else psd.frequency_hz[-1]
+    dt = min(profile.t_gate / 16.0, 1e6 / (2.0 * f_max) / 2.0)
     trajs = [
-        sample_detuning_trajectory(psd, dt, profile.t_gate, seed=seed * 100003 + k,
-                                   allow_truncation=allow_truncation)
+        sample_detuning_trajectory(psd, dt, profile.t_gate, seed=seed * 100003 + k)
         for k in range(n_traj)
     ]
     stack = NoiseTrajectory(

@@ -81,10 +81,10 @@ def rotation(area: float, phase: float, detuning_area: float = 0.0) -> np.ndarra
 
 
 def raman_unitary(
-    pulse: RamanPulse, frame: VirtualFrame = VirtualFrame(), atom: int = 0
+    pulse: RamanPulse, frame: VirtualFrame = VirtualFrame()
 ) -> np.ndarray:
-    """2x2 unitary of a driven pulse; the frame is read, never modified."""
-    phi = pulse.phase + frame.phases[atom]
+    """2x2 unitary of atom 0's driven pulse; the frame is read, never modified."""
+    phi = pulse.phase + frame.phases[0]
     return rotation(
         pulse.rabi_frequency * pulse.duration,
         phi,

@@ -11,14 +11,25 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.stats import norm, poisson
+from scipy.special import gammaln, ndtr, xlogy
 
+from .fitting import golden_max
 from .levels import B, G, Q0, Q1, X
 
 DETECTED_0 = "detected-0"
 DETECTED_1 = "detected-1"
 LOSS = "loss"
+
+# The erasure sandwich's target operating point: leakage captured and
+# valid-data cost.
+CAPTURED_TARGET = 0.91
+COST_TARGET = 0.07
+_SQRT_2PI = math.sqrt(2 * math.pi)
+
+
+def _poisson_pmf(k, mu):
+    """Poisson pmf, computed as scipy.stats.poisson.pmf computes it."""
+    return np.exp(xlogy(k, mu) - gammaln(k + 1) - mu)
 
 
 @lru_cache(maxsize=1)
@@ -66,7 +77,7 @@ class PhotonCountModel:
         nodes, weights = _legendre_rule()
         means = 0.5 * self.signal_mean * (nodes + 1.0)
         w = 0.5 * weights
-        return (w[:, None] * poisson.pmf(k[None, :], means[:, None])).sum(axis=0)
+        return (w[:, None] * _poisson_pmf(k[None, :], means[:, None])).sum(axis=0)
 
     def _poisson_mixture(self, occupied: bool):
         """(k, weight_k): Poisson mixture of photon numbers for one image.
@@ -78,10 +89,10 @@ class PhotonCountModel:
         k = np.arange(self._kmax() + 1)
         if occupied:
             q = self.early_departure_fraction
-            pk = (1.0 - q) * poisson.pmf(k, self.signal_mean)
+            pk = (1.0 - q) * _poisson_pmf(k, self.signal_mean)
         else:
             q = self.background_bright_fraction
-            pk = (1.0 - q) * poisson.pmf(k, self.background_mean)
+            pk = (1.0 - q) * _poisson_pmf(k, self.background_mean)
         if q > 0:
             pk = pk + q * self._shoulder(k)
         return k, pk
@@ -95,16 +106,17 @@ class PhotonCountModel:
     def pdf(self, counts, occupied: bool) -> np.ndarray:
         k, pk = self._mixtures[bool(occupied)]
         c = np.atleast_1d(np.asarray(counts, dtype=float))
-        out = (pk[None, :] * norm.pdf(c[:, None], loc=k[None, :],
-                                      scale=self.read_noise)).sum(axis=1)
+        s = self.read_noise
+        z = (c[:, None] - k[None, :]) / s
+        out = (pk[None, :] * (np.exp(-z**2 / 2.0) / _SQRT_2PI / s)).sum(axis=1)
         return out if np.ndim(counts) else float(out[0])
 
     def survival_function(self, threshold, occupied: bool):
         """P(count >= threshold)."""
         k, pk = self._mixtures[bool(occupied)]
         th = np.atleast_1d(np.asarray(threshold, dtype=float))
-        out = (pk[None, :] * norm.sf(th[:, None], loc=k[None, :],
-                                     scale=self.read_noise)).sum(axis=1)
+        z = (th[:, None] - k[None, :]) / self.read_noise
+        out = (pk[None, :] * ndtr(-z)).sum(axis=1)
         return out if np.ndim(threshold) else float(out[0])
 
     def sample(self, occupied: bool, rng: np.random.Generator) -> float:
@@ -135,54 +147,40 @@ class PhotonCountModel:
         )
         fids = self.classification_fidelity(grid)
         i = int(np.argmax(fids))
-        lo = grid[max(i - 1, 0)]
-        hi = grid[min(i + 1, len(grid) - 1)]
-        for _ in range(50):
-            m1 = lo + 0.381966 * (hi - lo)
-            m2 = hi - 0.381966 * (hi - lo)
-            if self.classification_fidelity(m1) < self.classification_fidelity(m2):
-                lo = m1
-            else:
-                hi = m2
-        t = 0.5 * (lo + hi)
+        t = golden_max(self.classification_fidelity, grid[max(i - 1, 0)],
+                       grid[min(i + 1, len(grid) - 1)], 50)
         return float(t), float(self.classification_fidelity(t))
 
     @classmethod
     def calibrated(
         cls,
         fidelity: float,
-        background_mean: float = 1.0,
-        read_noise: float = 2.0,
         early_departure_fraction: float = 0.2,
         background_bright_fraction: float = 0.05,
     ) -> "PhotonCountModel":
-        """Solve for the signal mean whose optimal-threshold fidelity matches."""
+        """Solve for the signal mean whose optimal-threshold fidelity matches,
+        at the default background mean and read noise."""
+        from scipy.optimize import brentq
+
         if not 0.5 < fidelity < 1.0:
             raise ValueError("target fidelity must be in (0.5, 1)")
 
-        def gap(signal):
-            m = cls(
+        def model(signal):
+            return cls(
                 signal,
-                background_mean,
-                read_noise,
-                early_departure_fraction,
-                background_bright_fraction,
+                early_departure_fraction=early_departure_fraction,
+                background_bright_fraction=background_bright_fraction,
             )
-            return m.optimal_threshold()[1] - fidelity
 
-        lo, hi = background_mean + 0.5, background_mean + 2.0
+        def gap(signal):
+            return model(signal).optimal_threshold()[1] - fidelity
+
+        lo, hi = cls.background_mean + 0.5, cls.background_mean + 2.0
         while gap(hi) < 0:
             hi *= 2.0
             if hi > 1e5:
                 raise RuntimeError("calibration failed to bracket the target")
-        signal = brentq(gap, lo, hi, xtol=1e-4)
-        return cls(
-            signal,
-            background_mean,
-            read_noise,
-            early_departure_fraction,
-            background_bright_fraction,
-        )
+        return model(brentq(gap, lo, hi, xtol=1e-4))
 
 
 def shallow_trap_model() -> PhotonCountModel:
@@ -252,14 +250,11 @@ def sandwich_stats(model: PhotonCountModel, threshold: float):
     return float(tp), float(1.0 - (1.0 - fp) ** 2)
 
 
-def operating_threshold(
-    model: PhotonCountModel,
-    captured_target: float = 0.91,
-    cost_target: float = 0.07,
-) -> float:
+def operating_threshold(model: PhotonCountModel) -> float:
     """Threshold whose sandwich operating point (leakage captured, valid
-    cost) is closest in max-norm to the requested one; this biases the
-    classifier toward capturing leakage at the price of discarding data."""
+    cost) is closest in max-norm to (CAPTURED_TARGET, COST_TARGET); this
+    biases the classifier toward capturing leakage at the price of
+    discarding data."""
     grid = np.linspace(
         model.background_mean - 5 * model.read_noise,
         model.signal_mean + 5 * math.sqrt(model.signal_mean),
@@ -268,7 +263,7 @@ def operating_threshold(
     tps = model.survival_function(grid, occupied=True)
     fps = model.survival_function(grid, occupied=False)
     cost = 1.0 - (1.0 - fps) ** 2
-    miss = np.maximum(np.abs(tps - captured_target), np.abs(cost - cost_target))
+    miss = np.maximum(np.abs(tps - CAPTURED_TARGET), np.abs(cost - COST_TARGET))
     return float(grid[int(np.argmin(miss))])
 
 

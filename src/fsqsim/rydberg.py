@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
+from .fitting import golden_max
 from .lindblad import ModulatedDrive, detuning_segments
 from .levels import B, DIM, G, Q0, Q1, R, X, full_index, lop
 from .states import embed_local
@@ -114,9 +115,9 @@ class CZPulseProfile:
         return profile, drive
 
 
-def rydberg_hamiltonian(drive: RydbergDrive, n_atoms: int = 2):
-    """Time-dependent full-space Hamiltonian as a callable t -> matrix."""
-    h0, coup = hamiltonian_parts(drive, n_atoms)
+def rydberg_hamiltonian(drive: RydbergDrive):
+    """Time-dependent two-atom Hamiltonian as a callable t -> matrix."""
+    h0, coup = hamiltonian_parts(drive)
     phase = drive.phase_profile or (lambda t: 0.0)
 
     def h_of_t(t):
@@ -126,27 +127,25 @@ def rydberg_hamiltonian(drive: RydbergDrive, n_atoms: int = 2):
     return h_of_t
 
 
-def hamiltonian_parts(drive: RydbergDrive, n_atoms: int = 2):
-    """Static part and drive coupling: H(t) = h0 + e^{i phi} C + h.c."""
-    d = DIM**n_atoms
-    h0 = np.zeros((d, d), dtype=complex)
-    coup = np.zeros((d, d), dtype=complex)
-    for a in range(n_atoms):
-        nr = embed_local(lop(R, R), a, n_atoms)
+def hamiltonian_parts(drive: RydbergDrive):
+    """Two-atom static part and drive coupling: H(t) = h0 + e^{i phi} C + h.c."""
+    h0 = np.zeros((DIM**2, DIM**2), dtype=complex)
+    coup = np.zeros((DIM**2, DIM**2), dtype=complex)
+    for a in range(2):
+        nr = embed_local(lop(R, R), a, 2)
         h0 -= drive.detuning * nr
-        coup += (drive.rabi_frequency / 2) * embed_local(lop(Q1, R), a, n_atoms)
-    if n_atoms == 2:
-        rr = full_index([R, R])
-        h0[rr, rr] += drive.interaction
+        coup += (drive.rabi_frequency / 2) * embed_local(lop(Q1, R), a, 2)
+    rr = full_index([R, R])
+    h0[rr, rr] += drive.interaction
     return h0, coup
 
 
-def rydberg_count_diag(n_atoms: int = 2) -> np.ndarray:
-    """Diagonal counting Rydberg excitations; -delta couples via this."""
-    d = DIM**n_atoms
-    diag = np.zeros(d)
-    for a in range(n_atoms):
-        diag += np.diag(embed_local(lop(R, R), a, n_atoms)).real
+def rydberg_count_diag() -> np.ndarray:
+    """Two-atom diagonal counting Rydberg excitations; -delta couples via
+    this."""
+    diag = np.zeros(DIM**2)
+    for a in range(2):
+        diag += np.diag(embed_local(lop(R, R), a, 2)).real
     return diag
 
 
@@ -267,16 +266,7 @@ def cz_average_fidelity(a01, a11, phi_sq=None):
         return fid(phi_sq), phi_sq
     grid = np.linspace(0, 2 * np.pi, 181, endpoint=False)
     phi = grid[int(np.argmax([fid(p) for p in grid]))]
-    # golden-section refinement
-    lo, hi = phi - 0.05, phi + 0.05
-    for _ in range(60):
-        m1 = lo + 0.381966 * (hi - lo)
-        m2 = hi - 0.381966 * (hi - lo)
-        if fid(m1) < fid(m2):
-            lo = m1
-        else:
-            hi = m2
-    phi = 0.5 * (lo + hi)
+    phi = golden_max(fid, phi - 0.05, phi + 0.05, 60)
     return fid(phi), phi
 
 
@@ -295,16 +285,15 @@ def residual_rydberg_population(u2: np.ndarray, u4: np.ndarray) -> float:
 def modulated_drive(
     profile: CZPulseProfile,
     drive: RydbergDrive,
-    n_atoms: int = 2,
     detuning_edges=None,
     detuning_values=None,
 ) -> ModulatedDrive:
-    """Full-space structured drive for master-equation propagation."""
-    h0, coup = hamiltonian_parts(drive, n_atoms)
+    """Two-atom structured drive for master-equation propagation."""
+    h0, coup = hamiltonian_parts(drive)
     amp, freq, offset, slope, const = profile.modulation()
     det_diag = None
     if detuning_values is not None:
-        det_diag = -rydberg_count_diag(n_atoms).astype(complex)
+        det_diag = -rydberg_count_diag().astype(complex)
     return ModulatedDrive(
         h0=h0,
         coupling=coup * np.exp(1j * const),
@@ -318,18 +307,13 @@ def modulated_drive(
     )
 
 
-def time_optimal_cz(
-    profile: CZPulseProfile,
-    drive: RydbergDrive,
-    rtol: float = 1e-9,
-    atol: float = 1e-11,
-):
+def time_optimal_cz(profile: CZPulseProfile, drive: RydbergDrive):
     """The 36x36 unitary of the noiseless phase-modulated CZ gate.
 
     A warning is emitted if Rydberg population has not returned at the end
     of the pulse.
     """
-    u2, u4 = sector_unitaries(profile, drive, rtol, atol)
+    u2, u4 = sector_unitaries(profile, drive)
     res = residual_rydberg_population(u2, u4)
     if res > RESIDUAL_RYDBERG_THRESHOLD:
         warnings.warn(
@@ -339,10 +323,10 @@ def time_optimal_cz(
     return assemble_unitary(u2, u4)
 
 
-def ideal_cz_unitary(n_atoms: int = 2, phi: float = 0.0) -> np.ndarray:
-    """diag(1, e^{i phi}, e^{i phi}, e^{i(2 phi - pi)}) on the qubit subspace,
-    identity elsewhere."""
-    u = np.eye(DIM**n_atoms, dtype=complex)
+def ideal_cz_unitary(phi: float = 0.0) -> np.ndarray:
+    """diag(1, e^{i phi}, e^{i phi}, e^{i(2 phi - pi)}) on the two-atom qubit
+    subspace, identity elsewhere."""
+    u = np.eye(DIM**2, dtype=complex)
     i01 = full_index([Q0, Q1])
     i10 = full_index([Q1, Q0])
     i11 = full_index([Q1, Q1])

@@ -165,10 +165,10 @@ def test_gate_pair_basis_is_closed(cz_profile, drive, reference_config):
     from fsqsim.noise import gate_collapse_ops
     from fsqsim.rydberg import modulated_drive
 
-    pairs = gate_pair_basis(2)
+    pairs = gate_pair_basis()
     assert len(pairs) == 144
     ops = gate_collapse_ops(reference_config, drive.rabi_frequency)
-    mdrive = modulated_drive(cz_profile, drive, 2)
+    mdrive = modulated_drive(cz_profile, drive)
     # channel_on_pairs raises if the span leaks; returned leak must be tiny
     _, leak = channel_on_pairs(mdrive, ops, cz_profile.t_gate, 2, pairs,
                                rtol=1e-6, atol=1e-9)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,11 @@ from fsqsim.psd import (
     psd_to_uv,
     quasi_static_infidelity,
     sample_detuning_trajectory,
+)
+from fsqsim.rydberg import (
+    computational_amplitudes,
+    cz_average_fidelity,
+    sector_unitaries,
 )
 
 TWO_PI = 2 * np.pi
@@ -132,6 +139,18 @@ def test_mc_quasi_static_matches_quadrature(cz_profile, drive):
     mean = np.mean(infs)
     se = np.std(infs, ddof=1) / np.sqrt(len(infs))
     assert abs(mean - reference) < 2 * se
+
+
+@pytest.mark.parametrize("delta", [1.0, -1.0])
+def test_constant_detuning_matches_detuned_drive(cz_profile, drive, delta):
+    # A constant trajectory of delta is the drive's own detuning delta; the
+    # infidelity differs between +delta and -delta by ~8e-5, so a flipped
+    # sign fails by far more than the tolerance.
+    u2, u4 = sector_unitaries(cz_profile, replace(drive, detuning=delta))
+    direct, _ = cz_average_fidelity(*computational_amplitudes(u2, u4),
+                                    phi_sq=cz_profile.phi_sq)
+    f = gate_fidelity_with_detuning(cz_profile, drive, delta)
+    assert abs(f - direct) <= 1e-9
 
 
 def test_mc_infidelity_grows_with_psd_scale(cz_profile, drive):
