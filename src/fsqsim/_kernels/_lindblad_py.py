@@ -14,8 +14,12 @@ generator is the sum of four sparse parts,
 
 and only the entries reachable from the input's nonzeros along the pattern
 of those parts (a breadth-first closure) are ever integrated: every other
-entry starts at zero and stays exactly zero. Integration is adaptive
-Dormand-Prince 5(4).
+entry starts at zero and stays exactly zero. The closure runs per batch
+member, so the state is the flat vector of reachable (entry, member) pairs,
+entry-major, and each part acts on it as one sparse matrix (a matrix unit
+reaches only a small part of what a whole basis of them reaches).
+Integration is adaptive Dormand-Prince 5(4), with the step error taken over
+the dense (entry, member) grid as if every unreachable pair were held at 0.
 
 ``scipy.sparse`` is imported on first use, so importing the package does not
 pay for it.
@@ -43,12 +47,15 @@ _E = np.concatenate([_A[6], [0.0]]) - _B4  # error weights, k7 included
 MAX_STEPS = 1_000_000
 
 
-def dopri5(rhs, y0, t0, t1, rtol, atol):
+def dopri5(rhs, y0, t0, t1, rtol, atol, *, grid=None):
     """Adaptive Dormand-Prince integration of dy/dt = rhs(t, y).
 
     ``y`` may be a complex array of any shape. Returns y(t1). A 3-d ``y`` is
     a stack of independent members along axis 0, each held to its own RMS
-    error norm (the step error is the largest of them).
+    error norm (the step error is the largest of them). ``grid`` is
+    (shape, flat positions) of a packed 1-d ``y`` inside a 2-d grid whose
+    other entries are identically zero: the RMS norm is then taken over that
+    whole grid.
     """
     span = t1 - t0
     if span < 0:
@@ -63,7 +70,10 @@ def dopri5(rhs, y0, t0, t1, rtol, atol):
     nsteps = 0
     while t < t1:
         if nsteps > MAX_STEPS:
-            raise RuntimeError("integrator exceeded the maximum step count")
+            raise RuntimeError(
+                f"integrator exceeded the maximum step count at t = {t!r} "
+                f"of [{t0!r}, {t1!r}], h = {h!r}, after {nsteps} steps"
+            )
         nsteps += 1
         h = min(h, t1 - t)
         for i in range(1, 7):
@@ -80,6 +90,11 @@ def dopri5(rhs, y0, t0, t1, rtol, atol):
         err_vec = err_vec * h
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
         ratio2 = np.abs(err_vec / scale) ** 2
+        if grid is not None:
+            shape, at = grid
+            full = np.zeros(shape)
+            full.flat[at] = ratio2
+            ratio2 = full
         err = np.sqrt(np.max(np.mean(ratio2, axis=(1, 2))) if ratio2.ndim == 3
                       else np.mean(ratio2))
         if err <= 1.0:
@@ -94,7 +109,10 @@ def dopri5(rhs, y0, t0, t1, rtol, atol):
             k[0] = k0
         h = h * factor
         if h <= 0 or not np.isfinite(h):
-            raise RuntimeError("integrator step size underflow")
+            raise RuntimeError(
+                f"integrator step size underflow at t = {t!r} of "
+                f"[{t0!r}, {t1!r}], h = {h!r}, after {nsteps} steps"
+            )
     return y
 
 
@@ -163,8 +181,11 @@ def liouvillian_parts(h0, coupling, detuning_diag, jumps):
 
 
 def closed_support(parts, seed):
-    """Sorted vector indices reachable from the ``seed`` mask along the
-    nonzero pattern of the generator ``parts`` (breadth-first)."""
+    """Sorted flat indices of the entries reachable from the ``seed`` mask
+    along the nonzero pattern of the generator ``parts`` (breadth-first).
+
+    A ``(d*d, B)`` seed is closed per column, so index ``k * B + m`` is
+    vector entry k of member m (entry-major)."""
     pattern = sum(abs(p) for p in parts if p is not None)
     reach = np.array(seed, dtype=bool)
     frontier = reach
@@ -172,6 +193,20 @@ def closed_support(parts, seed):
         frontier = (pattern @ frontier.astype(float) != 0) & ~reach
         reach |= frontier
     return np.flatnonzero(reach)
+
+
+def _packed(part, live, pos):
+    """``part`` restricted to ``live`` as one sparse matrix on the packed
+    (entry, member) vector; ``pos[k, m]`` is the packed index of live entry
+    k of member m, or -1 where that pair is unreachable."""
+    from scipy import sparse
+
+    sub = part[live][:, live].tocoo()
+    k, m = np.nonzero(pos[sub.col] >= 0)  # a reachable column has its row too
+    n = int(np.count_nonzero(pos >= 0))
+    return sparse.csr_array(
+        (sub.data[k], (pos[sub.row[k], m], pos[sub.col[k], m])), shape=(n, n)
+    )
 
 
 def propagate(rho, h0, coupling, phase, detuning_diag, segments, jumps, rtol, atol):
@@ -184,13 +219,21 @@ def propagate(rho, h0, coupling, phase, detuning_diag, segments, jumps, rtol, at
     """
     b, d, _ = rho.shape
     flat = rho.reshape(b, d * d)
+    out = np.zeros((b, d * d), dtype=complex)
     parts = liouvillian_parts(h0, coupling, detuning_diag, jumps)
-    live = closed_support(parts, np.any(flat != 0, axis=0))
+    entry, member = np.divmod(closed_support(parts, (flat != 0).T), b)
+    if entry.size == 0:
+        return out.reshape(b, d, d)
+    live, row = np.unique(entry, return_inverse=True)
+    at = row * b + member  # flat positions in the (live, B) grid
+    pos = np.full(live.size * b, -1)
+    pos[at] = np.arange(at.size)
+    pos = pos.reshape(live.size, b)
     l0, lplus, lminus, ldelta = (
-        None if p is None else p[live][:, live] for p in parts
+        None if p is None else _packed(p, live, pos) for p in parts
     )
     amp, freq, offset, slope = phase
-    y = flat[:, live].T
+    y = flat[member, entry]
     for t0, t1, delta in segments:
         a = l0 if ldelta is None or delta == 0.0 else l0 + delta * ldelta
 
@@ -201,7 +244,6 @@ def propagate(rho, h0, coupling, phase, detuning_diag, segments, jumps, rtol, at
                 out += e * (lplus @ y) + np.conj(e) * (lminus @ y)
             return out
 
-        y = dopri5(rhs, y, t0, t1, rtol, atol)
-    out = np.zeros((b, d * d), dtype=complex)
-    out[:, live] = y.T
+        y = dopri5(rhs, y, t0, t1, rtol, atol, grid=(pos.shape, at))
+    out[member, entry] = y
     return out.reshape(b, d, d)

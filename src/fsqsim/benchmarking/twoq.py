@@ -302,6 +302,16 @@ def fit_ssb(data) -> DecayFit:
     return fit_power_decay(n, y, s, offset=0.0)
 
 
+def _check_same_noise(noise, executor: GateExecutor):
+    """The gate channel comes from ``executor.noise`` and everything else
+    from ``noise``; refuse a pair that would mix two configs."""
+    if noise != executor.noise:
+        raise ValueError(
+            f"noise config {noise!r} differs from the executor's gate-channel "
+            f"config {executor.noise!r}"
+        )
+
+
 def run_ssb(
     n_cz_list,
     n_seq: int,
@@ -315,12 +325,14 @@ def run_ssb(
     Shot noise is binomial around the exact simulated probabilities; with
     shots=0 the exact probabilities are fitted directly (used by the error
     budget, where sampling noise would only obscure the comparison). Without
-    an executor the default CZ profile and drive are built for ``noise``.
+    an executor the default CZ profile and drive are built for ``noise``;
+    a given executor must have been built for ``noise`` too.
     """
     if executor is None:
         from ..czopt import default_profile
 
         executor = GateExecutor(default_profile(), RydbergDrive(), noise)
+    _check_same_noise(noise, executor)
     if noise is None or noise.raman_scatter_g == 0:
         erasure_tp, erasure_fp = 0.92, 0.03  # nominal; no g to flag anyway
     else:
@@ -475,10 +487,12 @@ def bell_protocol(
     F = (P00 + P11)/2 + C/2. With a noise config, state preparation leaves
     each atom in g with probability eps_sp and readout goes through the
     state-resolved detection channel plus the sequence survival factor.
+    ``executor`` must have been built for the same ``noise``.
     """
     phases = np.asarray(phases, dtype=float)
     if np.ptp(phases) < np.pi:
         raise ValueError("analyzer phases must cover at least one pi period")
+    _check_same_noise(noise, executor)
     rng = np.random.default_rng(seed)
     eps_sp = noise.state_prep_error if noise is not None else 0.0
     bell = _bell_state_vector(executor, eps_sp)

@@ -1,6 +1,9 @@
 import numpy as np
+import pytest
 
 from fsqsim import _kernels, levels
+from fsqsim._kernels import _lindblad_py
+from fsqsim._kernels._lindblad_py import closed_support, liouvillian_parts
 from fsqsim.levels import B, G, Q0, Q1, R, X
 from fsqsim.lindblad import (
     CollapseOperator,
@@ -94,3 +97,123 @@ def test_dopri5_stack_members_keep_their_own_tolerance():
     assert np.max(np.abs(stacked[0] - solo[0])) <= 1e-12
     assert np.max(np.abs(solo[0] - np.exp(-300j))) < 1e-6
 
+
+
+def _dense_grid_propagate(rho, h0, coupling, phase, detuning_diag, segments,
+                          jumps, rtol, atol):
+    # the engine before per-member support: one (live, B) grid over the
+    # union of every member's reachable entries
+    b, d, _ = rho.shape
+    flat = rho.reshape(b, d * d)
+    parts = liouvillian_parts(h0, coupling, detuning_diag, jumps)
+    live = closed_support(parts, np.any(flat != 0, axis=0))
+    l0, lplus, lminus, ldelta = (
+        None if p is None else p[live][:, live] for p in parts
+    )
+    amp, freq, offset, slope = phase
+    y = flat[:, live].T
+    for t0, t1, delta in segments:
+        a = l0 if ldelta is None or delta == 0.0 else l0 + delta * ldelta
+
+        def rhs(t, y, a=a):
+            out = a @ y
+            if lplus is not None:
+                e = np.exp(1j * (amp * np.cos(freq * t + offset) + slope * t))
+                out += e * (lplus @ y) + np.conj(e) * (lminus @ y)
+            return out
+
+        y = _kernels.dopri5(rhs, y, t0, t1, rtol, atol)
+    out = np.zeros((b, d * d), dtype=complex)
+    out[:, live] = y.T
+    return out.reshape(b, d, d)
+
+
+def _matrix_units(pairs, d):
+    basis = np.zeros((len(pairs), d, d), dtype=complex)
+    for k, (i, j) in enumerate(pairs):
+        basis[k, i, j] = 1.0
+    return basis
+
+
+def _gate_problem(cz_profile, drive, reference_config, span):
+    from fsqsim.channels import gate_pair_basis
+    from fsqsim.noise import gate_collapse_ops
+    from fsqsim.rydberg import modulated_drive
+
+    md = modulated_drive(cz_profile, drive, [0.0], [0.4])
+    ops = gate_collapse_ops(reference_config, drive.rabi_frequency)
+    jumps = [np.sqrt(r) * op for c in ops for r, op in c.expand(2) if r != 0]
+    rho = _matrix_units(gate_pair_basis(), 36)
+    args = (md.h0, md.coupling,
+            (md.phase_amp, md.phase_freq, md.phase_offset, md.phase_slope),
+            md.detuning_diag, [(0.0, span, 0.4)], jumps, 1e-6, 1e-9)
+    return rho, args
+
+
+def test_packed_engine_matches_dense_grid_one_atom():
+    # all 36 one-atom matrix units under a modulated drive, collapses and
+    # two detuning pieces: bit-identical to the dense-grid engine, with
+    # members whose supports differ (sink coherences only decay)
+    coupling = 2.1 * levels.lop(Q1, R) + 0.7 * levels.lop(Q0, Q1)
+    jumps = [np.sqrt(0.3) * (levels.lop(G, Q1) + 0.5 * levels.lop(G, R)),
+             np.sqrt(0.2) * (levels.lop(X, Q0) + 1j * levels.lop(X, Q1)),
+             np.sqrt(0.1) * levels.lop(B, R)]
+    args = (np.diag([0.0, 0.3, -1.2, 0.5, 0.0, 0.1]).astype(complex),
+            coupling, (0.8, 14.0, 0.3, 2.0), -levels.lop(R, R).diagonal(),
+            [(0.0, 0.3, 0.4), (0.3, 0.5, -1.1)], jumps, 1e-8, 1e-10)
+    rho = _matrix_units([(i, j) for i in range(6) for j in range(6)], 6)
+    parts = liouvillian_parts(args[0], coupling, args[3], jumps)
+    seed = (rho.reshape(36, 36) != 0).T
+    assert closed_support(parts, seed).size < 36 * 36
+    packed = _kernels.propagate(rho, *args)
+    assert np.array_equal(packed, _dense_grid_propagate(rho, *args))
+    assert np.max(np.abs(packed - rho)) > 0.1
+    full = rho.sum(axis=0)
+    # one member, and members that all reach the whole live set
+    for other in (rho[8:9], full[None], np.stack([full, 2j * full])):
+        assert np.array_equal(_kernels.propagate(other, *args),
+                              _dense_grid_propagate(other, *args))
+
+
+def test_packed_engine_matches_dense_grid_gate_pairs(cz_profile, drive,
+                                                     reference_config):
+    rho, args = _gate_problem(cz_profile, drive, reference_config,
+                              0.1 * cz_profile.t_gate)
+    packed = _kernels.propagate(rho, *args)
+    assert np.array_equal(packed, _dense_grid_propagate(rho, *args))
+
+
+def test_packed_size_of_reference_gate(cz_profile, drive, reference_config):
+    # 144 live entries, but each pair-basis unit reaches only its own block
+    # (one of 64, four of 16, four of 4 entries): 2,116 of 144 x 144
+    rho, (h0, coupling, _, det, _, jumps, *_) = _gate_problem(
+        cz_profile, drive, reference_config, cz_profile.t_gate)
+    parts = liouvillian_parts(h0, coupling, det, jumps)
+    seed = (rho.reshape(len(rho), -1) != 0).T
+    assert closed_support(parts, seed).size == 2116
+    assert closed_support(parts, seed.any(axis=1)).size == 144
+
+
+def test_zero_input_propagates_to_zero():
+    _, args = _structured_problem(2)
+    batch = np.zeros((3, 6, 6), dtype=complex)
+    assert np.array_equal(_kernels.propagate(batch, *args), batch)
+    ops = [CollapseOperator(0.2, levels.lop(B, R))]
+    h = np.diag(np.arange(6.0))
+    assert np.array_equal(evolve_rho(np.zeros((6, 6)), h, ops, 0.5, 1),
+                          np.zeros((6, 6)))
+    assert np.array_equal(evolve_rho(batch, h, ops, 0.5, 1), batch)
+
+
+def test_dopri5_failures_name_time_step_and_count(monkeypatch):
+    y0 = np.ones(3, dtype=complex)
+    with pytest.raises(RuntimeError,
+                       match=r"underflow at t = 0\.0 of .*h = 0\.0, after "
+                             r"\d+ steps"), np.errstate(invalid="ignore"):
+        _kernels.dopri5(lambda t, y: np.full_like(y, np.nan), y0, 0.0, 1.0,
+                        1e-8, 1e-10)
+    monkeypatch.setattr(_lindblad_py, "MAX_STEPS", 3)
+    with pytest.raises(RuntimeError,
+                       match=r"maximum step count at t = \S+ of \[0\.0, "
+                             r"1\.0\], h = \S+, after 4 steps"):
+        _kernels.dopri5(lambda t, y: -300j * y, y0, 0.0, 1.0, 1e-8, 1e-10)

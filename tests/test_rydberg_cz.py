@@ -54,6 +54,35 @@ def test_blockade_enhanced_rabi():
     assert p_rr < 1e-3
 
 
+def _exponentiated_gate(theta4, pieces):
+    # the full 36x36 gate under a constant laser phase, one matrix
+    # exponential per (t0, t1, delta) piece of constant detuning
+    from scipy.linalg import expm
+
+    u = np.eye(36, dtype=complex)
+    for t0, t1, delta in pieces:
+        h = rydberg_hamiltonian(
+            RydbergDrive(detuning=delta, phase_profile=lambda t: theta4))(0.0)
+        u = expm(-1j * (t1 - t0) * h) @ u
+    return u
+
+
+def test_unmodulated_pieces_are_exact():
+    # theta1 == theta3 == 0: each piece from the eigenbasis of its constant
+    # Hamiltonian, for a stack with two gate times and for detuning pieces
+    profiles = [CZPulseProfile((0.0, 0.7, 0.0, 0.4), 0.6),
+                CZPulseProfile((0.0, 0.2, 0.0, -1.0), 0.78)]
+    u2, u4 = sector_unitaries(profiles, RydbergDrive())
+    for m, p in enumerate(profiles):
+        ref = _exponentiated_gate(p.theta[3], [(0.0, p.t_gate, 0.0)])
+        assert np.max(np.abs(assemble_unitary(u2[m], u4[m]) - ref)) <= 1e-11
+    u2, u4 = sector_unitaries(profiles[0], RydbergDrive(),
+                              detuning_edges=[0.0, 0.25],
+                              detuning_values=[1.5, -2.0])
+    ref = _exponentiated_gate(0.4, [(0.0, 0.25, 1.5), (0.25, 0.6, -2.0)])
+    assert np.max(np.abs(assemble_unitary(u2, u4) - ref)) <= 1e-11
+
+
 def test_double_excitation_bound():
     drive = RydbergDrive()  # reference drive, V/Omega = 19
     om = drive.rabi_frequency

@@ -231,3 +231,19 @@ def test_bell_paper_calibrated(reference_executor, reference_config):
     assert raw.fidelity == pytest.approx(0.935, abs=0.009 + 2 * raw.fidelity_err)
     assert exc.fidelity == pytest.approx(0.983, abs=0.008 + 2 * exc.fidelity_err)
     assert exc.fidelity > raw.fidelity
+
+
+def test_noise_config_must_match_the_executor(noiseless_executor,
+                                              reference_config):
+    # the gate channel comes from the executor, state preparation and
+    # readout from ``noise``: a mismatched pair is refused
+    phases = np.linspace(0, 2 * np.pi, 4, endpoint=False)
+    with pytest.raises(ValueError, match="differs from the executor"):
+        bell_protocol(reference_config, phases, 0,
+                      executor=noiseless_executor)
+    with pytest.raises(ValueError, match="differs from the executor"):
+        run_ssb((2,), 1, 0, reference_config, executor=noiseless_executor)
+    with pytest.raises(ValueError, match="differs from the executor"):
+        run_ssb((2,), 1, 0, reference_config.without("state_prep"),
+                executor=GateExecutor(None, None, reference_config,
+                                      ideal_cz=True))
