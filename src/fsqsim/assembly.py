@@ -173,16 +173,6 @@ def _path_clear(path, sites, occupied_mask, exclusion, skip):
     )
 
 
-def _path_blockers(path, sites, occupied_mask, exclusion, skip):
-    out = []
-    for i in range(len(path) - 1):
-        for b in _blocking_sites(path[i], path[i + 1], sites, occupied_mask,
-                                 exclusion, skip):
-            if b not in out:
-                out.append(b)
-    return out
-
-
 _LANE_OFFSET = GRID_X_SPACING / 2  # um
 
 
@@ -323,9 +313,8 @@ def plan_rearrangement(
             src = pending[tgt]
             if occ[tgt]:
                 continue
-            blockers = _path_blockers(
-                (sites[src], sites[tgt]), sites, occ, EXCLUSION_RADIUS,
-                {src, tgt},
+            blockers = _blocking_sites(
+                sites[src], sites[tgt], sites, occ, EXCLUSION_RADIUS, {src, tgt}
             )
             for blocker in blockers:
                 route = park_route(blocker)

@@ -302,37 +302,22 @@ def fit_ssb(data) -> DecayFit:
     return fit_power_decay(n, y, s, offset=0.0)
 
 
-def _check_same_noise(noise, executor: GateExecutor):
-    """The gate channel comes from ``executor.noise`` and everything else
-    from ``noise``; refuse a pair that would mix two configs."""
-    if noise != executor.noise:
-        raise ValueError(
-            f"noise config {noise!r} differs from the executor's gate-channel "
-            f"config {executor.noise!r}"
-        )
-
-
 def run_ssb(
     n_cz_list,
     n_seq: int,
     shots: int,
-    noise: NoiseConfig | None,
     seed: int = 0,
-    executor: GateExecutor | None = None,
+    *,
+    executor: GateExecutor,
 ) -> SSBResult:
     """Simulate and fit the three SSB variants (raw, erasure, loss-excised).
 
     Shot noise is binomial around the exact simulated probabilities; with
     shots=0 the exact probabilities are fitted directly (used by the error
-    budget, where sampling noise would only obscure the comparison). Without
-    an executor the default CZ profile and drive are built for ``noise``;
-    a given executor must have been built for ``noise`` too.
+    budget, where sampling noise would only obscure the comparison). The
+    noise config is the executor's own.
     """
-    if executor is None:
-        from ..czopt import default_profile
-
-        executor = GateExecutor(default_profile(), RydbergDrive(), noise)
-    _check_same_noise(noise, executor)
+    noise = executor.noise
     if noise is None or noise.raman_scatter_g == 0:
         erasure_tp, erasure_fp = 0.92, 0.03  # nominal; no g to flag anyway
     else:
@@ -472,7 +457,6 @@ def _srd_assigned_probs(pops: np.ndarray):
 
 
 def bell_protocol(
-    noise: NoiseConfig | None,
     phases,
     shots: int,
     loss_excision: bool = False,
@@ -486,13 +470,13 @@ def bell_protocol(
     parity fringe is fitted with period pi over the scanned analyzer phases.
     F = (P00 + P11)/2 + C/2. With a noise config, state preparation leaves
     each atom in g with probability eps_sp and readout goes through the
-    state-resolved detection channel plus the sequence survival factor.
-    ``executor`` must have been built for the same ``noise``.
+    state-resolved detection channel plus the sequence survival factor. The
+    noise config is the executor's own.
     """
     phases = np.asarray(phases, dtype=float)
     if np.ptp(phases) < np.pi:
         raise ValueError("analyzer phases must cover at least one pi period")
-    _check_same_noise(noise, executor)
+    noise = executor.noise
     rng = np.random.default_rng(seed)
     eps_sp = noise.state_prep_error if noise is not None else 0.0
     bell = _bell_state_vector(executor, eps_sp)

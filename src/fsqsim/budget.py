@@ -72,15 +72,10 @@ def _qubit_indices():
     return [a * DIM + b for a in (Q0, Q1) for b in (Q0, Q1)]
 
 
-def _channel_lookup(executor: GateExecutor):
-    index = {p: k for k, p in enumerate(executor.pairs)}
-    return executor._cz, index
-
-
 def channel_retention(executor: GateExecutor) -> float:
     """Input-averaged probability of staying in the valid computational
     levels {q0, q1, x} over one gate."""
-    s, index = _channel_lookup(executor)
+    s, index = executor._cz, executor._index
     kept_diag = [a * DIM + b for a in KEPT_LEVELS for b in KEPT_LEVELS]
     surv = 0.0
     for i in _qubit_indices():
@@ -119,7 +114,7 @@ def _kept_map_matrix(executor: GateExecutor) -> np.ndarray:
 def corrected_process_infidelity_from_executor(executor: GateExecutor) -> float:
     """Conditional process infidelity: entanglement fidelity of the
     keep-map-composed channel divided by the input-averaged retention."""
-    s, index = _channel_lookup(executor)
+    s, index = executor._cz, executor._index
     kept = _kept_map_matrix(executor) @ s
     qubit = _qubit_indices()
     phases = {qubit[0]: 1.0, qubit[1]: 1.0, qubit[2]: 1.0, qubit[3]: -1.0}
@@ -141,10 +136,7 @@ def ssb_infidelities_from_executor(
     seed: int = 12,
 ):
     """(raw, loss-corrected) infidelity from a shot-noise-free SSB decay."""
-    res = run_ssb(
-        n_cz_list, n_seq, shots=0, noise=executor.noise, executor=executor,
-        seed=seed,
-    )
+    res = run_ssb(n_cz_list, n_seq, shots=0, seed=seed, executor=executor)
     return 1.0 - res.fit_raw.fidelity, 1.0 - res.fit_loss.fidelity
 
 

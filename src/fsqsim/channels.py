@@ -103,12 +103,11 @@ def channel_superoperator(
     subspace.
     """
     d = DIM**n_atoms
-    basis = np.zeros((d * d, d, d), dtype=complex)
-    for b in range(d):
-        for a in range(d):
-            basis[a + d * b, a, b] = 1.0
-    out = evolve_rho(basis, hamiltonian, collapses, duration, n_atoms, rtol, atol)
-    return Superoperator(np.stack([vec(out[j]) for j in range(d * d)], axis=1))
+    pairs = [(k % d, k // d) for k in range(d * d)]  # column-stacking order
+    return Superoperator(
+        channel_on_pairs(hamiltonian, collapses, duration, n_atoms, pairs,
+                         rtol, atol)[0]
+    )
 
 
 def channel_on_pairs(
@@ -188,29 +187,25 @@ def subspace_entanglement_fidelity(
     n_atoms = 1 if d == DIM else 2
     if DIM**n_atoms != d:
         raise ValueError("dimension is not a power of the local dimension")
-    try:
-        inv = np.linalg.inv(s_ideal.matrix)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("ideal superoperator is not invertible") from exc
-    if np.linalg.cond(s_ideal.matrix) > 1e10:
-        raise ValueError("ideal superoperator is numerically singular")
-    lam = s.matrix @ inv
-
     if n_atoms == 1:
         sub = list(subspace_levels)
     else:
         sub = [
             a * DIM + b for a in subspace_levels for b in subspace_levels
         ]
-    ds = len(sub)
-    fe = 0.0 + 0.0j
-    for i in sub:
-        for j in sub:
-            e = np.zeros((d, d), dtype=complex)
-            e[i, j] = 1.0
-            out = unvec(lam @ vec(e))
-            fe += out[i, j]
-    return float((fe / ds**2).real)
+    # F_e averages lam[k, k] = vec(E_ij) . lam vec(E_ij) with lam = S S_ideal^-1
+    # over i, j in the subspace, so only those columns of the inverse are solved
+    idx = [i + d * j for i in sub for j in sub]
+    units = np.zeros((d * d, len(idx)), dtype=complex)
+    units[idx, np.arange(len(idx))] = 1.0
+    try:
+        inv_cols = np.linalg.solve(s_ideal.matrix, units)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError("ideal superoperator is not invertible") from exc
+    if np.linalg.cond(s_ideal.matrix) > 1e10:
+        raise ValueError("ideal superoperator is numerically singular")
+    fe = np.einsum("km,mk->", s.matrix[idx], inv_cols)
+    return float((fe / len(sub) ** 2).real)
 
 
 def process_fidelity(

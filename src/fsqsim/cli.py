@@ -217,14 +217,17 @@ def run_crb_cmd(ctx):
 
 @protocol("ssb")
 def run_ssb_cmd(ctx):
-    from .benchmarking import run_ssb
+    from .benchmarking import GateExecutor, run_ssb
+    from .czopt import default_profile
+    from .rydberg import RydbergDrive
 
     cfg = ctx.proto
     _known(cfg, {"n_cz", "n_sequences", "noiseless"}, "ssb")
     n_cz = _ints(cfg.get("n_cz", "2,6,10,14"))
     n_seq = int(cfg.get("n_sequences", 12))
     noise = None if _bool(cfg.get("noiseless", "false")) else ctx.noise
-    res = run_ssb(n_cz, n_seq, ctx.shots, noise, seed=ctx.seed)
+    executor = GateExecutor(default_profile(), RydbergDrive(), noise)
+    res = run_ssb(n_cz, n_seq, ctx.shots, seed=ctx.seed, executor=executor)
     ctx.emit(
         "ssb",
         ["n_cz", "p11_raw", "sem_raw", "p11_erasure", "sem_erasure",
@@ -266,7 +269,7 @@ def run_bell_cmd(ctx):
     executor = GateExecutor(default_profile(), RydbergDrive(), noise)
     results = {}
     for tag, excise in (("raw", False), ("excised", True)):
-        r = bell_protocol(noise, phases, ctx.shots, loss_excision=excise,
+        r = bell_protocol(phases, ctx.shots, loss_excision=excise,
                           seed=ctx.seed, executor=executor)
         results[tag] = r
     ctx.emit(

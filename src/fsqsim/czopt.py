@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .levels import DIM, Q0, Q1, full_index
-from .pulses import rotation
+from .levels import Q1, full_index
+from .pulses import embed_qubit_unitary, rotation
 from .rydberg import (
     CZPulseProfile,
     RydbergDrive,
@@ -22,7 +22,6 @@ from .rydberg import (
     extract_phi_sq,
     sector_unitaries,
 )
-from .states import embed_local
 
 # Reference modulation parameters at V/Omega = 19 (Omega = 2 pi x 6 MHz),
 # produced by optimize_cz itself from a multi-start search and frozen here;
@@ -41,9 +40,8 @@ def default_profile() -> CZPulseProfile:
 
 def _global_xpi() -> np.ndarray:
     """X(pi) on the qubit levels of both atoms."""
-    x = np.eye(DIM, dtype=complex)
-    x[np.ix_((Q0, Q1), (Q0, Q1))] = rotation(np.pi, 0.0)
-    return embed_local(x, 0, 2) @ embed_local(x, 1, 2)
+    x = embed_qubit_unitary(rotation(np.pi, 0.0))
+    return np.kron(x, x)
 
 
 # Inside optimization loops the integrator runs at a looser tolerance; the

@@ -4,8 +4,9 @@ The drive couples q1 <-> r on both atoms with a common laser phase phi(t);
 doubly excited pairs are shifted by the interaction V. Only {q1, r} take part
 in the dynamics, so the noiseless propagator factorizes into a 2x2 block (one
 atom driven, partner frozen) and a 4x4 block (both atoms driven), integrated
-together as a single 6x6 Schrodinger problem and then assembled into the full
-36x36 unitary. The master-equation path uses the full space.
+together as a single 6x6 Schrodinger problem -- the two-atom Hamiltonian
+restricted to the six driven product states -- and then assembled into the
+full 36x36 unitary. The master-equation path uses the full space.
 """
 
 import warnings
@@ -16,7 +17,7 @@ import numpy as np
 from . import _kernels
 from .fitting import golden_max
 from .lindblad import ModulatedDrive, detuning_segments
-from .levels import B, DIM, G, Q0, Q1, R, X, full_index, lop
+from .levels import DIM, Q0, Q1, R, full_index, lop, unravel_index
 from .states import embed_local
 
 OMEGA_DEFAULT = 2 * np.pi * 6.0  # rad/us
@@ -149,21 +150,14 @@ def rydberg_count_diag() -> np.ndarray:
     return diag
 
 
-# Sector bases for the noiseless gate: [q1, r] and [q1q1, q1r, rq1, rr].
-_ACTIVE = (Q1, R)
-
-
-def _sector_parts(drive: RydbergDrive):
-    om = drive.rabi_frequency / 2
-    h2 = np.diag([0.0, -drive.detuning]).astype(complex)
-    c2 = np.zeros((2, 2), dtype=complex)
-    c2[0, 1] = om
-    h4 = np.diag(
-        [0.0, -drive.detuning, -drive.detuning, drive.interaction - 2 * drive.detuning]
-    ).astype(complex)
-    c4 = np.zeros((4, 4), dtype=complex)
-    c4[0, 1] = c4[0, 2] = c4[1, 3] = c4[2, 3] = om
-    return h2, c2, h4, c4
+# The product states the drive couples, as full-space indices: the 2-state
+# sector (one atom driven, partner frozen in q0) and the 4-state sector (both
+# atoms driven). The sector problem is the two-atom Hamiltonian restricted to
+# these states.
+_SECTOR = tuple(
+    full_index(lv)
+    for lv in ((Q1, Q0), (R, Q0), (Q1, Q1), (Q1, R), (R, Q1), (R, R))
+)
 
 
 def sector_unitaries(
@@ -201,21 +195,15 @@ def sector_unitaries(
     rate = np.reshape([p.t_gate for p in profiles], shape) / t_ref
     if detuning_values is not None and np.ptp(rate) > 0:
         raise ValueError("detuning pieces need one gate time for every member")
-    h2, c2, h4, c4 = _sector_parts(drive)
-    h0 = np.zeros((6, 6), dtype=complex)
-    h0[:2, :2] = h2
-    h0[2:, 2:] = h4
-    coup = np.zeros((6, 6), dtype=complex)
-    coup[:2, :2] = c2
-    coup[2:, 2:] = c4
+    h0, coup = (m[np.ix_(_SECTOR, _SECTOR)] for m in hamiltonian_parts(drive))
     coup = np.exp(1j * th4) * coup
     coup_dag = np.swapaxes(coup.conj(), -1, -2)
-    ndiag = np.diag([0.0, 1.0, 0.0, 1.0, 1.0, 2.0])
+    ndiag = np.diag(rydberg_count_diag()[list(_SECTOR)])
     offset, slope = -th2, th3 * rate
     freq = 2 * np.pi / t_ref  # every member's cosine period on this clock
     scale = -1j * rate  # dy/dt' = -i (t_gate[m] / t_gate[0]) H y
 
-    u = np.eye(6, dtype=complex)
+    u = np.eye(len(_SECTOR), dtype=complex)
     constant = not np.any(th1) and not np.any(th3)  # no phase modulation
     for t0, t1, det in detuning_segments(detuning_edges, detuning_values, t_ref):
         hseg = h0 - np.multiply.outer(det, ndiag)
@@ -235,22 +223,16 @@ def sector_unitaries(
 
 
 def assemble_unitary(u2: np.ndarray, u4: np.ndarray) -> np.ndarray:
-    """Build the full 36x36 gate unitary from the sector propagators."""
-    frozen = (Q0, G, X, B)
-    u = np.zeros((36, 36), dtype=complex)
-    for f1 in frozen:
-        for f2 in frozen:
-            i = full_index([f1, f2])
-            u[i, i] = 1.0
-    for f in frozen:
-        for ai, a in enumerate(_ACTIVE):
-            for bi, b in enumerate(_ACTIVE):
-                u[full_index([a, f]), full_index([b, f])] = u2[ai, bi]
-                u[full_index([f, a]), full_index([f, b])] = u2[ai, bi]
-    pair_basis = [(Q1, Q1), (Q1, R), (R, Q1), (R, R)]
-    for i, (a1, a2) in enumerate(pair_basis):
-        for j, (b1, b2) in enumerate(pair_basis):
-            u[full_index([a1, a2]), full_index([b1, b2])] = u4[i, j]
+    """Build the full 36x36 gate unitary from the sector propagators: ``u2``
+    on either atom's driven pair beside each frozen partner level, ``u4`` on
+    the doubly driven states, identity elsewhere."""
+    u = np.eye(DIM**2, dtype=complex)
+    driven = [unravel_index(i, 2)[0] for i in _SECTOR[:2]]
+    for f in set(range(DIM)).difference(driven):
+        for block in ([full_index([a, f]) for a in driven],
+                      [full_index([f, a]) for a in driven]):
+            u[np.ix_(block, block)] = u2
+    u[np.ix_(_SECTOR[2:], _SECTOR[2:])] = u4
     return u
 
 

@@ -128,12 +128,12 @@ def test_criterion_04_ssb(budget_report):
 # -- 5: Bell -------------------------------------------------------------------
 
 
-def test_criterion_05_bell(noiseless_executor, reference_executor, reference_config):
+def test_criterion_05_bell(noiseless_executor, reference_executor):
     from fsqsim.benchmarking import bell_protocol
     from fsqsim.benchmarking.twoq import _assigned_probs, _bell_state_vector
 
     phases = np.linspace(0, 2 * np.pi, 16, endpoint=False)
-    noiseless = bell_protocol(None, phases, shots=4000, seed=2,
+    noiseless = bell_protocol(phases, shots=4000, seed=2,
                               executor=noiseless_executor)
     ok_noiseless = noiseless.fidelity > 1 - 3.0 / np.sqrt(4000)
 
@@ -147,9 +147,9 @@ def test_criterion_05_bell(noiseless_executor, reference_executor, reference_con
     parities = np.array(parities)
     ok_period = np.max(np.abs(parities[:16] - parities[16:])) < 1e-6
 
-    raw = bell_protocol(reference_config, phases, 2000, loss_excision=False,
+    raw = bell_protocol(phases, 2000, loss_excision=False,
                         seed=5, executor=reference_executor)
-    exc = bell_protocol(reference_config, phases, 2000, loss_excision=True,
+    exc = bell_protocol(phases, 2000, loss_excision=True,
                         seed=5, executor=reference_executor)
     ok_raw = abs(raw.fidelity - 0.935) <= 0.009 + 2 * raw.fidelity_err
     ok_exc = abs(exc.fidelity - 0.983) <= 0.008 + 2 * exc.fidelity_err

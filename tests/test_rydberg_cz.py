@@ -69,7 +69,8 @@ def _exponentiated_gate(theta4, pieces):
 
 def test_unmodulated_pieces_are_exact():
     # theta1 == theta3 == 0: each piece from the eigenbasis of its constant
-    # Hamiltonian, for a stack with two gate times and for detuning pieces
+    # Hamiltonian, for a stack with two gate times, for detuning pieces and
+    # for a detuned drive
     profiles = [CZPulseProfile((0.0, 0.7, 0.0, 0.4), 0.6),
                 CZPulseProfile((0.0, 0.2, 0.0, -1.0), 0.78)]
     u2, u4 = sector_unitaries(profiles, RydbergDrive())
@@ -81,17 +82,21 @@ def test_unmodulated_pieces_are_exact():
                               detuning_values=[1.5, -2.0])
     ref = _exponentiated_gate(0.4, [(0.0, 0.25, 1.5), (0.25, 0.6, -2.0)])
     assert np.max(np.abs(assemble_unitary(u2, u4) - ref)) <= 1e-11
+    # a static drive detuning shifts r by -delta and rr by V - 2 delta
+    u2, u4 = sector_unitaries(profiles[0], RydbergDrive(detuning=0.9))
+    ref = _exponentiated_gate(0.4, [(0.0, 0.6, 0.9)])
+    assert np.max(np.abs(assemble_unitary(u2, u4) - ref)) <= 1e-11
 
 
 def test_double_excitation_bound():
     drive = RydbergDrive()  # reference drive, V/Omega = 19
     om = drive.rabi_frequency
     profile = CZPulseProfile(theta=(0, 0, 0, 0), t_gate=2 * np.pi / om)
-    h2, c2, h4, c4 = None, None, None, None
     # track max |rr| population under resonant unmodulated drive from |q1q1>
-    from fsqsim.rydberg import _sector_parts
+    from fsqsim.rydberg import _SECTOR, hamiltonian_parts
 
-    h2, c2, h4, c4 = _sector_parts(drive)
+    h4, c4 = (m[np.ix_(_SECTOR[2:], _SECTOR[2:])]
+              for m in hamiltonian_parts(drive))
     psi = np.array([1, 0, 0, 0], dtype=complex)
 
     peak = 0.0

@@ -116,12 +116,12 @@ def test_pure_loss_channel_gives_survival_fidelity():
                 keep *= np.sqrt(1 - lam) ** ((left != B) + (right != B))
         loss[q, q] = keep
     ex._cz = loss @ ex._cz
-    res = run_ssb((2, 4, 6, 8), 8, shots=0, noise=None, executor=ex, seed=4)
+    res = run_ssb((2, 4, 6, 8), 8, shots=0, executor=ex, seed=4)
     assert res.fit_raw.fidelity == pytest.approx((1 - lam) ** 2, abs=5e-4)
 
 
 def test_run_ssb_noiseless_fit(noiseless_executor):
-    res = run_ssb((2, 4, 6), 6, shots=0, noise=None,
+    res = run_ssb((2, 4, 6), 6, shots=0,
                   executor=noiseless_executor, seed=3)
     assert res.fit_raw.fidelity > 1 - 1e-4
 
@@ -173,7 +173,7 @@ def test_bell_state_noiseless(noiseless_executor):
 
 def test_bell_noiseless_fidelity(noiseless_executor):
     phases = np.linspace(0, 2 * np.pi, 16, endpoint=False)
-    res = bell_protocol(None, phases, shots=0, executor=noiseless_executor)
+    res = bell_protocol(phases, shots=0, executor=noiseless_executor)
     assert res.fidelity > 1 - 1e-5
 
 
@@ -217,33 +217,17 @@ def test_separable_state_bell_fidelity_bounded(cz_profile, drive):
     ex = GateExecutor(None, None, None, ideal_cz=True)
     ex._cz = np.eye(len(ex.pairs), dtype=complex)
     phases = np.linspace(0, 2 * np.pi, 16, endpoint=False)
-    res = bell_protocol(None, phases, shots=0, executor=ex)
+    res = bell_protocol(phases, shots=0, executor=ex)
     assert res.fidelity <= 0.5 + 1e-9
 
 
-def test_bell_paper_calibrated(reference_executor, reference_config):
+def test_bell_paper_calibrated(reference_executor):
     phases = np.linspace(0, 2 * np.pi, 16, endpoint=False)
-    raw = bell_protocol(reference_config, phases, 2000, loss_excision=False,
+    raw = bell_protocol(phases, 2000, loss_excision=False,
                         seed=5, executor=reference_executor)
-    exc = bell_protocol(reference_config, phases, 2000, loss_excision=True,
+    exc = bell_protocol(phases, 2000, loss_excision=True,
                         seed=5, executor=reference_executor)
     # reference: 0.935(9) raw, 0.983(8) excised
     assert raw.fidelity == pytest.approx(0.935, abs=0.009 + 2 * raw.fidelity_err)
     assert exc.fidelity == pytest.approx(0.983, abs=0.008 + 2 * exc.fidelity_err)
     assert exc.fidelity > raw.fidelity
-
-
-def test_noise_config_must_match_the_executor(noiseless_executor,
-                                              reference_config):
-    # the gate channel comes from the executor, state preparation and
-    # readout from ``noise``: a mismatched pair is refused
-    phases = np.linspace(0, 2 * np.pi, 4, endpoint=False)
-    with pytest.raises(ValueError, match="differs from the executor"):
-        bell_protocol(reference_config, phases, 0,
-                      executor=noiseless_executor)
-    with pytest.raises(ValueError, match="differs from the executor"):
-        run_ssb((2,), 1, 0, reference_config, executor=noiseless_executor)
-    with pytest.raises(ValueError, match="differs from the executor"):
-        run_ssb((2,), 1, 0, reference_config.without("state_prep"),
-                executor=GateExecutor(None, None, reference_config,
-                                      ideal_cz=True))
