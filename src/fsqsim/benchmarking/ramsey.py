@@ -38,6 +38,7 @@ def simulate_ramsey(
     deltas, weights = gaussian_quadrature(sigma, RAMSEY_NODES)
     phases = np.linspace(0, 2 * np.pi, RAMSEY_PHASES, endpoint=False)
     open_pulse = embed_qubit_unitary(rotation(np.pi / 2, 0.0))
+    closing = [embed_qubit_unitary(rotation(np.pi / 2, phi)) for phi in phases]
     erasure_block = np.eye(DIM, dtype=complex)  # no qubit back-action
 
     psi0 = np.zeros(DIM, dtype=complex)
@@ -52,8 +53,8 @@ def simulate_ramsey(
             psi = phase_gate @ (open_pulse @ psi0)
             if mid_circuit_erasure:
                 psi = erasure_block @ psi
-            for ip, phi in enumerate(phases):
-                out = embed_qubit_unitary(rotation(np.pi / 2, phi)) @ psi
+            for ip, pulse in enumerate(closing):
+                out = pulse @ psi
                 fringe[ip] += w * abs(out[Q1]) ** 2
         amp, _, offset, _ = fit_sinusoid_fixed_period(phases, fringe,
                                                       period=2 * np.pi)

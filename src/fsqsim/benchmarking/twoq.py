@@ -37,7 +37,7 @@ DETECTED_0 = "detected-0"
 DETECTED_1 = "detected-1"
 LOSS = "loss"
 
-# Integrator tolerances of the CZ channel build.
+# Integrator tolerances of the master-equation CZ channel build.
 CZ_CHANNEL_RTOL = 1e-6
 CZ_CHANNEL_ATOL = 1e-9
 
@@ -92,8 +92,8 @@ class GateExecutor:
             ]
         else:
             u2, u4 = sector_unitaries(
-                self.profile, self.drive, CZ_CHANNEL_RTOL, CZ_CHANNEL_ATOL,
-                detuning_edges=[0.0], detuning_values=deltas[:, None],
+                self.profile, self.drive, detuning_edges=[0.0],
+                detuning_values=deltas[:, None],
             )
             maps = [
                 conjugation_on_pairs(assemble_unitary(a, b), self.pairs)

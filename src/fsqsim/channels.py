@@ -5,6 +5,7 @@ map rho -> A rho B has superoperator B^T (x) A and a unitary conjugation
 rho -> U rho U^dag becomes conj(U) (x) U.
 """
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -180,7 +181,11 @@ def subspace_entanglement_fidelity(
     s: Superoperator, s_ideal: Superoperator, subspace_levels
 ) -> float:
     """Entanglement fidelity of s composed with the inverse ideal map,
-    restricted to the product subspace spanned by ``subspace_levels``."""
+    restricted to the product subspace spanned by ``subspace_levels``.
+
+    The ideal map is LU-factored once; it is refused as numerically singular
+    when LAPACK's estimate of its 1-norm condition number (``zgecon`` on that
+    factorization) exceeds 1e10."""
     d = s.dim
     if s_ideal.dim != d:
         raise ValueError("superoperator dimensions differ")
@@ -198,12 +203,20 @@ def subspace_entanglement_fidelity(
     idx = [i + d * j for i in sub for j in sub]
     units = np.zeros((d * d, len(idx)), dtype=complex)
     units[idx, np.arange(len(idx))] = 1.0
-    try:
-        inv_cols = np.linalg.solve(s_ideal.matrix, units)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("ideal superoperator is not invertible") from exc
-    if np.linalg.cond(s_ideal.matrix) > 1e10:
+    from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+    from scipy.linalg.lapack import zgecon
+
+    ideal = s_ideal.matrix
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", LinAlgWarning)  # an exactly zero pivot
+        try:
+            lu, piv = lu_factor(ideal)
+        except LinAlgWarning as exc:
+            raise ValueError("ideal superoperator is not invertible") from exc
+    rcond, _ = zgecon(lu, np.abs(ideal).sum(axis=0).max())
+    if rcond < 1e-10:
         raise ValueError("ideal superoperator is numerically singular")
+    inv_cols = lu_solve((lu, piv), units)
     fe = np.einsum("km,mk->", s.matrix[idx], inv_cols)
     return float((fe / len(sub) ** 2).real)
 

@@ -44,10 +44,6 @@ def _global_xpi() -> np.ndarray:
     return np.kron(x, x)
 
 
-# Inside optimization loops the integrator runs at a looser tolerance; the
-# objective only needs ~1e-6 absolute accuracy and this is ~4x faster.
-OBJECTIVE_RTOL = 1e-7
-OBJECTIVE_ATOL = 1e-9
 ECHO_N_CZ = 10  # CZ gates in the echo tune-up sequence
 
 # optimize_cz: stop at a scaled gradient norm below GTOL or an accepted step
@@ -66,8 +62,7 @@ def echo_return_probability(profile, drive: RydbergDrive):
     A sequence of profiles is integrated as one stack and gives one value per
     profile; a single profile gives a float.
     """
-    u2, u4 = sector_unitaries(profile, drive, rtol=OBJECTIVE_RTOL,
-                              atol=OBJECTIVE_ATOL)
+    u2, u4 = sector_unitaries(profile, drive)
     echo = _global_xpi()
     i11 = full_index([Q1, Q1])
     probs = []
@@ -89,8 +84,7 @@ def make_fidelity_objective(drive: RydbergDrive):
     """Average gate fidelity to CZ, single-qubit phase optimized out."""
 
     def objective(profiles) -> np.ndarray:
-        u2, u4 = sector_unitaries(list(profiles), drive, rtol=OBJECTIVE_RTOL,
-                                  atol=OBJECTIVE_ATOL)
+        u2, u4 = sector_unitaries(list(profiles), drive)
         a01, a11 = computational_amplitudes(u2, u4)
         return np.array([cz_average_fidelity(a, b)[0] for a, b in zip(a01, a11)])
 

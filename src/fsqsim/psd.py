@@ -20,9 +20,6 @@ from .rydberg import (
 )
 
 TWO_PI = 2 * np.pi
-# Integrator tolerances of the gate under a detuning trajectory.
-DETUNED_GATE_RTOL = 1e-8
-DETUNED_GATE_ATOL = 1e-10
 QUASI_STATIC_NODES = 15  # Gauss-Hermite nodes of the quasi-static average
 
 
@@ -162,8 +159,7 @@ def gate_fidelity_with_detuning(
     else:  # a constant is a one-piece trajectory
         edges, values = [0.0], np.asarray(trajectory, dtype=float)[..., None]
     u2, u4 = sector_unitaries(
-        profile, drive, rtol=DETUNED_GATE_RTOL, atol=DETUNED_GATE_ATOL,
-        detuning_edges=edges, detuning_values=values,
+        profile, drive, detuning_edges=edges, detuning_values=values,
     )
     a01, a11 = computational_amplitudes(u2, u4)
     f, _ = cz_average_fidelity(a01, a11, phi_sq=profile.phi_sq)

@@ -3,18 +3,21 @@
 The drive couples q1 <-> r on both atoms with a common laser phase phi(t);
 doubly excited pairs are shifted by the interaction V. Only {q1, r} take part
 in the dynamics, so the noiseless propagator factorizes into a 2x2 block (one
-atom driven, partner frozen) and a 4x4 block (both atoms driven), integrated
+atom driven, partner frozen) and a 4x4 block (both atoms driven), propagated
 together as a single 6x6 Schrodinger problem -- the two-atom Hamiltonian
 restricted to the six driven product states -- and then assembled into the
-full 36x36 unitary. The master-equation path uses the full space.
+full 36x36 unitary. The sector propagator is a fixed-step product of exact
+6x6 exponentials (the fourth-order commutator-free Magnus scheme CF4:2); the
+master-equation path uses the full space.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from . import _kernels
 from .fitting import golden_max
 from .lindblad import ModulatedDrive, detuning_segments
 from .levels import DIM, Q0, Q1, R, full_index, lop, unravel_index
@@ -160,30 +163,70 @@ _SECTOR = tuple(
 )
 
 
+# CF4:2, the fourth-order commutator-free Magnus scheme of Blanes & Moan
+# (Appl. Numer. Math. 56, 1519 (2006)). One step of length h samples H at the
+# Gauss nodes t + c h, then applies exp(-i h (a+ H1 + a- H2)) and after it
+# exp(-i h (a- H1 + a+ H2)); for a constant H the two multiply to exp(-i h H).
+_GAUSS_NODES = np.array([0.5 - np.sqrt(3) / 6, 0.5 + np.sqrt(3) / 6])
+_WEIGHT_PLUS = (3 + 2 * np.sqrt(3)) / 12
+_WEIGHT_MINUS = (3 - 2 * np.sqrt(3)) / 12
+# Steps per radian of ||H||_inf * t_gate over a modulated gate: the default
+# gate at V / Omega = 19 takes 309 steps, max entry error ~1e-8; the error
+# falls 16x per doubling.
+STEPS_PER_RADIAN = 2.0
+STEP_CHUNK = 64  # steps exponentiated together within one detuning piece
+
+
+@lru_cache(maxsize=64)
+def _sector_parts(drive: RydbergDrive):
+    """Read-only (h0, coupling, detuning diagonal) of the 6x6 sector problem:
+    ``hamiltonian_parts`` and ``rydberg_count_diag`` restricted to
+    ``_SECTOR``."""
+    parts = [m[np.ix_(_SECTOR, _SECTOR)] for m in hamiltonian_parts(drive)]
+    parts.append(np.diag(rydberg_count_diag()[list(_SECTOR)]))
+    for m in parts:
+        m.setflags(write=False)
+    return tuple(parts)
+
+
+def _time_ordered_product(m: np.ndarray) -> np.ndarray:
+    """m[-1] @ ... @ m[1] @ m[0] over the leading axis, as a pairwise tree:
+    one batched matmul per level."""
+    while len(m) > 1:
+        pairs = m[1::2] @ m[:len(m) - 1:2]
+        m = np.concatenate([pairs, m[-1:]]) if len(m) % 2 else pairs
+    return m[0]
+
+
 def sector_unitaries(
     profile,
     drive: RydbergDrive,
-    rtol: float = 1e-9,
-    atol: float = 1e-11,
     detuning_edges=None,
     detuning_values=None,
 ):
     """(u2, u4) propagators of the driven sectors over one gate.
 
     ``profile`` is one :class:`CZPulseProfile` or a sequence of them. A
-    sequence is integrated as one stack in normalized time: the clock runs
+    sequence is propagated as one stack in normalized time: the clock runs
     over the first member's gate and member m reads it scaled by
     t_gate[m] / t_gate[0], so members with different gate times share one
     step grid (with equal gate times the scale is exactly 1 and each member's
-    right-hand side is the one a solo call evaluates). Optional
-    piecewise-constant extra detuning (common to both atoms, edges in us)
-    models sampled laser frequency noise; ``(members, n_pieces)`` values
-    stack along the same member axis, a constant is the one piece
-    ``edges=[0.0]``, and detuning needs one gate time for every member. A
-    stack gives ``(members, 2, 2)`` and ``(members, 4, 4)``. Without phase
-    modulation (theta[0] == theta[2] == 0 for every member) each piece is
-    propagated exactly from the eigenbasis of its constant Hamiltonian, and
-    the tolerances are unused.
+    steps are the ones a solo call takes). Optional piecewise-constant extra
+    detuning (common to both atoms, edges in us) models sampled laser
+    frequency noise; ``(members, n_pieces)`` values stack along the same
+    member axis, a constant is the one piece ``edges=[0.0]``, and detuning
+    needs one gate time for every member. A stack gives ``(members, 2, 2)``
+    and ``(members, 4, 4)``.
+
+    The propagator is a fixed-step CF4:2 Magnus product: each step is two
+    exact exponentials of 6x6 Hermitian matrices, each from one ``eigh`` of
+    the stack, and the steps multiply as a pairwise tree. A modulated gate
+    takes ceil(STEPS_PER_RADIAN * ||H||_inf * t_gate) steps (the largest over
+    the stack, without the detuning pieces), spread over the detuning pieces
+    by length; the phase only rotates the couplings, so ||H||_inf is the same
+    at every t. Without phase modulation (theta[0] == theta[2] == 0 for every
+    member) H is constant on each piece, which then takes one step and is
+    exact.
     """
     solo = isinstance(profile, CZPulseProfile)
     profiles = [profile] if solo else list(profile)
@@ -195,30 +238,33 @@ def sector_unitaries(
     rate = np.reshape([p.t_gate for p in profiles], shape) / t_ref
     if detuning_values is not None and np.ptp(rate) > 0:
         raise ValueError("detuning pieces need one gate time for every member")
-    h0, coup = (m[np.ix_(_SECTOR, _SECTOR)] for m in hamiltonian_parts(drive))
+    h0, coup, ndiag = _sector_parts(drive)
+    norm = np.abs(h0 + coup + coup.conj().T).sum(axis=1).max()
     coup = np.exp(1j * th4) * coup
     coup_dag = np.swapaxes(coup.conj(), -1, -2)
-    ndiag = np.diag(rydberg_count_diag()[list(_SECTOR)])
     offset, slope = -th2, th3 * rate
     freq = 2 * np.pi / t_ref  # every member's cosine period on this clock
-    scale = -1j * rate  # dy/dt' = -i (t_gate[m] / t_gate[0]) H y
+    modulated = np.any(th1) or np.any(th3)
+    n_gate = math.ceil(STEPS_PER_RADIAN * norm * t_ref * np.max(rate))
 
     u = np.eye(len(_SECTOR), dtype=complex)
-    constant = not np.any(th1) and not np.any(th3)  # no phase modulation
     for t0, t1, det in detuning_segments(detuning_edges, detuning_values, t_ref):
-        hseg = h0 - np.multiply.outer(det, ndiag)
-        if constant:  # H is constant on the piece: propagate it exactly
-            w, v = np.linalg.eigh(hseg + coup + coup_dag)
-            phases = np.exp(scale * (t1 - t0) * w[..., None, :])
-            u = (v * phases) @ np.swapaxes(v.conj(), -1, -2) @ u
-            continue
-
-        def rhs(t, y):
+        # a+ + a- = 1/2: each exponent holds half of the static part
+        half = 0.5 * (h0 - np.multiply.outer(det, ndiag))
+        n = max(1, math.ceil(n_gate * (t1 - t0) / t_ref)) if modulated else 1
+        h = (t1 - t0) / n
+        # node times broadcast against the member and the matrix axes
+        node_shape = (-1, 2) + (1,) * max(np.ndim(th1), half.ndim)
+        for j0 in range(0, n, STEP_CHUNK):
+            j = np.arange(j0, min(j0 + STEP_CHUNK, n))
+            t = (t0 + h * (j[:, None] + _GAUSS_NODES)).reshape(node_shape)
             e = np.exp(1j * (th1 * np.cos(freq * t + offset) + slope * t))
-            return scale * ((hseg + e * coup + np.conj(e) * coup_dag) @ y)
-
-        stack = np.broadcast_shapes(hseg.shape, coup.shape)
-        u = _kernels.dopri5(rhs, np.broadcast_to(u, stack), t0, t1, rtol, atol)
+            f = _WEIGHT_PLUS * e + _WEIGHT_MINUS * e[:, ::-1]
+            a = rate * (half + f * coup + np.conj(f) * coup_dag)
+            w, v = np.linalg.eigh(a.reshape(-1, *a.shape[2:]))
+            exps = (v * np.exp(-1j * h * w)[..., None, :]) @ np.swapaxes(
+                v.conj(), -1, -2)
+            u = _time_ordered_product(exps) @ u
     return u[..., :2, :2].copy(), u[..., 2:, 2:].copy()
 
 

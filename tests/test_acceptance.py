@@ -8,7 +8,6 @@ windows are hard numbers in the assertions.
 import time
 
 import numpy as np
-import pytest
 
 SESSION_T0 = time.time()
 

@@ -8,6 +8,11 @@ the last attribute, so ``m.f(...)`` matches ``f``) passes it by keyword or by
 position; a class's ``__init__`` is matched by the class name. A starred
 positional argument sets every positional parameter, ``**kwargs`` every
 parameter.
+
+Every imported name in ``src/`` and ``tests/`` is referenced: by a name in
+its module's code or, for a package's re-exports, in its ``__all__``. An
+import statement marked ``# noqa: F401`` on its first line is exempt. With no
+linter in the toolchain, this scan is the unused-import check.
 """
 
 import ast
@@ -81,3 +86,34 @@ def test_every_optional_parameter_has_a_caller():
         "optional parameters no caller sets; make each a module constant "
         "or a literal: " + ", ".join(unset)
     )
+
+
+def unused_imports():
+    unused = []
+    for d in ("src", "tests"):
+        for path in sorted((ROOT / d).rglob("*.py")):
+            text = path.read_text()
+            lines = text.splitlines()
+            tree = ast.parse(text)
+            used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+            for node in tree.body:
+                if (isinstance(node, ast.Assign)
+                        and any(getattr(t, "id", None) == "__all__"
+                                for t in node.targets)):
+                    used.update(ast.literal_eval(node.value))
+            for node in ast.walk(tree):
+                if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                    continue
+                if "# noqa: F401" in lines[node.lineno - 1]:
+                    continue
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name != "*" and name not in used:
+                        unused.append(f"{path.relative_to(ROOT)}:"
+                                      f"{node.lineno} {name}")
+    return unused
+
+
+def test_every_import_is_used():
+    unused = unused_imports()
+    assert not unused, "imported names never referenced: " + ", ".join(unused)

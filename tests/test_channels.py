@@ -15,8 +15,6 @@ from fsqsim.channels import (
     min_choi_eigenvalue,
     process_fidelity,
     trace_preservation_defect,
-    unvec,
-    vec,
 )
 from fsqsim.levels import B, G, Q0, Q1, R
 from fsqsim.lindblad import CollapseOperator, evolve_rho

@@ -1,5 +1,4 @@
 import hashlib
-import shutil
 from pathlib import Path
 
 import pytest

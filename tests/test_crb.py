@@ -13,7 +13,6 @@ from fsqsim.benchmarking.singleq import (
 from fsqsim.channels import vec, unvec
 from fsqsim.cliffords import clifford_group, equal_up_to_phase
 from fsqsim.levels import Q1
-from fsqsim.noise import NoiseConfig
 from fsqsim.pulses import virtual_z_equivalent
 
 

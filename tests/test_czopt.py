@@ -9,7 +9,7 @@ from fsqsim.czopt import (
     make_fidelity_objective,
     optimize_cz,
 )
-from fsqsim.rydberg import CZPulseProfile, RydbergDrive
+from fsqsim.rydberg import CZPulseProfile
 
 
 def test_quadratic_objective_converges_in_three_iterations(drive):

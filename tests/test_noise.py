@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from fsqsim import levels
 from fsqsim.levels import B, G, Q0, Q1, R, X
 from fsqsim.lindblad import evolve_lindblad
 from fsqsim.noise import (

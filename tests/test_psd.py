@@ -198,3 +198,32 @@ def test_psd_text_round_trip():
     back = FrequencyNoisePSD.from_text(psd.to_text())
     assert np.allclose(back.frequency_hz, psd.frequency_hz)
     assert np.allclose(back.psd_hz2_per_hz, psd.psd_hz2_per_hz)
+
+
+def test_doubled_steps_move_the_psd_infidelities_below_1e9(
+        monkeypatch, cz_profile, drive):
+    # the MC at configs/psd.ini, and the quasi-static average at the r.m.s.
+    # detuning of its PSD
+    import configparser
+    from pathlib import Path
+
+    from fsqsim import rydberg
+
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    cfg = configparser.ConfigParser()
+    cfg.read(configs / "psd.ini")
+    psd = FrequencyNoisePSD.from_text(
+        (configs / cfg["psd-infidelity"]["psd_file"]).read_text())
+    n_traj = cfg["psd-infidelity"].getint("n_trajectories")
+    seed = cfg["run"].getint("seed")
+    sigma = TWO_PI * np.sqrt(psd.variance_hz2()) * 1e-6
+
+    def infidelities():
+        mean, _ = mc_gate_infidelity(psd, cz_profile, drive, n_traj, seed)
+        return np.array([mean,
+                         quasi_static_infidelity(cz_profile, drive, sigma)])
+
+    before = infidelities()
+    monkeypatch.setattr(rydberg, "STEPS_PER_RADIAN",
+                        2 * rydberg.STEPS_PER_RADIAN)
+    assert np.max(np.abs(infidelities() - before)) < 1e-9

@@ -1,11 +1,9 @@
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fsqsim import _kernels, levels
+from fsqsim import _kernels, rydberg
 from fsqsim.levels import B, G, Q0, Q1, R, X, full_index
 from fsqsim.rydberg import (
     CZPulseProfile,
@@ -47,7 +45,7 @@ def test_blockade_enhanced_rabi():
     drive = RydbergDrive(rabi_frequency=om, interaction=om * 4000.0)
     t_pi_collective = np.pi / (np.sqrt(2) * om)
     profile = CZPulseProfile(theta=(0, 0, 0, 0), t_gate=t_pi_collective)
-    u2, u4 = sector_unitaries(profile, drive, rtol=1e-10, atol=1e-12)
+    u2, u4 = sector_unitaries(profile, drive)
     p_return = abs(u4[0, 0]) ** 2
     assert p_return == pytest.approx(0.0, abs=5e-3)
     p_rr = abs(u4[3, 0]) ** 2
@@ -119,11 +117,11 @@ def test_double_excitation_bound():
 def test_assembled_unitary_matches_full_integration():
     profile = default_profile()
     drive = RydbergDrive()
-    u2t, u4t = sector_unitaries(profile, drive, rtol=1e-12, atol=1e-14)
+    u2t, u4t = sector_unitaries(profile, drive)
     ut = assemble_unitary(u2t, u4t)
     assert np.max(np.abs(ut @ ut.conj().T - np.eye(36))) < 1e-9
 
-    u2, u4 = sector_unitaries(profile, drive, rtol=1e-9, atol=1e-11)
+    u2, u4 = sector_unitaries(profile, drive)
     u = assemble_unitary(u2, u4)
 
     h_of_t = rydberg_hamiltonian(
@@ -141,7 +139,7 @@ def test_assembled_unitary_matches_full_integration():
 def test_default_profile_fidelity_and_phase_relation():
     profile = default_profile()
     drive = RydbergDrive()
-    u2, u4 = sector_unitaries(profile, drive, rtol=1e-10, atol=1e-12)
+    u2, u4 = sector_unitaries(profile, drive)
     a01, a11 = computational_amplitudes(u2, u4)
     f, phi = cz_average_fidelity(a01, a11)
     assert f > 0.9999
@@ -167,10 +165,10 @@ def test_profile_stack_matches_solo(pert):
         )
         for m in range(2)
     ]
-    u2, u4 = sector_unitaries(profiles, drive, rtol=1e-10, atol=1e-12)
+    u2, u4 = sector_unitaries(profiles, drive)
     assert u2.shape == (2, 2, 2) and u4.shape == (2, 4, 4)
     for m, prof in enumerate(profiles):
-        s2, s4 = sector_unitaries(prof, drive, rtol=1e-10, atol=1e-12)
+        s2, s4 = sector_unitaries(prof, drive)
         assert np.max(np.abs(u2[m] - s2)) <= 1e-7
         assert np.max(np.abs(u4[m] - s4)) <= 1e-7
 
@@ -184,6 +182,51 @@ def test_constant_detuning_stack_matches_shifted_drive():
         s2, s4 = sector_unitaries(profile, RydbergDrive(detuning=delta))
         assert np.max(np.abs(u2[m] - s2)) <= 1e-7
         assert np.max(np.abs(u4[m] - s4)) <= 1e-7
+
+
+def _detuned_stack(members, pieces, seed):
+    # modulated profiles with one gate time and a (members, pieces) detuning
+    rng = np.random.default_rng(seed)
+    base = default_profile()
+    profiles = [
+        CZPulseProfile([x * (1 + 0.05 * d) for x, d in
+                        zip(base.theta, rng.uniform(-1, 1, 4))], base.t_gate)
+        for _ in range(members)
+    ]
+    edges = np.arange(pieces) * base.t_gate / pieces
+    return profiles, edges, rng.normal(0.0, 3.0, (members, pieces))
+
+
+def test_modulated_detuned_stack_is_unitary():
+    profiles, edges, values = _detuned_stack(40, 16, seed=2)
+    u2, u4 = sector_unitaries(profiles, RydbergDrive(detuning=0.4),
+                              detuning_edges=edges, detuning_values=values)
+    for u in (u2, u4):
+        eye = np.eye(u.shape[-1])
+        assert np.max(np.abs(u @ np.swapaxes(u.conj(), -1, -2) - eye)) <= 1e-12
+
+
+def test_detuned_stack_equals_solo_on_one_gate_time():
+    profiles, edges, values = _detuned_stack(3, 5, seed=4)
+    u2, u4 = sector_unitaries(profiles, RydbergDrive(), detuning_edges=edges,
+                              detuning_values=values)
+    for m, prof in enumerate(profiles):
+        s2, s4 = sector_unitaries(prof, RydbergDrive(), detuning_edges=edges,
+                                  detuning_values=values[m])
+        assert np.max(np.abs(u2[m] - s2)) <= 1e-12
+        assert np.max(np.abs(u4[m] - s4)) <= 1e-12
+
+
+def test_doubled_steps_move_the_default_gate_below_1e9(monkeypatch):
+    def headline():
+        u2, u4 = sector_unitaries(default_profile(), RydbergDrive())
+        f, _ = cz_average_fidelity(*computational_amplitudes(u2, u4))
+        return np.array([f, extract_phi_sq(u2)])
+
+    before = headline()
+    monkeypatch.setattr(rydberg, "STEPS_PER_RADIAN",
+                        2 * rydberg.STEPS_PER_RADIAN)
+    assert np.max(np.abs(headline() - before)) < 1e-9
 
 
 def test_detuning_needs_one_gate_time():
@@ -215,7 +258,7 @@ def test_blockade_monotonicity():
     infids = []
     for r in ratios:
         drive = RydbergDrive(interaction=r * om)
-        u2, u4 = sector_unitaries(profile, drive, rtol=1e-8, atol=1e-10)
+        u2, u4 = sector_unitaries(profile, drive)
         f, _ = cz_average_fidelity(*computational_amplitudes(u2, u4))
         infids.append(1.0 - f)
     assert all(b > a for a, b in zip(infids, infids[1:]))

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from fsqsim.benchmarking.twoq import (
-    KEPT_LEVELS,
     GateExecutor,
     _run_sequence,
     _bell_state_vector,
@@ -13,9 +12,9 @@ from fsqsim.benchmarking.twoq import (
     loss_excise,
     run_ssb,
 )
-from fsqsim.cliffords import clifford_group, equal_up_to_phase
+from fsqsim.cliffords import clifford_group
 from fsqsim.fitting import FitError
-from fsqsim.levels import B, DIM, G, Q0, Q1, X
+from fsqsim.levels import B, DIM, Q1
 
 
 def test_recovery_without_cz_for_zero_depth():
