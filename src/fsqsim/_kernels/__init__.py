@@ -6,4 +6,3 @@ BACKEND = "sparse-liouvillian"
 
 propagate = _lindblad_py.propagate
 dopri5 = _lindblad_py.dopri5
-rk4 = _lindblad_py.rk4

@@ -50,12 +50,10 @@ MAX_STEPS = 1_000_000
 def dopri5(rhs, y0, t0, t1, rtol, atol, *, grid=None):
     """Adaptive Dormand-Prince integration of dy/dt = rhs(t, y).
 
-    ``y`` may be a complex array of any shape. Returns y(t1). A 3-d ``y`` is
-    a stack of independent members along axis 0, each held to its own RMS
-    error norm (the step error is the largest of them). ``grid`` is
-    (shape, flat positions) of a packed 1-d ``y`` inside a 2-d grid whose
-    other entries are identically zero: the RMS norm is then taken over that
-    whole grid.
+    ``y`` may be a complex array of any shape. Returns y(t1). The step error
+    is the RMS norm over ``y``. ``grid`` is (shape, flat positions) of a
+    packed 1-d ``y`` inside a 2-d grid whose other entries are identically
+    zero: the RMS norm is then taken over that whole grid.
     """
     span = t1 - t0
     if span < 0:
@@ -95,8 +93,7 @@ def dopri5(rhs, y0, t0, t1, rtol, atol, *, grid=None):
             full = np.zeros(shape)
             full.flat[at] = ratio2
             ratio2 = full
-        err = np.sqrt(np.max(np.mean(ratio2, axis=(1, 2))) if ratio2.ndim == 3
-                      else np.mean(ratio2))
+        err = np.sqrt(np.mean(ratio2))
         if err <= 1.0:
             t = t + h
             y = y5
@@ -113,21 +110,6 @@ def dopri5(rhs, y0, t0, t1, rtol, atol, *, grid=None):
                 f"integrator step size underflow at t = {t!r} of "
                 f"[{t0!r}, {t1!r}], h = {h!r}, after {nsteps} steps"
             )
-    return y
-
-
-def rk4(rhs, y0, t0, t1, n_steps):
-    """Fixed-step classical RK4; kept as an independent order-4 oracle."""
-    y = np.array(y0, dtype=complex)
-    h = (t1 - t0) / n_steps
-    t = t0
-    for _ in range(n_steps):
-        k1 = rhs(t, y)
-        k2 = rhs(t + h / 2, y + (h / 2) * k1)
-        k3 = rhs(t + h / 2, y + (h / 2) * k2)
-        k4 = rhs(t + h, y + h * k3)
-        y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        t += h
     return y
 
 
@@ -180,18 +162,33 @@ def liouvillian_parts(h0, coupling, detuning_diag, jumps):
     return tuple(parts)
 
 
-def closed_support(parts, seed):
-    """Sorted flat indices of the entries reachable from the ``seed`` mask
-    along the nonzero pattern of the generator ``parts`` (breadth-first).
-
-    A ``(d*d, B)`` seed is closed per column, so index ``k * B + m`` is
-    vector entry k of member m (entry-major)."""
-    pattern = sum(abs(p) for p in parts if p is not None)
-    reach = np.array(seed, dtype=bool)
+def _closure(pattern, seed):
+    """Boolean mask of what ``seed`` (1-d, or one column per member) reaches
+    along the nonzero ``pattern``, breadth-first."""
+    reach = seed.copy()
     frontier = reach
     while frontier.any():
         frontier = (pattern @ frontier.astype(float) != 0) & ~reach
         reach |= frontier
+    return reach
+
+
+def closed_support(parts, seed):
+    """Sorted flat indices of the entries reachable from the ``seed`` mask
+    along the nonzero pattern of the generator ``parts``.
+
+    A ``(d*d, B)`` seed is closed per column, so index ``k * B + m`` is
+    vector entry k of member m (entry-major). The union of the columns is
+    closed first on the whole pattern; each column then closes on the small
+    block of entries that union reaches."""
+    pattern = sum(abs(p) for p in parts if p is not None)
+    seed = np.asarray(seed, dtype=bool)
+    union = seed.reshape(len(seed), -1).any(axis=1)
+    live = np.flatnonzero(_closure(pattern, union))
+    if seed.ndim == 1 or seed.shape[1] == 1:
+        return live
+    reach = np.zeros(seed.shape, dtype=bool)
+    reach[live] = _closure(pattern[live][:, live], seed[live])
     return np.flatnonzero(reach)
 
 

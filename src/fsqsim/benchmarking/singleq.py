@@ -16,7 +16,7 @@ from ..cliffords import CliffordGate, clifford_group, find_index
 from ..fitting import DecayFit, fit_power_decay
 from ..levels import DIM, G, Q0, Q1, lop
 from ..noise import NoiseConfig, raman_scatter_collapse_ops
-from ..pulses import embed_qubit_unitary
+from ..pulses import embed_qubit_unitary, virtual_z_equivalent
 
 RAMAN_RABI = 2 * np.pi * 0.017  # rad/us (2 pi x 17 kHz Clifford drive)
 
@@ -48,8 +48,7 @@ def generate_crb(length: int, seed: int) -> RBSequence:
 def _z_superop_diag(angle: float) -> np.ndarray:
     """Vectorized-space diagonal of conjugation by the virtual-Z unitary."""
     z = np.ones(DIM, dtype=complex)
-    z[Q0] = np.exp(0.5j * angle)
-    z[Q1] = np.exp(-0.5j * angle)
+    z[[Q0, Q1]] = virtual_z_equivalent(angle).diagonal()
     return (z[:, None] * z.conj()[None, :]).flatten(order="F")
 
 

@@ -48,11 +48,6 @@ class Superoperator:
         return unvec(self.matrix @ vec(rho))
 
     @classmethod
-    def from_unitary(cls, u: np.ndarray) -> "Superoperator":
-        u = np.asarray(u, dtype=complex)
-        return cls(np.kron(u.conj(), u))
-
-    @classmethod
     def identity(cls, dim: int) -> "Superoperator":
         return cls(np.eye(dim * dim, dtype=complex))
 

@@ -126,10 +126,6 @@ class DecayFit:
             raise ValueError("negative variance in fit covariance")
 
     @property
-    def amplitude_err(self) -> float:
-        return float(np.sqrt(self.covariance[0, 0]))
-
-    @property
     def fidelity_err(self) -> float:
         return float(np.sqrt(self.covariance[1, 1]))
 

@@ -1,10 +1,9 @@
 """Master-equation time evolution for one- and two-atom density matrices.
 
-Hamiltonians may be supplied as a static matrix, as a :class:`ModulatedDrive`
-(the structured form every hot path uses, propagated by the sparse engine in
-``_kernels``), as an arbitrary callable ``t -> matrix`` (slow generic path),
-or as ``None`` for free decay. Static matrices and ``None`` go through the
-sparse engine too.
+A Hamiltonian is one of three forms: a :class:`ModulatedDrive` (phase
+modulation and piecewise detuning), a static matrix, or ``None`` for free
+decay. All three go through the one sparse engine in ``_kernels``; there is
+no generic ``t -> matrix`` path.
 """
 
 from dataclasses import dataclass, field
@@ -61,7 +60,7 @@ class CollapseOperator:
 
 @dataclass(frozen=True)
 class ModulatedDrive:
-    """H(t) = h0 + e^{i phi(t)} coupling + h.c. + detuning(t) * diag.
+    """H(t) = h0 + e^{i phi(t)} coupling + h.c. + delta(t) * detuning_diag.
 
     phi(t) = phase_amp * cos(phase_freq * t + phase_offset) + phase_slope * t.
     The detuning term is piecewise constant on ``detuning_edges`` (used for
@@ -82,28 +81,6 @@ class ModulatedDrive:
     @property
     def dim(self) -> int:
         return self.h0.shape[0]
-
-    def phase(self, t: float) -> float:
-        return (
-            self.phase_amp * np.cos(self.phase_freq * t + self.phase_offset)
-            + self.phase_slope * t
-        )
-
-    def detuning(self, t: float) -> float:
-        if self.detuning_values is None:
-            return 0.0
-        return _piece_value(self.detuning_edges, self.detuning_values, t)
-
-    def hamiltonian(self, t: float) -> np.ndarray:
-        h = np.array(self.h0, dtype=complex)
-        if self.coupling is not None:
-            e = np.exp(1j * self.phase(t))
-            h += e * self.coupling + np.conj(e) * self.coupling.conj().T
-        if self.detuning_diag is not None:
-            d = self.detuning(t)
-            if d != 0.0:
-                h[np.diag_indices_from(h)] += d * self.detuning_diag
-        return h
 
 
 def _piece_value(edges, values, t: float):
@@ -130,20 +107,6 @@ def detuning_segments(edges, values, duration: float) -> list:
     ]
 
 
-def _dense_lindblad_rhs(h_of_t, pairs):
-    ldag = [(r, op, op.conj().T) for r, op in pairs]
-
-    def rhs(t, rho):
-        h = h_of_t(t)
-        out = -1j * (h @ rho - rho @ h)
-        for rate, op, opd in ldag:
-            m = opd @ op
-            out += rate * (op @ rho @ opd - 0.5 * (m @ rho + rho @ m))
-        return out
-
-    return rhs
-
-
 def evolve_rho(
     rho,
     hamiltonian,
@@ -166,15 +129,15 @@ def evolve_rho(
     d = work.shape[-1]
     pairs = [p for c in (collapses or []) for p in c.expand(n_atoms)]
 
-    if callable(hamiltonian) and not isinstance(hamiltonian, ModulatedDrive):
-        rhs = _dense_lindblad_rhs(hamiltonian, pairs)
-        out = _kernels.dopri5(rhs, work, 0.0, duration, rtol, atol)
-        return out if batched else out[0]
-
     if hamiltonian is None:
         drive = ModulatedDrive(h0=np.zeros((d, d), dtype=complex))
     elif isinstance(hamiltonian, ModulatedDrive):
         drive = hamiltonian
+    elif callable(hamiltonian):
+        raise TypeError(
+            "hamiltonian must be a ModulatedDrive, a static matrix or None, "
+            f"not {type(hamiltonian).__name__}"
+        )
     else:
         drive = ModulatedDrive(h0=np.asarray(hamiltonian, dtype=complex))
     if drive.dim != d:

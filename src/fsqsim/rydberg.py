@@ -35,7 +35,6 @@ class RydbergDrive:
     rabi_frequency: float = OMEGA_DEFAULT
     detuning: float = 0.0
     interaction: float = V_DEFAULT
-    phase_profile: object = None  # optional callable t -> rad
 
     def __post_init__(self):
         if self.rabi_frequency < 0:
@@ -117,18 +116,6 @@ class CZPulseProfile:
                 interaction=kv.get("v_rad_per_us", V_DEFAULT),
             )
         return profile, drive
-
-
-def rydberg_hamiltonian(drive: RydbergDrive):
-    """Time-dependent two-atom Hamiltonian as a callable t -> matrix."""
-    h0, coup = hamiltonian_parts(drive)
-    phase = drive.phase_profile or (lambda t: 0.0)
-
-    def h_of_t(t):
-        e = np.exp(1j * phase(t))
-        return h0 + e * coup + np.conj(e) * coup.conj().T
-
-    return h_of_t
 
 
 def hamiltonian_parts(drive: RydbergDrive):

@@ -13,6 +13,18 @@ Every imported name in ``src/`` and ``tests/`` is referenced: by a name in
 its module's code or, for a package's re-exports, in its ``__all__``. An
 import statement marked ``# noqa: F401`` on its first line is exempt. With no
 linter in the toolchain, this scan is the unused-import check.
+
+Every public name of ``fsqsim`` is reached: each public module-level function
+or class, and each public method, is referenced from ``src/`` outside its own
+definition or from ``tests/test_acceptance.py``, or is in ``ALLOWED`` with a
+reason. Functions and classes match a bare name or an attribute of that name;
+methods match an attribute only, so a local variable cannot stand in for one.
+Imports and ``__all__`` entries are not references; a ``@protocol``-registered
+CLI function is reached through the subcommand table. Code only the tests
+need lives in ``tests/oracles.py``, not in ``src/``. Matching is by name, so
+it has blind spots: ``compose`` is defined in both ``channels`` and
+``cliffords``, and ``apply`` on both ``Superoperator`` and ``AffineMap``; a
+reference to either reaches both.
 """
 
 import ast
@@ -117,3 +129,113 @@ def unused_imports():
 def test_every_import_is_used():
     unused = unused_imports()
     assert not unused, "imported names never referenced: " + ", ".join(unused)
+
+
+ALLOWED = {
+    "assembly.AffineMap.apply":
+        "calibration-map API; the fit is checked by mapping points back",
+    "benchmarking.twoq.loss_excise":
+        "per-shot loss excision of SRD records, the analysis SSB reports",
+    "channels.Superoperator.apply":
+        "applies a channel to one density matrix; the channel API",
+    "channels.Superoperator.identity":
+        "the identity channel; the channel API",
+    "channels.compose":
+        "sequential composition of channels; the channel API",
+    "channels.is_cptp":
+        "the CPTP verdict on a built channel",
+    "channels.process_fidelity":
+        "package API (fsqsim.process_fidelity)",
+    "cliffords.compose":
+        "group product of two Cliffords; the group API",
+    "cliffords.invert":
+        "group inverse of a Clifford; the group API",
+    "cliffords.average_pulse_count":
+        "the paper's mean of one pi/2 pulse per compiled Clifford",
+    "noise.clock_pi_pulse_error":
+        "clock pi-pulse preparation error of a noise model",
+    "noise.noise_config_to_text":
+        "writes the key-value format noise_config_from_text reads",
+    "psd.FrequencyNoisePSD.to_text":
+        "writes the PSD text format from_text reads",
+    "psd.quasi_static_infidelity":
+        "the quasi-static limit of the laser-noise infidelity",
+    "ratedyn.LifetimeDataset.to_csv":
+        "writes the CSV format from_csv reads",
+    "ratedyn.branching_ratios":
+        "the decay branching analysis of the rate equations",
+    "readout.PhotonCountModel.pdf":
+        "the photon-count density the classifier thresholds",
+    "readout.PhotonCountModel.sample":
+        "draws one shot's photon count from the model",
+    "readout.deep_trap_model":
+        "the deep-trap imaging model beside shallow_trap_model",
+    "readout.erasure_excise":
+        "erasure excision on imaged shots, the paper's conversion analysis",
+    "rydberg.CZPulseProfile.phase":
+        "phi(t) as the paper writes it; the engines read modulation()",
+    "rydberg.CZPulseProfile.to_text":
+        "writes the profile document from_text reads",
+    "rydberg.time_optimal_cz":
+        "package API (fsqsim.time_optimal_cz): the noiseless gate unitary",
+    "states.measure_populations":
+        "package API (fsqsim.measure_populations)",
+}
+
+
+def public_definitions():
+    """(key, path, bare name, node, is method) of each public function,
+    class and method defined in ``src/fsqsim``."""
+    pkg = ROOT / "src" / "fsqsim"
+    for path in sorted(pkg.rglob("*.py")):
+        module = ".".join(path.relative_to(pkg).with_suffix("").parts)
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if not node.name.startswith("_"):
+                yield f"{module}.{node.name}", path, node.name, node, False
+            if isinstance(node, ast.ClassDef):
+                for fn in node.body:
+                    if (isinstance(fn, ast.FunctionDef)
+                            and not fn.name.startswith("_")):
+                        yield (f"{module}.{node.name}.{fn.name}", path,
+                               fn.name, fn, True)
+
+
+def _registered(node):
+    return any(getattr(getattr(d, "func", None), "id", None) == "protocol"
+               for d in node.decorator_list)
+
+
+def unreached_names():
+    refs = []  # (path, line, name, is attribute)
+    for path in [*sorted((ROOT / "src").rglob("*.py")),
+                 ROOT / "tests" / "test_acceptance.py"]:
+        for n in ast.walk(ast.parse(path.read_text())):
+            if isinstance(n, ast.Name):
+                refs.append((path, n.lineno, n.id, False))
+            elif isinstance(n, ast.Attribute):
+                refs.append((path, n.lineno, n.attr, True))
+    unreached = []
+    for key, path, name, node, method in public_definitions():
+        if _registered(node):
+            continue
+        if not any(r == name and (attr or not method)
+                   and not (p == path
+                            and node.lineno <= line <= node.end_lineno)
+                   for p, line, r, attr in refs):
+            unreached.append(key)
+    return unreached
+
+
+def test_every_public_name_is_reached():
+    unreached = unreached_names()
+    missing = [k for k in unreached if k not in ALLOWED]
+    assert not missing, (
+        "public names nothing in src/ or test_acceptance.py reaches; use, "
+        "delete, move to tests/oracles.py or allow with a reason: "
+        + ", ".join(missing)
+    )
+    stale = sorted(set(ALLOWED) - set(unreached))
+    assert not stale, "allowed names that are reached or gone: " + \
+        ", ".join(stale)

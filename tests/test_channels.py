@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -17,7 +19,7 @@ from fsqsim.channels import (
     trace_preservation_defect,
 )
 from fsqsim.levels import B, G, Q0, Q1, R
-from fsqsim.lindblad import CollapseOperator, evolve_rho
+from fsqsim.lindblad import CollapseOperator, ModulatedDrive, evolve_rho
 
 
 def _random_h(seed, d=6):
@@ -88,15 +90,21 @@ def test_superoperator_apply_matches_evolution_on_random_states():
 
 
 def test_composition_is_matrix_product():
+    # H(t) = ha + e^{i phi(t)} hb + h.c.; the drive from t = 0.3 on is the
+    # same drive with phi(t + 0.3) = phi(t) + 0.3 * freq in the cosine and
+    # e^{i 0.3 slope} in the coupling
     ha, hb = _random_h(4), _random_h(5)
-
-    def h_of_t(t):
-        return np.cos(2.1 * t) * ha + np.sin(1.3 * t) * hb
-
+    drive = ModulatedDrive(h0=ha, coupling=0.5 * hb, phase_amp=0.9,
+                           phase_freq=2.1, phase_offset=0.4, phase_slope=1.3)
+    shifted = replace(
+        drive,
+        coupling=np.exp(0.3j * drive.phase_slope) * drive.coupling,
+        phase_offset=drive.phase_offset + 0.3 * drive.phase_freq,
+    )
     ops = [CollapseOperator(0.1, levels.lop(G, Q1))]
-    s_full = channel_superoperator(h_of_t, ops, 0.8, 1)
-    s_a = channel_superoperator(h_of_t, ops, 0.3, 1)
-    s_b = channel_superoperator(lambda t: h_of_t(t + 0.3), ops, 0.5, 1)
+    s_full = channel_superoperator(drive, ops, 0.8, 1)
+    s_a = channel_superoperator(drive, ops, 0.3, 1)
+    s_b = channel_superoperator(shifted, ops, 0.5, 1)
     assert np.max(np.abs(compose(s_b, s_a).matrix - s_full.matrix)) < 1e-7
 
 
@@ -118,7 +126,7 @@ def test_process_fidelity_depolarizing_oracle():
     from fsqsim.rydberg import ideal_cz_unitary
 
     cz = ideal_cz_unitary()
-    s_ideal = Superoperator.from_unitary(cz)
+    s_ideal = Superoperator(np.kron(cz.conj(), cz))
     q = 0.02  # depolarizing probability on one qubit
     paulis = [np.eye(2), np.array([[0, 1], [1, 0]]),
               np.array([[0, -1j], [1j, 0]]), np.diag([1, -1])]
@@ -134,9 +142,8 @@ def test_process_fidelity_depolarizing_oracle():
 
 
 def test_process_fidelity_fully_depolarizing():
-    from fsqsim.rydberg import ideal_cz_unitary
-
-    s_ideal = Superoperator.from_unitary(np.eye(36, dtype=complex))
+    eye = np.eye(36, dtype=complex)
+    s_ideal = Superoperator(np.kron(eye.conj(), eye))
     # fully depolarizing on the two-qubit subspace: rho -> I/4 * tr(rho)
     paulis = [np.eye(2), np.array([[0, 1], [1, 0]]),
               np.array([[0, -1j], [1j, 0]]), np.diag([1, -1])]

@@ -5,12 +5,8 @@ from fsqsim import _kernels, levels
 from fsqsim._kernels import _lindblad_py
 from fsqsim._kernels._lindblad_py import closed_support, liouvillian_parts
 from fsqsim.levels import B, G, Q0, Q1, R, X
-from fsqsim.lindblad import (
-    CollapseOperator,
-    ModulatedDrive,
-    _dense_lindblad_rhs,
-    evolve_rho,
-)
+from fsqsim.lindblad import CollapseOperator, ModulatedDrive, evolve_rho
+from oracles import breadth_first_support, dense_lindblad_rhs, drive_hamiltonian
 
 
 def _structured_problem(seed, d=6, batch=3):
@@ -57,15 +53,8 @@ def test_engine_matches_dense_path():
     pairs = [p for c in ops for p in c.expand(1)]
     ref = rho
     for t0, t1, delta in [(0.0, 0.35, 1.5), (0.35, 0.7, -2.0), (0.7, 0.9, 0.7)]:
-        def h_seg(t, delta=delta):
-            # drive.hamiltonian(t) would switch detuning on the segment edge
-            e = np.exp(1j * drive.phase(t))
-            return (drive.h0 + e * drive.coupling
-                    + np.conj(e) * drive.coupling.conj().T
-                    + delta * np.diag(drive.detuning_diag))
-
-        ref = _kernels.dopri5(_dense_lindblad_rhs(h_seg, pairs), ref, t0, t1,
-                              1e-10, 1e-12)
+        rhs = dense_lindblad_rhs(drive_hamiltonian(drive, delta), pairs)
+        ref = _kernels.dopri5(rhs, ref, t0, t1, 1e-10, 1e-12)
     assert np.max(np.abs(out - ref)) <= 1e-8
 
 
@@ -81,22 +70,6 @@ def test_zero_span_returns_input():
     args = args[:4] + ([(0.0, 0.0, 0.4)],) + args[5:]
     out = _kernels.propagate(rho.copy(), *args)
     assert np.array_equal(out, rho)
-
-
-def test_dopri5_stack_members_keep_their_own_tolerance():
-    # y' = -i w y with one fast member among slow ones: under a joint RMS
-    # norm the fast member's error would be diluted by the others and come
-    # out about six times larger than when it is integrated alone
-    w = np.ones((40, 1, 1))
-    w[0] = 300.0
-    y0 = np.ones((40, 2, 2), dtype=complex)
-    stacked = _kernels.dopri5(lambda t, y: -1j * w * y, y0, 0.0, 1.0,
-                              1e-8, 1e-10)
-    solo = _kernels.dopri5(lambda t, y: -300j * y, y0[:1], 0.0, 1.0,
-                           1e-8, 1e-10)
-    assert np.max(np.abs(stacked[0] - solo[0])) <= 1e-12
-    assert np.max(np.abs(solo[0] - np.exp(-300j))) < 1e-6
-
 
 
 def _dense_grid_propagate(rho, h0, coupling, phase, detuning_diag, segments,
@@ -192,6 +165,24 @@ def test_packed_size_of_reference_gate(cz_profile, drive, reference_config):
     seed = (rho.reshape(len(rho), -1) != 0).T
     assert closed_support(parts, seed).size == 2116
     assert closed_support(parts, seed.any(axis=1)).size == 144
+
+
+def test_closed_support_matches_breadth_first_oracle():
+    # random sparse patterns and (d*d, B) seeds, including empty columns, an
+    # empty seed, one member and a 1-d seed: the union-first closure gives
+    # the flat indices of a breadth-first closure over the whole pattern
+    from scipy import sparse
+
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        n = int(rng.integers(4, 60))
+        parts = [sparse.random_array((n, n), density=rng.uniform(0.01, 0.1),
+                                     rng=rng, format="csr") for _ in range(2)]
+        parts.insert(int(rng.integers(0, 3)), None)
+        seed = rng.random((n, int(rng.integers(1, 6)))) < rng.uniform(0, 0.1)
+        for s in (seed, seed[:, 0], np.zeros_like(seed)):
+            assert np.array_equal(closed_support(parts, s),
+                                  breadth_first_support(parts, s))
 
 
 def test_zero_input_propagates_to_zero():

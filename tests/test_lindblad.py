@@ -4,12 +4,15 @@ import pytest
 from fsqsim import _kernels, levels
 from fsqsim.levels import B, G, Q0, Q1, R
 from fsqsim.lindblad import (
+    DEFAULT_ATOL,
+    DEFAULT_RTOL,
     CollapseOperator,
     ModulatedDrive,
     evolve_lindblad,
     evolve_rho,
 )
 from fsqsim.states import QuantumState
+from oracles import dense_lindblad_rhs, drive_hamiltonian, rk4
 
 
 def test_identity_evolution():
@@ -64,7 +67,7 @@ def test_integrator_order_rk4_oracle():
     exact = np.exp(-gamma * 2.0)
     errs = []
     for n in (8, 16):
-        out = _kernels.rk4(rhs, rho0, 0.0, 2.0, n)
+        out = rk4(rhs, rho0, 0.0, 2.0, n)
         errs.append(abs(out[Q1, Q1].real - exact))
     ratio = errs[0] / errs[1]
     assert 8 < ratio < 32
@@ -82,8 +85,16 @@ def test_structured_path_matches_callable_path():
     ops = [CollapseOperator(0.15, levels.lop(G, R))]
     st = QuantumState.pure([Q1])
     a = evolve_lindblad(st, drv, ops, 1.3)
-    b = evolve_lindblad(st, drv.hamiltonian, ops, 1.3)
-    assert np.max(np.abs(a.rho - b.rho)) < 1e-7
+    rhs = dense_lindblad_rhs(drive_hamiltonian(drv),
+                             [p for c in ops for p in c.expand(1)])
+    b = _kernels.dopri5(rhs, st.rho, 0.0, 1.3, DEFAULT_RTOL, DEFAULT_ATOL)
+    assert np.max(np.abs(a.rho - b)) < 1e-7
+
+
+def test_callable_hamiltonian_is_rejected():
+    with pytest.raises(TypeError, match="ModulatedDrive, a static matrix or "
+                                        "None"):
+        evolve_rho(np.eye(6), lambda t: np.zeros((6, 6)), [], 1.0, 1)
 
 
 def test_piecewise_detuning_matches_callable():
