@@ -4,9 +4,16 @@ Covers the AOD<->camera affine calibration, move planning into a defect-free
 target pattern (optimal assignment + collision-aware ordering, with surplus
 atoms parked in a discard zone), assembly-success Monte Carlo, and the
 two-stage trap-depth equalization feedback.
+
+The planner reads its geometry from one route table per site layout
+(``_RouteTable``, cached by ``sites.tobytes()``) and keeps occupancy as an
+int bitmask; the assignment is a port of scipy's ``linear_sum_assignment``,
+so planning needs neither per-move array work nor ``scipy.optimize``.
 """
 
+import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -125,75 +132,146 @@ class MovePlan:
         return len(self.moves)
 
 
-_SEGMENT_HITS = {}
-
-
-def _segment_hits(p0, p1, sites, exclusion):
-    """Indices of all ``sites`` within ``exclusion`` of the segment p0 -> p1,
-    nearest-first along the path (ties in index order), whatever their
-    occupancy.
-
-    Memoized in the module dict ``_SEGMENT_HITS``, keyed by the exact endpoint
-    and exclusion floats plus ``sites.tobytes()``, so a different geometry
-    never reuses a hit list. The cache is unbounded: it grows by one entry per
-    distinct (geometry, segment, exclusion), about 800 for a 2000-trial
-    ``rearrange`` run.
-    """
-    key = (float(p0[0]), float(p0[1]), float(p1[0]), float(p1[1]),
-           float(exclusion), sites.tobytes())
-    hits = _SEGMENT_HITS.get(key)
-    if hits is None:
-        p0 = np.asarray(p0, dtype=float)
-        d = np.asarray(p1, dtype=float) - p0
-        l2 = float(d @ d)
-        t = (np.zeros(len(sites)) if l2 == 0
-             else np.clip((sites - p0) @ d / l2, 0.0, 1.0))
-        dist = np.hypot(*(sites - (p0 + t[:, None] * d)).T)
-        idxs = np.flatnonzero(dist < exclusion)
-        hits = tuple(int(i) for i in idxs[np.argsort(t[idxs], kind="stable")])
-        _SEGMENT_HITS[key] = hits
-    return hits
-
-
-def _blocking_sites(p0, p1, sites, occupied_mask, exclusion, skip):
-    """Occupied static sites within ``exclusion`` of the segment p0 -> p1
-    (excluding the ``skip`` site indices), nearest-first along the path."""
-    return [i for i in _segment_hits(p0, p1, sites, exclusion)
-            if occupied_mask[i] and i not in skip]
-
-
-def _segment_clear(p0, p1, sites, occupied_mask, exclusion, skip):
-    return not _blocking_sites(p0, p1, sites, occupied_mask, exclusion, skip)
-
-
-def _path_clear(path, sites, occupied_mask, exclusion, skip):
-    return all(
-        _segment_clear(path[i], path[i + 1], sites, occupied_mask, exclusion, skip)
-        for i in range(len(path) - 1)
-    )
-
-
 _LANE_OFFSET = GRID_X_SPACING / 2  # um
 
 
-def _route(p0, p1, sites, occupied_mask, exclusion, skip):
-    """Waypoint route from p0 to p1: direct if clear, else the shortest
-    clear three-segment lane route; None if every variant is blocked."""
-    p0 = tuple(np.asarray(p0, dtype=float))
-    p1 = tuple(np.asarray(p1, dtype=float))
-    if _segment_clear(p0, p1, sites, occupied_mask, exclusion, skip):
-        return (p0, p1)
-    best = None
-    for s0 in (+1, -1):
-        for s1 in (+1, -1):
-            a = (p0[0] + s0 * _LANE_OFFSET, p0[1])
-            b = (p1[0] + s1 * _LANE_OFFSET, p1[1])
-            path = (p0, a, b, p1)
-            if _path_clear(path, sites, occupied_mask, exclusion, skip):
-                length = _path_length(path)
-                if best is None or length < best[0]:
-                    best = (length, path)
-    return None if best is None else best[1]
+def _bitmask(flags) -> int:
+    """Bit i set for each true entry i of ``flags``."""
+    return sum(1 << i for i, f in enumerate(flags) if f)
+
+
+class _RouteTable:
+    """The obstacle geometry of one site layout, at ``EXCLUSION_RADIUS``.
+
+    ``points`` are the sites as float tuples and ``dist[a][b]`` is the
+    distance from site a to site b. Occupancy is a bitmask (bit i for site
+    i), and a path is clear when ``mask & occupied & ~skip == 0`` for its
+    hit mask. Segments and routes are worked out on first use and kept, so
+    a Monte Carlo over one geometry does its geometry once.
+    """
+
+    def __init__(self, sites):
+        self.sites = sites
+        self.points = [tuple(p) for p in sites.tolist()]
+        self.dist = np.hypot(*(sites - sites[:, None]).transpose(2, 0, 1)).tolist()
+        self.y_park = float(sites[:, 1].min()) - 20.0
+        self._segments = {}
+        self._routes = {}
+
+    def segment(self, p0, p1):
+        """(hits, mask) of the segment p0 -> p1: the sites within the
+        exclusion radius of it, nearest-first along the path (ties in index
+        order), whatever their occupancy."""
+        key = (p0, p1)
+        seg = self._segments.get(key)
+        if seg is None:
+            sites = self.sites
+            a = np.asarray(p0, dtype=float)
+            d = np.asarray(p1, dtype=float) - a
+            l2 = float(d @ d)
+            t = (np.zeros(len(sites)) if l2 == 0
+                 else np.clip((sites - a) @ d / l2, 0.0, 1.0))
+            dist = np.hypot(*(sites - (a + t[:, None] * d)).T)
+            idxs = np.flatnonzero(dist < EXCLUSION_RADIUS)
+            hits = tuple(int(i) for i in idxs[np.argsort(t[idxs], kind="stable")])
+            seg = self._segments[key] = (hits, sum(1 << i for i in hits))
+        return seg
+
+    def path_mask(self, path) -> int:
+        """Union of the hit masks of the path's segments."""
+        mask = 0
+        for p0, p1 in zip(path, path[1:]):
+            mask |= self.segment(p0, p1)[1]
+        return mask
+
+    def routes(self, p0, p1):
+        """[(mask, path)] from p0 to p1 in order of preference: the direct
+        path, then the four three-segment lane routes (exit into the
+        inter-column lane, lane-to-lane travel, entry) by length, ties in
+        enumeration order."""
+        key = (p0, p1)
+        cands = self._routes.get(key)
+        if cands is None:
+            lanes = [(p0, (p0[0] + s0 * _LANE_OFFSET, p0[1]),
+                      (p1[0] + s1 * _LANE_OFFSET, p1[1]), p1)
+                     for s0 in (+1, -1) for s1 in (+1, -1)]
+            lanes.sort(key=_path_length)
+            cands = self._routes[key] = [
+                (self.path_mask(path), path) for path in [(p0, p1), *lanes]]
+        return cands
+
+
+@lru_cache(maxsize=8)
+def _route_table(site_bytes: bytes) -> _RouteTable:
+    """The route table of the layout whose ``sites.tobytes()`` this is; a
+    different geometry never shares a table."""
+    return _RouteTable(np.frombuffer(site_bytes).reshape(-1, 2))
+
+
+def _linear_sum_assignment(cost):
+    """Minimum-cost assignment of a list-of-rows cost matrix: (rows, cols),
+    rows ascending, as scipy.optimize.linear_sum_assignment returns them.
+
+    A port of scipy's rectangular_lsap (Crouse's shortest augmenting path,
+    IEEE TAES 52, 1679 (2016)) that keeps its tie-breaks, which the pair
+    grid's many equal distances reach: ``remaining`` is filled in reverse, a
+    column with no row wins a tie, a tall matrix is solved transposed and
+    the result sorted by row.
+    """
+    nr, nc = len(cost), len(cost[0]) if cost else 0
+    if nr == 0 or nc == 0:
+        return [], []
+    transpose = nc < nr
+    if transpose:
+        cost = [list(col) for col in zip(*cost)]
+        nr, nc = nc, nr
+    u, v = [0.0] * nr, [0.0] * nc
+    col4row, row4col, path = [-1] * nr, [-1] * nc, [-1] * nc
+    for cur in range(nr):
+        spc = [math.inf] * nc  # shortest path cost to each column
+        rows_seen, cols_seen = [], []
+        remaining = list(range(nc - 1, -1, -1))
+        min_val, i, sink = 0.0, cur, -1
+        while sink == -1:
+            rows_seen.append(i)
+            index, lowest = -1, math.inf
+            ci, ui = cost[i], u[i]
+            for it, j in enumerate(remaining):
+                r = min_val + ci[j] - ui - v[j]
+                s = spc[j]
+                if r < s:
+                    path[j] = i
+                    spc[j] = s = r
+                if s < lowest or (s == lowest and row4col[j] == -1):
+                    lowest, index = s, it
+            min_val = lowest
+            if min_val == math.inf:
+                raise ValueError("cost matrix is infeasible")
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            cols_seen.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        u[cur] += min_val
+        for i in rows_seen:
+            if i != cur:
+                u[i] += min_val - spc[col4row[i]]
+        for j in cols_seen:
+            v[j] -= min_val - spc[j]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    if transpose:
+        order = sorted(range(nr), key=col4row.__getitem__)
+        return [col4row[k] for k in order], order
+    return list(range(nr)), col4row
 
 
 def plan_rearrangement(
@@ -209,49 +287,59 @@ def plan_rearrangement(
     broken by parking a blocking atom in the discard zone; surplus atoms end
     there too. When sources are too few, fills as many targets as possible
     and reports the shortfall.
+
+    Routes come from the geometry's route table, and occupancy is an int
+    bitmask, so a plan does no array work beyond the shortfall ordering.
     """
-    initial = np.asarray(initial, dtype=bool).copy()
-    target = np.asarray(target, dtype=bool)
-    if len(initial) != geometry.n_sites or len(target) != geometry.n_sites:
+    n_sites = geometry.n_sites
+    if len(initial) != n_sites or len(target) != n_sites:
         raise ValueError("occupancy length must match the site count")
-    sites = geometry.sites
-    occ = initial.copy()
+    table = _route_table(geometry.sites.tobytes())
+    points, dist = table.points, table.dist
+    occ = _bitmask(initial)
+    tmask = _bitmask(target)
     moves = []
-    y_park = sites[:, 1].min() - 20.0
     n_park = 0
+
+    def clear_route(p0, p1, skip):
+        """The first clear route from p0 to p1, or None."""
+        blocking = occ & ~skip
+        for mask, path in table.routes(p0, p1):
+            if not mask & blocking:
+                return path
+        return None
 
     def park_route(site):
         """Lane route from a site down to a fresh parking slot (the vertical
         leg runs in the inter-column lane, which contains no sites)."""
         nonlocal n_park
-        x0, y0 = sites[site]
+        p0 = points[site]
         for s in (+1, -1):
-            a = (x0 + s * _LANE_OFFSET, y0)
-            slot = (x0 + s * _LANE_OFFSET + 0.01 * n_park, y_park)
-            path = (tuple(sites[site]), a, slot)
-            if _path_clear(path, sites, occ, EXCLUSION_RADIUS, {site}):
+            a = (p0[0] + s * _LANE_OFFSET, p0[1])
+            slot = (p0[0] + s * _LANE_OFFSET + 0.01 * n_park, table.y_park)
+            path = (p0, a, slot)
+            if not table.path_mask(path) & occ & ~(1 << site):
                 n_park += 1
                 return path
         return None
 
-    needed = [int(i) for i in np.nonzero(target & ~occ)[0]]
-    sources = [int(i) for i in np.nonzero(occ & ~target)[0]]
+    empty_targets, extra_atoms = tmask & ~occ, occ & ~tmask
+    needed = [i for i in range(n_sites) if empty_targets >> i & 1]
+    sources = [i for i in range(n_sites) if extra_atoms >> i & 1]
     unplaced = []
     if len(sources) < len(needed):
         # fill nearest targets first, report the rest
-        order = np.argsort([min((np.hypot(*(sites[t] - sites[s])) for s in sources),
-                                default=np.inf) for t in needed])
+        order = np.argsort([min((dist[s][t] for s in sources), default=np.inf)
+                            for t in needed])
         needed = [needed[i] for i in order]
         unplaced = needed[len(sources):]
         needed = needed[: len(sources)]
 
     pending = {}
     if needed:
-        from scipy.optimize import linear_sum_assignment
-
-        # cost[i, j] = distance from sources[i] to needed[j]
-        cost = np.hypot(*(sites[needed] - sites[sources][:, None]).transpose(2, 0, 1))
-        rows, cols = linear_sum_assignment(cost)
+        # cost[i][j] = distance from sources[i] to needed[j]
+        rows, cols = _linear_sum_assignment(
+            [[dist[s][t] for t in needed] for s in sources])
         pending = {needed[c]: sources[r] for r, c in zip(rows, cols)}
     surplus = [s for s in sources if s not in pending.values()]
     # parked entries: (position, destination or None, deferred) -- deferred
@@ -261,7 +349,7 @@ def plan_rearrangement(
     guard = 0
     while pending or surplus or any(t is not None for _, t, _d in parked):
         guard += 1
-        if guard > 20 * (geometry.n_sites + 10):
+        if guard > 20 * (n_sites + 10):
             unplaced.extend(sorted(pending))
             unplaced.extend(t for _, t, _d in parked if t is not None)
             break
@@ -269,14 +357,12 @@ def plan_rearrangement(
         # direct fills first (so a parked blocker cannot bounce straight back)
         for tgt in sorted(pending):
             src = pending[tgt]
-            if occ[tgt]:
+            if occ >> tgt & 1:
                 continue
-            route = _route(sites[src], sites[tgt], sites, occ,
-                           EXCLUSION_RADIUS, {src, tgt})
+            route = clear_route(points[src], points[tgt], 1 << src | 1 << tgt)
             if route is not None:
-                moves.append(Move(int(src), int(tgt), route))
-                occ[src] = False
-                occ[tgt] = True
+                moves.append(Move(src, tgt, route))
+                occ = occ & ~(1 << src) | 1 << tgt
                 del pending[tgt]
                 progressed = True
                 break
@@ -284,12 +370,12 @@ def plan_rearrangement(
             continue
         # finish parked atoms whose target is free
         for k, (pos, tgt, deferred) in enumerate(parked):
-            if tgt is None or occ[tgt] or (deferred and pending):
+            if tgt is None or occ >> tgt & 1 or (deferred and pending):
                 continue
-            route = _route(pos, sites[tgt], sites, occ, EXCLUSION_RADIUS, {tgt})
+            route = clear_route(pos, points[tgt], 1 << tgt)
             if route is not None:
-                moves.append(Move(-1, int(tgt), route))
-                occ[tgt] = True
+                moves.append(Move(-1, tgt, route))
+                occ |= 1 << tgt
                 parked.pop(k)
                 progressed = True
                 break
@@ -299,8 +385,8 @@ def plan_rearrangement(
         for k, src in enumerate(surplus):
             route = park_route(src)
             if route is not None:
-                moves.append(Move(int(src), -1, route))
-                occ[src] = False
+                moves.append(Move(src, -1, route))
+                occ &= ~(1 << src)
                 parked.append((route[-1], None, False))
                 surplus.pop(k)
                 progressed = True
@@ -311,17 +397,17 @@ def plan_rearrangement(
         relocated = False
         for tgt in sorted(pending):
             src = pending[tgt]
-            if occ[tgt]:
+            if occ >> tgt & 1:
                 continue
-            blockers = _blocking_sites(
-                sites[src], sites[tgt], sites, occ, EXCLUSION_RADIUS, {src, tgt}
-            )
+            hits = table.segment(points[src], points[tgt])[0]
+            blockers = [i for i in hits
+                        if occ >> i & 1 and i != src and i != tgt]
             for blocker in blockers:
                 route = park_route(blocker)
                 if route is None:
                     continue
-                moves.append(Move(int(blocker), -1, route))
-                occ[blocker] = False
+                moves.append(Move(blocker, -1, route))
+                occ &= ~(1 << blocker)
                 if blocker in surplus:
                     surplus.remove(blocker)
                     parked.append((route[-1], None, False))
@@ -333,8 +419,8 @@ def plan_rearrangement(
                             dest = t2
                             del pending[t2]
                             break
-                    if dest is None and target[blocker]:
-                        dest = int(blocker)  # settled target atom, returns
+                    if dest is None and tmask >> blocker & 1:
+                        dest = blocker  # settled target atom, returns
                         deferred = True  # only after the fills are done
                     parked.append((route[-1], dest, deferred))
                 relocated = True
@@ -355,39 +441,40 @@ def plan_rearrangement(
                         unplaced.append(tgt)
                         parked[k] = (pos, None, False)
                         break
-    return MovePlan(moves=tuple(moves),
-                    unplaced_targets=tuple(sorted(int(u) for u in unplaced)))
+    return MovePlan(moves=tuple(moves), unplaced_targets=tuple(sorted(unplaced)))
 
 
 def replay_plan(plan: MovePlan, initial, geometry: ArrayGeometry):
     """Deterministic interpreter: execute moves, enforcing the validity
-    invariants; returns the final occupancy."""
-    occ = np.asarray(initial, dtype=bool).copy()
-    parked = {}
+    invariants; returns the final occupancy. A parked atom is picked up
+    from exactly the slot it was left at."""
+    table = _route_table(geometry.sites.tobytes())
+    occ = _bitmask(initial)
+    parked = set()
     for k, m in enumerate(plan.moves):
+        skip = 0
         if m.source >= 0:
-            if not occ[m.source]:
+            if not occ >> m.source & 1:
                 raise AssertionError(f"move {k}: source {m.source} empty")
-        skip = set()
-        if m.source >= 0:
-            skip.add(m.source)
+            skip |= 1 << m.source
         if m.destination >= 0:
-            if occ[m.destination]:
+            if occ >> m.destination & 1:
                 raise AssertionError(f"move {k}: destination {m.destination} full")
-            skip.add(m.destination)
-        if not _path_clear(m.path, geometry.sites, occ, EXCLUSION_RADIUS, skip):
+            skip |= 1 << m.destination
+        path = [tuple(p) for p in m.path]
+        if table.path_mask(path) & occ & ~skip:
             raise AssertionError(f"move {k}: path violates the exclusion radius")
         if m.source >= 0:
-            occ[m.source] = False
+            occ &= ~(1 << m.source)
+        elif path[0] in parked:
+            parked.remove(path[0])
         else:
-            key = tuple(np.round(m.path[0], 6))
-            if not parked.pop(key, False):
-                raise AssertionError(f"move {k}: no parked atom at {key}")
+            raise AssertionError(f"move {k}: no parked atom at {path[0]}")
         if m.destination >= 0:
-            occ[m.destination] = True
+            occ |= 1 << m.destination
         else:
-            parked[tuple(np.round(m.path[-1], 6))] = True
-    return occ
+            parked.add(path[-1])
+    return np.array([bool(occ >> i & 1) for i in range(geometry.n_sites)])
 
 
 # Default per-move success of the rearrangement Monte Carlo.
@@ -413,33 +500,31 @@ def simulate_assembly(
     seeds x 2000 trials): inside the +-0.01 acceptance band around the
     reference 0.955, though 3 standard errors below it.
     """
-    target = np.asarray(target, dtype=bool)
+    flags = np.asarray(target, dtype=bool).tolist()
+    target_sites = [i for i, f in enumerate(flags) if f]
     rng = np.random.default_rng(seed)
     wins = 0
     for _ in range(n_trials):
-        occ = rng.random(geometry.n_sites) < loading_probability
-        plan = plan_rearrangement(occ, target, geometry)
+        occ = (rng.random(geometry.n_sites) < loading_probability).tolist()
+        plan = plan_rearrangement(occ, flags, geometry)
         if plan.unplaced_targets:
             continue
-        current = occ.copy()
-        parked_ok = {}
-        failed = False
+        parked_ok = set()  # parking slots holding a surviving atom
         for m in plan.moves:
             if m.source >= 0:
-                current[m.source] = False
+                occ[m.source] = False
                 carried = True
             else:
-                carried = parked_ok.pop(tuple(np.round(m.path[0], 6)), False)
+                carried = m.path[0] in parked_ok
+                parked_ok.discard(m.path[0])
             survived = carried and (rng.random() < per_move_success)
             if m.destination >= 0:
-                current[m.destination] = survived
+                occ[m.destination] = survived
             elif survived:
-                parked_ok[tuple(np.round(m.path[-1], 6))] = True
-        if not np.all(current[target]):
-            failed = True
-        if not failed:
-            if np.all(rng.random(int(target.sum())) < imaging_survival):
-                wins += 1
+                parked_ok.add(m.path[-1])
+        if all(occ[i] for i in target_sites) and np.all(
+                rng.random(len(target_sites)) < imaging_survival):
+            wins += 1
     p = wins / n_trials
     return p, float(np.sqrt(max(p * (1 - p), 1e-12) / n_trials))
 

@@ -45,11 +45,16 @@ def generate_crb(length: int, seed: int) -> RBSequence:
     return RBSequence(clifford_indices=idx, inverse_index=inverse, seed=seed)
 
 
+@lru_cache(maxsize=1024)
 def _z_superop_diag(angle: float) -> np.ndarray:
-    """Vectorized-space diagonal of conjugation by the virtual-Z unitary."""
+    """Vectorized-space diagonal of conjugation by the virtual-Z unitary;
+    cached by angle (a frame is a sum of Clifford z-angles, so a CRB run
+    sees few distinct ones) and read-only."""
     z = np.ones(DIM, dtype=complex)
     z[[Q0, Q1]] = virtual_z_equivalent(angle).diagonal()
-    return (z[:, None] * z.conj()[None, :]).flatten(order="F")
+    diag = (z[:, None] * z.conj()[None, :]).flatten(order="F")
+    diag.flags.writeable = False
+    return diag
 
 
 @lru_cache(maxsize=8)

@@ -2,15 +2,18 @@
 
 None of these runs in a protocol. Each is the plain, slow form of something
 the package does another way (a dense Lindblad right-hand side, fixed-step
-RK4, a whole-pattern breadth-first support closure, H(t) as a callable), or
+RK4, a whole-pattern breadth-first support closure, H(t) as a callable, the
+rearrangement planner on uncached segment checks and scipy's assignment), or
 an API only the tests exercise (Raman pulses read through a virtual-Z frame
 object). Tests import them as ``from oracles import ...``.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from fsqsim.assembly import EXCLUSION_RADIUS, GRID_X_SPACING, Move, MovePlan
 from fsqsim.pulses import rotation
 from fsqsim.rydberg import hamiltonian_parts
 
@@ -126,3 +129,190 @@ def raman_unitary(pulse, frame=VirtualFrame()):
         pulse.phase + frame.phases[0],
         pulse.detuning * pulse.duration,
     )
+
+
+def _reference_blocking_sites(p0, p1, sites, occupied_mask, skip):
+    """Occupied sites within ``EXCLUSION_RADIUS`` of the segment p0 -> p1,
+    not in ``skip``: plain-Python point-to-segment distances, no cache,
+    nearest-first along the path with ties in index order."""
+    x0, y0 = float(p0[0]), float(p0[1])
+    dx, dy = float(p1[0]) - x0, float(p1[1]) - y0
+    l2 = dx * dx + dy * dy
+    hits = []
+    for i, (x, y) in enumerate(sites.tolist()):
+        if not occupied_mask[i] or i in skip:
+            continue
+        t = 0.0 if l2 == 0 else ((x - x0) * dx + (y - y0) * dy) / l2
+        t = min(max(t, 0.0), 1.0)
+        if math.hypot(x - (x0 + t * dx), y - (y0 + t * dy)) < EXCLUSION_RADIUS:
+            hits.append((t, i))
+    return [i for _, i in sorted(hits)]
+
+
+def _reference_path_clear(path, sites, occ, skip):
+    return not any(_reference_blocking_sites(path[i], path[i + 1], sites, occ,
+                                             skip)
+                   for i in range(len(path) - 1))
+
+
+def _reference_route(p0, p1, sites, occ, skip):
+    """Direct if clear, else the shortest clear three-segment lane route
+    (the first in enumeration order among equal lengths); None if every
+    variant is blocked."""
+    p0 = tuple(np.asarray(p0, dtype=float))
+    p1 = tuple(np.asarray(p1, dtype=float))
+    if _reference_path_clear((p0, p1), sites, occ, skip):
+        return (p0, p1)
+    best = None
+    lane = GRID_X_SPACING / 2
+    for s0 in (+1, -1):
+        for s1 in (+1, -1):
+            path = (p0, (p0[0] + s0 * lane, p0[1]), (p1[0] + s1 * lane, p1[1]),
+                    p1)
+            if _reference_path_clear(path, sites, occ, skip):
+                pts = np.asarray(path, dtype=float)
+                length = float(np.sum(np.hypot(*np.diff(pts, axis=0).T)))
+                if best is None or length < best[0]:
+                    best = (length, path)
+    return None if best is None else best[1]
+
+
+def reference_plan_rearrangement(initial, target, geometry):
+    """``assembly.plan_rearrangement`` as a plain array program: uncached
+    per-segment checks on a boolean occupancy array and scipy's
+    ``linear_sum_assignment``. The same moves, in the same order, on the
+    same waypoints."""
+    from scipy.optimize import linear_sum_assignment
+
+    initial = np.asarray(initial, dtype=bool)
+    target = np.asarray(target, dtype=bool)
+    sites = geometry.sites
+    occ = initial.copy()
+    moves = []
+    y_park = sites[:, 1].min() - 20.0
+    lane = GRID_X_SPACING / 2
+    n_park = 0
+
+    def park_route(site):
+        nonlocal n_park
+        x0, y0 = sites[site]
+        for s in (+1, -1):
+            a = (x0 + s * lane, y0)
+            slot = (x0 + s * lane + 0.01 * n_park, y_park)
+            path = (tuple(sites[site]), a, slot)
+            if _reference_path_clear(path, sites, occ, {site}):
+                n_park += 1
+                return path
+        return None
+
+    needed = [int(i) for i in np.nonzero(target & ~occ)[0]]
+    sources = [int(i) for i in np.nonzero(occ & ~target)[0]]
+    unplaced = []
+    if len(sources) < len(needed):
+        order = np.argsort([min((np.hypot(*(sites[t] - sites[s]))
+                                 for s in sources), default=np.inf)
+                            for t in needed])
+        needed = [needed[i] for i in order]
+        unplaced = needed[len(sources):]
+        needed = needed[: len(sources)]
+    pending = {}
+    if needed:
+        cost = np.hypot(*(sites[needed] - sites[sources][:, None])
+                        .transpose(2, 0, 1))
+        rows, cols = linear_sum_assignment(cost)
+        pending = {needed[c]: sources[r] for r, c in zip(rows, cols)}
+    surplus = [s for s in sources if s not in pending.values()]
+    parked = []  # (position, destination or None, deferred)
+
+    guard = 0
+    while pending or surplus or any(t is not None for _, t, _d in parked):
+        guard += 1
+        if guard > 20 * (geometry.n_sites + 10):
+            unplaced.extend(sorted(pending))
+            unplaced.extend(t for _, t, _d in parked if t is not None)
+            break
+        progressed = False
+        for tgt in sorted(pending):
+            src = pending[tgt]
+            if occ[tgt]:
+                continue
+            route = _reference_route(sites[src], sites[tgt], sites, occ,
+                                     {src, tgt})
+            if route is not None:
+                moves.append(Move(int(src), int(tgt), route))
+                occ[src] = False
+                occ[tgt] = True
+                del pending[tgt]
+                progressed = True
+                break
+        if progressed:
+            continue
+        for k, (pos, tgt, deferred) in enumerate(parked):
+            if tgt is None or occ[tgt] or (deferred and pending):
+                continue
+            route = _reference_route(pos, sites[tgt], sites, occ, {tgt})
+            if route is not None:
+                moves.append(Move(-1, int(tgt), route))
+                occ[tgt] = True
+                parked.pop(k)
+                progressed = True
+                break
+        if progressed:
+            continue
+        for k, src in enumerate(surplus):
+            route = park_route(src)
+            if route is not None:
+                moves.append(Move(int(src), -1, route))
+                occ[src] = False
+                parked.append((route[-1], None, False))
+                surplus.pop(k)
+                progressed = True
+                break
+        if progressed:
+            continue
+        relocated = False
+        for tgt in sorted(pending):
+            src = pending[tgt]
+            if occ[tgt]:
+                continue
+            for blocker in _reference_blocking_sites(
+                    sites[src], sites[tgt], sites, occ, {src, tgt}):
+                route = park_route(blocker)
+                if route is None:
+                    continue
+                moves.append(Move(int(blocker), -1, route))
+                occ[blocker] = False
+                if blocker in surplus:
+                    surplus.remove(blocker)
+                    parked.append((route[-1], None, False))
+                else:
+                    dest = None
+                    deferred = False
+                    for t2, s2 in list(pending.items()):
+                        if s2 == blocker:
+                            dest = t2
+                            del pending[t2]
+                            break
+                    if dest is None and target[blocker]:
+                        dest = int(blocker)
+                        deferred = True
+                    parked.append((route[-1], dest, deferred))
+                relocated = True
+                break
+            if relocated:
+                break
+        if not relocated:
+            if pending:
+                tgt = sorted(pending)[0]
+                unplaced.append(tgt)
+                del pending[tgt]
+            elif surplus:
+                surplus.pop(0)
+            else:
+                for k, (pos, tgt, _d) in enumerate(parked):
+                    if tgt is not None:
+                        unplaced.append(tgt)
+                        parked[k] = (pos, None, False)
+                        break
+    return MovePlan(moves=tuple(moves),
+                    unplaced_targets=tuple(sorted(int(u) for u in unplaced)))

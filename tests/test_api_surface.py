@@ -9,8 +9,10 @@ position; a class's ``__init__`` is matched by the class name. A starred
 positional argument sets every positional parameter, ``**kwargs`` every
 parameter.
 
-Every imported name in ``src/`` and ``tests/`` is referenced: by a name in
-its module's code or, for a package's re-exports, in its ``__all__``. An
+Every imported name in ``src/`` and ``tests/`` is referenced in its scope:
+a module-level import by a name anywhere in the module or, for a package's
+re-exports, in its ``__all__``; an import inside a function by a name inside
+that function, so another function's use of the same name does not count. An
 import statement marked ``# noqa: F401`` on its first line is exempt. With no
 linter in the toolchain, this scan is the unused-import check.
 
@@ -100,6 +102,17 @@ def test_every_optional_parameter_has_a_caller():
     )
 
 
+def _scoped_imports(node, scope):
+    """(import statement, scope) under ``node``; the scope is the innermost
+    enclosing function, or the module."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.Import, ast.ImportFrom)):
+            yield child, scope
+        else:
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            yield from _scoped_imports(child, child if inner else scope)
+
+
 def unused_imports():
     unused = []
     for d in ("src", "tests"):
@@ -107,17 +120,20 @@ def unused_imports():
             text = path.read_text()
             lines = text.splitlines()
             tree = ast.parse(text)
-            used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+            exported = set()
             for node in tree.body:
                 if (isinstance(node, ast.Assign)
                         and any(getattr(t, "id", None) == "__all__"
                                 for t in node.targets)):
-                    used.update(ast.literal_eval(node.value))
-            for node in ast.walk(tree):
-                if not isinstance(node, (ast.Import, ast.ImportFrom)):
-                    continue
+                    exported.update(ast.literal_eval(node.value))
+            referenced = {}  # scope -> names read anywhere inside it
+            for node, scope in _scoped_imports(tree, tree):
                 if "# noqa: F401" in lines[node.lineno - 1]:
                     continue
+                if scope not in referenced:
+                    referenced[scope] = {n.id for n in ast.walk(scope)
+                                         if isinstance(n, ast.Name)}
+                used = referenced[scope] | (exported if scope is tree else set())
                 for alias in node.names:
                     name = (alias.asname or alias.name).split(".")[0]
                     if name != "*" and name not in used:

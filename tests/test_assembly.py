@@ -1,7 +1,6 @@
-import math
-
 import numpy as np
 import pytest
+from oracles import reference_plan_rearrangement
 
 from fsqsim import assembly
 from fsqsim.assembly import (
@@ -128,42 +127,24 @@ def test_plan_beats_greedy_baseline(geometry, target):
         assert fill_length <= greedy_length(occ) + 1e-9
 
 
-def _reference_blocking_sites(p0, p1, sites, occupied_mask, exclusion, skip):
-    # Oracle for assembly._blocking_sites: plain-Python point-to-segment
-    # distances over the occupied sites, no cache, nearest-first along the
-    # path with ties in index order.
-    x0, y0 = float(p0[0]), float(p0[1])
-    dx, dy = float(p1[0]) - x0, float(p1[1]) - y0
-    l2 = dx * dx + dy * dy
-    hits = []
-    for i, (x, y) in enumerate(sites.tolist()):
-        if not occupied_mask[i] or i in skip:
-            continue
-        t = 0.0 if l2 == 0 else ((x - x0) * dx + (y - y0) * dy) / l2
-        t = min(max(t, 0.0), 1.0)
-        if math.hypot(x - (x0 + t * dx), y - (y0 + t * dy)) < exclusion:
-            hits.append((t, i))
-    return [i for _, i in sorted(hits)]
-
-
-def _reference_plan(monkeypatch, occ, tgt, geometry):
-    with monkeypatch.context() as m:
-        m.setattr(assembly, "_blocking_sites", _reference_blocking_sites)
-        return plan_rearrangement(occ, tgt, geometry)
-
-
-def test_plan_matches_uncached_reference(monkeypatch, geometry, target):
+def test_plan_matches_uncached_reference(geometry):
+    # random targets and fills, so about a third of the pairs are short of
+    # atoms and take the shortfall ordering
     rng = np.random.default_rng(2024)
+    short = 0
     for _ in range(2000):
-        occ = rng.random(geometry.n_sites) < rng.uniform(0.3, 0.7)
-        assert plan_rearrangement(occ, target, geometry) == _reference_plan(
-            monkeypatch, occ, target, geometry)
+        occ = rng.random(geometry.n_sites) < rng.uniform(0.1, 0.8)
+        tgt = rng.random(geometry.n_sites) < rng.uniform(0.05, 0.6)
+        short += (occ & ~tgt).sum() < (tgt & ~occ).sum()
+        assert plan_rearrangement(occ, tgt, geometry) == \
+            reference_plan_rearrangement(occ, tgt, geometry)
+    assert short > 300
 
 
-def test_segment_hits_keyed_by_site_coordinates(monkeypatch):
+def test_segment_hits_keyed_by_site_coordinates():
     # Both geometries contain the segment (0, 0) -> (10, 0); the second has
-    # an occupied settled site on it, which a hit list cached for the first
-    # geometry would miss.
+    # an occupied settled site on it, which a route table built for the
+    # first geometry would miss.
     bare = ArrayGeometry(sites=np.array([[0.0, 0.0], [10.0, 0.0]]))
     plan = plan_rearrangement([True, False], [False, True], bare)
     assert [(m.source, m.destination, len(m.path))
@@ -172,8 +153,47 @@ def test_segment_hits_keyed_by_site_coordinates(monkeypatch):
     occ, tgt = [True, False, True], [False, True, True]
     plan = plan_rearrangement(occ, tgt, crowded)
     assert any(m.source == 2 for m in plan.moves)  # the middle atom is parked
-    assert plan == _reference_plan(monkeypatch, occ, tgt, crowded)
+    assert plan == reference_plan_rearrangement(occ, tgt, crowded)
     assert not plan.unplaced_targets
+
+
+def _assert_assignment_matches_scipy(cost):
+    from scipy.optimize import linear_sum_assignment
+
+    rows, cols = assembly._linear_sum_assignment(cost.tolist())
+    want_rows, want_cols = linear_sum_assignment(cost)
+    assert rows == want_rows.tolist() and cols == want_cols.tolist(), cost
+
+
+def test_assignment_port_matches_scipy_on_ties_and_shapes():
+    rng = np.random.default_rng(5)
+    for shape in [(0, 0), (0, 3), (3, 0), (1, 1), (1, 6), (6, 1)]:
+        _assert_assignment_matches_scipy(rng.integers(0, 3, size=shape) * 1.0)
+    for _ in range(1500):
+        shape = tuple(rng.integers(1, 8, size=2))  # square, wide and tall
+        _assert_assignment_matches_scipy(
+            rng.integers(0, rng.integers(1, 5), size=shape) * 1.0)
+        _assert_assignment_matches_scipy(rng.random(shape))
+    _assert_assignment_matches_scipy(np.zeros((5, 5)))
+
+
+def test_assignment_port_matches_scipy_on_pair_grid_costs(geometry, target):
+    # the planner's cost matrices: sources (rows) by empty targets (columns)
+    sites = geometry.sites
+    rng = np.random.default_rng(9)
+    for _ in range(1000):
+        occ = rng.random(geometry.n_sites) < rng.uniform(0.2, 0.8)
+        tgt = target if rng.random() < 0.5 else rng.random(geometry.n_sites) < 0.4
+        needed = np.flatnonzero(tgt & ~occ)
+        sources = np.flatnonzero(occ & ~tgt)
+        cost = np.hypot(*(sites[needed] - sites[sources][:, None])
+                        .transpose(2, 0, 1))
+        _assert_assignment_matches_scipy(cost)
+
+
+def test_assembly_seed7_pin(geometry, target):
+    # the rearrange subcommand's Monte Carlo at configs/rearrange.ini
+    assert simulate_assembly(geometry, target, n_trials=2000, seed=7)[0] == 0.95
 
 
 def test_assembly_perfect_components(geometry, target):

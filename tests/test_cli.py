@@ -1,4 +1,7 @@
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -102,6 +105,24 @@ def test_rearrange_subcommand_small(tmp_path):
     assert rc == 0
     assert (tmp_path / "o" / "plan.txt").exists()
     assert (tmp_path / "o" / "occupancy.csv").exists()
+
+
+def test_rearrange_does_not_import_scipy_optimize(tmp_path):
+    # the planner's assignment is a port; importing scipy.optimize would
+    # cost more than all of a run's assignment solves
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys\n"
+            "from fsqsim.cli import main\n"
+            f"rc = main(['rearrange', '--config', "
+            f"{str(CONFIG_DIR / 'rearrange.ini')!r}, '--out', "
+            f"{str(tmp_path / 'o')!r}])\n"
+            "print(rc, 'scipy.optimize' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-2:] == ["0", "False"]
 
 
 def test_format_json_mirrors_tables(tmp_path):

@@ -6,13 +6,14 @@ import pytest
 from fsqsim.benchmarking.singleq import (
     _apply_clifford,
     _simulate_sequence,
+    _z_superop_diag,
     generate_crb,
     raman_pulse_channel,
     run_crb,
 )
 from fsqsim.channels import vec, unvec
 from fsqsim.cliffords import clifford_group, equal_up_to_phase
-from fsqsim.levels import Q1
+from fsqsim.levels import Q0, Q1
 from fsqsim.pulses import virtual_z_equivalent
 
 
@@ -66,6 +67,16 @@ def test_compiled_channel_matches_unitary_up_to_frame():
         u6[:2, :2] = virtual_z_equivalent(-frame) @ g.unitary
         want = u6 @ rho @ u6.conj().T
         assert np.max(np.abs(got - want)) < 1e-8
+
+
+def test_z_superop_diag_is_cached_and_read_only():
+    # every pulse at one frame angle shares the array, so none may write it
+    zc = _z_superop_diag(0.7)
+    assert _z_superop_diag(0.7) is zc
+    assert not zc.flags.writeable
+    z6 = np.ones(6, dtype=complex)
+    z6[[Q0, Q1]] = np.diag(virtual_z_equivalent(0.7))
+    assert np.max(np.abs(zc - np.kron(z6.conj(), z6))) < 1e-15
 
 
 def test_injected_depolarizing_recovery():
