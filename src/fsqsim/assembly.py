@@ -446,8 +446,9 @@ def plan_rearrangement(
 
 def replay_plan(plan: MovePlan, initial, geometry: ArrayGeometry):
     """Deterministic interpreter: execute moves, enforcing the validity
-    invariants; returns the final occupancy. A parked atom is picked up
-    from exactly the slot it was left at."""
+    invariants; returns the final occupancy. A move's path starts at its
+    source site and ends at its destination site; a parked atom is picked
+    up from exactly the slot it was left at."""
     table = _route_table(geometry.sites.tobytes())
     occ = _bitmask(initial)
     parked = set()
@@ -462,6 +463,12 @@ def replay_plan(plan: MovePlan, initial, geometry: ArrayGeometry):
                 raise AssertionError(f"move {k}: destination {m.destination} full")
             skip |= 1 << m.destination
         path = [tuple(p) for p in m.path]
+        if m.source >= 0 and path[0] != table.points[m.source]:
+            raise AssertionError(f"move {k}: path does not start at source "
+                                 f"{m.source}")
+        if m.destination >= 0 and path[-1] != table.points[m.destination]:
+            raise AssertionError(f"move {k}: path does not end at destination "
+                                 f"{m.destination}")
         if table.path_mask(path) & occ & ~skip:
             raise AssertionError(f"move {k}: path violates the exclusion radius")
         if m.source >= 0:

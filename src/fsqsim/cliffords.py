@@ -68,17 +68,29 @@ def _compile_table():
     return entries
 
 
+def _phase_key(u: np.ndarray):
+    """``u`` with its phase fixed at the first entry of modulus above 1/2,
+    rounded to 6 decimals (None without such an entry). Clifford entries
+    have modulus 0, 1/sqrt(2) or 1, so that reference entry, and the key,
+    survive a global phase and rounding noise."""
+    flat = np.asarray(u, dtype=complex).ravel()
+    big = np.flatnonzero(np.abs(flat) > 0.5)
+    if not len(big):
+        return None
+    ref = flat[big[0]]
+    return tuple(np.round((flat * (abs(ref) / ref)).view(float), 6).tolist())
+
+
 @lru_cache(maxsize=1)
 def clifford_group() -> tuple:
     """Canonically ordered 24-element single-qubit Clifford group."""
-    uniques = []
+    uniques = {}  # first compilation of each element, by phase key
     for angles, n_pulses, u in _compile_table():
-        if not any(equal_up_to_phase(u, v) for _, _, v in uniques):
-            uniques.append((angles, n_pulses, u))
+        uniques.setdefault(_phase_key(u), (angles, n_pulses, u))
     assert len(uniques) == 24, f"expected 24 Cliffords, built {len(uniques)}"
     # deterministic order independent of enumeration details
     keyed = sorted(
-        uniques,
+        uniques.values(),
         key=lambda e: tuple(np.round(_canonical(e[2]).view(float).ravel(), 9)),
     )
     return tuple(
@@ -87,11 +99,16 @@ def clifford_group() -> tuple:
     )
 
 
+@lru_cache(maxsize=1)
+def _index_by_key() -> dict:
+    return {_phase_key(g.unitary): g.index for g in clifford_group()}
+
+
 def find_index(u: np.ndarray) -> int:
-    for g in clifford_group():
-        if equal_up_to_phase(u, g.unitary):
-            return g.index
-    raise LookupError("matrix is not a Clifford group element (up to phase)")
+    index = _index_by_key().get(_phase_key(u))
+    if index is None or not equal_up_to_phase(u, clifford_group()[index].unitary):
+        raise LookupError("matrix is not a Clifford group element (up to phase)")
+    return index
 
 
 def compose(a: CliffordGate, b: CliffordGate) -> CliffordGate:

@@ -5,6 +5,7 @@ uncertainties take the supplied error bars at face value (no reduced-chi^2
 rescaling); the coverage studies in the tests rely on that convention.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -13,6 +14,8 @@ import numpy as np
 GN_MAX_ITERATIONS = 200
 GN_TOL = 1e-12  # stop when a step improves the cost by less than this (relative)
 GOLDEN = 0.381966  # 1 - 1/phi, rounded; results depend on these digits
+BRENT_RTOL = 4 * np.finfo(float).eps  # scipy.optimize.brentq's default rtol
+BRENT_MAX_ITERATIONS = 100  # and its default maxiter
 
 
 class FitError(RuntimeError):
@@ -30,6 +33,60 @@ def golden_max(f, lo, hi, n_iterations):
         else:
             hi = m2
     return 0.5 * (lo + hi)
+
+
+def brentq(f, xa, xb, xtol):
+    """Root of ``f`` in the sign-changing bracket [xa, xb] by Brent's method
+    (Brent, Algorithms for Minimization without Derivatives, 1973, ch. 4).
+
+    A line-for-line port of scipy's ``Zeros/brentq.c`` at its default rtol
+    and maxiter: the same inverse-quadratic/secant steps, bisection
+    fallbacks and sign tests, so it returns scipy.optimize.brentq's root
+    bit for bit without importing scipy.optimize.
+    """
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(BRENT_MAX_ITERATIONS):
+        if (fpre != 0 and fcur != 0
+                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = float(f(xcur))
+    raise RuntimeError(f"brentq failed to converge after "
+                       f"{BRENT_MAX_ITERATIONS} iterations, value is {xcur}")
 
 
 def gauss_newton(

@@ -11,9 +11,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.special import gammaln, ndtr, xlogy
 
-from .fitting import golden_max
+from .fitting import brentq, golden_max
 from .levels import B, G, Q0, Q1, X
 
 DETECTED_0 = "detected-0"
@@ -29,6 +28,8 @@ _SQRT_2PI = math.sqrt(2 * math.pi)
 
 def _poisson_pmf(k, mu):
     """Poisson pmf, computed as scipy.stats.poisson.pmf computes it."""
+    from scipy.special import gammaln, xlogy
+
     return np.exp(xlogy(k, mu) - gammaln(k + 1) - mu)
 
 
@@ -36,8 +37,10 @@ def _poisson_pmf(k, mu):
 def _legendre_rule():
     """64-node Gauss-Legendre rule on [-1, 1] for the shoulder integral.
 
-    Built on first use (about 2 ms), not at import: modules that import
-    this one only for the SRD channel then never load numpy.polynomial.
+    Built on first use (about 2 ms), not at import, and scipy.special is
+    imported the same way inside the functions that use it: modules that
+    import this one only for the SRD channel then load neither
+    numpy.polynomial nor scipy.special.
     """
     return np.polynomial.legendre.leggauss(64)
 
@@ -111,12 +114,23 @@ class PhotonCountModel:
         out = (pk[None, :] * (np.exp(-z**2 / 2.0) / _SQRT_2PI / s)).sum(axis=1)
         return out if np.ndim(counts) else float(out[0])
 
-    def survival_function(self, threshold, occupied: bool):
-        """P(count >= threshold)."""
-        k, pk = self._mixtures[bool(occupied)]
+    def _read_noise_tail(self, threshold) -> np.ndarray:
+        """P(k + read noise >= t): one row per threshold t, one column per
+        photon number k. Both mixtures share the k axis, so one tail serves
+        the occupied and the empty survival function."""
+        from scipy.special import ndtr
+
+        k = self._mixtures[True][0]
         th = np.atleast_1d(np.asarray(threshold, dtype=float))
         z = (th[:, None] - k[None, :]) / self.read_noise
-        out = (pk[None, :] * ndtr(-z)).sum(axis=1)
+        return ndtr(-z)
+
+    def _survival(self, tail: np.ndarray, occupied: bool) -> np.ndarray:
+        return (self._mixtures[bool(occupied)][1][None, :] * tail).sum(axis=1)
+
+    def survival_function(self, threshold, occupied: bool):
+        """P(count >= threshold)."""
+        out = self._survival(self._read_noise_tail(threshold), occupied)
         return out if np.ndim(threshold) else float(out[0])
 
     def sample(self, occupied: bool, rng: np.random.Generator) -> float:
@@ -134,9 +148,11 @@ class PhotonCountModel:
     def classification_fidelity(self, threshold):
         """Equal-prior average accuracy: 1 - (FN + FP)/2 (elementwise for an
         array of thresholds)."""
-        tp = self.survival_function(threshold, occupied=True)
-        fp = self.survival_function(threshold, occupied=False)
-        return 1.0 - ((1.0 - tp) + fp) / 2.0
+        tail = self._read_noise_tail(threshold)
+        tp = self._survival(tail, occupied=True)
+        fp = self._survival(tail, occupied=False)
+        out = 1.0 - ((1.0 - tp) + fp) / 2.0
+        return out if np.ndim(threshold) else float(out[0])
 
     def optimal_threshold(self):
         """(threshold, fidelity) maximizing the classification fidelity."""
@@ -160,8 +176,6 @@ class PhotonCountModel:
     ) -> "PhotonCountModel":
         """Solve for the signal mean whose optimal-threshold fidelity matches,
         at the default background mean and read noise."""
-        from scipy.optimize import brentq
-
         if not 0.5 < fidelity < 1.0:
             raise ValueError("target fidelity must be in (0.5, 1)")
 
@@ -231,7 +245,9 @@ def roc_sweep(model: PhotonCountModel, thresholds) -> list:
 @lru_cache(maxsize=1)
 def erasure_operating_point():
     """(TP, per-image FP) of the shallow-trap model at the threshold chosen
-    to reproduce the conversion operating point; cached, ~0.3 s to build."""
+    to reproduce the conversion operating point; cached, as building it
+    calibrates the shallow-trap model (about 0.1 s once scipy.special is
+    loaded)."""
     model = shallow_trap_model()
     th = operating_threshold(model)
     tp = model.survival_function(th, occupied=True)

@@ -3,7 +3,8 @@
 None of these runs in a protocol. Each is the plain, slow form of something
 the package does another way (a dense Lindblad right-hand side, fixed-step
 RK4, a whole-pattern breadth-first support closure, H(t) as a callable, the
-rearrangement planner on uncached segment checks and scipy's assignment), or
+rearrangement planner on uncached segment checks and scipy's assignment, the
+Clifford lookup as a linear scan), or
 an API only the tests exercise (Raman pulses read through a virtual-Z frame
 object). Tests import them as ``from oracles import ...``.
 """
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from fsqsim.assembly import EXCLUSION_RADIUS, GRID_X_SPACING, Move, MovePlan
+from fsqsim.cliffords import clifford_group, equal_up_to_phase
 from fsqsim.pulses import rotation
 from fsqsim.rydberg import hamiltonian_parts
 
@@ -129,6 +131,15 @@ def raman_unitary(pulse, frame=VirtualFrame()):
         pulse.phase + frame.phases[0],
         pulse.detuning * pulse.duration,
     )
+
+
+def reference_find_index(u):
+    """Index of the Clifford equal to ``u`` up to phase, by a scan of the
+    group in order."""
+    for g in clifford_group():
+        if equal_up_to_phase(u, g.unitary):
+            return g.index
+    raise LookupError("matrix is not a Clifford group element (up to phase)")
 
 
 def _reference_blocking_sites(p0, p1, sites, occupied_mask, skip):

@@ -16,6 +16,8 @@ that function, so another function's use of the same name does not count. An
 import statement marked ``# noqa: F401`` on its first line is exempt. With no
 linter in the toolchain, this scan is the unused-import check.
 
+No module of ``fsqsim`` imports ``scipy.optimize``, in any form.
+
 Every public name of ``fsqsim`` is reached: each public module-level function
 or class, and each public method, is referenced from ``src/`` outside its own
 definition or from ``tests/test_acceptance.py``, or is in ``ALLOWED`` with a
@@ -145,6 +147,31 @@ def unused_imports():
 def test_every_import_is_used():
     unused = unused_imports()
     assert not unused, "imported names never referenced: " + ", ".join(unused)
+
+
+def scipy_optimize_imports():
+    """``src/fsqsim`` import statements that load scipy.optimize, at any
+    depth: its root finder and assignment solver are ports, and importing
+    the subpackage costs a process 0.2-0.7 s."""
+    found = []
+    for path in sorted((ROOT / "src" / "fsqsim").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module] + [f"{node.module}.{a.name}"
+                                         for a in node.names]
+            else:
+                continue
+            if any(n == "scipy.optimize" or n.startswith("scipy.optimize.")
+                   for n in names):
+                found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    return found
+
+
+def test_no_module_imports_scipy_optimize():
+    found = scipy_optimize_imports()
+    assert not found, "scipy.optimize imported at: " + ", ".join(found)
 
 
 ALLOWED = {

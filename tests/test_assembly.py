@@ -7,6 +7,8 @@ from fsqsim.assembly import (
     AffineMap,
     ArrayGeometry,
     EqualizationResult,
+    Move,
+    MovePlan,
     affine_fit,
     equalize_depths,
     pair_grid_geometry,
@@ -96,6 +98,22 @@ def test_plan_reports_shortfall(geometry, target):
     assert len(plan.unplaced_targets) == 6
     final = replay_plan(plan, occ, geometry)
     assert final[target].sum() == 2
+
+
+def test_replay_rejects_path_off_its_end_sites(geometry):
+    occ = np.zeros(geometry.n_sites, dtype=bool)
+    occ[31] = True
+    detached = MovePlan((Move(31, 0, ((100, 100), (200, 200))),))
+    with pytest.raises(AssertionError, match="move 0: path does not start "
+                                             "at source 31"):
+        replay_plan(detached, occ, geometry)
+    good = plan_rearrangement(occ, np.arange(geometry.n_sites) == 0, geometry)
+    path = good.moves[0].path
+    wrong_end = MovePlan((Move(31, 0, path[:-1] + ((200, 200),)),))
+    with pytest.raises(AssertionError, match="move 0: path does not end at "
+                                             "destination 0"):
+        replay_plan(wrong_end, occ, geometry)
+    assert replay_plan(good, occ, geometry)[0]
 
 
 def test_plan_beats_greedy_baseline(geometry, target):

@@ -107,22 +107,42 @@ def test_rearrange_subcommand_small(tmp_path):
     assert (tmp_path / "o" / "occupancy.csv").exists()
 
 
-def test_rearrange_does_not_import_scipy_optimize(tmp_path):
-    # the planner's assignment is a port; importing scipy.optimize would
-    # cost more than all of a run's assignment solves
+def scipy_modules_loaded(tmp_path, command, config_name):
+    """The scipy subpackages a fresh interpreter has loaded after running
+    ``command`` at ``configs/<config_name>``."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(src), os.environ.get("PYTHONPATH", "")]))
     code = ("import sys\n"
             "from fsqsim.cli import main\n"
-            f"rc = main(['rearrange', '--config', "
-            f"{str(CONFIG_DIR / 'rearrange.ini')!r}, '--out', "
-            f"{str(tmp_path / 'o')!r}])\n"
-            "print(rc, 'scipy.optimize' in sys.modules)\n")
+            f"rc = main([{command!r}, '--config', "
+            f"{str(CONFIG_DIR / config_name)!r}, '--out', "
+            f"{str(tmp_path / command)!r}])\n"
+            "assert rc == 0, rc\n"
+            "print(*sorted(m for m in sys.modules if m.startswith('scipy.')))\n")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split()[-2:] == ["0", "False"]
+    return set(proc.stdout.split())
+
+
+def test_rearrange_does_not_import_scipy_optimize(tmp_path):
+    # the planner's assignment is a port; importing scipy.optimize would
+    # cost more than all of a run's assignment solves
+    assert "scipy.optimize" not in scipy_modules_loaded(
+        tmp_path, "rearrange", "rearrange.ini")
+
+
+@pytest.mark.parametrize("command,config,absent", [
+    ("erasure-roc", "erasure_roc.ini", ("scipy.optimize",)),
+    ("srd", "srd.ini", ("scipy.optimize", "scipy.special")),
+])
+def test_readout_does_not_import_unneeded_scipy(tmp_path, command, config,
+                                                absent):
+    # the calibration's root finder is a port, and the SRD channel needs no
+    # special functions; importing either subpackage costs a run 0.1-0.3 s
+    loaded = scipy_modules_loaded(tmp_path, command, config)
+    assert not loaded & set(absent)
 
 
 def test_format_json_mirrors_tables(tmp_path):

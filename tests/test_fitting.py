@@ -1,9 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+from scipy import optimize
 
+from fsqsim import fitting
 from fsqsim.fitting import (
     DecayFit,
     FitError,
+    brentq,
     fit_power_decay,
     fit_sinusoid_fixed_period,
 )
@@ -68,3 +73,49 @@ def test_sinusoid_fit_exact():
     assert c == pytest.approx(0.45, abs=1e-12)
     assert delta == pytest.approx(0.3, abs=1e-12)
     assert off == pytest.approx(0.5, abs=1e-12)
+
+
+def _monotone(rng):
+    """A random strictly monotone function and a bracket around its root."""
+    r = rng.uniform(-5, 5)
+    a, b, c = rng.exponential(1.0, 3) * (rng.random(3) < 0.7)
+    a += 1e-3
+    d = rng.uniform(0.1, 3.0)
+    sign = rng.choice([-1.0, 1.0])
+
+    def f(x):
+        u = x - r
+        return sign * (a * u + b * u**3 + c * math.expm1(d * u))
+
+    return f, r - rng.exponential(2.0), r + rng.exponential(2.0)
+
+
+def test_brentq_port_matches_scipy_bit_for_bit():
+    rng = np.random.default_rng(14)
+    for _ in range(1000):
+        f, lo, hi = _monotone(rng)
+        xtol = 10 ** rng.uniform(-12, -2)
+        assert brentq(f, lo, hi, xtol) == optimize.brentq(f, lo, hi, xtol=xtol)
+
+
+def test_brentq_exact_root_at_either_end():
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return x - 1.0
+
+    assert brentq(f, 1.0, 3.0, 1e-8) == 1.0
+    assert brentq(f, -2.0, 1.0, 1e-8) == 1.0
+    assert len(calls) == 4  # both ends are evaluated, nothing more
+
+
+def test_brentq_rejects_same_sign_bracket():
+    with pytest.raises(ValueError, match="different signs"):
+        brentq(lambda x: x * x + 1.0, -1.0, 2.0, 1e-8)
+
+
+def test_brentq_names_iteration_count_when_not_converging(monkeypatch):
+    monkeypatch.setattr(fitting, "BRENT_MAX_ITERATIONS", 3)
+    with pytest.raises(RuntimeError, match="after 3 iterations, value is"):
+        brentq(lambda x: math.atan(x - 0.3), -50.0, 70.0, 1e-12)

@@ -11,7 +11,13 @@ from fsqsim.cliffords import (
     invert,
 )
 from fsqsim.pulses import rotation, virtual_z_equivalent
-from oracles import RamanPulse, VirtualFrame, raman_unitary, virtual_z
+from oracles import (
+    RamanPulse,
+    VirtualFrame,
+    raman_unitary,
+    reference_find_index,
+    virtual_z,
+)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -141,5 +147,31 @@ def test_at_most_two_pulses():
 
 
 def test_non_clifford_rejected():
-    with pytest.raises(LookupError):
-        find_index(rotation(0.3, 0.0))
+    near = clifford_group()[5].unitary @ rotation(1e-8, 0.0)  # same key
+    for u in (rotation(0.3, 0.0), rotation(np.pi / 3, 0.0),
+              rotation(np.pi / 2, 0.1), near):
+        with pytest.raises(LookupError):
+            reference_find_index(u)
+        with pytest.raises(LookupError):
+            find_index(u)
+    # equal_up_to_phase matches up to any complex factor, so the scan took
+    # a scaled identity for the identity; the key needs unit moduli
+    assert reference_find_index(1e-3 * np.eye(2)) == find_index(np.eye(2))
+    for u in (np.zeros((2, 2)), 1e-3 * np.eye(2), 0.9 * np.eye(2)):
+        with pytest.raises(LookupError):
+            find_index(u)
+
+
+def test_keyed_lookup_matches_linear_scan():
+    rng = np.random.default_rng(14)
+    group = clifford_group()
+    for g in group:
+        for _ in range(20):
+            noise = 1e-12 * (rng.standard_normal((2, 2))
+                             + 1j * rng.standard_normal((2, 2)))
+            u = np.exp(2j * np.pi * rng.random()) * g.unitary + noise
+            assert find_index(u) == reference_find_index(u) == g.index
+    products = [a.unitary @ b.unitary for a in group for b in group]
+    assert [find_index(u) for u in products] == \
+        [reference_find_index(u) for u in products]
+

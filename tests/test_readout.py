@@ -297,3 +297,16 @@ def test_srd_counts_match_per_shot_tally():
 def test_srd_counts_rejects_unknown_state():
     with pytest.raises(ValueError):
         srd_counts(R, SRDModel(), 10, np.random.default_rng(0))
+
+
+def test_classification_fidelity_shares_one_tail(shallow_model, deep_model):
+    for m in (shallow_model, deep_model, PhotonCountModel(signal_mean=12.0)):
+        grid = np.linspace(-8.0, m.signal_mean + 10.0, 97)
+        expected = 1.0 - ((1.0 - m.survival_function(grid, True))
+                          + m.survival_function(grid, False)) / 2.0
+        assert np.array_equal(m.classification_fidelity(grid), expected)
+        for t in grid[::8]:
+            fid = m.classification_fidelity(t)
+            assert type(fid) is float
+            assert fid == 1.0 - ((1.0 - m.survival_function(t, True))
+                                 + m.survival_function(t, False)) / 2.0
