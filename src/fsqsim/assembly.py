@@ -289,7 +289,7 @@ def plan_rearrangement(
     and reports the shortfall.
 
     Routes come from the geometry's route table, and occupancy is an int
-    bitmask, so a plan does no array work beyond the shortfall ordering.
+    bitmask, so a plan does no array work.
     """
     n_sites = geometry.n_sites
     if len(initial) != n_sites or len(target) != n_sites:
@@ -328,10 +328,9 @@ def plan_rearrangement(
     sources = [i for i in range(n_sites) if extra_atoms >> i & 1]
     unplaced = []
     if len(sources) < len(needed):
-        # fill nearest targets first, report the rest
-        order = np.argsort([min((dist[s][t] for s in sources), default=np.inf)
-                            for t in needed])
-        needed = [needed[i] for i in order]
+        # fill nearest targets first (ties in index order), report the rest
+        needed.sort(key=lambda t: min((dist[s][t] for s in sources),
+                                      default=math.inf))
         unplaced = needed[len(sources):]
         needed = needed[: len(sources)]
 

@@ -12,10 +12,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..channels import channel_on_pairs, conjugation_on_pairs, gate_pair_basis
+from ..channels import (
+    LOCAL_PAIRS,
+    channel_on_pairs,
+    conjugation_on_pairs,
+    gate_pair_basis,
+    pair_index,
+)
 from ..cliffords import clifford_group
 from ..fitting import DecayFit, fit_power_decay, fit_sinusoid_fixed_period
-from ..levels import B, DIM, G, Q0, Q1, R, X, unravel_index
+from ..levels import DIM, G, Q0, Q1, R, X
 from ..noise import NoiseConfig, gate_collapse_ops, gaussian_quadrature
 from ..pulses import embed_qubit_unitary, rotation, virtual_z_equivalent
 from ..rydberg import (
@@ -27,15 +33,7 @@ from ..rydberg import (
 )
 
 QUARTER_PHASES = (0.0, np.pi / 2, np.pi, 3 * np.pi / 2)
-# readout assignment: x masquerades as q0, g is imaged as 0, r is lost
-ASSIGN_0 = (Q0, X, G)
-ASSIGN_1 = (Q1,)
-ASSIGN_LOSS = (B, R)
 KEPT_LEVELS = (Q0, Q1, X)  # valid computational states for loss correction
-
-DETECTED_0 = "detected-0"
-DETECTED_1 = "detected-1"
-LOSS = "loss"
 
 # Integrator tolerances of the master-equation CZ channel build.
 CZ_CHANNEL_RTOL = 1e-6
@@ -43,35 +41,25 @@ CZ_CHANNEL_ATOL = 1e-9
 
 
 class GateExecutor:
-    """Pair-basis circuit simulator around one calibrated CZ gate channel."""
+    """Pair-basis circuit simulator around one calibrated CZ gate channel.
+
+    ``cz`` is the gate's pair-basis matrix: the channel, then its
+    single-qubit phase correction."""
 
     def __init__(
         self,
-        profile: CZPulseProfile | None,
-        drive: RydbergDrive | None,
+        profile: CZPulseProfile,
+        drive: RydbergDrive,
         noise: NoiseConfig | None = None,
         dephasing_nodes: int = 9,
-        ideal_cz: bool = False,
     ):
         self.profile = profile
         self.drive = drive
         self.noise = noise
         self.pairs = gate_pair_basis()
-        self._index = {p: k for k, p in enumerate(self.pairs)}
-        self._diag_slots = {
-            unravel_index(p[0], 2): k
-            for k, p in enumerate(self.pairs)
-            if p[0] == p[1]
-        }
-        if ideal_cz:
-            from ..rydberg import ideal_cz_unitary
-
-            self._cz = conjugation_on_pairs(ideal_cz_unitary(), self.pairs)
-        else:
-            self._cz = self._build_cz_channel(dephasing_nodes)
-            comp = virtual_z_equivalent(profile.phi_sq)
-            z = embed_qubit_unitary(comp)
-            self._cz = self.product_unitary(z, z) @ self._cz
+        channel = self._build_cz_channel(dephasing_nodes)
+        z = embed_qubit_unitary(virtual_z_equivalent(profile.phi_sq))
+        self.cz = self.product_unitary(z, z) @ channel
 
     # -- channel construction -------------------------------------------
 
@@ -115,18 +103,17 @@ class GateExecutor:
 
     def initial_state(self) -> np.ndarray:
         v = np.zeros(len(self.pairs), dtype=complex)
-        v[self._index[(Q1 * DIM + Q1,) * 2]] = 1.0
+        v[pair_index((Q1, Q1), (Q1, Q1))] = 1.0
         return v
 
     def apply_cz(self, v: np.ndarray) -> np.ndarray:
-        return self._cz @ v
+        return self.cz @ v
 
     def populations(self, v: np.ndarray) -> np.ndarray:
-        """(6, 6) array of joint level populations."""
-        out = np.zeros((DIM, DIM))
-        for (l1, l2), k in self._diag_slots.items():
-            out[l1, l2] = max(v[k].real, 0.0)
-        return out
+        """(6, 6) array of joint level populations: ``v`` as a 12 x 12 array
+        of local slots, read at each atom's (l, l) slots."""
+        d = [LOCAL_PAIRS.index((lv, lv)) for lv in range(DIM)]
+        return np.maximum(v.reshape(len(LOCAL_PAIRS), -1)[np.ix_(d, d)].real, 0.0)
 
 
 # -- SSB ------------------------------------------------------------------
@@ -391,69 +378,50 @@ class BellResult:
 
 
 def _bell_state_vector(executor: GateExecutor, eps_sp: float = 0.0) -> np.ndarray:
-    v = np.zeros(len(executor.pairs), dtype=complex)
     # product mixture: each atom prepared in q1, left in g with prob eps_sp
-    for l1, w1 in ((Q1, 1.0 - eps_sp), (G, eps_sp)):
-        for l2, w2 in ((Q1, 1.0 - eps_sp), (G, eps_sp)):
-            if w1 * w2 > 0:
-                v[executor._index[(l1 * DIM + l2,) * 2]] = w1 * w2
+    local = np.zeros(len(LOCAL_PAIRS), dtype=complex)
+    local[LOCAL_PAIRS.index((Q1, Q1))] = 1.0 - eps_sp
+    local[LOCAL_PAIRS.index((G, G))] = eps_sp
+    v = np.kron(local, local)
     v = executor.global_pulse(0.0) @ v
     v = executor.apply_cz(v)
     v = executor.global_pulse(BELL_SECOND_PHASE) @ v
     return v
 
 
-def _ideal_assignment(level):
-    if level in ASSIGN_0:
-        return "0"
-    if level in ASSIGN_1:
-        return "1"
-    return None
+# Readout matrices: row l holds (P(read 0 | l), P(read 1 | l)); whatever is
+# left of a row is loss. The ideal assignment reads x as q0, images g as 0
+# and loses r and B.
+IDEAL_READOUT = np.array(
+    [[lv in (Q0, X, G), lv == Q1] for lv in range(DIM)], dtype=float
+)
+
+
+def _srd_readout() -> np.ndarray:
+    """The default detection channel times the sequence survival factor;
+    Rydberg residue is ejected during readout, so the r row is zero."""
+    from ..readout import DETECTED_0, DETECTED_1, SRDModel, srd_probabilities
+
+    model = SRDModel()
+    m = np.zeros((DIM, 2))
+    for lv in range(DIM):
+        if lv != R:
+            p = srd_probabilities(lv, model)
+            m[lv] = p[DETECTED_0], p[DETECTED_1]
+    return m * SEQUENCE_SURVIVAL
+
+
+def _joint_outcomes(pops: np.ndarray, readout: np.ndarray):
+    """(p00, p01, p10, p11, loss) of joint level populations read through
+    ``readout`` on each atom; loss is one minus the four outcomes."""
+    (p00, p01), (p10, p11) = readout.T @ pops @ readout
+    return {"00": p00, "01": p01, "10": p10, "11": p11,
+            "loss": 1.0 - (p00 + p01 + p10 + p11)}
 
 
 def _assigned_probs(pops: np.ndarray):
     """(p00, p01, p10, p11, loss) under the ideal readout assignment."""
-    p = {"00": 0.0, "01": 0.0, "10": 0.0, "11": 0.0, "loss": 0.0}
-    for l1 in range(DIM):
-        for l2 in range(DIM):
-            b1, b2 = _ideal_assignment(l1), _ideal_assignment(l2)
-            if b1 is None or b2 is None:
-                p["loss"] += pops[l1, l2]
-            else:
-                p[b1 + b2] += pops[l1, l2]
-    return p
-
-
-def _srd_assigned_probs(pops: np.ndarray):
-    """Joint outcome probabilities through the default detection channel and
-    the sequence survival factor."""
-    from ..readout import DETECTED_0 as D0
-    from ..readout import DETECTED_1 as D1
-    from ..readout import LOSS as LO
-    from ..readout import SRDModel, srd_probabilities
-
-    srd_model = SRDModel()
-    chan = {lv: srd_probabilities(lv, srd_model) for lv in range(DIM)
-            if lv != R}
-    # Rydberg residue is ejected during readout
-    chan[R] = {D0: 0.0, D1: 0.0, LO: 1.0}
-    out = {"00": 0.0, "01": 0.0, "10": 0.0, "11": 0.0, "loss": 0.0}
-    bucket = {D0: "0", D1: "1"}
-    for l1 in range(DIM):
-        for l2 in range(DIM):
-            w = pops[l1, l2]
-            if w <= 0:
-                continue
-            for o1, p1 in chan[l1].items():
-                if o1 == LO:
-                    continue
-                q1_ = p1 * SEQUENCE_SURVIVAL
-                for o2, p2 in chan[l2].items():
-                    if o2 != LO:
-                        q2 = p2 * SEQUENCE_SURVIVAL
-                        out[bucket[o1] + bucket[o2]] += w * q1_ * q2
-    out["loss"] = 1.0 - sum(v for k, v in out.items() if k != "loss")
-    return out
+    return _joint_outcomes(pops, IDEAL_READOUT)
 
 
 def bell_protocol(
@@ -481,7 +449,7 @@ def bell_protocol(
     eps_sp = noise.state_prep_error if noise is not None else 0.0
     bell = _bell_state_vector(executor, eps_sp)
 
-    assigned = _assigned_probs if noise is None else _srd_assigned_probs
+    readout = IDEAL_READOUT if noise is None else _srd_readout()
 
     def sampled(probs_dict, n):
         keys = list(probs_dict)
@@ -493,7 +461,7 @@ def bell_protocol(
         return dict(zip(keys, pr))
 
     # population setting
-    meas = sampled(assigned(executor.populations(bell)), shots)
+    meas = sampled(_joint_outcomes(executor.populations(bell), readout), shots)
     if loss_excision:
         kept = 1.0 - meas["loss"]
         p00 = meas["00"] / kept
@@ -507,7 +475,7 @@ def bell_protocol(
     sems = np.zeros(len(phases))
     for i, phi in enumerate(phases):
         v = executor.global_pulse(phi) @ bell
-        m = sampled(assigned(executor.populations(v)), shots)
+        m = sampled(_joint_outcomes(executor.populations(v), readout), shots)
         kept = (1.0 - m["loss"]) if loss_excision else 1.0
         parities[i] = (m["00"] + m["11"] - m["01"] - m["10"]) / kept
         sems[i] = max(1.0 / np.sqrt(shots), 1e-6) if shots else 1e-6
@@ -537,6 +505,8 @@ def loss_excise(records):
     ``records`` is a sequence of per-shot (outcome_atom1, outcome_atom2)
     pairs using the srd outcome labels. Returns (kept_records, retention).
     """
+    from ..readout import LOSS
+
     records = list(records)
     kept = [r for r in records if LOSS not in r]
     retention = len(kept) / len(records) if records else 1.0

@@ -6,14 +6,15 @@ loss-corrected variant conditions on population remaining in the valid
 computational levels {q0, q1, x}, with x read out as q0.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .benchmarking.twoq import KEPT_LEVELS, GateExecutor, run_ssb
-from .channels import conjugation_on_pairs
+from .channels import LOCAL_PAIRS, conjugation_on_pairs, pair_index
 from .czopt import default_profile
-from .levels import DIM, Q0, Q1, X
+from .levels import DIM, Q0, Q1, QUBIT_LEVELS, X
 # The reference config lives in noise, so the CLI builds it without importing
 # this module; both names stay importable from here.
 from .noise import (  # noqa: F401
@@ -68,19 +69,18 @@ class BudgetReport:
         return abs(self.total.raw_ssb - s) / max(self.total.raw_ssb, 1e-12)
 
 
-def _qubit_indices():
-    return [a * DIM + b for a in (Q0, Q1) for b in (Q0, Q1)]
+# two-atom qubit basis states (a, b), in the order |00>, |01>, |10>, |11>
+QUBIT_STATES = tuple(itertools.product(QUBIT_LEVELS, repeat=2))
 
 
 def channel_retention(executor: GateExecutor) -> float:
     """Input-averaged probability of staying in the valid computational
     levels {q0, q1, x} over one gate."""
-    s, index = executor._cz, executor._index
-    kept_diag = [a * DIM + b for a in KEPT_LEVELS for b in KEPT_LEVELS]
+    kept = [pair_index(k, k) for k in itertools.product(KEPT_LEVELS, repeat=2)]
     surv = 0.0
-    for i in _qubit_indices():
-        col = s[:, index[(i, i)]]
-        surv += sum(col[index[(k, k)]].real for k in kept_diag)
+    for q in QUBIT_STATES:
+        col = executor.cz[:, pair_index(q, q)]
+        surv += sum(col[k].real for k in kept)
     return surv / 4.0
 
 
@@ -96,33 +96,28 @@ def process_infidelity_from_executor(executor: GateExecutor) -> float:
     return 1.0 - channel_retention(executor) * f_cond
 
 
-def _kept_map_matrix(executor: GateExecutor) -> np.ndarray:
+def _kept_map_matrix() -> np.ndarray:
     """Pair-basis matrix of the per-atom keep-and-relabel map
-    {project onto q0/q1, relabel x -> q0}."""
+    {project onto q0/q1, relabel x -> q0}: the Kronecker square of its
+    12 x 12 matrix on ``LOCAL_PAIRS``."""
     proj = np.zeros((DIM, DIM), dtype=complex)
     proj[Q0, Q0] = proj[Q1, Q1] = 1.0
     xq = np.zeros((DIM, DIM), dtype=complex)
     xq[Q0, X] = 1.0
-    kraus_local = [proj, xq]
-    return sum(
-        conjugation_on_pairs(np.kron(a1, a2), executor.pairs)
-        for a1 in kraus_local
-        for a2 in kraus_local
-    )
+    local = sum(conjugation_on_pairs(a, LOCAL_PAIRS) for a in (proj, xq))
+    return np.kron(local, local)
 
 
 def corrected_process_infidelity_from_executor(executor: GateExecutor) -> float:
     """Conditional process infidelity: entanglement fidelity of the
     keep-map-composed channel divided by the input-averaged retention."""
-    s, index = executor._cz, executor._index
-    kept = _kept_map_matrix(executor) @ s
-    qubit = _qubit_indices()
-    phases = {qubit[0]: 1.0, qubit[1]: 1.0, qubit[2]: 1.0, qubit[3]: -1.0}
+    kept = _kept_map_matrix() @ executor.cz
+    phases = (1.0, 1.0, 1.0, -1.0)  # the ideal CZ on QUBIT_STATES
     fe = 0.0 + 0.0j
-    for i in qubit:
-        for j in qubit:
-            col = kept[:, index[(i, j)]]
-            fe += np.conj(phases[i]) * phases[j] * col[index[(i, j)]]
+    for i, pi in zip(QUBIT_STATES, phases):
+        for j, pj in zip(QUBIT_STATES, phases):
+            k = pair_index(i, j)
+            fe += np.conj(pi) * pj * kept[k, k]
     fe /= 16.0
     fe_cond = fe.real / channel_retention(executor)
     favg = (4.0 * fe_cond + 1.0) / 5.0

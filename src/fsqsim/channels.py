@@ -5,17 +5,23 @@ map rho -> A rho B has superoperator B^T (x) A and a unitary conjugation
 rho -> U rho U^dag becomes conj(U) (x) U.
 """
 
+import itertools
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .levels import DIM, Q0, Q1
+from .levels import B, DIM, G, Q0, Q1, R, X
 from .lindblad import evolve_rho
 
 TP_TOL = 1e-8
 CHOI_TOL = 1e-7
 PAIR_LEAK_TOL = 1e-9  # largest entry channel_on_pairs lets leave its span
+
+# Per-atom (row, col) level pairs of the gate's closed operator subspace: all
+# pairs over {q0, q1, r} plus the sink populations (g,g), (x,x), (B,B).
+LOCAL_PAIRS = tuple(itertools.product((Q0, Q1, R), repeat=2)) + (
+    (G, G), (X, X), (B, B))
 
 
 def vec(m: np.ndarray) -> np.ndarray:
@@ -154,22 +160,25 @@ def gate_pair_basis():
     """Two-atom matrix-unit pairs spanning the operator subspace closed under
     a Rydberg gate with decay, dephasing and ionization channels.
 
-    Per atom: all (row, col) pairs over {q0, q1, r} plus the sink diagonals
-    (g,g), (x,x), (B,B) -- jumps only ever populate sink populations, never
-    sink coherences, so this 12-pair local set (144 pairs for two atoms) is
-    exactly closed: the engine's breadth-first support from these matrix
-    units is this set, and channel_on_pairs asserts no leak at use time.
+    The lexicographic product of ``LOCAL_PAIRS`` with itself (144 pairs):
+    slot ``k1 * 12 + k2`` holds |a1 a2><b1 b2| for local pairs k1 = (a1, b1)
+    and k2 = (a2, b2). Jumps only ever populate sink populations, never sink
+    coherences, so this set is exactly closed: the engine's breadth-first
+    support from these matrix units is this set, and channel_on_pairs asserts
+    no leak at use time.
     """
-    from .levels import B, G, R, X
+    return [
+        (r1 * DIM + r2, c1 * DIM + c2)
+        for (r1, c1), (r2, c2) in itertools.product(LOCAL_PAIRS, repeat=2)
+    ]
 
-    active = (Q0, Q1, R)
-    local = [(a, b) for a in active for b in active]
-    local += [(G, G), (X, X), (B, B)]
-    pairs = []
-    for (r1, c1) in local:
-        for (r2, c2) in local:
-            pairs.append((r1 * DIM + r2, c1 * DIM + c2))
-    return pairs
+
+def pair_index(rows, cols) -> int:
+    """Slot of |a1 a2><b1 b2| in :func:`gate_pair_basis`, for
+    ``rows = (a1, a2)`` and ``cols = (b1, b2)``."""
+    k1 = LOCAL_PAIRS.index((rows[0], cols[0]))
+    k2 = LOCAL_PAIRS.index((rows[1], cols[1]))
+    return k1 * len(LOCAL_PAIRS) + k2
 
 
 def subspace_entanglement_fidelity(

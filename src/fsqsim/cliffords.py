@@ -5,6 +5,7 @@ frame updates; the compilation table is generated once and verified by the
 test suite (closure, inverses, pulse-count census).
 """
 
+import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -17,10 +18,13 @@ MATCH_TOL = 1e-10
 
 
 def equal_up_to_phase(u: np.ndarray, v: np.ndarray, tol: float = MATCH_TOL) -> bool:
+    """Whether ``v`` is ``u`` times a unit-modulus factor, to ``tol``."""
     i, j = np.unravel_index(np.argmax(np.abs(v)), v.shape)
     if abs(v[i, j]) < tol or abs(u[i, j]) < tol:
         return False
-    return bool(np.max(np.abs(u * (v[i, j] / u[i, j]) - v)) < tol)
+    phase = v[i, j] / u[i, j]
+    return bool(abs(abs(phase) - 1.0) < tol
+                and np.max(np.abs(u * phase - v)) < tol)
 
 
 def _canonical(u: np.ndarray) -> np.ndarray:
@@ -48,23 +52,14 @@ def _compile_table():
     x90 = _x90()
     entries = []
     for n_pulses in (0, 1, 2):
-        grids = [PHASE_GRID] * (n_pulses + 1)
-        idx = np.zeros(n_pulses + 1, dtype=int)
-        while True:
-            angles = tuple(PHASE_GRID[k] for k in idx)
+        # the first angle varies fastest
+        for reversed_angles in itertools.product(PHASE_GRID,
+                                                 repeat=n_pulses + 1):
+            angles = reversed_angles[::-1]
             u = virtual_z_equivalent(angles[0])
             for a in angles[1:]:
                 u = virtual_z_equivalent(a) @ x90 @ u
             entries.append((angles, n_pulses, u))
-            pos = 0
-            while pos <= n_pulses:
-                idx[pos] += 1
-                if idx[pos] < len(PHASE_GRID):
-                    break
-                idx[pos] = 0
-                pos += 1
-            if pos > n_pulses:
-                break
     return entries
 
 

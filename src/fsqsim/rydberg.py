@@ -345,16 +345,3 @@ def time_optimal_cz(profile: CZPulseProfile, drive: RydbergDrive):
             stacklevel=2,
         )
     return assemble_unitary(u2, u4)
-
-
-def ideal_cz_unitary(phi: float = 0.0) -> np.ndarray:
-    """diag(1, e^{i phi}, e^{i phi}, e^{i(2 phi - pi)}) on the two-atom qubit
-    subspace, identity elsewhere."""
-    u = np.eye(DIM**2, dtype=complex)
-    i01 = full_index([Q0, Q1])
-    i10 = full_index([Q1, Q0])
-    i11 = full_index([Q1, Q1])
-    u[i01, i01] = np.exp(1j * phi)
-    u[i10, i10] = np.exp(1j * phi)
-    u[i11, i11] = np.exp(1j * (2 * phi - np.pi))
-    return u

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from fsqsim.benchmarking.twoq import GateExecutor
 from fsqsim.budget import reference_budget_config
 from fsqsim.czopt import default_profile
@@ -28,8 +29,8 @@ def noiseless_executor(cz_profile, drive):
 
 
 @pytest.fixture(scope="session")
-def ideal_executor(cz_profile, drive):
-    return GateExecutor(None, None, None, ideal_cz=True)
+def ideal_executor():
+    return oracles.ideal_cz_executor()
 
 
 @pytest.fixture(scope="session")

@@ -4,9 +4,10 @@ None of these runs in a protocol. Each is the plain, slow form of something
 the package does another way (a dense Lindblad right-hand side, fixed-step
 RK4, a whole-pattern breadth-first support closure, H(t) as a callable, the
 rearrangement planner on uncached segment checks and scipy's assignment, the
-Clifford lookup as a linear scan), or
+Clifford lookup as a linear scan, the Bell readout as per-level loops), or
 an API only the tests exercise (Raman pulses read through a virtual-Z frame
-object). Tests import them as ``from oracles import ...``.
+object, the ideal CZ and an executor built on it). Tests import them as
+``from oracles import ...``.
 """
 
 import math
@@ -15,9 +16,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from fsqsim.assembly import EXCLUSION_RADIUS, GRID_X_SPACING, Move, MovePlan
+from fsqsim.benchmarking.twoq import SEQUENCE_SURVIVAL, GateExecutor
+from fsqsim.channels import conjugation_on_pairs
 from fsqsim.cliffords import clifford_group, equal_up_to_phase
+from fsqsim.czopt import default_profile
+from fsqsim.levels import DIM, G, Q0, Q1, R, X, full_index
 from fsqsim.pulses import rotation
-from fsqsim.rydberg import hamiltonian_parts
+from fsqsim.readout import (
+    DETECTED_0,
+    DETECTED_1,
+    LOSS,
+    SRDModel,
+    srd_probabilities,
+)
+from fsqsim.rydberg import RydbergDrive, hamiltonian_parts
 
 
 def dense_lindblad_rhs(h_of_t, pairs):
@@ -133,6 +145,75 @@ def raman_unitary(pulse, frame=VirtualFrame()):
     )
 
 
+def ideal_cz_unitary(phi=0.0):
+    """diag(1, e^{i phi}, e^{i phi}, e^{i(2 phi - pi)}) on the two-atom qubit
+    subspace, identity elsewhere."""
+    u = np.eye(DIM**2, dtype=complex)
+    i01 = full_index([Q0, Q1])
+    i10 = full_index([Q1, Q0])
+    i11 = full_index([Q1, Q1])
+    u[i01, i01] = np.exp(1j * phi)
+    u[i10, i10] = np.exp(1j * phi)
+    u[i11, i11] = np.exp(1j * (2 * phi - np.pi))
+    return u
+
+
+def ideal_cz_executor():
+    """A noiseless executor whose CZ is the ideal gate's pair-basis matrix."""
+    ex = GateExecutor(default_profile(), RydbergDrive(), None)
+    ex.cz = conjugation_on_pairs(ideal_cz_unitary(), ex.pairs)
+    return ex
+
+
+def _ideal_assignment(level):
+    if level in (Q0, X, G):
+        return "0"
+    if level == Q1:
+        return "1"
+    return None  # r and B are lost
+
+
+def reference_assigned_probs(pops):
+    """(p00, p01, p10, p11, loss) under the ideal readout assignment, by a
+    loop over the 36 level pairs."""
+    p = {"00": 0.0, "01": 0.0, "10": 0.0, "11": 0.0, "loss": 0.0}
+    for l1 in range(DIM):
+        for l2 in range(DIM):
+            b1, b2 = _ideal_assignment(l1), _ideal_assignment(l2)
+            if b1 is None or b2 is None:
+                p["loss"] += pops[l1, l2]
+            else:
+                p[b1 + b2] += pops[l1, l2]
+    return p
+
+
+def reference_srd_assigned_probs(pops):
+    """Joint outcome probabilities through the default detection channel and
+    the sequence survival factor, by a loop over level and outcome pairs."""
+    srd_model = SRDModel()
+    chan = {lv: srd_probabilities(lv, srd_model) for lv in range(DIM)
+            if lv != R}
+    # Rydberg residue is ejected during readout
+    chan[R] = {DETECTED_0: 0.0, DETECTED_1: 0.0, LOSS: 1.0}
+    out = {"00": 0.0, "01": 0.0, "10": 0.0, "11": 0.0, "loss": 0.0}
+    bucket = {DETECTED_0: "0", DETECTED_1: "1"}
+    for l1 in range(DIM):
+        for l2 in range(DIM):
+            w = pops[l1, l2]
+            if w <= 0:
+                continue
+            for o1, p1 in chan[l1].items():
+                if o1 == LOSS:
+                    continue
+                q1_ = p1 * SEQUENCE_SURVIVAL
+                for o2, p2 in chan[l2].items():
+                    if o2 != LOSS:
+                        q2 = p2 * SEQUENCE_SURVIVAL
+                        out[bucket[o1] + bucket[o2]] += w * q1_ * q2
+    out["loss"] = 1.0 - sum(v for k, v in out.items() if k != "loss")
+    return out
+
+
 def reference_find_index(u):
     """Index of the Clifford equal to ``u`` up to phase, by a scan of the
     group in order."""
@@ -220,10 +301,8 @@ def reference_plan_rearrangement(initial, target, geometry):
     sources = [int(i) for i in np.nonzero(occ & ~target)[0]]
     unplaced = []
     if len(sources) < len(needed):
-        order = np.argsort([min((np.hypot(*(sites[t] - sites[s]))
-                                 for s in sources), default=np.inf)
-                            for t in needed])
-        needed = [needed[i] for i in order]
+        needed.sort(key=lambda t: min((np.hypot(*(sites[t] - sites[s]))
+                                       for s in sources), default=np.inf))
         unplaced = needed[len(sources):]
         needed = needed[: len(sources)]
     pending = {}

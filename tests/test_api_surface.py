@@ -18,6 +18,13 @@ linter in the toolchain, this scan is the unused-import check.
 
 No module of ``fsqsim`` imports ``scipy.optimize``, in any form.
 
+No module of ``fsqsim`` touches a private attribute (``_name``, not a dunder)
+of another object: the object before the dot must be ``self``, ``cls`` or a
+name bound by an ``import`` statement. A caller that needs an object's
+internals gets a public attribute or a shared helper instead, so the layout
+behind the attribute can change in one place. The scan is syntactic and
+reports every offending ``file:line``.
+
 Every public name of ``fsqsim`` is reached: each public module-level function
 or class, and each public method, is referenced from ``src/`` outside its own
 definition or from ``tests/test_acceptance.py``, or is in ``ALLOWED`` with a
@@ -172,6 +179,36 @@ def scipy_optimize_imports():
 def test_no_module_imports_scipy_optimize():
     found = scipy_optimize_imports()
     assert not found, "scipy.optimize imported at: " + ", ".join(found)
+
+
+def foreign_private_attributes():
+    """``file:line attribute`` of each private attribute a ``src/fsqsim``
+    module reads or sets on anything but ``self``, ``cls`` or an imported
+    module."""
+    found = []
+    for path in sorted((ROOT / "src" / "fsqsim").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        owners = {"self", "cls"}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                owners.update((a.asname or a.name).split(".")[0]
+                              for a in node.names)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Attribute):
+                continue
+            name = node.attr
+            dunder = name.startswith("__") and name.endswith("__")
+            if (name.startswith("_") and not dunder
+                    and getattr(node.value, "id", None) not in owners):
+                found.append(f"{path.relative_to(ROOT)}:{node.lineno} "
+                             f"{ast.unparse(node)}")
+    return found
+
+
+def test_no_module_touches_another_objects_private_attributes():
+    found = foreign_private_attributes()
+    assert not found, "private attributes touched from outside: " + \
+        ", ".join(found)
 
 
 ALLOWED = {

@@ -100,6 +100,21 @@ def test_plan_reports_shortfall(geometry, target):
     assert final[target].sum() == 2
 
 
+def test_shortfall_ties_fill_in_target_index_order(geometry):
+    # one atom, at site 27, is 13 um from both targets 23 and 31 and farther
+    # from 8 and 17: the tie goes to the lower index, whatever the CPU's sort
+    sites = geometry.sites
+    assert np.hypot(*(sites[23] - sites[27])) == np.hypot(*(sites[31] - sites[27]))
+    occ = np.zeros(geometry.n_sites, dtype=bool)
+    occ[27] = True
+    tgt = np.zeros(geometry.n_sites, dtype=bool)
+    tgt[[8, 17, 23, 31]] = True
+    plan = plan_rearrangement(occ, tgt, geometry)
+    assert [(m.source, m.destination) for m in plan.moves] == [(27, 23)]
+    assert plan.unplaced_targets == (8, 17, 31)
+    assert plan == reference_plan_rearrangement(occ, tgt, geometry)
+
+
 def test_replay_rejects_path_off_its_end_sites(geometry):
     occ = np.zeros(geometry.n_sites, dtype=bool)
     occ[31] = True

@@ -7,6 +7,7 @@ from scipy.linalg import expm
 from fsqsim import levels
 from fsqsim._kernels._lindblad_py import closed_support, liouvillian_parts
 from fsqsim.channels import (
+    LOCAL_PAIRS,
     Superoperator,
     channel_on_pairs,
     channel_superoperator,
@@ -15,6 +16,7 @@ from fsqsim.channels import (
     gate_pair_basis,
     is_cptp,
     min_choi_eigenvalue,
+    pair_index,
     process_fidelity,
     trace_preservation_defect,
 )
@@ -123,7 +125,7 @@ def _embed_qubit(u2, n_atoms=2):
 
 
 def test_process_fidelity_depolarizing_oracle():
-    from fsqsim.rydberg import ideal_cz_unitary
+    from oracles import ideal_cz_unitary
 
     cz = ideal_cz_unitary()
     s_ideal = Superoperator(np.kron(cz.conj(), cz))
@@ -186,6 +188,24 @@ def test_gate_pair_basis_is_closed(cz_profile, drive, reference_config):
     seed[[i * 36 + j for i, j in pairs]] = True
     support = closed_support(parts, seed)
     assert set(support.tolist()) == {i * 36 + j for i, j in pairs}
+
+
+def test_gate_pair_basis_is_the_product_of_local_pairs():
+    assert len(set(LOCAL_PAIRS)) == len(LOCAL_PAIRS) == 12
+    want = []
+    for r1, c1 in LOCAL_PAIRS:
+        for r2, c2 in LOCAL_PAIRS:
+            want.append((r1 * 6 + r2, c1 * 6 + c2))
+    assert gate_pair_basis() == want
+
+
+def test_pair_index_is_the_basis_slot():
+    pairs = gate_pair_basis()
+    for k, (i, j) in enumerate(pairs):
+        rows, cols = levels.unravel_index(i, 2), levels.unravel_index(j, 2)
+        assert pair_index(rows, cols) == pairs.index((i, j)) == k
+    with pytest.raises(ValueError):
+        pair_index((G, Q0), (Q1, Q0))  # the coherence |g><q1| is not kept
 
 
 def test_pair_restriction_matches_full_superoperator():

@@ -154,9 +154,10 @@ def test_non_clifford_rejected():
             reference_find_index(u)
         with pytest.raises(LookupError):
             find_index(u)
-    # equal_up_to_phase matches up to any complex factor, so the scan took
-    # a scaled identity for the identity; the key needs unit moduli
-    assert reference_find_index(1e-3 * np.eye(2)) == find_index(np.eye(2))
+    # a phase has unit modulus: a scaled identity is not the identity
+    assert not equal_up_to_phase(1e-3 * np.eye(2), np.eye(2))
+    with pytest.raises(LookupError):
+        reference_find_index(1e-3 * np.eye(2))
     for u in (np.zeros((2, 2)), 1e-3 * np.eye(2), 0.9 * np.eye(2)):
         with pytest.raises(LookupError):
             find_index(u)

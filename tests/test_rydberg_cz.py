@@ -13,13 +13,12 @@ from fsqsim.rydberg import (
     cz_average_fidelity,
     extract_phi_sq,
     hamiltonian_parts,
-    ideal_cz_unitary,
     residual_rydberg_population,
     sector_unitaries,
     time_optimal_cz,
 )
 from fsqsim.czopt import default_profile
-from oracles import rk4, two_atom_hamiltonian
+from oracles import ideal_cz_unitary, rk4, two_atom_hamiltonian
 
 
 def test_hamiltonian_diagonal_at_zero_rabi():

@@ -1,20 +1,30 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fsqsim.benchmarking.twoq import (
-    GateExecutor,
+    _joint_outcomes,
     _run_sequence,
     _bell_state_vector,
     _assigned_probs,
+    _srd_readout,
     bell_protocol,
     fit_ssb,
     generate_ssb,
     loss_excise,
     run_ssb,
 )
+from fsqsim.channels import pair_index
 from fsqsim.cliffords import clifford_group
 from fsqsim.fitting import FitError
 from fsqsim.levels import B, DIM, Q1
+from oracles import (
+    ideal_cz_executor,
+    reference_assigned_probs,
+    reference_srd_assigned_probs,
+)
 
 
 def test_recovery_without_cz_for_zero_depth():
@@ -102,7 +112,7 @@ def test_pure_loss_channel_gives_survival_fidelity():
     # amplitudes scale by sqrt(1-lam) per atom index, so P11 decays by
     # (1-lam)^2 per gate and the fitted F must equal that survival
     lam = 0.01
-    ex = GateExecutor(None, None, None, ideal_cz=True)
+    ex = ideal_cz_executor()
     n = len(ex.pairs)
     loss = np.zeros((n, n), dtype=complex)
     for q, (i, j) in enumerate(ex.pairs):
@@ -114,7 +124,7 @@ def test_pure_loss_channel_gives_survival_fidelity():
             if left != B or right != B:
                 keep *= np.sqrt(1 - lam) ** ((left != B) + (right != B))
         loss[q, q] = keep
-    ex._cz = loss @ ex._cz
+    ex.cz = loss @ ex.cz
     res = run_ssb((2, 4, 6, 8), 8, shots=0, executor=ex, seed=4)
     assert res.fit_raw.fidelity == pytest.approx((1 - lam) ** 2, abs=5e-4)
 
@@ -170,6 +180,32 @@ def test_bell_state_noiseless(noiseless_executor):
     assert probs["01"] + probs["10"] < 1e-6
 
 
+def test_populations_read_the_pair_diagonal(noiseless_executor):
+    rng = np.random.default_rng(8)
+    n = len(noiseless_executor.pairs)
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    pops = noiseless_executor.populations(v)
+    for l1 in range(DIM):
+        for l2 in range(DIM):
+            k = pair_index((l1, l2), (l1, l2))
+            assert pops[l1, l2] == max(v[k].real, 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(np.float64, (DIM, DIM), elements=st.floats(0.0, 1.0)))
+def test_matrix_readout_matches_per_level_loops(pops):
+    # joint populations sum to one; the readout matrix and the old loops
+    # then agree to rounding, ideal and SRD alike
+    assume(pops.sum() > 0)
+    pops = pops / pops.sum()
+    for new, old in ((_assigned_probs(pops), reference_assigned_probs(pops)),
+                     (_joint_outcomes(pops, _srd_readout()),
+                      reference_srd_assigned_probs(pops))):
+        assert list(new) == list(old)
+        for key in old:
+            assert abs(new[key] - old[key]) <= 1e-14, key
+
+
 def test_bell_noiseless_fidelity(noiseless_executor):
     phases = np.linspace(0, 2 * np.pi, 16, endpoint=False)
     res = bell_protocol(phases, shots=0, executor=noiseless_executor)
@@ -213,8 +249,8 @@ def test_parity_contrast_invariant_under_global_virtual_z(noiseless_executor):
 
 def test_separable_state_bell_fidelity_bounded(cz_profile, drive):
     # replacing the CZ with identity leaves a product state: F <= 1/2
-    ex = GateExecutor(None, None, None, ideal_cz=True)
-    ex._cz = np.eye(len(ex.pairs), dtype=complex)
+    ex = ideal_cz_executor()
+    ex.cz = np.eye(len(ex.pairs), dtype=complex)
     phases = np.linspace(0, 2 * np.pi, 16, endpoint=False)
     res = bell_protocol(phases, shots=0, executor=ex)
     assert res.fidelity <= 0.5 + 1e-9
