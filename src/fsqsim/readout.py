@@ -12,7 +12,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .fitting import brentq, golden_max
+from .fitting import brentq
 from .levels import B, G, Q0, Q1, X
 
 DETECTED_0 = "detected-0"
@@ -23,24 +23,27 @@ LOSS = "loss"
 # valid-data cost.
 CAPTURED_TARGET = 0.91
 COST_TARGET = 0.07
+THRESHOLD_XTOL = 2e-12  # absolute tolerance on a density crossing (counts)
+_SQRT_2 = math.sqrt(2)
 _SQRT_2PI = math.sqrt(2 * math.pi)
 
 
 def _poisson_pmf(k, mu):
-    """Poisson pmf, computed as scipy.stats.poisson.pmf computes it."""
-    from scipy.special import gammaln, xlogy
-
-    return np.exp(xlogy(k, mu) - gammaln(k + 1) - mu)
+    """Poisson pmf exp(k log mu - log k! - mu) of the integer array ``k``,
+    broadcast against ``mu``, with 0 log mu = 0 and log k! from
+    ``math.lgamma``."""
+    log_fact = np.array([math.lgamma(x + 1.0) for x in k.ravel().tolist()])
+    with np.errstate(divide="ignore", invalid="ignore"):  # log 0 at mu = 0
+        k_log_mu = np.where(k == 0, 0.0, k * np.log(mu))
+    return np.exp(k_log_mu - log_fact.reshape(k.shape) - mu)
 
 
 @lru_cache(maxsize=1)
 def _legendre_rule():
     """64-node Gauss-Legendre rule on [-1, 1] for the shoulder integral.
 
-    Built on first use (about 2 ms), not at import, and scipy.special is
-    imported the same way inside the functions that use it: modules that
-    import this one only for the SRD channel then load neither
-    numpy.polynomial nor scipy.special.
+    Built on first use (about 2 ms), not at import: modules that import
+    this one only for the SRD channel then do not load numpy.polynomial.
     """
     return np.polynomial.legendre.leggauss(64)
 
@@ -117,13 +120,14 @@ class PhotonCountModel:
     def _read_noise_tail(self, threshold) -> np.ndarray:
         """P(k + read noise >= t): one row per threshold t, one column per
         photon number k. Both mixtures share the k axis, so one tail serves
-        the occupied and the empty survival function."""
-        from scipy.special import ndtr
-
+        the occupied and the empty survival function. Each entry is
+        0.5 erfc(z / sqrt 2), z = (t - k) / read_noise, from ``math.erfc``."""
         k = self._mixtures[True][0]
         th = np.atleast_1d(np.asarray(threshold, dtype=float))
         z = (th[:, None] - k[None, :]) / self.read_noise
-        return ndtr(-z)
+        x = (z / _SQRT_2).ravel().tolist()
+        erfc = np.fromiter(map(math.erfc, x), dtype=float, count=len(x))
+        return 0.5 * erfc.reshape(z.shape)
 
     def _survival(self, tail: np.ndarray, occupied: bool) -> np.ndarray:
         return (self._mixtures[bool(occupied)][1][None, :] * tail).sum(axis=1)
@@ -155,17 +159,34 @@ class PhotonCountModel:
         return out if np.ndim(threshold) else float(out[0])
 
     def optimal_threshold(self):
-        """(threshold, fidelity) maximizing the classification fidelity."""
-        grid = np.linspace(
-            self.background_mean - 5 * self.read_noise,
-            self.signal_mean + 5 * math.sqrt(self.signal_mean),
-            400,
-        )
-        fids = self.classification_fidelity(grid)
+        """(threshold, fidelity) maximizing the classification fidelity.
+
+        dF/dt = (pdf(t, empty) - pdf(t, occupied)) / 2, so a maximum sits
+        where the empty density falls below the occupied one. Each downward
+        sign change of that difference on a 400-point grid brackets one
+        crossing, solved with ``brentq``; of several, the one of highest
+        fidelity is kept.
+        """
+
+        def density_gap(t):
+            return self.pdf(t, False) - self.pdf(t, True)
+
+        lo = self.background_mean - 5 * self.read_noise
+        hi = self.signal_mean + 5 * math.sqrt(self.signal_mean)
+        grid = np.linspace(lo, hi, 400)
+        gap = density_gap(grid)
+        down = np.flatnonzero((gap[:-1] > 0) & (gap[1:] <= 0))
+        if down.size == 0:
+            raise ValueError(
+                f"the empty and occupied count densities never cross downward "
+                f"on [{lo}, {hi}] (background mean {self.background_mean}, "
+                f"signal mean {self.signal_mean})"
+            )
+        ts = np.array([brentq(density_gap, grid[i], grid[i + 1],
+                              xtol=THRESHOLD_XTOL) for i in down])
+        fids = self.classification_fidelity(ts)
         i = int(np.argmax(fids))
-        t = golden_max(self.classification_fidelity, grid[max(i - 1, 0)],
-                       grid[min(i + 1, len(grid) - 1)], 50)
-        return float(t), float(self.classification_fidelity(t))
+        return float(ts[i]), float(fids[i])
 
     @classmethod
     def calibrated(
@@ -246,8 +267,7 @@ def roc_sweep(model: PhotonCountModel, thresholds) -> list:
 def erasure_operating_point():
     """(TP, per-image FP) of the shallow-trap model at the threshold chosen
     to reproduce the conversion operating point; cached, as building it
-    calibrates the shallow-trap model (about 0.1 s once scipy.special is
-    loaded)."""
+    calibrates the shallow-trap model (about 60 ms)."""
     model = shallow_trap_model()
     th = operating_threshold(model)
     tp = model.survival_function(th, occupied=True)

@@ -96,7 +96,11 @@ def breadth_first_support(parts, seed):
     """Sorted flat indices reachable from ``seed`` along the pattern of
     ``parts``, each breadth-first step over the whole pattern; a ``(d*d, B)``
     seed closes per column, index ``k * B + m`` (entry-major)."""
-    pattern = sum(abs(p) for p in parts if p is not None)
+    n = len(seed)
+    pattern = np.zeros((n, n))
+    for p in parts:
+        if p is not None:
+            pattern[p.rows, p.cols] = 1.0
     reach = np.array(seed, dtype=bool)
     frontier = reach
     while frontier.any():

@@ -107,42 +107,43 @@ def test_rearrange_subcommand_small(tmp_path):
     assert (tmp_path / "o" / "occupancy.csv").exists()
 
 
-def scipy_modules_loaded(tmp_path, command, config_name):
-    """The scipy subpackages a fresh interpreter has loaded after running
-    ``command`` at ``configs/<config_name>``."""
-    src = Path(__file__).resolve().parents[1] / "src"
+def scipy_modules_loaded(tmp_path, command, config):
+    """The scipy modules a fresh interpreter has loaded after running
+    ``command`` at ``config`` (a path relative to the repository root)."""
+    root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(src), os.environ.get("PYTHONPATH", "")]))
+        [str(root / "src"), os.environ.get("PYTHONPATH", "")]))
     code = ("import sys\n"
             "from fsqsim.cli import main\n"
             f"rc = main([{command!r}, '--config', "
-            f"{str(CONFIG_DIR / config_name)!r}, '--out', "
+            f"{str(root / config)!r}, '--out', "
             f"{str(tmp_path / command)!r}])\n"
             "assert rc == 0, rc\n"
-            "print(*sorted(m for m in sys.modules if m.startswith('scipy.')))\n")
+            "print('loaded:', *sorted(m for m in sys.modules\n"
+            "      if m == 'scipy' or m.startswith('scipy.')))\n")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    return set(proc.stdout.split())
+    return set(proc.stdout.splitlines()[-1].split()[1:])
 
 
-def test_rearrange_does_not_import_scipy_optimize(tmp_path):
-    # the planner's assignment is a port; importing scipy.optimize would
-    # cost more than all of a run's assignment solves
-    assert "scipy.optimize" not in scipy_modules_loaded(
-        tmp_path, "rearrange", "rearrange.ini")
-
-
-@pytest.mark.parametrize("command,config,absent", [
-    ("erasure-roc", "erasure_roc.ini", ("scipy.optimize",)),
-    ("srd", "srd.ini", ("scipy.optimize", "scipy.special")),
+@pytest.mark.parametrize("command,config", [
+    ("bell", "configs/bell.ini"),
+    ("crb", "perfbench/configs/crb_raw.ini"),
+    ("erasure-roc", "configs/erasure_roc.ini"),
+    ("srd", "configs/srd.ini"),
+    ("state-prep-curve", "configs/state_prep.ini"),
+    ("rabi", "configs/rabi.ini"),
+    ("rydberg-rabi", "configs/rydberg_rabi.ini"),
+    ("psd-infidelity", "configs/psd.ini"),
+    ("ramsey", "configs/ramsey.ini"),
+    ("rearrange", "configs/rearrange.ini"),
 ])
-def test_readout_does_not_import_unneeded_scipy(tmp_path, command, config,
-                                                absent):
-    # the calibration's root finder is a port, and the SRD channel needs no
-    # special functions; importing either subpackage costs a run 0.1-0.3 s
-    loaded = scipy_modules_loaded(tmp_path, command, config)
-    assert not loaded & set(absent)
+def test_subcommand_loads_no_scipy(tmp_path, command, config):
+    # the engine's sparse products, the read-noise tail, the Poisson pmf,
+    # the root finder and the assignment solver are numpy or plain Python:
+    # importing any scipy subpackage costs a process 0.2-0.35 s
+    assert not scipy_modules_loaded(tmp_path, command, config)
 
 
 def test_format_json_mirrors_tables(tmp_path):

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fsqsim import _kernels, levels
 from fsqsim._kernels import _lindblad_py
-from fsqsim._kernels._lindblad_py import closed_support, liouvillian_parts
+from fsqsim._kernels._lindblad_py import (CSR, closed_support,
+                                          liouvillian_parts)
 from fsqsim.levels import B, G, Q0, Q1, R, X
 from fsqsim.lindblad import CollapseOperator, ModulatedDrive, evolve_rho
 from oracles import breadth_first_support, dense_lindblad_rhs, drive_hamiltonian
@@ -81,7 +84,7 @@ def _dense_grid_propagate(rho, h0, coupling, phase, detuning_diag, segments,
     parts = liouvillian_parts(h0, coupling, detuning_diag, jumps)
     live = closed_support(parts, np.any(flat != 0, axis=0))
     l0, lplus, lminus, ldelta = (
-        None if p is None else p[live][:, live] for p in parts
+        None if p is None else p.restrict(live) for p in parts
     )
     amp, freq, offset, slope = phase
     y = flat[:, live].T
@@ -176,8 +179,11 @@ def test_closed_support_matches_breadth_first_oracle():
     rng = np.random.default_rng(11)
     for _ in range(40):
         n = int(rng.integers(4, 60))
-        parts = [sparse.random_array((n, n), density=rng.uniform(0.01, 0.1),
-                                     rng=rng, format="csr") for _ in range(2)]
+        parts = []
+        for _ in range(2):
+            m = sparse.random_array((n, n), density=rng.uniform(0.01, 0.1),
+                                    rng=rng, format="coo")
+            parts.append(CSR(m.row, m.col, m.data, (n, n)))
         parts.insert(int(rng.integers(0, 3)), None)
         seed = rng.random((n, int(rng.integers(1, 6)))) < rng.uniform(0, 0.1)
         for s in (seed, seed[:, 0], np.zeros_like(seed)):
@@ -208,3 +214,40 @@ def test_dopri5_failures_name_time_step_and_count(monkeypatch):
                        match=r"maximum step count at t = \S+ of \[0\.0, "
                              r"1\.0\], h = \S+, after 4 steps"):
         _kernels.dopri5(lambda t, y: -300j * y, y0, 0.0, 1.0, 1e-8, 1e-10)
+
+
+_VALUES = st.sampled_from([0.0, 1.0, -1.0, 0.5j, -0.5j, 2.0 + 3.0j,
+                           -2.0 - 3.0j, 1e-300, 0.1 + 0.7j, -3.3])
+
+
+@st.composite
+def _triplets(draw):
+    n = draw(st.integers(1, 9))
+    size = st.integers(0, n - 1)
+    entries = draw(st.lists(st.tuples(size, size, _VALUES), max_size=60))
+    rows, cols, vals = (np.array(x) for x in zip(*entries)) if entries else (
+        np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0))
+    return n, rows, cols, vals.astype(complex)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_triplets(), st.integers(0, 2**32 - 1))
+def test_csr_sums_duplicates_drops_zeros_and_multiplies_by_rows(problem, seed):
+    n, rows, cols, vals = problem
+    m = CSR(rows, cols, vals, (n, n))
+    dense = np.zeros((n, n), dtype=complex)
+    np.add.at(dense, (rows, cols), vals)  # duplicates summed in given order
+    assert np.all(m.vals != 0)
+    key = m.rows * n + m.cols
+    assert np.all(np.diff(key) > 0)  # sorted by row, then column; unique
+    back = np.zeros((n, n), dtype=complex)
+    back[m.rows, m.cols] = m.vals
+    assert np.array_equal(back, dense)
+    rng = np.random.default_rng(seed)
+    y = rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4))
+    assert np.allclose(m @ y[:, 0], dense @ y[:, 0], rtol=1e-12, atol=1e-12)
+    prod = m @ y
+    assert np.allclose(prod, dense @ y, rtol=1e-12, atol=1e-12)
+    for j in range(y.shape[1]):  # each column as its own 1-d product
+        assert np.array_equal(prod[:, j], m @ y[:, j])
+        assert np.array_equal(prod[:, j], m @ y[:, j].copy())

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.optimize import brentq
-from scipy.stats import norm
+from scipy.stats import norm, poisson
 
 from fsqsim.levels import B, G, Q0, Q1, R, X
 from fsqsim.readout import (
@@ -12,6 +12,8 @@ from fsqsim.readout import (
     LOSS,
     ClassifierReport,
     PhotonCountModel,
+    _legendre_rule,
+    _poisson_pmf,
     SRDModel,
     erasure_excise,
     operating_threshold,
@@ -208,33 +210,33 @@ def test_srd_rejects_unknown_state():
 
 def _reference_optimal_threshold(m):
     """Scalar reference for ``optimal_threshold``: one threshold per call on
-    mixtures built directly by ``_poisson_mixture``, then the same
-    golden-section steps."""
+    mixtures built directly by ``_poisson_mixture``, scipy's brentq on the
+    crossing of the two count densities, and the tail summed entry by entry
+    from ``math.erfc``."""
     mix = {occ: m._poisson_mixture(occ) for occ in (False, True)}
+    s = m.read_noise
+
+    def pdf(t, occ):
+        k, pk = mix[occ]
+        z = (float(t) - k) / s
+        return float((pk * (np.exp(-z**2 / 2.0) / math.sqrt(2 * math.pi) / s))
+                     .sum())
 
     def sf(t, occ):
         k, pk = mix[occ]
-        th = np.atleast_1d(np.asarray(t, dtype=float))
-        return float((pk[None, :] * norm.sf(th[:, None], loc=k[None, :],
-                                             scale=m.read_noise)).sum(axis=1)[0])
+        tail = [0.5 * math.erfc(z / math.sqrt(2)) for z in (t - k) / s]
+        return float((pk * np.array(tail)).sum())
 
-    def fid(t):
-        return 1.0 - ((1.0 - sf(t, True)) + sf(t, False)) / 2.0
+    def gap(t):
+        return pdf(t, False) - pdf(t, True)
 
-    grid = np.linspace(m.background_mean - 5 * m.read_noise,
+    grid = np.linspace(m.background_mean - 5 * s,
                        m.signal_mean + 5 * math.sqrt(m.signal_mean), 400)
-    i = int(np.argmax([fid(t) for t in grid]))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
-    for _ in range(50):
-        m1 = lo + 0.381966 * (hi - lo)
-        m2 = hi - 0.381966 * (hi - lo)
-        if fid(m1) < fid(m2):
-            lo = m1
-        else:
-            hi = m2
-    t = 0.5 * (lo + hi)
-    return float(t), float(fid(t))
+    gaps = [gap(t) for t in grid]
+    down = [i for i in range(len(grid) - 1) if gaps[i] > 0 >= gaps[i + 1]]
+    assert len(down) == 1
+    t = brentq(gap, grid[down[0]], grid[down[0] + 1], xtol=2e-12)
+    return float(t), 1.0 - ((1.0 - sf(t, True)) + sf(t, False)) / 2.0
 
 
 def _reference_signal_mean(fidelity, early, bright):
@@ -310,3 +312,65 @@ def test_classification_fidelity_shares_one_tail(shallow_model, deep_model):
             assert type(fid) is float
             assert fid == 1.0 - ((1.0 - m.survival_function(t, True))
                                  + m.survival_function(t, False)) / 2.0
+
+
+@pytest.mark.parametrize("which", ["shallow", "deep"])
+def test_read_noise_tail_matches_normal_sf(which, shallow_model, deep_model):
+    m = shallow_model if which == "shallow" else deep_model
+    k = np.arange(m._kmax() + 1)
+    ths = np.linspace(m.background_mean - 5 * m.read_noise,
+                      m.signal_mean + 5 * math.sqrt(m.signal_mean), 800)
+    ref = norm.sf(ths[:, None], loc=k[None, :], scale=m.read_noise)
+    assert np.max(np.abs(m._read_noise_tail(ths) - ref)) <= 1e-15
+
+
+@pytest.mark.parametrize("which", ["shallow", "deep"])
+def test_poisson_pmf_matches_scipy(which, shallow_model, deep_model):
+    # log k! from math.lgamma and from scipy's gammaln differ by up to 3 ulp
+    # of lgamma(k + 1); exp turns an error e in the exponent into a relative
+    # error e, so the bound scales with the size of the exponent's terms
+    m = shallow_model if which == "shallow" else deep_model
+    k = np.arange(m._kmax() + 1)[None, :]
+    nodes, _ = _legendre_rule()
+    mu = np.concatenate([0.5 * m.signal_mean * (nodes + 1.0),
+                         [m.signal_mean, m.background_mean]])[:, None]
+    ref = poisson.pmf(k, mu)
+    got = _poisson_pmf(k, mu)
+    size = k * np.abs(np.log(mu)) + np.vectorize(math.lgamma)(k + 1.0) + mu
+    assert np.all(np.abs(got - ref) <= 4 * np.finfo(float).eps * size * ref
+                  + 1e-300)
+    assert np.array_equal(got[:, 0], np.exp(-mu[:, 0]))  # 0 log mu = 0
+
+
+def test_optimal_threshold_without_a_crossing_names_the_means(monkeypatch):
+    # identical densities never cross: fail fast instead of returning a
+    # threshold that maximizes nothing
+    model = PhotonCountModel(signal_mean=12.0)
+    pdf = PhotonCountModel.pdf
+    monkeypatch.setattr(PhotonCountModel, "pdf",
+                        lambda self, counts, occupied: pdf(self, counts, True))
+    with pytest.raises(ValueError, match=r"background mean 1\.0, signal mean "
+                                         r"12\.0"):
+        model.optimal_threshold()
+
+
+def test_optimal_threshold_keeps_the_best_of_several_crossings(monkeypatch):
+    # a narrow occupied-density bump at -4 counts adds a spurious downward
+    # crossing left of the true one: both are solved, the better one is kept
+    model = PhotonCountModel(signal_mean=12.0)
+    best = model.optimal_threshold()
+    pdf = PhotonCountModel.pdf
+
+    def bumped(self, counts, occupied):
+        c = np.asarray(counts, dtype=float)
+        return pdf(self, counts, occupied) + occupied * 0.1 * np.exp(
+            -((c + 4.0) / 0.3) ** 2)
+
+    grid = np.linspace(model.background_mean - 5 * model.read_noise,
+                       model.signal_mean + 5 * math.sqrt(model.signal_mean),
+                       400)
+    gap = bumped(model, grid, False) - bumped(model, grid, True)
+    down = np.flatnonzero((gap[:-1] > 0) & (gap[1:] <= 0))
+    assert len(down) == 2 and grid[down[0]] < -4.0 < best[0]
+    monkeypatch.setattr(PhotonCountModel, "pdf", bumped)
+    assert model.optimal_threshold() == best
