@@ -21,6 +21,16 @@ reaches only a small part of what a whole basis of them reaches).
 Integration is adaptive Dormand-Prince 5(4), with the step error taken over
 the dense (entry, member) grid as if every unreachable pair were held at 0.
 
+A member is integrated only if it is not an image of an earlier one under
+a symmetry of the generator: the adjoint rho -> rho^dag, which holds when
+H0 is exactly Hermitian and the detuning diagonal is real (the drive term
+e^{i phi} C + h.c. is Hermitian by construction), the atom exchange
+rho -> P rho P^T, which holds when every part is exactly invariant under
+the caller's ``exchange`` permutation, and their product. An image takes
+its result from its representative's result (the CZ channel's 144 units
+integrate as 51), and its grid positions in the step error read the
+representative's error ratios, so the norm is still over the full grid.
+
 The parts are :class:`CSR` matrices, a small numpy compressed-row type, so
 the engine imports no scipy: importing any scipy subpackage after numpy
 costs a process 0.2-0.35 s, more than the products it would speed up.
@@ -52,9 +62,11 @@ def dopri5(rhs, y0, t0, t1, rtol, atol, *, grid=None):
     """Adaptive Dormand-Prince integration of dy/dt = rhs(t, y).
 
     ``y`` may be a complex array of any shape. Returns y(t1). The step error
-    is the RMS norm over ``y``. ``grid`` is (shape, flat positions) of a
-    packed 1-d ``y`` inside a 2-d grid whose other entries are identically
-    zero: the RMS norm is then taken over that whole grid.
+    is the RMS norm over ``y``. ``grid`` is (shape, flat positions, source)
+    for a packed 1-d ``y`` that stands for a 2-d grid: grid entry
+    ``positions[n]`` has the squared error ratio of ``y[source[n]]`` (an
+    entry may stand for several positions), every other entry is
+    identically zero, and the RMS norm is taken over that whole grid.
     """
     span = t1 - t0
     if span < 0:
@@ -90,9 +102,9 @@ def dopri5(rhs, y0, t0, t1, rtol, atol, *, grid=None):
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
         ratio2 = np.abs(err_vec / scale) ** 2
         if grid is not None:
-            shape, at = grid
+            shape, at, source = grid
             full = np.zeros(shape)
-            full.flat[at] = ratio2
+            full.flat[at] = ratio2[source]
             ratio2 = full
         err = np.sqrt(np.mean(ratio2))
         if err <= 1.0:
@@ -266,13 +278,81 @@ def _packed(part, live, pos):
     return CSR(pos[sub.rows[k], m], pos[sub.cols[k], m], sub.vals[k], (n, n))
 
 
-def propagate(rho, h0, coupling, phase, detuning_diag, segments, jumps, rtol, atol):
+def _moved(m, perm):
+    """Sorted flat (row, col) keys and matching values of ``m`` with rows and
+    columns renumbered by ``perm``."""
+    key = perm[m.rows] * m.shape[1] + perm[m.cols]
+    order = np.argsort(key)
+    return key[order], m.vals[order]
+
+
+def symmetries(parts, h0, detuning_diag, exchange):
+    """The generator's symmetries as maps x -> x[perms[i]] of a row-major
+    vec(rho), conjugated where ``conj[i]``: the identity, then the adjoint,
+    the exchange and their product, each where it holds.
+
+    The adjoint needs ``h0`` exactly Hermitian, a real detuning diagonal and
+    a pattern it maps onto itself (L_plus onto L_minus); the exchange
+    rho -> P rho P^T, with P the permutation matrix of ``exchange``, needs
+    every part exactly invariant, values included."""
+    d = h0.shape[0]
+    ij = np.arange(d * d).reshape(d, d)
+    perms, conj = [ij.ravel()], [False]
+    l0, lplus, lminus, ldelta = parts
+    onto = [(l0, l0), (ldelta, ldelta), (lplus, lminus)]
+    if (np.array_equal(h0, h0.conj().T)
+            and (detuning_diag is None or not np.any(np.imag(detuning_diag)))
+            and all(a is None or np.array_equal(_moved(a, ij.T.ravel())[0],
+                                                b.rows * b.shape[1] + b.cols)
+                    for a, b in onto)):
+        perms.append(ij.T.ravel())
+        conj.append(True)
+    perms, conj = np.array(perms), np.array(conj)
+    if exchange is not None:
+        swap = ij[np.ix_(exchange, exchange)].ravel()
+        if all(np.array_equal(key, m.rows * m.shape[1] + m.cols)
+               and np.array_equal(vals, m.vals)
+               for m in parts if m is not None
+               for key, vals in [_moved(m, swap)]):
+            perms = np.concatenate([perms, perms[:, swap]])
+            conj = np.concatenate([conj, conj])
+    return perms, conj
+
+
+def _key(x):
+    """Hashable exact value of a 1-d array (-0.0 taken as 0.0)."""
+    nz = np.flatnonzero(x)
+    return nz.tobytes(), (x[nz] + 0.0).tobytes()
+
+
+def representatives(flat, perms, conj):
+    """(source, how) per member of the (B, n) batch ``flat``: member m is
+    map ``how[m]`` of :func:`symmetries` applied to member ``source[m]``,
+    the first member it is an image of; ``source[m] == m`` (``how`` 0, the
+    identity) for a member that is integrated."""
+    seen = {}
+    source = np.arange(len(flat))
+    how = np.zeros(len(flat), dtype=int)
+    for m, x in enumerate(flat):
+        hit = seen.get(_key(x))
+        if hit is not None:
+            source[m], how[m] = hit
+            continue
+        for i, (perm, c) in enumerate(zip(perms, conj)):
+            y = x[perm]
+            seen.setdefault(_key(y.conj() if c else y), (m, i))
+    return source, how
+
+
+def propagate(rho, h0, coupling, phase, detuning_diag, segments, jumps, rtol,
+              atol, exchange=None):
     """Propagate a (B, d, d) batch of matrices through ``segments``.
 
     ``phase`` is (amp, freq, offset, slope) of phi(t); ``segments`` lists
     (t0, t1, delta) pieces with a constant detuning delta along
     ``detuning_diag``; ``jumps`` are full-space collapse operators with
-    sqrt(rate) folded in.
+    sqrt(rate) folded in. ``exchange`` is a permutation of range(d) to try
+    as a symmetry (the atom swap of a two-atom space), or None.
     """
     b, d, _ = rho.shape
     flat = rho.reshape(b, d * d)
@@ -282,15 +362,21 @@ def propagate(rho, h0, coupling, phase, detuning_diag, segments, jumps, rtol, at
     if entry.size == 0:
         return out.reshape(b, d, d)
     live, row = np.unique(entry, return_inverse=True)
-    at = row * b + member  # flat positions in the (live, B) grid
+    perms, conj = symmetries(parts, h0, detuning_diag, exchange)
+    source, how = representatives(flat, perms, conj)
+    solved = source[member] == member  # pairs of integrated members
     pos = np.full(live.size * b, -1)
-    pos[at] = np.arange(at.size)
+    pos[row[solved] * b + member[solved]] = np.arange(np.count_nonzero(solved))
     pos = pos.reshape(live.size, b)
+    at_live = np.full(d * d, -1)
+    at_live[live] = np.arange(live.size)
+    # grid pair (entry e, member m) reads pair (perm[e], source[m])
+    src = pos[at_live[perms[how[member], entry]], source[member]]
     l0, lplus, lminus, ldelta = (
         None if p is None else _packed(p, live, pos) for p in parts
     )
     amp, freq, offset, slope = phase
-    y = flat[member, entry]
+    y = flat[member[solved], entry[solved]]
     for t0, t1, delta in segments:
         a = l0 if ldelta is None or delta == 0.0 else l0 + delta * ldelta
         ops = a if lplus is None else _stacked([a, lplus, lminus])
@@ -304,6 +390,12 @@ def propagate(rho, h0, coupling, phase, detuning_diag, segments, jumps, rtol, at
                 out += e * plus + np.conj(e) * minus
             return out
 
-        y = dopri5(rhs, y, t0, t1, rtol, atol, grid=(pos.shape, at))
-    out[member, entry] = y
+        y = dopri5(rhs, y, t0, t1, rtol, atol,
+                   grid=(pos.shape, row * b + member, src))
+    out[member[solved], entry[solved]] = y
+    # row by row: one fancy-indexed copy of every image row would raise the
+    # build's peak memory by a batch-sized temporary
+    for m in np.flatnonzero(source != np.arange(b)):
+        x = out[source[m], perms[how[m]]]
+        out[m] = x.conj() if conj[how[m]] else x
     return out.reshape(b, d, d)

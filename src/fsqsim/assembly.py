@@ -75,7 +75,7 @@ class ArrayGeometry:
 
     def __post_init__(self):
         sites = np.atleast_2d(np.asarray(self.sites, dtype=float))
-        if len(np.unique(sites.round(9), axis=0)) != len(sites):
+        if len(set(map(tuple, sites.round(9).tolist()))) != len(sites):
             raise ValueError("sites must be distinct")
         object.__setattr__(self, "sites", sites)
         if self.depths is not None:

@@ -195,7 +195,7 @@ def fit_power_decay(n, y, sigma=None, offset=None) -> DecayFit:
     """
     n = np.asarray(n, dtype=float)
     y = np.asarray(y, dtype=float)
-    if len(np.unique(n)) < (3 if offset is not None else 4):
+    if len(set(n.ravel().tolist())) < (3 if offset is not None else 4):
         raise FitError("need at least 3 (4 with free offset) distinct lengths")
 
     b0 = 0.0 if offset is None else offset

@@ -127,7 +127,12 @@ def evolve_rho(
     batched = rho.ndim == 3
     work = rho if batched else rho[None, :, :]
     d = work.shape[-1]
+    if d != DIM**n_atoms:
+        raise ValueError(f"a {n_atoms}-atom matrix is {DIM**n_atoms}x"
+                         f"{DIM**n_atoms}, not {d}x{d}")
     pairs = [p for c in (collapses or []) for p in c.expand(n_atoms)]
+    # the atom swap |a1 a2> -> |a2 a1>, used where the generator has it
+    swap = np.arange(d).reshape(DIM, DIM).T.ravel() if n_atoms == 2 else None
 
     if hamiltonian is None:
         drive = ModulatedDrive(h0=np.zeros((d, d), dtype=complex))
@@ -153,6 +158,7 @@ def evolve_rho(
         [np.sqrt(rate) * op for rate, op in pairs if rate != 0.0],
         rtol,
         atol,
+        exchange=swap,
     )
     return out if batched else out[0]
 

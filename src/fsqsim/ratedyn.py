@@ -161,7 +161,7 @@ def fit_lifetimes(
     variant used in the information comparison). P1 alone cannot identify
     all three parameters, so that variant requires ``fix_amplitude``.
     """
-    if len(np.unique(data.times)) < 4:
+    if len(set(np.ravel(data.times).tolist())) < 4:
         raise FitError("need at least 4 distinct times for the joint fit")
     use_p1 = "p1" in observables
     use_p2 = "p2" in observables

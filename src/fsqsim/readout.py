@@ -149,14 +149,20 @@ class PhotonCountModel:
         k = rng.poisson(lam)
         return float(k + rng.normal(0.0, self.read_noise))
 
-    def classification_fidelity(self, threshold):
-        """Equal-prior average accuracy: 1 - (FN + FP)/2 (elementwise for an
-        array of thresholds)."""
+    def detection_rates(self, threshold):
+        """(TP, FP): ``survival_function`` of an occupied and of an empty
+        site, from one read-noise tail (elementwise for an array of
+        thresholds)."""
         tail = self._read_noise_tail(threshold)
         tp = self._survival(tail, occupied=True)
         fp = self._survival(tail, occupied=False)
-        out = 1.0 - ((1.0 - tp) + fp) / 2.0
-        return out if np.ndim(threshold) else float(out[0])
+        return (tp, fp) if np.ndim(threshold) else (float(tp[0]), float(fp[0]))
+
+    def classification_fidelity(self, threshold):
+        """Equal-prior average accuracy: 1 - (FN + FP)/2 (elementwise for an
+        array of thresholds)."""
+        tp, fp = self.detection_rates(threshold)
+        return 1.0 - ((1.0 - tp) + fp) / 2.0
 
     def optimal_threshold(self):
         """(threshold, fidelity) maximizing the classification fidelity.
@@ -250,8 +256,7 @@ def roc_sweep(model: PhotonCountModel, thresholds) -> list:
     th = np.asarray(thresholds, dtype=float)
     if np.any(np.diff(th) < 0):
         raise ValueError("thresholds must be sorted ascending")
-    tps = model.survival_function(th, occupied=True)
-    fps = model.survival_function(th, occupied=False)
+    tps, fps = model.detection_rates(th)
     return [
         ClassifierReport(
             threshold=float(t),
@@ -269,10 +274,7 @@ def erasure_operating_point():
     to reproduce the conversion operating point; cached, as building it
     calibrates the shallow-trap model (about 60 ms)."""
     model = shallow_trap_model()
-    th = operating_threshold(model)
-    tp = model.survival_function(th, occupied=True)
-    fp = model.survival_function(th, occupied=False)
-    return float(tp), float(fp)
+    return model.detection_rates(operating_threshold(model))
 
 
 def sandwich_stats(model: PhotonCountModel, threshold: float):
@@ -281,8 +283,7 @@ def sandwich_stats(model: PhotonCountModel, threshold: float):
     Mid-circuit leakage is visible only to the closing image (capture = TP);
     a valid shot is discarded when either image fires (cost = 1-(1-FP)^2).
     """
-    tp = model.survival_function(threshold, occupied=True)
-    fp = model.survival_function(threshold, occupied=False)
+    tp, fp = model.detection_rates(threshold)
     return float(tp), float(1.0 - (1.0 - fp) ** 2)
 
 
@@ -296,8 +297,7 @@ def operating_threshold(model: PhotonCountModel) -> float:
         model.signal_mean + 5 * math.sqrt(model.signal_mean),
         800,
     )
-    tps = model.survival_function(grid, occupied=True)
-    fps = model.survival_function(grid, occupied=False)
+    tps, fps = model.detection_rates(grid)
     cost = 1.0 - (1.0 - fps) ** 2
     miss = np.maximum(np.abs(tps - CAPTURED_TARGET), np.abs(cost - COST_TARGET))
     return float(grid[int(np.argmin(miss))])
@@ -344,8 +344,7 @@ def state_prep_curve(
     rate FP; survivors are scaled by the imaging ceiling.
     """
     th = np.asarray(thresholds, dtype=float)
-    tp = model.survival_function(th, occupied=True)
-    fp = model.survival_function(th, occupied=False)
+    tp, fp = model.detection_rates(th)
     kept_valid = (1.0 - eps_sp) * (1.0 - fp)
     kept_error = eps_sp * (1.0 - tp)
     total = kept_valid + kept_error

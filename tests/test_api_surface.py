@@ -268,6 +268,9 @@ ALLOWED = {
         "the decay branching analysis of the rate equations",
     "readout.PhotonCountModel.sample":
         "draws one shot's photon count from the model",
+    "readout.PhotonCountModel.survival_function":
+        "P(count >= t) for one occupancy; src reads both at once through "
+        "detection_rates",
     "readout.deep_trap_model":
         "the deep-trap imaging model beside shallow_trap_model",
     "readout.erasure_excise":

@@ -107,9 +107,10 @@ def test_rearrange_subcommand_small(tmp_path):
     assert (tmp_path / "o" / "occupancy.csv").exists()
 
 
-def scipy_modules_loaded(tmp_path, command, config):
-    """The scipy modules a fresh interpreter has loaded after running
-    ``command`` at ``config`` (a path relative to the repository root)."""
+def modules_loaded(tmp_path, command, config, package="scipy"):
+    """The modules of ``package`` a fresh interpreter has loaded after
+    running ``command`` at ``config`` (a path relative to the repository
+    root)."""
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(root / "src"), os.environ.get("PYTHONPATH", "")]))
@@ -120,7 +121,7 @@ def scipy_modules_loaded(tmp_path, command, config):
             f"{str(tmp_path / command)!r}])\n"
             "assert rc == 0, rc\n"
             "print('loaded:', *sorted(m for m in sys.modules\n"
-            "      if m == 'scipy' or m.startswith('scipy.')))\n")
+            f"      if m == {package!r} or m.startswith({package + '.'!r})))\n")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
@@ -143,7 +144,17 @@ def test_subcommand_loads_no_scipy(tmp_path, command, config):
     # the engine's sparse products, the read-noise tail, the Poisson pmf,
     # the root finder and the assignment solver are numpy or plain Python:
     # importing any scipy subpackage costs a process 0.2-0.35 s
-    assert not scipy_modules_loaded(tmp_path, command, config)
+    assert not modules_loaded(tmp_path, command, config)
+
+
+@pytest.mark.parametrize("command,config", [
+    ("crb", "perfbench/configs/crb_raw.ini"),
+    ("rearrange", "configs/rearrange.ini"),
+])
+def test_subcommand_loads_no_numpy_ma(tmp_path, command, config):
+    # distinct counts are set sizes: np.unique without optional outputs
+    # imports numpy.ma (12-14 ms a process)
+    assert not modules_loaded(tmp_path, command, config, "numpy.ma")
 
 
 def test_format_json_mirrors_tables(tmp_path):

@@ -128,8 +128,11 @@ def _gate_problem(cz_profile, drive, reference_config, span):
 
 def test_packed_engine_matches_dense_grid_one_atom():
     # all 36 one-atom matrix units under a modulated drive, collapses and
-    # two detuning pieces: bit-identical to the dense-grid engine, with
-    # members whose supports differ (sink coherences only decay)
+    # two detuning pieces, with members whose supports differ (sink
+    # coherences only decay). h0 is Hermitian, so each |j><i| (i < j) is
+    # the adjoint image of |i><j|: it is exactly that image and within
+    # rounding of the dense-grid engine. Batches with no images are
+    # bit-identical to it.
     coupling = 2.1 * levels.lop(Q1, R) + 0.7 * levels.lop(Q0, Q1)
     jumps = [np.sqrt(0.3) * (levels.lop(G, Q1) + 0.5 * levels.lop(G, R)),
              np.sqrt(0.2) * (levels.lop(X, Q0) + 1j * levels.lop(X, Q1)),
@@ -142,7 +145,11 @@ def test_packed_engine_matches_dense_grid_one_atom():
     seed = (rho.reshape(36, 36) != 0).T
     assert closed_support(parts, seed).size < 36 * 36
     packed = _kernels.propagate(rho, *args)
-    assert np.array_equal(packed, _dense_grid_propagate(rho, *args))
+    units = packed.reshape(6, 6, 6, 6)  # (i, j) of the unit, then entry
+    upper = np.triu_indices(6, 1)
+    assert np.array_equal(units.transpose(1, 0, 3, 2)[upper],
+                          units[upper].conj())
+    assert np.max(np.abs(packed - _dense_grid_propagate(rho, *args))) <= 1e-13
     assert np.max(np.abs(packed - rho)) > 0.1
     full = rho.sum(axis=0)
     # one member, and members that all reach the whole live set
@@ -168,6 +175,164 @@ def test_packed_size_of_reference_gate(cz_profile, drive, reference_config):
     seed = (rho.reshape(len(rho), -1) != 0).T
     assert closed_support(parts, seed).size == 2116
     assert closed_support(parts, seed.any(axis=1)).size == 144
+
+
+@pytest.fixture(scope="module")
+def reference_channel(cz_profile, drive, reference_config):
+    """The reference CZ channel (one detuning node) as ``GateExecutor``
+    builds it, with the members and (entry, member) pairs the engine
+    integrated and the pairs its step-error grid covers."""
+    from fsqsim.benchmarking.twoq import CZ_CHANNEL_ATOL, CZ_CHANNEL_RTOL
+    from fsqsim.channels import channel_on_pairs, gate_pair_basis
+    from fsqsim.noise import gate_collapse_ops
+    from fsqsim.rydberg import modulated_drive
+
+    seen = {}
+    reps, integrate = _lindblad_py.representatives, _lindblad_py.dopri5
+
+    def representatives(flat, perms, conj):
+        source, how = reps(flat, perms, conj)
+        seen["members"] = int(np.count_nonzero(source == np.arange(len(flat))))
+        return source, how
+
+    def dopri5(rhs, y0, t0, t1, rtol, atol, *, grid):
+        seen["pairs"], seen["grid"] = len(y0), len(grid[1])
+        return integrate(rhs, y0, t0, t1, rtol, atol, grid=grid)
+
+    pairs = gate_pair_basis()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_lindblad_py, "representatives", representatives)
+        mp.setattr(_lindblad_py, "dopri5", dopri5)
+        m, _ = channel_on_pairs(
+            modulated_drive(cz_profile, drive, [0.0], [0.0]),
+            gate_collapse_ops(reference_config, drive.rabi_frequency),
+            cz_profile.t_gate, 2, pairs, CZ_CHANNEL_RTOL, CZ_CHANNEL_ATOL)
+    return pairs, m, seen
+
+
+def test_reference_gate_integrates_51_members(reference_channel):
+    # the adjoint and the atom exchange leave 51 of the 144 units and 791 of
+    # the 2,116 (entry, member) pairs to integrate; the step error still
+    # covers all 2,116. A rounding change that breaks the exchange's exact
+    # invariance (say in G) shows here, not only as a slower build.
+    _, _, seen = reference_channel
+    assert seen == {"members": 51, "pairs": 791, "grid": 2116}
+
+
+def test_reference_channel_columns_are_adjoint_images(reference_channel):
+    # column |b><a| is the conjugate of column |a><b| with each output
+    # pair transposed, bit for bit
+    pairs, m, _ = reference_channel
+    flip = [pairs.index((j, i)) for i, j in pairs]
+    assert np.array_equal(m[np.ix_(flip, flip)], m.conj())
+
+
+# a two-atom space of two 3-level atoms; |a1 a2> -> |a2 a1> on its basis
+_SWAP = np.arange(9).reshape(3, 3).T.ravel()
+_IMAGES = (
+    lambda x: x.conj().T,
+    lambda x: x[np.ix_(_SWAP, _SWAP)],
+    lambda x: x.conj().T[np.ix_(_SWAP, _SWAP)],
+)
+_ARGS = ((0.8, 14.0, 0.3, 2.0), [(0.0, 0.15, 0.4), (0.15, 0.3, -1.1)], 1e-8,
+         1e-11)
+
+
+def _swap_symmetric(a):
+    return a + a[np.ix_(_SWAP, _SWAP)]
+
+
+def _two_atom_generator(rng, n_jumps):
+    """Random exchange-symmetric (h0, coupling, detuning diagonal, jumps):
+    h0 Hermitian, and each local jump a single matrix element on its own
+    source level, on atom 0 then atom 1 (the order of
+    ``CollapseOperator.expand``), so every part is exactly invariant."""
+    def cnormal():
+        return rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+
+    h0 = _swap_symmetric(0.3 * cnormal())
+    jumps = []
+    for source in rng.choice(3, n_jumps, replace=False):
+        local = np.zeros((3, 3))
+        local[rng.integers(3), source] = rng.uniform(0.1, 0.8)
+        jumps += [np.kron(local, np.eye(3)), np.kron(np.eye(3), local)]
+    return (h0 + h0.conj().T, _swap_symmetric(0.3 * cnormal()),
+            _swap_symmetric(np.diag(rng.normal(size=9))).diagonal(), jumps)
+
+
+def _engine_args(generator):
+    h0, coupling, det, jumps = generator
+    phase, segments, rtol, atol = _ARGS
+    return h0, coupling, phase, det, segments, jumps, rtol, atol
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3),
+       st.lists(st.tuples(st.integers(0, 80), st.integers(0, 7)),
+                min_size=1, max_size=4))
+def test_images_are_exact_and_match_dense_grid(seed, n_jumps, draws):
+    # matrix units, each followed by the images its mask picks (bit 0 the
+    # adjoint, bit 1 the exchange, bit 2 both): every image in the batch
+    # comes out as exactly that image of its unit's result, and the batch
+    # is within rounding of integrating every member
+    generator = _two_atom_generator(np.random.default_rng(seed), n_jumps)
+    args = _engine_args(generator)
+    parts = liouvillian_parts(args[0], args[1], args[3], args[5])
+    perms, _ = _lindblad_py.symmetries(parts, args[0], args[3], _SWAP)
+    assert len(perms) == 4
+    rho = []
+    for unit, mask in draws:
+        x = _matrix_units([divmod(unit, 9)], 9)[0]
+        rho += [x] + [f(x) for bit, f in enumerate(_IMAGES) if mask >> bit & 1]
+    rho = np.array(rho)
+    out = _kernels.propagate(rho, *args, exchange=_SWAP)
+    for m in range(len(rho)):  # the first earlier member m is an image of
+        for n in range(m):     # is its representative
+            maps = [f for f in (lambda x: x,) + _IMAGES
+                    if np.array_equal(f(rho[n]), rho[m])]
+            if maps:  # a unit may be its own adjoint or swap image
+                assert any(np.array_equal(f(out[n]), out[m]) for f in maps)
+                break
+    assert np.max(np.abs(out - _dense_grid_propagate(rho, *args))) <= 1e-12
+
+
+@pytest.mark.parametrize("broken", ["one-atom collapse", "non-Hermitian h0"])
+def test_asymmetric_generator_is_not_reduced(broken, monkeypatch):
+    # a batch of exchange images (no adjoints) under a collapse on atom 0
+    # only, and of adjoint images (no exchange images) under a non-Hermitian
+    # h0: each is reduced under the intact generator, integrated whole under
+    # the broken one, and then bit-identical to the dense-grid engine
+    h0, coupling, det, jumps = _two_atom_generator(np.random.default_rng(8), 2)
+    if broken == "one-atom collapse":
+        units = [(1, 2), (3, 6), (1, 5), (3, 7), (0, 4)]
+        broken_generator = (h0, coupling, det, jumps[::2])
+    else:
+        units = [(i, j) for i in (1, 2, 5) for j in (1, 2, 5)]
+        broken_generator = (h0 + 0.5j * np.eye(9), coupling, det, jumps)
+    rho = _matrix_units(units, 9)
+    sizes = []
+    integrate = _lindblad_py.dopri5
+
+    def dopri5(rhs, y0, t0, t1, rtol, atol, *, grid):
+        sizes.append((len(y0), len(grid[1])))
+        return integrate(rhs, y0, t0, t1, rtol, atol, grid=grid)
+
+    monkeypatch.setattr(_lindblad_py, "dopri5", dopri5)
+    _kernels.propagate(rho, *_engine_args((h0, coupling, det, jumps)),
+                       exchange=_SWAP)
+    assert all(n < full for n, full in sizes)
+    sizes.clear()
+    args = _engine_args(broken_generator)
+    out = _kernels.propagate(rho, *args, exchange=_SWAP)
+    assert all(n == full for n, full in sizes)
+    # bit-identical to the engine with no symmetry at all, and within
+    # rounding of the dense grid: the grid's (entry, member) layout moves
+    # numpy's fused complex products (1.3e-15 on this batch at the parent
+    # engine too), so bit equality with it holds only for some batches
+    monkeypatch.setattr(_lindblad_py, "symmetries", lambda parts, h0, *_: (
+        np.arange(h0.size)[None], np.array([False])))
+    assert np.array_equal(out, _kernels.propagate(rho, *args, exchange=_SWAP))
+    assert np.max(np.abs(out - _dense_grid_propagate(rho, *args))) <= 1e-13
 
 
 def test_closed_support_matches_breadth_first_oracle():

@@ -97,6 +97,11 @@ def test_callable_hamiltonian_is_rejected():
         evolve_rho(np.eye(6), lambda t: np.zeros((6, 6)), [], 1.0, 1)
 
 
+def test_state_dimension_must_match_atom_count():
+    with pytest.raises(ValueError, match=r"2-atom matrix is 36x36, not 6x6"):
+        evolve_rho(np.eye(6), None, [], 1.0, 2)
+
+
 def test_piecewise_detuning_matches_callable():
     edges = np.array([0.0, 0.4, 0.8, 1.2])
     vals = np.array([1.5, -2.0, 0.7])

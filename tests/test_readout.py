@@ -301,6 +301,40 @@ def test_srd_counts_rejects_unknown_state():
         srd_counts(R, SRDModel(), 10, np.random.default_rng(0))
 
 
+def test_rate_functions_build_one_tail_per_call(monkeypatch, shallow_model):
+    # each reads TP and FP off one read-noise tail; the rates are the two
+    # survival functions, bit for bit
+    from fsqsim import readout
+
+    thresholds = np.linspace(-2.0, 30.0, 41)
+    tp, fp = shallow_model.detection_rates(thresholds)
+    assert np.array_equal(tp, shallow_model.survival_function(thresholds, True))
+    assert np.array_equal(fp, shallow_model.survival_function(thresholds, False))
+    assert shallow_model.detection_rates(7.5) == (
+        shallow_model.survival_function(7.5, True),
+        shallow_model.survival_function(7.5, False))
+    tails = []
+    build = PhotonCountModel._read_noise_tail
+
+    def counting(self, threshold):
+        tails.append(np.size(threshold))
+        return build(self, threshold)
+
+    monkeypatch.setattr(PhotonCountModel, "_read_noise_tail", counting)
+    monkeypatch.setattr(readout, "shallow_trap_model", lambda: shallow_model)
+    for call, n in [
+        (lambda: roc_sweep(shallow_model, thresholds), 1),
+        (lambda: sandwich_stats(shallow_model, 7.5), 1),
+        (lambda: operating_threshold(shallow_model), 1),
+        (lambda: state_prep_curve(1e-3, shallow_model, 0.99, thresholds), 1),
+        # the threshold search, then the rates at its threshold
+        (lambda: readout.erasure_operating_point.__wrapped__(), 2),
+    ]:
+        tails.clear()
+        call()
+        assert len(tails) == n
+
+
 def test_classification_fidelity_shares_one_tail(shallow_model, deep_model):
     for m in (shallow_model, deep_model, PhotonCountModel(signal_mean=12.0)):
         grid = np.linspace(-8.0, m.signal_mean + 10.0, 97)
