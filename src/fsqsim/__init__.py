@@ -7,7 +7,7 @@ from ._kernels import BACKEND as KERNEL_BACKEND
 from .czopt import default_profile, optimize_cz
 from .levels import LevelScheme
 from .lindblad import CollapseOperator, ModulatedDrive, evolve_lindblad
-from .channels import Superoperator, channel_superoperator, process_fidelity
+from .channels import channel_superoperator
 from .noise import NoiseConfig
 from .rydberg import CZPulseProfile, RydbergDrive, time_optimal_cz
 from .states import QuantumState, embed_local, measure_populations
@@ -18,13 +18,11 @@ __all__ = [
     "QuantumState",
     "CollapseOperator",
     "ModulatedDrive",
-    "Superoperator",
     "NoiseConfig",
     "RydbergDrive",
     "CZPulseProfile",
     "evolve_lindblad",
     "channel_superoperator",
-    "process_fidelity",
     "embed_local",
     "measure_populations",
     "time_optimal_cz",

@@ -11,7 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..channels import channel_superoperator, vec
+from ..channels import channel_superoperator
 from ..cliffords import CliffordGate, clifford_group, find_index
 from ..fitting import DecayFit, fit_power_decay
 from ..levels import DIM, G, Q0, Q1, lop
@@ -47,12 +47,12 @@ def generate_crb(length: int, seed: int) -> RBSequence:
 
 @lru_cache(maxsize=1024)
 def _z_superop_diag(angle: float) -> np.ndarray:
-    """Vectorized-space diagonal of conjugation by the virtual-Z unitary;
-    cached by angle (a frame is a sum of Clifford z-angles, so a CRB run
-    sees few distinct ones) and read-only."""
+    """Row-major vectorized diagonal of conjugation by the virtual-Z unitary,
+    z_i conj(z_j) at i*DIM + j; cached by angle (a frame is a sum of
+    Clifford z-angles, so a CRB run sees few distinct ones) and read-only."""
     z = np.ones(DIM, dtype=complex)
     z[[Q0, Q1]] = virtual_z_equivalent(angle).diagonal()
-    diag = (z[:, None] * z.conj()[None, :]).flatten(order="F")
+    diag = (z[:, None] * z.conj()[None, :]).ravel()
     diag.flags.writeable = False
     return diag
 
@@ -67,12 +67,12 @@ def _x90_channel_cached(scatter_g, leak_x, spinflip, noiseless):
                           raman_spinflip=spinflip)
         ops = raman_scatter_collapse_ops(cfg)
     t90 = (np.pi / 2) / RAMAN_RABI
-    return channel_superoperator(h, ops, t90, n_atoms=1, rtol=1e-10, atol=1e-12).matrix
+    return channel_superoperator(h, ops, t90, n_atoms=1, rtol=1e-10, atol=1e-12)
 
 
 def raman_pulse_channel(config: NoiseConfig | None) -> np.ndarray:
-    """Superoperator of a phase-0 pi/2 Raman pulse at RAMAN_RABI with
-    drive-time leakage.
+    """Row-major superoperator (the matrix on all 36 one-atom units) of a
+    phase-0 pi/2 Raman pulse at RAMAN_RABI with drive-time leakage.
 
     Channels at other phases are the virtual-Z conjugation of this one (the
     scattering operators are phase covariant; asserted in tests).
@@ -86,9 +86,10 @@ def raman_pulse_channel(config: NoiseConfig | None) -> np.ndarray:
 
 
 def depolarizing_channel(epsilon: float) -> np.ndarray:
-    """Qubit-subspace depolarizing superoperator with average-gate-infidelity
-    ``epsilon``: a fully-depolarizing event with probability 2*epsilon, so the
-    benchmarking decay obeys p = 1 - 2*epsilon for d = 2."""
+    """Qubit-subspace depolarizing row-major superoperator with
+    average-gate-infidelity ``epsilon``: a fully-depolarizing event with
+    probability 2*epsilon, so the benchmarking decay obeys p = 1 - 2*epsilon
+    for d = 2."""
     if not 0.0 <= epsilon <= 0.5:
         raise ValueError("epsilon must be in [0, 0.5]")
     gamma = 2.0 * epsilon
@@ -101,12 +102,12 @@ def depolarizing_channel(epsilon: float) -> np.ndarray:
     s = np.zeros((DIM * DIM, DIM * DIM), dtype=complex)
     for p in paulis:
         u = embed_qubit_unitary(p)
-        s += 0.25 * np.kron(u.conj(), u)
+        s += 0.25 * np.kron(u, u.conj())
     return (1.0 - gamma) * np.eye(DIM * DIM, dtype=complex) + gamma * s
 
 
 def _apply_clifford(v, gate: CliffordGate, frame: float, pulse_superop):
-    """Apply one compiled Clifford to vec(rho); returns (v, new_frame).
+    """Apply one compiled Clifford to ``rho.ravel()``; returns (v, new_frame).
 
     A pulse at accumulated frame phase phi is the phase-0 channel conjugated
     by the frame rotation: S_phi = conj(zc) * S_0 * zc elementwise, with zc
@@ -127,14 +128,14 @@ def _simulate_sequence(seq: RBSequence, pulse_superop, eps_sp, extra_channel=Non
     rho0 = np.zeros((DIM, DIM), dtype=complex)
     rho0[Q1, Q1] = 1.0 - eps_sp
     rho0[G, G] = eps_sp
-    v = vec(rho0)
+    v = rho0.ravel()
     group = clifford_group()
     frame = 0.0
     for i in list(seq.clifford_indices) + [seq.inverse_index]:
         v, frame = _apply_clifford(v, group[i], frame, pulse_superop)
         if extra_channel is not None:
             v = extra_channel @ v
-    diag = v.reshape(DIM, DIM, order="F").diagonal().real
+    diag = v.reshape(DIM, DIM).diagonal().real
     return np.clip(diag, 0.0, None)
 
 
@@ -192,6 +193,9 @@ def run_crb(
     lengths = tuple(int(m) for m in lengths)
     if not lengths:
         raise ValueError("need at least one sequence length")
+    if n_seq < 2:
+        raise ValueError(f"n_sequences must be at least 2 for a standard "
+                         f"error of the mean, got {n_seq}")
     if erasure:
         from ..readout import erasure_operating_point
 

@@ -35,7 +35,10 @@ from ..rydberg import (
 QUARTER_PHASES = (0.0, np.pi / 2, np.pi, 3 * np.pi / 2)
 KEPT_LEVELS = (Q0, Q1, X)  # valid computational states for loss correction
 
-# Integrator tolerances of the master-equation CZ channel build.
+# Integrator tolerances of the master-equation CZ channel build. They are
+# local per-step tolerances, not a bound on the channel: at 1e-6 the largest
+# channel entry is 3.7e-4 off an rtol-1e-12 build, while the Bell and budget
+# headlines move by less than 4e-10.
 CZ_CHANNEL_RTOL = 1e-6
 CZ_CHANNEL_ATOL = 1e-9
 
@@ -304,6 +307,9 @@ def run_ssb(
     budget, where sampling noise would only obscure the comparison). The
     noise config is the executor's own.
     """
+    if n_seq < 2:
+        raise ValueError(f"n_sequences must be at least 2 for a standard "
+                         f"error of the mean, got {n_seq}")
     noise = executor.noise
     if noise is None or noise.raman_scatter_g == 0:
         erasure_tp, erasure_fp = 0.92, 0.03  # nominal; no g to flag anyway

@@ -1,19 +1,24 @@
-"""Superoperators, Choi matrices and process fidelities.
+"""Channels as matrices on lists of matrix units.
 
-Vectorization is column-stacking throughout: vec(M)[i + d*j] = M[i, j], so a
-map rho -> A rho B has superoperator B^T (x) A and a unitary conjugation
-rho -> U rho U^dag becomes conj(U) (x) U.
+A channel is one matrix on a list of full-space matrix units
+E_k = |i_k><j_k| (``pairs``, a list of (i_k, j_k)): entry [p, q] is the
+coefficient of E_p in Lambda(E_q). On all d^2 units in the engine's row-major
+order, k -> (k // d, k % d), this is the superoperator acting on
+vec(rho)[i*d + j] = rho[i, j], so vec(rho) is ``rho.ravel()``, a map
+rho -> A rho B has matrix A (x) B^T and a unitary conjugation is
+U (x) conj(U). The two-atom gate channel lives on the 144 units of
+:func:`gate_pair_basis`.
 """
 
 import itertools
-import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .levels import B, DIM, G, Q0, Q1, R, X
+from .levels import B, DIM, G, Q0, Q1, R, X, full_index
 from .lindblad import evolve_rho
 
+# Bounds on the two numbers :func:`cptp_defects` returns for a built channel:
+# its trace-preservation defect, and minus the smallest Choi eigenvalue.
 TP_TOL = 1e-8
 CHOI_TOL = 1e-7
 PAIR_LEAK_TOL = 1e-9  # largest entry channel_on_pairs lets leave its span
@@ -24,71 +29,6 @@ LOCAL_PAIRS = tuple(itertools.product((Q0, Q1, R), repeat=2)) + (
     (G, G), (X, X), (B, B))
 
 
-def vec(m: np.ndarray) -> np.ndarray:
-    return np.asarray(m).flatten(order="F")
-
-
-def unvec(v: np.ndarray) -> np.ndarray:
-    d = int(round(np.sqrt(v.size)))
-    return np.asarray(v).reshape((d, d), order="F")
-
-
-@dataclass(frozen=True)
-class Superoperator:
-    """Column-stacking superoperator matrix acting on vec(rho)."""
-
-    matrix: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        d = int(round(np.sqrt(m.shape[0])))
-        if m.shape != (d * d, d * d):
-            raise ValueError("superoperator must be d^2 x d^2")
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim(self) -> int:
-        return int(round(np.sqrt(self.matrix.shape[0])))
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        return unvec(self.matrix @ vec(rho))
-
-    @classmethod
-    def identity(cls, dim: int) -> "Superoperator":
-        return cls(np.eye(dim * dim, dtype=complex))
-
-
-def compose(second: Superoperator, first: Superoperator) -> Superoperator:
-    """Channel that applies ``first`` then ``second``."""
-    return Superoperator(second.matrix @ first.matrix)
-
-
-def trace_preservation_defect(s: Superoperator) -> float:
-    """Max deviation of the left trace eigenvector, tr(S rho) vs tr(rho)."""
-    d = s.dim
-    vid = vec(np.eye(d))
-    return float(np.max(np.abs(vid @ s.matrix - vid)))
-
-
-def choi_matrix(s: Superoperator) -> np.ndarray:
-    """Unnormalized Choi matrix C = sum_ab |a><b| (x) Lambda(|a><b|)."""
-    d = s.dim
-    s4 = s.matrix.reshape(d, d, d, d)  # axes (j, i, b, a) from (i+dj, a+db)
-    return s4.transpose(3, 1, 2, 0).reshape(d * d, d * d)
-
-
-def min_choi_eigenvalue(s: Superoperator) -> float:
-    c = choi_matrix(s)
-    return float(np.linalg.eigvalsh(0.5 * (c + c.conj().T)).min())
-
-
-def is_cptp(s: Superoperator) -> bool:
-    return (
-        trace_preservation_defect(s) <= TP_TOL
-        and min_choi_eigenvalue(s) >= -CHOI_TOL
-    )
-
-
 def channel_superoperator(
     hamiltonian,
     collapses,
@@ -96,20 +36,19 @@ def channel_superoperator(
     n_atoms: int,
     rtol: float = 1e-8,
     atol: float = 1e-10,
-) -> Superoperator:
-    """Lindblad channel as a superoperator, by propagating all d^2 matrix
-    units as one batch.
+) -> np.ndarray:
+    """Lindblad channel on all d^2 matrix units in row-major order: the
+    (d^2, d^2) matrix acting on ``rho.ravel()``.
 
-    For the two-atom gate channels used in the error budget prefer
-    :func:`channel_on_pairs`, which propagates only the closed operator
-    subspace.
+    ``rtol`` and ``atol`` are the integrator's local per-step tolerances, not
+    a bound on the entries of the result. For the two-atom gate channels
+    prefer :func:`channel_on_pairs` on :func:`gate_pair_basis`, which
+    propagates only the closed operator subspace.
     """
     d = DIM**n_atoms
-    pairs = [(k % d, k // d) for k in range(d * d)]  # column-stacking order
-    return Superoperator(
-        channel_on_pairs(hamiltonian, collapses, duration, n_atoms, pairs,
-                         rtol, atol)[0]
-    )
+    pairs = [(k // d, k % d) for k in range(d * d)]
+    return channel_on_pairs(hamiltonian, collapses, duration, n_atoms, pairs,
+                            rtol, atol)[0]
 
 
 def channel_on_pairs(
@@ -126,7 +65,8 @@ def channel_on_pairs(
     ``pairs`` is a list of (row, col) full-space indices whose span must be
     closed under the dynamics; the residual outside the span is returned so
     callers can assert exactness. Returns (matrix, leak) where matrix[p, q]
-    is the coefficient of E_pairs[p] in Lambda(E_pairs[q]).
+    is the coefficient of E_pairs[p] in Lambda(E_pairs[q]). ``rtol`` and
+    ``atol`` are the integrator's local per-step tolerances.
     """
     d = DIM**n_atoms
     npairs = len(pairs)
@@ -181,61 +121,46 @@ def pair_index(rows, cols) -> int:
     return k1 * len(LOCAL_PAIRS) + k2
 
 
-def subspace_entanglement_fidelity(
-    s: Superoperator, s_ideal: Superoperator, subspace_levels
-) -> float:
-    """Entanglement fidelity of s composed with the inverse ideal map,
-    restricted to the product subspace spanned by ``subspace_levels``.
+def cptp_defects(m: np.ndarray, pairs, n_atoms: int, levels):
+    """(TP defect, minimum Choi eigenvalue) of the channel with matrix ``m``
+    on the matrix units ``pairs``.
 
-    The ideal map is LU-factored once; it is refused as numerically singular
-    when LAPACK's estimate of its 1-norm condition number (``zgecon`` on that
-    factorization) exceeds 1e10."""
-    d = s.dim
-    if s_ideal.dim != d:
-        raise ValueError("superoperator dimensions differ")
-    n_atoms = 1 if d == DIM else 2
-    if DIM**n_atoms != d:
-        raise ValueError("dimension is not a power of the local dimension")
-    if n_atoms == 1:
-        sub = list(subspace_levels)
-    else:
-        sub = [
-            a * DIM + b for a in subspace_levels for b in subspace_levels
-        ]
-    # F_e averages lam[k, k] = vec(E_ij) . lam vec(E_ij) with lam = S S_ideal^-1
-    # over i, j in the subspace, so only those columns of the inverse are solved
-    idx = [i + d * j for i in sub for j in sub]
-    units = np.zeros((d * d, len(idx)), dtype=complex)
-    units[idx, np.arange(len(idx))] = 1.0
-    from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
-    from scipy.linalg.lapack import zgecon
-
-    ideal = s_ideal.matrix
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", LinAlgWarning)  # an exactly zero pivot
-        try:
-            lu, piv = lu_factor(ideal)
-        except LinAlgWarning as exc:
-            raise ValueError("ideal superoperator is not invertible") from exc
-    rcond, _ = zgecon(lu, np.abs(ideal).sum(axis=0).max())
-    if rcond < 1e-10:
-        raise ValueError("ideal superoperator is numerically singular")
-    inv_cols = lu_solve((lu, piv), units)
-    fe = np.einsum("km,mk->", s.matrix[idx], inv_cols)
-    return float((fe / len(sub) ** 2).real)
-
-
-def process_fidelity(
-    s: Superoperator, s_ideal: Superoperator, subspace_levels=(Q0, Q1)
-) -> float:
-    """Average gate fidelity of ``s`` against ``s_ideal`` on a level subspace.
-
-    F_avg = (d F_e + 1) / (d + 1) with d the subspace dimension.
+    The TP defect is the largest |tr Lambda(E_q) - tr E_q| over the units,
+    which needs the list closed under the channel (as channel_on_pairs
+    asserts). The Choi block is C = sum_ab |a><b| (x) Lambda(|a><b|) over the
+    product states a, b with every atom in ``levels``, so every such unit
+    must be in ``pairs``: all 36 one-atom units, or the 81 units of
+    {q0, q1, r}^2 in the gate pair basis. The channel restricted to that
+    input space is completely positive iff C is positive semidefinite
+    (Choi, Linear Algebra Appl. 10, 285 (1975)). The all-zero rows and
+    columns of C are dropped before ``eigvalsh``; that is exact, since each
+    only adds an eigenvalue 0.
     """
-    if not subspace_levels:
-        raise ValueError("subspace must be nonempty")
-    d = s.dim
-    n_atoms = 1 if d == DIM else 2
-    ds = len(subspace_levels) ** n_atoms
-    fe = subspace_entanglement_fidelity(s, s_ideal, subspace_levels)
-    return (ds * fe + 1.0) / (ds + 1.0)
+    d = DIM**n_atoms
+    m = np.asarray(m)
+    rows = np.array([p[0] for p in pairs])
+    cols = np.array([p[1] for p in pairs])
+    diag = rows == cols
+    tp_defect = float(np.max(np.abs(m[diag].sum(axis=0) - diag)))
+
+    slot = {pair: k for k, pair in enumerate(pairs)}
+    states = [full_index(s) for s in itertools.product(levels, repeat=n_atoms)]
+    try:
+        inputs = [[slot[a, b] for b in states] for a in states]
+    except KeyError as exc:
+        raise ValueError(f"the Choi block over levels {tuple(levels)} needs "
+                         f"the unit {exc.args[0]}, which is not in the list"
+                         ) from None
+    n = len(states)
+    a_idx = np.arange(n)[None, :, None]
+    b_idx = np.arange(n)[None, None, :]
+    choi = np.zeros((n, d, n, d), dtype=complex)
+    choi[a_idx, rows[:, None, None], b_idx, cols[:, None, None]] = m[:, inputs]
+    choi = choi.reshape(n * d, n * d)
+    choi = 0.5 * (choi + choi.conj().T)
+    kept = np.flatnonzero(np.any(choi != 0, axis=1))
+    eigs = np.linalg.eigvalsh(choi[np.ix_(kept, kept)])
+    min_eig = float(eigs.min()) if len(kept) else 0.0
+    if len(kept) < n * d:
+        min_eig = min(min_eig, 0.0)
+    return tp_defect, min_eig

@@ -197,6 +197,9 @@ def fit_power_decay(n, y, sigma=None, offset=None) -> DecayFit:
     y = np.asarray(y, dtype=float)
     if len(set(n.ravel().tolist())) < (3 if offset is not None else 4):
         raise FitError("need at least 3 (4 with free offset) distinct lengths")
+    if not np.all(np.isfinite(y)) or (
+            sigma is not None and not np.all(np.isfinite(sigma))):
+        raise FitError("decay values and sigmas must be finite")
 
     b0 = 0.0 if offset is None else offset
     pos = np.clip(y - b0, 1e-6, None)

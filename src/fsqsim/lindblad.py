@@ -14,6 +14,8 @@ from . import _kernels
 from .levels import DIM
 from .states import QuantumState, embed_local
 
+# Local per-step tolerances of the adaptive integrator, not a bound on the
+# error of the result, which accumulates over the steps.
 DEFAULT_RTOL = 1e-8
 DEFAULT_ATOL = 1e-9
 TRACE_DRIFT_TOL = 1e-8

@@ -4,13 +4,16 @@ None of these runs in a protocol. Each is the plain, slow form of something
 the package does another way (a dense Lindblad right-hand side, fixed-step
 RK4, a whole-pattern breadth-first support closure, H(t) as a callable, the
 rearrangement planner on uncached segment checks and scipy's assignment, the
-Clifford lookup as a linear scan, the Bell readout as per-level loops), or
-an API only the tests exercise (Raman pulses read through a virtual-Z frame
-object, the ideal CZ and an executor built on it). Tests import them as
+Clifford lookup as a linear scan, the Bell readout as per-level loops, a
+process fidelity through the inverse of a generic ideal map), or an API only
+the tests exercise (Raman pulses read through a virtual-Z frame object, the
+ideal CZ and an executor built on it). Tests import them as
 ``from oracles import ...``.
 """
 
+import itertools
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,6 +163,55 @@ def ideal_cz_unitary(phi=0.0):
     u[i10, i10] = np.exp(1j * phi)
     u[i11, i11] = np.exp(1j * (2 * phi - np.pi))
     return u
+
+
+def entanglement_fidelity(s, s_ideal, subspace_levels):
+    """Entanglement fidelity of ``s`` composed with the inverse of
+    ``s_ideal``, restricted to the product subspace of ``subspace_levels``.
+
+    Both maps are row-major (d^2, d^2) superoperators on one or two atoms.
+    The ideal map is LU-factored once; it is refused as numerically singular
+    when LAPACK's estimate of its 1-norm condition number (``zgecon`` on that
+    factorization) exceeds 1e10."""
+    from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+    from scipy.linalg.lapack import zgecon
+
+    d = int(round(math.sqrt(s.shape[0])))
+    if s_ideal.shape != s.shape:
+        raise ValueError("superoperator dimensions differ")
+    n_atoms = 1 if d == DIM else 2
+    if DIM**n_atoms != d:
+        raise ValueError("dimension is not a power of the local dimension")
+    sub = [full_index(lv) for lv in
+           itertools.product(subspace_levels, repeat=n_atoms)]
+    # F_e averages lam[k, k] = vec(E_ij) . lam vec(E_ij) with lam = S S_ideal^-1
+    # over i, j in the subspace, so only those columns of the inverse are solved
+    idx = [i * d + j for i in sub for j in sub]
+    units = np.zeros((d * d, len(idx)), dtype=complex)
+    units[idx, np.arange(len(idx))] = 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", LinAlgWarning)  # an exactly zero pivot
+        try:
+            lu, piv = lu_factor(s_ideal)
+        except LinAlgWarning as exc:
+            raise ValueError("ideal superoperator is not invertible") from exc
+    rcond, _ = zgecon(lu, np.abs(s_ideal).sum(axis=0).max())
+    if rcond < 1e-10:
+        raise ValueError("ideal superoperator is numerically singular")
+    inv_cols = lu_solve((lu, piv), units)
+    fe = np.einsum("km,mk->", s[idx], inv_cols)
+    return float((fe / len(sub) ** 2).real)
+
+
+def process_fidelity(s, s_ideal, subspace_levels=(Q0, Q1)):
+    """Average gate fidelity of ``s`` against ``s_ideal`` on a level
+    subspace: F_avg = (d F_e + 1) / (d + 1), d the subspace dimension."""
+    if not subspace_levels:
+        raise ValueError("subspace must be nonempty")
+    n_atoms = 1 if s.shape[0] == DIM**2 else 2
+    ds = len(subspace_levels) ** n_atoms
+    fe = entanglement_fidelity(s, s_ideal, subspace_levels)
+    return (ds * fe + 1.0) / (ds + 1.0)
 
 
 def ideal_cz_executor():

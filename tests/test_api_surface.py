@@ -16,8 +16,9 @@ that function, so another function's use of the same name does not count. An
 import statement marked ``# noqa: F401`` on its first line is exempt. With no
 linter in the toolchain, this scan is the unused-import check.
 
-``scipy`` is imported, in any form, only where ``SCIPY_IMPORTS`` allows:
-the CLI runs without it.
+``scipy`` is imported, in any form, only where ``SCIPY_IMPORTS`` allows, and
+it allows nothing: ``fsqsim`` runs on numpy alone, and scipy is a test
+dependency.
 
 No module of ``fsqsim`` touches a private attribute (``_name``, not a dunder)
 of another object: the object before the dot must be ``self``, ``cls`` or a
@@ -34,9 +35,8 @@ methods match an attribute only, so a local variable cannot stand in for one.
 Imports and ``__all__`` entries are not references; a ``@protocol``-registered
 CLI function is reached through the subcommand table. Code only the tests
 need lives in ``tests/oracles.py``, not in ``src/``. Matching is by name, so
-it has blind spots: ``compose`` is defined in both ``channels`` and
-``cliffords``, and ``apply`` on both ``Superoperator`` and ``AffineMap``; a
-reference to either reaches both.
+it has blind spots: one reference reaches every definition of that name, in
+any module or class.
 """
 
 import ast
@@ -157,10 +157,7 @@ def test_every_import_is_used():
     assert not unused, "imported names never referenced: " + ", ".join(unused)
 
 
-SCIPY_IMPORTS = {
-    ("channels.py", "subspace_entanglement_fidelity", "scipy.linalg"):
-        "LU solve with a zgecon condition estimate; no CLI path calls it",
-}
+SCIPY_IMPORTS = {}
 
 
 def scipy_imports():
@@ -238,16 +235,9 @@ ALLOWED = {
         "calibration-map API; the fit is checked by mapping points back",
     "benchmarking.twoq.loss_excise":
         "per-shot loss excision of SRD records, the analysis SSB reports",
-    "channels.Superoperator.apply":
-        "applies a channel to one density matrix; the channel API",
-    "channels.Superoperator.identity":
-        "the identity channel; the channel API",
-    "channels.compose":
-        "sequential composition of channels; the channel API",
-    "channels.is_cptp":
-        "the CPTP verdict on a built channel",
-    "channels.process_fidelity":
-        "package API (fsqsim.process_fidelity)",
+    "channels.cptp_defects":
+        "the CPTP check of a built channel; the build-time check and the run "
+        "telemetry (ROADMAP items 2 and 6) will call it",
     "cliffords.compose":
         "group product of two Cliffords; the group API",
     "cliffords.invert":

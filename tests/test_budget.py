@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+from fsqsim import budget
 from fsqsim.benchmarking.twoq import GateExecutor
 from fsqsim.budget import (
     CZ_SOURCES,
@@ -10,7 +12,9 @@ from fsqsim.budget import (
     process_infidelity_from_executor,
     ssb_infidelities_from_executor,
 )
-from fsqsim.channels import channel_superoperator, is_cptp
+from fsqsim.channels import (CHOI_TOL, TP_TOL, channel_superoperator,
+                             cptp_defects)
+from fsqsim.levels import DIM, Q0, Q1
 from fsqsim.noise import (NoiseConfig, gate_collapse_ops,
                           raman_scatter_collapse_ops, rydberg_collapse_ops)
 
@@ -58,15 +62,37 @@ def test_budget_additivity(budget_report):
 
 
 def test_collapse_channels_are_cptp(reference_config, drive):
-    ops = rydberg_collapse_ops(reference_config)
-    s = channel_superoperator(None, ops, 0.3, 1)
-    assert is_cptp(s)
-    ops = gate_collapse_ops(reference_config, drive.rabi_frequency)
-    s = channel_superoperator(None, ops, 0.2, 1)
-    assert is_cptp(s)
-    ops = raman_scatter_collapse_ops(reference_config)
-    s = channel_superoperator(None, ops, 10.0, 1)
-    assert is_cptp(s)
+    units = [(k // DIM, k % DIM) for k in range(DIM * DIM)]
+    for ops, duration in (
+        (rydberg_collapse_ops(reference_config), 0.3),
+        (gate_collapse_ops(reference_config, drive.rabi_frequency), 0.2),
+        (raman_scatter_collapse_ops(reference_config), 10.0),
+    ):
+        s = channel_superoperator(None, ops, duration, 1)
+        tp_defect, min_eig = cptp_defects(s, units, 1, range(DIM))
+        assert tp_defect <= TP_TOL
+        assert min_eig >= -CHOI_TOL
+
+
+def test_oracle_entanglement_fidelity_matches_the_budget(reference_executor):
+    # the kept map after the reference CZ, expanded from the 144 gate units
+    # to the full row-major superoperator on all 36^2 units; the generic LU
+    # route against the ideal CZ reads the same F_e the budget reads off the
+    # pair slots (corrected infidelity = 1 - (4 F_e / retention + 1) / 5)
+    from oracles import entanglement_fidelity, ideal_cz_unitary
+
+    ex = reference_executor
+    kept = budget._kept_map_matrix() @ ex.cz
+    d = DIM**2
+    full = [i * d + j for i, j in ex.pairs]
+    s = np.zeros((d * d, d * d), dtype=complex)
+    s[np.ix_(full, full)] = kept
+    cz = ideal_cz_unitary()
+    fe = entanglement_fidelity(s, np.kron(cz, cz.conj()), (Q0, Q1))
+    retention = channel_retention(ex)
+    f_avg = 1.0 - corrected_process_infidelity_from_executor(ex)
+    assert fe == pytest.approx((5.0 * f_avg - 1.0) / 4.0 * retention,
+                               abs=1e-12)
 
 
 def test_channel_retention_noiseless_is_one(noiseless_executor):

@@ -2,26 +2,30 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from fsqsim import levels
 from fsqsim._kernels._lindblad_py import closed_support, liouvillian_parts
 from fsqsim.channels import (
+    CHOI_TOL,
     LOCAL_PAIRS,
-    Superoperator,
+    TP_TOL,
     channel_on_pairs,
     channel_superoperator,
-    choi_matrix,
-    compose,
+    cptp_defects,
     gate_pair_basis,
-    is_cptp,
-    min_choi_eigenvalue,
     pair_index,
-    process_fidelity,
-    trace_preservation_defect,
 )
-from fsqsim.levels import B, G, Q0, Q1, R
+from fsqsim.levels import B, DIM, G, Q0, Q1, R
 from fsqsim.lindblad import CollapseOperator, ModulatedDrive, evolve_rho
+from oracles import ideal_cz_unitary, process_fidelity
+
+# all one-atom matrix units in the engine's row-major order
+UNITS = [(k // DIM, k % DIM) for k in range(DIM * DIM)]
+# the tolerances singleq ships for the Raman channel
+RAMAN_RTOL, RAMAN_ATOL = 1e-10, 1e-12
 
 
 def _random_h(seed, d=6):
@@ -30,16 +34,23 @@ def _random_h(seed, d=6):
     return h + h.conj().T
 
 
+def _unit(i, j, d=DIM):
+    e = np.zeros((d, d), dtype=complex)
+    e[i, j] = 1.0
+    return e
+
+
 def test_identity_channel():
     s = channel_superoperator(None, [], 5.0, 1)
-    assert np.max(np.abs(s.matrix - np.eye(36))) < 1e-9
+    assert np.max(np.abs(s - np.eye(36))) < 1e-9
 
 
 def test_unitary_conjugation_convention():
+    # row-major: vec(U rho U^dag) = (U (x) conj U) vec(rho)
     h = _random_h(1)
     u = expm(-1j * h * 0.41)
     s = channel_superoperator(h, [], 0.41, 1)
-    assert np.max(np.abs(s.matrix - np.kron(u.conj(), u))) < 1e-7
+    assert np.max(np.abs(s - np.kron(u, u.conj()))) < 1e-7
 
 
 def test_amplitude_damping_oracle():
@@ -52,8 +63,8 @@ def test_amplitude_damping_oracle():
     k0 = np.eye(6, dtype=complex)
     k0[Q1, Q1] = np.sqrt(1 - p)
     k1 = np.sqrt(p) * levels.lop(Q0, Q1)
-    oracle = np.kron(k0.conj(), k0) + np.kron(k1.conj(), k1)
-    assert np.max(np.abs(s.matrix - oracle)) < 1e-6
+    oracle = np.kron(k0, k0.conj()) + np.kron(k1, k1.conj())
+    assert np.max(np.abs(s - oracle)) < 1e-6
 
 
 def test_trace_preserving_and_choi_positive():
@@ -62,19 +73,46 @@ def test_trace_preserving_and_choi_positive():
         CollapseOperator(0.2, levels.lop(R, R)),
     ]
     s = channel_superoperator(_random_h(2), ops, 1.7, 1)
-    assert trace_preservation_defect(s) < 1e-8
-    assert min_choi_eigenvalue(s) > -1e-7
-    assert is_cptp(s)
+    tp_defect, min_eig = cptp_defects(s, UNITS, 1, range(DIM))
+    assert tp_defect < TP_TOL
+    assert min_eig > -CHOI_TOL
 
 
 def test_choi_of_identity():
-    s = Superoperator.identity(4)
-    c = choi_matrix(s)
-    # Choi of identity = |Omega><Omega| (unnormalized maximally entangled)
-    omega = np.zeros(16, dtype=complex)
-    for a in range(4):
-        omega[a * 4 + a] = 1.0
-    assert np.max(np.abs(c - np.outer(omega, omega.conj()))) < 1e-12
+    # the identity's Choi block |Omega><Omega| is rank one: its smallest
+    # eigenvalue is 0 on any level set, and the trace is preserved exactly
+    for lv in (range(DIM), (Q0, Q1)):
+        tp_defect, min_eig = cptp_defects(np.eye(36), UNITS, 1, lv)
+        assert tp_defect == 0.0
+        assert abs(min_eig) < 1e-12
+    tp_defect, min_eig = cptp_defects(np.eye(144), gate_pair_basis(), 2,
+                                      (Q0, Q1, R))
+    assert tp_defect == 0.0
+    assert abs(min_eig) < 1e-12
+
+
+def test_check_catches_a_positive_but_not_completely_positive_map():
+    # the transpose E_ij -> E_ji preserves the trace; its Choi matrix is the
+    # swap operator, with eigenvalue -1
+    t = np.zeros((36, 36))
+    for q, (i, j) in enumerate(UNITS):
+        t[UNITS.index((j, i)), q] = 1.0
+    tp_defect, min_eig = cptp_defects(t, UNITS, 1, range(DIM))
+    assert tp_defect == 0.0
+    assert min_eig == pytest.approx(-1.0, abs=1e-12)
+    assert min_eig < -CHOI_TOL
+
+
+def test_check_catches_a_trace_decreasing_map():
+    tp_defect, min_eig = cptp_defects(0.5 * np.eye(36), UNITS, 1, range(DIM))
+    assert tp_defect == 0.5 > TP_TOL
+    assert min_eig > -1e-12
+
+
+def test_check_rejects_an_incomplete_choi_block():
+    # the gate basis keeps no coherence |g><q0|
+    with pytest.raises(ValueError, match="Choi block"):
+        cptp_defects(np.eye(144), gate_pair_basis(), 2, (Q0, G))
 
 
 def test_superoperator_apply_matches_evolution_on_random_states():
@@ -87,7 +125,7 @@ def test_superoperator_apply_matches_evolution_on_random_states():
         psi /= np.linalg.norm(psi)
         rho = np.outer(psi, psi.conj())
         direct = evolve_rho(rho, h, ops, 0.8, 1)
-        via_s = s.apply(rho)
+        via_s = (s @ rho.ravel()).reshape(DIM, DIM)
         assert np.max(np.abs(direct - via_s)) < 1e-7
 
 
@@ -107,7 +145,52 @@ def test_composition_is_matrix_product():
     s_full = channel_superoperator(drive, ops, 0.8, 1)
     s_a = channel_superoperator(drive, ops, 0.3, 1)
     s_b = channel_superoperator(shifted, ops, 0.5, 1)
-    assert np.max(np.abs(compose(s_b, s_a).matrix - s_full.matrix)) < 1e-7
+    assert np.max(np.abs(s_b @ s_a - s_full)) < 1e-7
+
+
+def _hermitian(values):
+    """Hermitian 6x6 matrix from 36 reals in [-1, 1] (rad/us): the upper
+    triangle's real and imaginary parts and the diagonal."""
+    h = np.zeros((DIM, DIM), dtype=complex)
+    it = iter(values)
+    for i in range(DIM):
+        h[i, i] = next(it)
+        for j in range(i + 1, DIM):
+            h[i, j] = next(it) + 1j * next(it)
+            h[j, i] = np.conj(h[i, j])
+    return h
+
+
+HAMILTONIANS = st.lists(st.floats(-1.0, 1.0), min_size=36, max_size=36)
+COLLAPSES = st.lists(
+    st.tuples(st.floats(0.0, 1.0), st.integers(0, DIM - 1),
+              st.integers(0, DIM - 1)),
+    max_size=4,
+)
+
+
+def _collapses(draws):
+    return [CollapseOperator(rate, levels.lop(a, b)) for rate, a, b in draws]
+
+
+@settings(max_examples=5, deadline=None)
+@given(HAMILTONIANS, COLLAPSES, st.floats(0.05, 15.0))
+def test_random_one_atom_channels_pass_the_cptp_check(h, draws, duration):
+    s = channel_superoperator(_hermitian(h), _collapses(draws), duration, 1,
+                              RAMAN_RTOL, RAMAN_ATOL)
+    tp_defect, min_eig = cptp_defects(s, UNITS, 1, range(DIM))
+    assert tp_defect < TP_TOL
+    assert min_eig > -CHOI_TOL
+
+
+@settings(max_examples=3, deadline=None)
+@given(HAMILTONIANS, COLLAPSES, st.floats(0.05, 7.5), st.floats(0.05, 7.5))
+def test_consecutive_channels_multiply_in_engine_order(h, draws, t1, t2):
+    h, ops = _hermitian(h), _collapses(draws)
+    first = channel_superoperator(h, ops, t1, 1, RAMAN_RTOL, RAMAN_ATOL)
+    second = channel_superoperator(h, ops, t2, 1, RAMAN_RTOL, RAMAN_ATOL)
+    whole = channel_superoperator(h, ops, t1 + t2, 1, RAMAN_RTOL, RAMAN_ATOL)
+    assert np.max(np.abs(second @ first - whole)) < 1e-7
 
 
 def test_process_fidelity_self_is_one():
@@ -125,10 +208,8 @@ def _embed_qubit(u2, n_atoms=2):
 
 
 def test_process_fidelity_depolarizing_oracle():
-    from oracles import ideal_cz_unitary
-
     cz = ideal_cz_unitary()
-    s_ideal = Superoperator(np.kron(cz.conj(), cz))
+    s_ideal = np.kron(cz, cz.conj())
     q = 0.02  # depolarizing probability on one qubit
     paulis = [np.eye(2), np.array([[0, 1], [1, 0]]),
               np.array([[0, -1j], [1j, 0]]), np.diag([1, -1])]
@@ -136,16 +217,15 @@ def test_process_fidelity_depolarizing_oracle():
     for p in paulis:
         u = _embed_qubit(p, 1)
         full = np.kron(u, np.eye(6))
-        dep += (q / 4) * np.kron(full.conj(), full)
-    s = Superoperator(dep @ s_ideal.matrix)
+        dep += (q / 4) * np.kron(full, full.conj())
     # F_e = 1 - 3q/4 on the affected qubit, multiplicative for the pair
-    f_avg = process_fidelity(s, s_ideal)
+    f_avg = process_fidelity(dep @ s_ideal, s_ideal)
     assert f_avg == pytest.approx((4 * (1 - 3 * q / 4) + 1) / 5, abs=1e-6)
 
 
 def test_process_fidelity_fully_depolarizing():
     eye = np.eye(36, dtype=complex)
-    s_ideal = Superoperator(np.kron(eye.conj(), eye))
+    s_ideal = np.kron(eye, eye.conj())
     # fully depolarizing on the two-qubit subspace: rho -> I/4 * tr(rho)
     paulis = [np.eye(2), np.array([[0, 1], [1, 0]]),
               np.array([[0, -1j], [1j, 0]]), np.diag([1, -1])]
@@ -153,15 +233,15 @@ def test_process_fidelity_fully_depolarizing():
     for p1 in paulis:
         for p2 in paulis:
             u = np.kron(_embed_qubit(p1, 1), _embed_qubit(p2, 1))
-            dep += (1 / 16) * np.kron(u.conj(), u)
-    f_avg = process_fidelity(Superoperator(dep), s_ideal)
+            dep += (1 / 16) * np.kron(u, u.conj())
+    f_avg = process_fidelity(dep, s_ideal)
     # F_e = 1/d^2 with d = 4 -> F_avg = (d/d^2 + 1)/(d + 1) = 1/4
     assert f_avg == pytest.approx(0.25, abs=1e-6)
 
 
 def test_process_fidelity_rejects_singular_ideal():
-    s = Superoperator.identity(6)
-    bad = Superoperator(np.zeros((36, 36), dtype=complex))
+    s = np.eye(36, dtype=complex)
+    bad = np.zeros((36, 36), dtype=complex)
     with pytest.raises(ValueError):
         process_fidelity(s, bad)
     with pytest.raises(ValueError):
@@ -209,17 +289,70 @@ def test_pair_index_is_the_basis_slot():
 
 
 def test_pair_restriction_matches_full_superoperator():
-    # one-atom analogue: restricted columns agree with the full matrix
-    h = _random_h(8)
+    # one-atom analogue of the gate basis: a qubit drive with decay q1 -> g
+    # closes over the units of {q0, q1}^2 plus |g><g|, and the restricted
+    # matrix is that block of the full one
+    h = np.zeros((DIM, DIM), dtype=complex)
+    h[np.ix_((Q0, Q1), (Q0, Q1))] = _random_h(8, 2)
     ops = [CollapseOperator(0.2, levels.lop(B, R)),
            CollapseOperator(0.1, levels.lop(G, Q1))]
     s = channel_superoperator(h, ops, 0.6, 1)
-    d = 6
-    pairs = [(i, j) for i in range(d) for j in range(d)]
-    m, _ = channel_on_pairs(h, ops, 0.6, 1, pairs)
-    for q, (i, j) in enumerate(pairs):
-        e = np.zeros((d, d), dtype=complex)
-        e[i, j] = 1.0
-        col_full = s.apply(e)
-        for p, (a, b) in enumerate(pairs):
-            assert abs(m[p, q] - col_full[a, b]) < 1e-7
+    pairs = [(a, b) for a in (Q0, Q1) for b in (Q0, Q1)] + [(G, G)]
+    m, leak = channel_on_pairs(h, ops, 0.6, 1, pairs)
+    assert leak < 1e-9
+    full = [UNITS.index(p) for p in pairs]
+    assert np.max(np.abs(m - s[np.ix_(full, full)])) < 1e-7
+    # each column of the full matrix is the evolved unit, read row-major
+    for q, (i, j) in enumerate(UNITS):
+        col = evolve_rho(_unit(i, j), h, ops, 0.6, 1).ravel()
+        assert np.max(np.abs(s[:, q] - col)) < 1e-7
+    # the trace is kept on the restricted list; its Choi block over the
+    # qubit levels is complete there
+    tp_defect, min_eig = cptp_defects(m, pairs, 1, (Q0, Q1))
+    assert tp_defect < TP_TOL
+    assert min_eig > -CHOI_TOL
+
+
+def test_shipped_raman_channels_are_cptp():
+    from pathlib import Path
+
+    from fsqsim.benchmarking.singleq import raman_pulse_channel
+    from fsqsim.noise import noise_config_from_text
+
+    cfg = noise_config_from_text(
+        (Path(__file__).resolve().parents[1] / "configs" /
+         "noise_reference.txt").read_text())
+    for noise in (None, cfg):
+        tp_defect, min_eig = cptp_defects(raman_pulse_channel(noise), UNITS,
+                                          1, range(DIM))
+        assert tp_defect < TP_TOL
+        assert min_eig > -CHOI_TOL
+
+
+def test_shipped_gate_channels_are_cptp(noiseless_executor, reference_executor):
+    # the full 324-row Choi block over {q0, q1, r}^2 of the gate basis
+    for ex in (noiseless_executor, reference_executor):
+        tp_defect, min_eig = cptp_defects(ex.cz, ex.pairs, 2, (Q0, Q1, R))
+        assert tp_defect < TP_TOL
+        assert min_eig > -CHOI_TOL
+
+
+@pytest.mark.parametrize("source", ["ionization", "rydberg_decay"])
+def test_budget_channels_are_cptp_once_the_integrator_converges(
+        monkeypatch, cz_profile, drive, reference_config, source):
+    # At the shipped CZ_CHANNEL_RTOL = 1e-6 these single-source channels
+    # have a minimum Choi eigenvalue of -2.6e-5 (ionization) and -9.1e-8
+    # (rydberg_decay). That is the integrator's local error, not the model:
+    # it falls with the tolerance (ionization: -2.0e-7 at 1e-8, -1.9e-9 at
+    # 1e-10) while the budget entries move by < 4e-10. So the model is CP,
+    # checked here at a converged tolerance.
+    from fsqsim.benchmarking import twoq
+    from fsqsim.budget import DEPHASING_NODES
+
+    monkeypatch.setattr(twoq, "CZ_CHANNEL_RTOL", 1e-10)
+    monkeypatch.setattr(twoq, "CZ_CHANNEL_ATOL", 1e-13)
+    ex = twoq.GateExecutor(cz_profile, drive, reference_config.only(source),
+                           dephasing_nodes=DEPHASING_NODES)
+    tp_defect, min_eig = cptp_defects(ex.cz, ex.pairs, 2, (Q0, Q1, R))
+    assert tp_defect < TP_TOL
+    assert min_eig > -CHOI_TOL

@@ -8,7 +8,8 @@ import pytest
 
 from fsqsim.cli import main
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIG_DIR = ROOT / "configs"
 
 
 def run_cli(tmp_path, command, config_name, extra=()):
@@ -107,25 +108,42 @@ def test_rearrange_subcommand_small(tmp_path):
     assert (tmp_path / "o" / "occupancy.csv").exists()
 
 
-def modules_loaded(tmp_path, command, config, package="scipy"):
+def loaded_after(code, package):
     """The modules of ``package`` a fresh interpreter has loaded after
-    running ``command`` at ``config`` (a path relative to the repository
-    root)."""
-    root = Path(__file__).resolve().parents[1]
+    running ``code`` with ``src`` on its path."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(root / "src"), os.environ.get("PYTHONPATH", "")]))
-    code = ("import sys\n"
-            "from fsqsim.cli import main\n"
-            f"rc = main([{command!r}, '--config', "
-            f"{str(root / config)!r}, '--out', "
-            f"{str(tmp_path / command)!r}])\n"
-            "assert rc == 0, rc\n"
-            "print('loaded:', *sorted(m for m in sys.modules\n"
-            f"      if m == {package!r} or m.startswith({package + '.'!r})))\n")
+        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    code += ("import sys\n"
+             "print('loaded:', *sorted(m for m in sys.modules\n"
+             f"      if m == {package!r} or m.startswith({package + '.'!r})))\n")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return set(proc.stdout.splitlines()[-1].split()[1:])
+
+
+def modules_loaded(tmp_path, command, config, package="scipy"):
+    """The modules of ``package`` a fresh interpreter has loaded after
+    running ``command`` at ``config`` (a path relative to the repository
+    root)."""
+    return loaded_after(
+        "from fsqsim.cli import main\n"
+        f"rc = main([{command!r}, '--config', {str(ROOT / config)!r}, "
+        f"'--out', {str(tmp_path / command)!r}])\n"
+        "assert rc == 0, rc\n", package)
+
+
+def test_no_fsqsim_module_loads_scipy():
+    # scipy is a test dependency only: importing every module of the
+    # package that pkgutil.walk_packages finds loads none of it
+    assert not loaded_after(
+        "import importlib, pkgutil\n"
+        "import fsqsim\n"
+        "names = [m.name for m in\n"
+        "         pkgutil.walk_packages(fsqsim.__path__, 'fsqsim.')]\n"
+        "assert 'fsqsim.benchmarking.singleq' in names, names\n"
+        "for name in names:\n"
+        "    importlib.import_module(name)\n", "scipy")
 
 
 @pytest.mark.parametrize("command,config", [

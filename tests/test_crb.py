@@ -11,7 +11,6 @@ from fsqsim.benchmarking.singleq import (
     raman_pulse_channel,
     run_crb,
 )
-from fsqsim.channels import vec, unvec
 from fsqsim.cliffords import clifford_group, equal_up_to_phase
 from fsqsim.levels import Q0, Q1
 from fsqsim.pulses import virtual_z_equivalent
@@ -61,8 +60,8 @@ def test_compiled_channel_matches_unitary_up_to_frame():
     rho = np.zeros((6, 6), dtype=complex)
     rho[:2, :2] = np.outer(psi, psi.conj())
     for g in clifford_group():
-        v, frame = _apply_clifford(vec(rho), g, 0.0, pulse)
-        got = unvec(v)
+        v, frame = _apply_clifford(rho.ravel(), g, 0.0, pulse)
+        got = v.reshape(6, 6)
         u6 = np.eye(6, dtype=complex)
         u6[:2, :2] = virtual_z_equivalent(-frame) @ g.unitary
         want = u6 @ rho @ u6.conj().T
@@ -76,7 +75,8 @@ def test_z_superop_diag_is_cached_and_read_only():
     assert not zc.flags.writeable
     z6 = np.ones(6, dtype=complex)
     z6[[Q0, Q1]] = np.diag(virtual_z_equivalent(0.7))
-    assert np.max(np.abs(zc - np.kron(z6.conj(), z6))) < 1e-15
+    # row-major: entry i*6 + j is z_i conj(z_j)
+    assert np.max(np.abs(zc - np.kron(z6, z6.conj()))) < 1e-15
 
 
 def test_injected_depolarizing_recovery():
@@ -102,3 +102,10 @@ def test_paper_calibrated_crb(reference_config):
     )
     assert res.f1q_corrected > res.f1q_raw
     assert 0.8 < res.retained_fraction < 0.97
+
+
+def test_one_sequence_is_rejected():
+    # one sequence has no standard error of the mean; the fit would run on
+    # NaN sigmas and report F = 1
+    with pytest.raises(ValueError, match="n_sequences"):
+        run_crb([2, 10, 25], n_seq=1, shots=100, noise=None)

@@ -28,6 +28,17 @@ def test_decay_fit_needs_enough_lengths():
         fit_power_decay([3, 3, 3], [0.5, 0.5, 0.5], offset=0.0)
 
 
+def test_decay_fit_rejects_non_finite_values_and_sigmas():
+    n = [2, 6, 10]
+    y = [0.9, 0.8, 0.7]
+    with pytest.raises(FitError, match="finite"):
+        fit_power_decay(n, [0.9, np.nan, 0.7], [0.01] * 3, offset=0.0)
+    with pytest.raises(FitError, match="finite"):
+        fit_power_decay(n, y, [0.01, np.nan, 0.01], offset=0.5)
+    with pytest.raises(FitError, match="finite"):
+        fit_power_decay(n, y, [0.01, np.inf, 0.01], offset=0.0)
+
+
 def test_shot_noise_recovery_study():
     # synthetic F = 0.9945, 1e4 shots per point: recovered within +-0.003
     rng = np.random.default_rng(17)

@@ -135,6 +135,12 @@ def test_run_ssb_noiseless_fit(noiseless_executor):
     assert res.fit_raw.fidelity > 1 - 1e-4
 
 
+def test_run_ssb_rejects_one_sequence(noiseless_executor):
+    # one sequence has no standard error of the mean
+    with pytest.raises(ValueError, match="n_sequences"):
+        run_ssb((2, 4, 6), 1, shots=0, executor=noiseless_executor)
+
+
 def test_ssb_synthetic_shot_noise_recovery():
     rng = np.random.default_rng(23)
     n = np.arange(2, 31, 4)
