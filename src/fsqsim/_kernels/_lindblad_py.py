@@ -4,13 +4,13 @@ The problem solved here is
 
     drho/dt = -i [H(t), rho] + sum_k L_k rho L_k^dag - 1/2 {G, rho}
 
-with H(t) = H0 + exp(i*phi(t)) C + exp(-i*phi(t)) C^dag + delta * D,
-phi(t) = a*cos(w t + p) + s*t, delta constant on each time segment, D
-diagonal, G = sum_k L_k^dag L_k (any pattern) and the decay rates folded into
-the L_k. In row-major vector form, vec(rho)[i*d + j] = rho[i, j], the
-generator is the sum of four sparse parts,
+with H(t) = H0 + exp(i*phi(t)) C + exp(-i*phi(t)) C^dag over one span
+[0, duration], phi(t) = a*cos(w t + p) + s*t, G = sum_k L_k^dag L_k (any
+pattern) and the decay rates folded into the L_k. A constant detuning is
+part of H0. In row-major vector form, vec(rho)[i*d + j] = rho[i, j], the
+generator is the sum of three sparse parts,
 
-    L(t) = L0 + delta * L_delta + e^{i phi(t)} L_plus + e^{-i phi(t)} L_minus,
+    L(t) = L0 + e^{i phi(t)} L_plus + e^{-i phi(t)} L_minus,
 
 and only the entries reachable from the input's nonzeros along the pattern
 of those parts (a breadth-first closure) are ever integrated: every other
@@ -23,13 +23,13 @@ the dense (entry, member) grid as if every unreachable pair were held at 0.
 
 A member is integrated only if it is not an image of an earlier one under
 a symmetry of the generator: the adjoint rho -> rho^dag, which holds when
-H0 is exactly Hermitian and the detuning diagonal is real (the drive term
-e^{i phi} C + h.c. is Hermitian by construction), the atom exchange
-rho -> P rho P^T, which holds when every part is exactly invariant under
-the caller's ``exchange`` permutation, and their product. An image takes
-its result from its representative's result (the CZ channel's 144 units
-integrate as 51), and its grid positions in the step error read the
-representative's error ratios, so the norm is still over the full grid.
+H0 is exactly Hermitian (the drive term e^{i phi} C + h.c. is Hermitian by
+construction), the atom exchange rho -> P rho P^T, which holds when every
+part is exactly invariant under the caller's ``exchange`` permutation, and
+their product. An image takes its result from its representative's result
+(the CZ channel's 144 units integrate as 51), and its grid positions in the
+step error read the representative's error ratios, so the norm is still
+over the full grid.
 
 The parts are :class:`CSR` matrices, a small numpy compressed-row type, so
 the engine imports no scipy: importing any scipy subpackage after numpy
@@ -212,12 +212,11 @@ def _stacked(mats):
                    (len(mats) * n, n))
 
 
-def liouvillian_parts(h0, coupling, detuning_diag, jumps):
-    """(L0, L_plus, L_minus, L_delta) as sparse row-major superoperators.
+def liouvillian_parts(h0, coupling, jumps):
+    """(L0, L_plus, L_minus) as sparse row-major superoperators.
 
-    ``jumps`` are full-space operators with sqrt(rate) folded in. A part
-    whose Hamiltonian term is absent (``coupling`` or ``detuning_diag`` is
-    None) is None.
+    ``jumps`` are full-space operators with sqrt(rate) folded in. Without a
+    ``coupling`` (None), L_plus and L_minus are None.
     """
     d = h0.shape[0]
     shape = (d * d, d * d)
@@ -226,14 +225,11 @@ def liouvillian_parts(h0, coupling, detuning_diag, jumps):
     l0 = _commutator_terms(np.asarray(h0, dtype=complex))
     l0 += [_kron_terms(op, op.conj()) for op in jumps]
     l0 += [_kron_terms(g, eye, -0.5), _kron_terms(eye, g.T, -0.5)]
-    parts = [_sparse(l0, shape), None, None, None]
-    if coupling is not None:
-        coupling = np.asarray(coupling, dtype=complex)
-        parts[1] = _sparse(_commutator_terms(coupling), shape)
-        parts[2] = _sparse(_commutator_terms(coupling.conj().T), shape)
-    if detuning_diag is not None:
-        parts[3] = _sparse(_commutator_terms(np.diag(detuning_diag)), shape)
-    return tuple(parts)
+    if coupling is None:
+        return _sparse(l0, shape), None, None
+    coupling = np.asarray(coupling, dtype=complex)
+    return (_sparse(l0, shape), _sparse(_commutator_terms(coupling), shape),
+            _sparse(_commutator_terms(coupling.conj().T), shape))
 
 
 def _closure(pattern, seed):
@@ -286,25 +282,23 @@ def _moved(m, perm):
     return key[order], m.vals[order]
 
 
-def symmetries(parts, h0, detuning_diag, exchange):
+def symmetries(parts, h0, exchange):
     """The generator's symmetries as maps x -> x[perms[i]] of a row-major
     vec(rho), conjugated where ``conj[i]``: the identity, then the adjoint,
     the exchange and their product, each where it holds.
 
-    The adjoint needs ``h0`` exactly Hermitian, a real detuning diagonal and
-    a pattern it maps onto itself (L_plus onto L_minus); the exchange
-    rho -> P rho P^T, with P the permutation matrix of ``exchange``, needs
-    every part exactly invariant, values included."""
+    The adjoint needs ``h0`` exactly Hermitian and a pattern it maps onto
+    itself (L_plus onto L_minus); the exchange rho -> P rho P^T, with P the
+    permutation matrix of ``exchange``, needs every part exactly invariant,
+    values included."""
     d = h0.shape[0]
     ij = np.arange(d * d).reshape(d, d)
     perms, conj = [ij.ravel()], [False]
-    l0, lplus, lminus, ldelta = parts
-    onto = [(l0, l0), (ldelta, ldelta), (lplus, lminus)]
+    l0, lplus, lminus = parts
     if (np.array_equal(h0, h0.conj().T)
-            and (detuning_diag is None or not np.any(np.imag(detuning_diag)))
             and all(a is None or np.array_equal(_moved(a, ij.T.ravel())[0],
                                                 b.rows * b.shape[1] + b.cols)
-                    for a, b in onto)):
+                    for a, b in [(l0, l0), (lplus, lminus)])):
         perms.append(ij.T.ravel())
         conj.append(True)
     perms, conj = np.array(perms), np.array(conj)
@@ -344,25 +338,24 @@ def representatives(flat, perms, conj):
     return source, how
 
 
-def propagate(rho, h0, coupling, phase, detuning_diag, segments, jumps, rtol,
-              atol, exchange=None):
-    """Propagate a (B, d, d) batch of matrices through ``segments``.
+def propagate(rho, h0, coupling, phase, duration, jumps, rtol, atol,
+              exchange=None):
+    """Propagate a (B, d, d) batch of matrices over [0, ``duration``].
 
-    ``phase`` is (amp, freq, offset, slope) of phi(t); ``segments`` lists
-    (t0, t1, delta) pieces with a constant detuning delta along
-    ``detuning_diag``; ``jumps`` are full-space collapse operators with
-    sqrt(rate) folded in. ``exchange`` is a permutation of range(d) to try
-    as a symmetry (the atom swap of a two-atom space), or None.
+    ``phase`` is (amp, freq, offset, slope) of phi(t); ``jumps`` are
+    full-space collapse operators with sqrt(rate) folded in. ``exchange`` is
+    a permutation of range(d) to try as a symmetry (the atom swap of a
+    two-atom space), or None.
     """
     b, d, _ = rho.shape
     flat = rho.reshape(b, d * d)
     out = np.zeros((b, d * d), dtype=complex)
-    parts = liouvillian_parts(h0, coupling, detuning_diag, jumps)
+    parts = liouvillian_parts(h0, coupling, jumps)
     entry, member = np.divmod(closed_support(parts, (flat != 0).T), b)
     if entry.size == 0:
         return out.reshape(b, d, d)
     live, row = np.unique(entry, return_inverse=True)
-    perms, conj = symmetries(parts, h0, detuning_diag, exchange)
+    perms, conj = symmetries(parts, h0, exchange)
     source, how = representatives(flat, perms, conj)
     solved = source[member] == member  # pairs of integrated members
     pos = np.full(live.size * b, -1)
@@ -372,26 +365,23 @@ def propagate(rho, h0, coupling, phase, detuning_diag, segments, jumps, rtol,
     at_live[live] = np.arange(live.size)
     # grid pair (entry e, member m) reads pair (perm[e], source[m])
     src = pos[at_live[perms[how[member], entry]], source[member]]
-    l0, lplus, lminus, ldelta = (
+    l0, lplus, lminus = (
         None if p is None else _packed(p, live, pos) for p in parts
     )
+    ops = l0 if lplus is None else _stacked([l0, lplus, lminus])
     amp, freq, offset, slope = phase
-    y = flat[member[solved], entry[solved]]
-    for t0, t1, delta in segments:
-        a = l0 if ldelta is None or delta == 0.0 else l0 + delta * ldelta
-        ops = a if lplus is None else _stacked([a, lplus, lminus])
 
-        def rhs(t, y, ops=ops):
-            out = ops @ y
-            if lplus is not None:  # rows of a @ y, lplus @ y, lminus @ y
-                n = len(y)
-                e = np.exp(1j * (amp * np.cos(freq * t + offset) + slope * t))
-                out, plus, minus = out[:n], out[n:2 * n], out[2 * n:]
-                out += e * plus + np.conj(e) * minus
-            return out
+    def rhs(t, y):
+        out = ops @ y
+        if lplus is not None:  # rows of l0 @ y, lplus @ y, lminus @ y
+            n = len(y)
+            e = np.exp(1j * (amp * np.cos(freq * t + offset) + slope * t))
+            out, plus, minus = out[:n], out[n:2 * n], out[2 * n:]
+            out += e * plus + np.conj(e) * minus
+        return out
 
-        y = dopri5(rhs, y, t0, t1, rtol, atol,
-                   grid=(pos.shape, row * b + member, src))
+    y = dopri5(rhs, flat[member[solved], entry[solved]], 0.0, duration, rtol,
+               atol, grid=(pos.shape, row * b + member, src))
     out[member[solved], entry[solved]] = y
     # row by row: one fancy-indexed copy of every image row would raise the
     # build's peak memory by a batch-sized temporary

@@ -75,7 +75,7 @@ class GateExecutor:
         if collapses:
             maps = [
                 channel_on_pairs(
-                    modulated_drive(self.profile, self.drive, [0.0], [delta]),
+                    modulated_drive(self.profile, self.drive, delta),
                     collapses, self.profile.t_gate, 2, self.pairs,
                     CZ_CHANNEL_RTOL, CZ_CHANNEL_ATOL,
                 )[0]

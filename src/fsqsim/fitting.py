@@ -13,26 +13,12 @@ import numpy as np
 
 GN_MAX_ITERATIONS = 200
 GN_TOL = 1e-12  # stop when a step improves the cost by less than this (relative)
-GOLDEN = 0.381966  # 1 - 1/phi, rounded; results depend on these digits
 BRENT_RTOL = 4 * np.finfo(float).eps  # scipy.optimize.brentq's default rtol
 BRENT_MAX_ITERATIONS = 100  # and its default maxiter
 
 
 class FitError(RuntimeError):
     pass
-
-
-def golden_max(f, lo, hi, n_iterations):
-    """Midpoint of [lo, hi] after ``n_iterations`` golden-section steps
-    toward the maximum of a unimodal ``f``."""
-    for _ in range(n_iterations):
-        m1 = lo + GOLDEN * (hi - lo)
-        m2 = hi - GOLDEN * (hi - lo)
-        if f(m1) < f(m2):
-            lo = m1
-        else:
-            hi = m2
-    return 0.5 * (lo + hi)
 
 
 def brentq(f, xa, xb, xtol):

@@ -1,9 +1,11 @@
 """Master-equation time evolution for one- and two-atom density matrices.
 
-A Hamiltonian is one of three forms: a :class:`ModulatedDrive` (phase
-modulation and piecewise detuning), a static matrix, or ``None`` for free
-decay. All three go through the one sparse engine in ``_kernels``; there is
-no generic ``t -> matrix`` path.
+A Hamiltonian is one of three forms: a :class:`ModulatedDrive` (a static
+part and a phase-modulated coupling), a static matrix, or ``None`` for free
+decay. All three go through the one sparse engine in ``_kernels``, which
+propagates one generator over one span; there is no generic ``t -> matrix``
+path. A constant detuning is part of the static matrix; piecewise detuning
+belongs to the sector propagator, ``rydberg.sector_unitaries``.
 """
 
 from dataclasses import dataclass, field
@@ -29,14 +31,13 @@ class IntegrationError(RuntimeError):
 class CollapseOperator:
     """A single Lindblad jump operator with its rate in 1/us.
 
-    ``operator`` is either a 6x6 single-atom matrix or a full-space matrix.
-    A local operator with ``atom=None`` acts on every atom (one embedded copy
-    per atom), which is the common case for global noise channels.
+    ``operator`` is either a 6x6 single-atom matrix, which acts on every
+    atom (one embedded copy per atom, as global noise channels do), or a
+    full-space matrix.
     """
 
     rate: float
     operator: np.ndarray = field(repr=False)
-    atom: int | None = None
 
     def __post_init__(self):
         if self.rate < 0:
@@ -56,18 +57,16 @@ class CollapseOperator:
                 f"collapse operator must be {DIM}x{DIM} or {d}x{d}, "
                 f"got {self.operator.shape}"
             )
-        atoms = range(n_atoms) if self.atom is None else [self.atom]
-        return [(self.rate, embed_local(self.operator, a, n_atoms)) for a in atoms]
+        return [(self.rate, embed_local(self.operator, a, n_atoms))
+                for a in range(n_atoms)]
 
 
 @dataclass(frozen=True)
 class ModulatedDrive:
-    """H(t) = h0 + e^{i phi(t)} coupling + h.c. + delta(t) * detuning_diag.
+    """H(t) = h0 + e^{i phi(t)} coupling + h.c.
 
     phi(t) = phase_amp * cos(phase_freq * t + phase_offset) + phase_slope * t.
-    The detuning term is piecewise constant on ``detuning_edges`` (used for
-    sampled laser-noise trajectories); a plain constant detuning can be folded
-    into ``h0`` instead.
+    A constant detuning is folded into ``h0``.
     """
 
     h0: np.ndarray = field(repr=False)
@@ -76,37 +75,10 @@ class ModulatedDrive:
     phase_freq: float = 0.0
     phase_offset: float = 0.0
     phase_slope: float = 0.0
-    detuning_diag: np.ndarray | None = field(default=None, repr=False)
-    detuning_edges: np.ndarray | None = None
-    detuning_values: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
         return self.h0.shape[0]
-
-
-def _piece_value(edges, values, t: float):
-    values = np.asarray(values, dtype=float)
-    j = np.searchsorted(edges, t, side="right") - 1
-    v = values[..., min(max(j, 0), values.shape[-1] - 1)]
-    return float(v) if v.ndim == 0 else v  # one value per stack member
-
-
-def detuning_segments(edges, values, duration: float) -> list:
-    """(t0, t1, delta) pieces of [0, duration] with a constant detuning.
-
-    ``values[..., k]`` holds from ``edges[k]`` on; with ``values`` None the
-    whole span is one zero-detuning piece. Empty pieces are dropped.
-    """
-    if values is None:
-        return [(0.0, duration, 0.0)] if duration > 0 else []
-    edges = np.asarray(edges, dtype=float)
-    cuts = [0.0] + [float(e) for e in edges if 0.0 < e < duration] + [duration]
-    return [
-        (t0, t1, _piece_value(edges, values, 0.5 * (t0 + t1)))
-        for t0, t1 in zip(cuts, cuts[1:])
-        if t1 > t0
-    ]
 
 
 def evolve_rho(
@@ -155,8 +127,7 @@ def evolve_rho(
         drive.h0,
         drive.coupling,
         (drive.phase_amp, drive.phase_freq, drive.phase_offset, drive.phase_slope),
-        drive.detuning_diag,
-        detuning_segments(drive.detuning_edges, drive.detuning_values, duration),
+        duration,
         [np.sqrt(rate) * op for rate, op in pairs if rate != 0.0],
         rtol,
         atol,

@@ -275,8 +275,10 @@ def noise_config_to_text(config: NoiseConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def noise_config_from_text(text: str) -> NoiseConfig:
-    """Parse a key-value document; unknown keys are rejected."""
+def read_key_values(text: str, keys) -> dict:
+    """{key: float} of a ``key = value`` document with ``#`` comments; a line
+    without ``=``, a key not in ``keys`` or a value that is not a number is
+    rejected, naming the line."""
     kv = {}
     for lineno, ln in enumerate(text.splitlines(), start=1):
         ln = ln.strip()
@@ -285,14 +287,20 @@ def noise_config_from_text(text: str) -> NoiseConfig:
         key, sep, val = ln.partition("=")
         key = key.strip()
         if not sep:
-            raise ValueError(f"line {lineno}: expected 'key = value'")
-        if key not in _FIELD_KEYS:
+            raise ValueError(f"line {lineno}: expected 'key = value', "
+                             f"not {ln!r}")
+        if key not in keys:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
         try:
             kv[key] = float(val.strip())
         except ValueError as exc:
             raise ValueError(f"line {lineno}: bad number for {key!r}") from exc
+    return kv
 
+
+def noise_config_from_text(text: str) -> NoiseConfig:
+    """Parse a key-value document; unknown keys are rejected."""
+    kv = read_key_values(text, _FIELD_KEYS)
     kwargs = {}
     branching = dict(DEFAULT_BRANCHING)
     for key, val in kv.items():

@@ -354,6 +354,9 @@ def state_prep_curve(
     return out
 
 
+SRD_REPUMP_CYCLES = 2  # removal cycles of the transferred q0 population
+
+
 @dataclass(frozen=True)
 class SRDModel:
     """State-resolved detection parameters (all probabilities)."""
@@ -364,7 +367,6 @@ class SRDModel:
     fast_false_positive: float = 2.0e-4
     slow_detection: float = 0.9990  # survival+classification of the slow image
     slow_false_positive: float = 1.0e-4
-    repump_cycles: int = 2
 
     def __post_init__(self):
         for name in (
@@ -378,13 +380,11 @@ class SRDModel:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be a probability")
-        if self.repump_cycles < 1:
-            raise ValueError("need at least one repump cycle")
 
 
 def srd_probabilities(true_state: int, model: SRDModel) -> dict:
     """Analytic outcome distribution of the detection channel."""
-    residual = (1.0 - model.fast_removal) ** model.repump_cycles
+    residual = (1.0 - model.fast_removal) ** SRD_REPUMP_CYCLES
     if true_state in (Q0, X, G):
         leak = model.depump_leakage if true_state in (Q0, X) else 0.0
         transferred = 1.0 - leak

@@ -18,9 +18,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fitting import golden_max
-from .lindblad import ModulatedDrive, detuning_segments
+from .lindblad import ModulatedDrive
 from .levels import DIM, Q0, Q1, R, full_index, lop, unravel_index
+from .noise import read_key_values
 from .states import embed_local
 
 OMEGA_DEFAULT = 2 * np.pi * 6.0  # rad/us
@@ -39,6 +39,12 @@ class RydbergDrive:
     def __post_init__(self):
         if self.rabi_frequency < 0:
             raise ValueError("Rabi frequency must be non-negative")
+
+
+_PROFILE_KEYS = (  # the keys of CZPulseProfile.to_text
+    "theta1_rad", "theta2_rad", "theta3_rad_per_us", "theta4_rad",
+    "t_gate_us", "phi_sq_rad", "omega_rad_per_us", "v_rad_per_us",
+)
 
 
 @dataclass(frozen=True)
@@ -88,14 +94,9 @@ class CZPulseProfile:
 
     @classmethod
     def from_text(cls, text: str):
-        """Parse the key-value document; returns (profile, drive-or-None)."""
-        kv = {}
-        for ln in text.splitlines():
-            ln = ln.strip()
-            if not ln or ln.startswith("#"):
-                continue
-            key, _, val = ln.partition("=")
-            kv[key.strip()] = float(val.strip())
+        """Parse the key-value document; returns (profile, drive-or-None).
+        Unknown keys, lines without ``=`` and bad numbers are rejected."""
+        kv = read_key_values(text, _PROFILE_KEYS)
         try:
             profile = cls(
                 theta=(
@@ -174,6 +175,30 @@ def _sector_parts(drive: RydbergDrive):
     for m in parts:
         m.setflags(write=False)
     return tuple(parts)
+
+
+def _piece_value(edges, values, t: float):
+    values = np.asarray(values, dtype=float)
+    j = np.searchsorted(edges, t, side="right") - 1
+    v = values[..., min(max(j, 0), values.shape[-1] - 1)]
+    return float(v) if v.ndim == 0 else v  # one value per stack member
+
+
+def detuning_segments(edges, values, duration: float) -> list:
+    """(t0, t1, delta) pieces of [0, duration] with a constant detuning.
+
+    ``values[..., k]`` holds from ``edges[k]`` on; with ``values`` None the
+    whole span is one zero-detuning piece. Empty pieces are dropped.
+    """
+    if values is None:
+        return [(0.0, duration, 0.0)] if duration > 0 else []
+    edges = np.asarray(edges, dtype=float)
+    cuts = [0.0] + [float(e) for e in edges if 0.0 < e < duration] + [duration]
+    return [
+        (t0, t1, _piece_value(edges, values, 0.5 * (t0 + t1)))
+        for t0, t1 in zip(cuts, cuts[1:])
+        if t1 > t0
+    ]
 
 
 def _time_ordered_product(m: np.ndarray) -> np.ndarray:
@@ -279,7 +304,10 @@ def cz_average_fidelity(a01, a11, phi_sq=None):
 
     With M = U_ideal(phi)^dag U restricted to the computational subspace,
     F = (|tr M|^2 + tr M^dag M) / 20; if phi_sq is None the single-qubit
-    phase is optimized out.
+    phase is optimized out in closed form. With z = e^{-i phi},
+    tr M = 1 + 2 a01 z - a11 z^2 and on the unit circle |tr M|^2 = q(z) / z^2
+    with q of degree 4, so the maximum is at phi = -arg z for a root z of
+    z q'(z) - 2 q(z), or at phi = 0 where that vanishes (a01 = a11 = 0).
     """
 
     def fid(phi):
@@ -288,9 +316,16 @@ def cz_average_fidelity(a01, a11, phi_sq=None):
 
     if phi_sq is not None:
         return fid(phi_sq), phi_sq
-    grid = np.linspace(0, 2 * np.pi, 181, endpoint=False)
-    phi = grid[int(np.argmax([fid(p) for p in grid]))]
-    phi = golden_max(fid, phi - 0.05, phi + 0.05, 60)
+    trm = np.array([-a11, 2 * a01, 1.0])  # coefficients in z, highest first
+    q = np.convolve(trm, np.conj(trm[::-1]))  # tr M z^2 conj(tr M) on |z| = 1
+    r = np.arange(2, -3, -1) * q  # z q' - 2 q
+    # coefficients below the rounding of the largest are zero: a tiny
+    # leading one (a11 -> 0) would put a root near infinity and spoil the rest
+    r = r / max(np.max(np.abs(r)), np.finfo(float).tiny)
+    r[np.abs(r) <= np.finfo(float).eps] = 0.0
+    roots = np.roots(r)
+    candidates = np.concatenate([[0.0], -np.angle(roots)])
+    phi = float(candidates[np.argmax(fid(candidates))])
     return fid(phi), phi
 
 
@@ -309,15 +344,14 @@ def residual_rydberg_population(u2: np.ndarray, u4: np.ndarray) -> float:
 def modulated_drive(
     profile: CZPulseProfile,
     drive: RydbergDrive,
-    detuning_edges=None,
-    detuning_values=None,
+    detuning: float,
 ) -> ModulatedDrive:
-    """Two-atom structured drive for master-equation propagation."""
+    """Two-atom structured drive for master-equation propagation, with an
+    extra constant ``detuning`` (rad/us, common to both atoms) folded into
+    the static part: r shifts by -detuning, rr by -2 detuning."""
     h0, coup = hamiltonian_parts(drive)
+    h0[np.diag_indices_from(h0)] -= detuning * rydberg_count_diag()
     amp, freq, offset, slope, const = profile.modulation()
-    det_diag = None
-    if detuning_values is not None:
-        det_diag = -rydberg_count_diag().astype(complex)
     return ModulatedDrive(
         h0=h0,
         coupling=coup * np.exp(1j * const),
@@ -325,9 +359,6 @@ def modulated_drive(
         phase_freq=freq,
         phase_offset=offset,
         phase_slope=slope,
-        detuning_diag=det_diag,
-        detuning_edges=detuning_edges,
-        detuning_values=detuning_values,
     )
 
 

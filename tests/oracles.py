@@ -66,9 +66,8 @@ def rk4(rhs, y0, t0, t1, n_steps):
     return y
 
 
-def drive_hamiltonian(drive, delta=0.0):
-    """t -> H(t) of a ``ModulatedDrive`` with its detuning held at ``delta``
-    (the caller splits the span at the detuning edges)."""
+def drive_hamiltonian(drive):
+    """t -> H(t) of a ``ModulatedDrive``."""
 
     def h_of_t(t):
         h = np.array(drive.h0, dtype=complex)
@@ -77,8 +76,6 @@ def drive_hamiltonian(drive, delta=0.0):
                              * np.cos(drive.phase_freq * t + drive.phase_offset)
                              + drive.phase_slope * t))
             h += e * drive.coupling + np.conj(e) * drive.coupling.conj().T
-        if delta != 0.0:
-            h += delta * np.diag(drive.detuning_diag)
         return h
 
     return h_of_t

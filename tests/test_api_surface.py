@@ -7,7 +7,9 @@ The scan is syntactic. A parameter counts as set when any call in ``src/``,
 the last attribute, so ``m.f(...)`` matches ``f``) passes it by keyword or by
 position; a class's ``__init__`` is matched by the class name. A starred
 positional argument sets every positional parameter, ``**kwargs`` every
-parameter.
+parameter. A dataclass field with a default is a parameter of its class's
+generated ``__init__``, set by a constructor call as above or by a keyword
+to any ``replace(...)`` call (whose ``**kwargs`` names no field).
 
 Every imported name in ``src/`` and ``tests/`` is referenced in its scope:
 a module-level import by a name anywhere in the module or, for a package's
@@ -60,11 +62,44 @@ def _functions(tree):
                     yield name, fn, not static
 
 
+def _named(node, name):
+    """Whether ``node`` is ``name``, ``x.name`` or a call of either."""
+    f = node.func if isinstance(node, ast.Call) else node
+    return (getattr(f, "id", None) or getattr(f, "attr", None)) == name
+
+
+def _dataclass_fields(tree):
+    """(class name, init field names, names with a default) per dataclass."""
+    for node in tree.body:
+        if not (isinstance(node, ast.ClassDef)
+                and any(_named(d, "dataclass") for d in node.decorator_list)):
+            continue
+        fields, optional = [], []
+        for stmt in node.body:
+            if not (isinstance(stmt, ast.AnnAssign)
+                    and isinstance(stmt.target, ast.Name)
+                    and "ClassVar" not in ast.unparse(stmt.annotation)):
+                continue
+            value = stmt.value
+            spec = ({k.arg: k.value for k in value.keywords}
+                    if value is not None and _named(value, "field") else None)
+            if spec is not None and getattr(spec.get("init"), "value",
+                                            True) is False:
+                continue
+            fields.append(stmt.target.id)
+            if value is not None and (spec is None or "default" in spec
+                                      or "default_factory" in spec):
+                optional.append(stmt.target.id)
+        yield node.name, fields, optional
+
+
 def optional_parameters():
-    """(where, called name, positional names, optional names) per function."""
+    """(where, called name, positional names, optional names, dataclass)
+    per function and per dataclass."""
     out = []
     for path in sorted((ROOT / "src" / "fsqsim").rglob("*.py")):
-        for name, fn, bound in _functions(ast.parse(path.read_text())):
+        tree = ast.parse(path.read_text())
+        for name, fn, bound in _functions(tree):
             a = fn.args
             positional = [p.arg for p in a.posonlyargs + a.args][int(bound):]
             optional = positional[len(positional) - len(a.defaults):] \
@@ -72,7 +107,10 @@ def optional_parameters():
             optional += [p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults)
                          if d is not None]
             where = f"{path.relative_to(ROOT)}:{fn.name}"
-            out.append((where, name, positional, optional))
+            out.append((where, name, positional, optional, False))
+        for name, fields, optional in _dataclass_fields(tree):
+            where = f"{path.relative_to(ROOT)}:{name}"
+            out.append((where, name, fields, optional, True))
     return out
 
 
@@ -91,7 +129,7 @@ def calls_by_name():
 def unset_parameters():
     calls = calls_by_name()
     unset = []
-    for where, name, positional, optional in optional_parameters():
+    for where, name, positional, optional, dataclass in optional_parameters():
         seen = set()
         for call in calls.get(name, []):
             if any(isinstance(x, ast.Starred) for x in call.args):
@@ -99,12 +137,14 @@ def unset_parameters():
             seen.update(positional[:len(call.args)])
             for kw in call.keywords:
                 seen.update(optional if kw.arg is None else [kw.arg])
+        for call in calls.get("replace", []) if dataclass else []:
+            seen.update(kw.arg for kw in call.keywords)
         unset += [f"{where}({p})" for p in optional if p not in seen]
     return unset
 
 
 def test_every_optional_parameter_has_a_caller():
-    assert sum(len(o) for *_, o in optional_parameters()) > 0
+    assert sum(len(o) for *_, o, _ in optional_parameters()) > 0
     unset = unset_parameters()
     assert not unset, (
         "optional parameters no caller sets; make each a module constant "

@@ -95,6 +95,35 @@ def test_oracle_entanglement_fidelity_matches_the_budget(reference_executor):
                                abs=1e-12)
 
 
+def test_headlines_are_converged_at_the_channel_tolerance(
+        cz_profile, drive, reference_config, monkeypatch):
+    # CZ_CHANNEL_RTOL is a local per-step tolerance and leaves channel
+    # entries 3.7e-4 off a tight build; every channel-derived headline must
+    # still move by < 1e-8 when the build is tightened 1,000-fold
+    from fsqsim.benchmarking import twoq
+
+    phases = np.linspace(0, 2 * np.pi, 16, endpoint=False)
+
+    def headlines():
+        bell = GateExecutor(cz_profile, drive, reference_config)
+        combined = GateExecutor(cz_profile, drive,
+                                reference_config.only(*CZ_SOURCES),
+                                dephasing_nodes=budget.DEPHASING_NODES)
+        return np.array([
+            twoq.bell_protocol(phases, 0, excise, executor=bell).fidelity
+            for excise in (False, True)
+        ] + [
+            process_infidelity_from_executor(combined),
+            corrected_process_infidelity_from_executor(combined),
+            *ssb_infidelities_from_executor(combined),
+        ])
+
+    before = headlines()
+    monkeypatch.setattr(twoq, "CZ_CHANNEL_RTOL", 1e-9)
+    monkeypatch.setattr(twoq, "CZ_CHANNEL_ATOL", 1e-12)
+    assert np.max(np.abs(headlines() - before)) < 1e-8
+
+
 def test_channel_retention_noiseless_is_one(noiseless_executor):
     assert channel_retention(noiseless_executor) == pytest.approx(1.0, abs=1e-6)
 

@@ -255,15 +255,14 @@ def test_gate_pair_basis_is_closed(cz_profile, drive, reference_config):
     pairs = gate_pair_basis()
     assert len(pairs) == 144
     ops = gate_collapse_ops(reference_config, drive.rabi_frequency)
-    mdrive = modulated_drive(cz_profile, drive)
+    mdrive = modulated_drive(cz_profile, drive, 0.0)
     # channel_on_pairs raises if the span leaks; returned leak must be tiny
     _, leak = channel_on_pairs(mdrive, ops, cz_profile.t_gate, 2, pairs,
                                rtol=1e-6, atol=1e-9)
     assert leak < 1e-9
     # the engine's support derived from these matrix units is the same set
     jumps = [np.sqrt(r) * op for c in ops for r, op in c.expand(2)]
-    parts = liouvillian_parts(mdrive.h0, mdrive.coupling,
-                              mdrive.detuning_diag, jumps)
+    parts = liouvillian_parts(mdrive.h0, mdrive.coupling, jumps)
     seed = np.zeros(36 * 36, dtype=bool)
     seed[[i * 36 + j for i, j in pairs]] = True
     support = closed_support(parts, seed)

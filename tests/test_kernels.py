@@ -20,27 +20,23 @@ def _structured_problem(seed, d=6, batch=3):
     coup = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     jumps = [0.3 * levels.lop(G, Q1) + 0.1j * levels.lop(G, R),
              0.2 * levels.lop(B, R)]
-    det_diag = -np.arange(d).astype(complex)
-    args = (h0, coup, (0.8, 14.0, 0.3, 2.0), det_diag,
-            [(0.0, 0.5, 0.4), (0.5, 0.9, -1.1)], jumps, 1e-9, 1e-12)
+    args = (h0, coup, (0.8, 14.0, 0.3, 2.0), 0.9, jumps, 1e-9, 1e-12)
     return rho, args
 
 
 def test_engine_matches_dense_path():
-    # coupling, phase modulation, piecewise detuning and a collapse set whose
-    # sum L^dag L is not diagonal, against the generic dense right-hand side
+    # coupling, phase modulation, a constant detuning of r folded into h0
+    # and a collapse set whose sum L^dag L is not diagonal, against the
+    # generic dense right-hand side
     rng = np.random.default_rng(3)
     h0 = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
     drive = ModulatedDrive(
-        h0=h0 + h0.conj().T,
+        h0=h0 + h0.conj().T - 1.5 * levels.lop(R, R),
         coupling=2.1 * levels.lop(Q1, R) + 0.7 * levels.lop(Q0, Q1),
         phase_amp=0.8,
         phase_freq=14.0,
         phase_offset=0.3,
         phase_slope=2.0,
-        detuning_diag=-levels.lop(R, R).diagonal(),
-        detuning_edges=np.array([0.0, 0.35, 0.7]),
-        detuning_values=np.array([1.5, -2.0, 0.7]),
     )
     ops = [
         CollapseOperator(0.3, levels.lop(G, Q1) + 0.5 * levels.lop(G, R)),
@@ -53,11 +49,9 @@ def test_engine_matches_dense_path():
 
     out = evolve_rho(rho, drive, ops, 0.9, 1, rtol=1e-10, atol=1e-12)
 
-    pairs = [p for c in ops for p in c.expand(1)]
-    ref = rho
-    for t0, t1, delta in [(0.0, 0.35, 1.5), (0.35, 0.7, -2.0), (0.7, 0.9, 0.7)]:
-        rhs = dense_lindblad_rhs(drive_hamiltonian(drive, delta), pairs)
-        ref = _kernels.dopri5(rhs, ref, t0, t1, 1e-10, 1e-12)
+    rhs = dense_lindblad_rhs(drive_hamiltonian(drive),
+                             [p for c in ops for p in c.expand(1)])
+    ref = _kernels.dopri5(rhs, rho, 0.0, 0.9, 1e-10, 1e-12)
     assert np.max(np.abs(out - ref)) <= 1e-8
 
 
@@ -70,35 +64,31 @@ def test_kernel_deterministic():
 
 def test_zero_span_returns_input():
     rho, args = _structured_problem(4)
-    args = args[:4] + ([(0.0, 0.0, 0.4)],) + args[5:]
+    args = args[:3] + (0.0,) + args[4:]
     out = _kernels.propagate(rho.copy(), *args)
     assert np.array_equal(out, rho)
 
 
-def _dense_grid_propagate(rho, h0, coupling, phase, detuning_diag, segments,
-                          jumps, rtol, atol):
+def _dense_grid_propagate(rho, h0, coupling, phase, duration, jumps, rtol,
+                          atol):
     # the engine before per-member support: one (live, B) grid over the
     # union of every member's reachable entries
     b, d, _ = rho.shape
     flat = rho.reshape(b, d * d)
-    parts = liouvillian_parts(h0, coupling, detuning_diag, jumps)
+    parts = liouvillian_parts(h0, coupling, jumps)
     live = closed_support(parts, np.any(flat != 0, axis=0))
-    l0, lplus, lminus, ldelta = (
-        None if p is None else p.restrict(live) for p in parts
-    )
+    l0, lplus, lminus = (None if p is None else p.restrict(live)
+                         for p in parts)
     amp, freq, offset, slope = phase
-    y = flat[:, live].T
-    for t0, t1, delta in segments:
-        a = l0 if ldelta is None or delta == 0.0 else l0 + delta * ldelta
 
-        def rhs(t, y, a=a):
-            out = a @ y
-            if lplus is not None:
-                e = np.exp(1j * (amp * np.cos(freq * t + offset) + slope * t))
-                out += e * (lplus @ y) + np.conj(e) * (lminus @ y)
-            return out
+    def rhs(t, y):
+        out = l0 @ y
+        if lplus is not None:
+            e = np.exp(1j * (amp * np.cos(freq * t + offset) + slope * t))
+            out += e * (lplus @ y) + np.conj(e) * (lminus @ y)
+        return out
 
-        y = _kernels.dopri5(rhs, y, t0, t1, rtol, atol)
+    y = _kernels.dopri5(rhs, flat[:, live].T, 0.0, duration, rtol, atol)
     out = np.zeros((b, d * d), dtype=complex)
     out[:, live] = y.T
     return out.reshape(b, d, d)
@@ -116,19 +106,19 @@ def _gate_problem(cz_profile, drive, reference_config, span):
     from fsqsim.noise import gate_collapse_ops
     from fsqsim.rydberg import modulated_drive
 
-    md = modulated_drive(cz_profile, drive, [0.0], [0.4])
+    md = modulated_drive(cz_profile, drive, 0.4)
     ops = gate_collapse_ops(reference_config, drive.rabi_frequency)
     jumps = [np.sqrt(r) * op for c in ops for r, op in c.expand(2) if r != 0]
     rho = _matrix_units(gate_pair_basis(), 36)
     args = (md.h0, md.coupling,
             (md.phase_amp, md.phase_freq, md.phase_offset, md.phase_slope),
-            md.detuning_diag, [(0.0, span, 0.4)], jumps, 1e-6, 1e-9)
+            span, jumps, 1e-6, 1e-9)
     return rho, args
 
 
 def test_packed_engine_matches_dense_grid_one_atom():
-    # all 36 one-atom matrix units under a modulated drive, collapses and
-    # two detuning pieces, with members whose supports differ (sink
+    # all 36 one-atom matrix units under a modulated drive and collapses,
+    # with members whose supports differ (sink
     # coherences only decay). h0 is Hermitian, so each |j><i| (i < j) is
     # the adjoint image of |i><j|: it is exactly that image and within
     # rounding of the dense-grid engine. Batches with no images are
@@ -138,10 +128,9 @@ def test_packed_engine_matches_dense_grid_one_atom():
              np.sqrt(0.2) * (levels.lop(X, Q0) + 1j * levels.lop(X, Q1)),
              np.sqrt(0.1) * levels.lop(B, R)]
     args = (np.diag([0.0, 0.3, -1.2, 0.5, 0.0, 0.1]).astype(complex),
-            coupling, (0.8, 14.0, 0.3, 2.0), -levels.lop(R, R).diagonal(),
-            [(0.0, 0.3, 0.4), (0.3, 0.5, -1.1)], jumps, 1e-8, 1e-10)
+            coupling, (0.8, 14.0, 0.3, 2.0), 0.5, jumps, 1e-8, 1e-10)
     rho = _matrix_units([(i, j) for i in range(6) for j in range(6)], 6)
-    parts = liouvillian_parts(args[0], coupling, args[3], jumps)
+    parts = liouvillian_parts(args[0], coupling, jumps)
     seed = (rho.reshape(36, 36) != 0).T
     assert closed_support(parts, seed).size < 36 * 36
     packed = _kernels.propagate(rho, *args)
@@ -169,9 +158,9 @@ def test_packed_engine_matches_dense_grid_gate_pairs(cz_profile, drive,
 def test_packed_size_of_reference_gate(cz_profile, drive, reference_config):
     # 144 live entries, but each pair-basis unit reaches only its own block
     # (one of 64, four of 16, four of 4 entries): 2,116 of 144 x 144
-    rho, (h0, coupling, _, det, _, jumps, *_) = _gate_problem(
+    rho, (h0, coupling, _, _, jumps, *_) = _gate_problem(
         cz_profile, drive, reference_config, cz_profile.t_gate)
-    parts = liouvillian_parts(h0, coupling, det, jumps)
+    parts = liouvillian_parts(h0, coupling, jumps)
     seed = (rho.reshape(len(rho), -1) != 0).T
     assert closed_support(parts, seed).size == 2116
     assert closed_support(parts, seed.any(axis=1)).size == 144
@@ -204,7 +193,7 @@ def reference_channel(cz_profile, drive, reference_config):
         mp.setattr(_lindblad_py, "representatives", representatives)
         mp.setattr(_lindblad_py, "dopri5", dopri5)
         m, _ = channel_on_pairs(
-            modulated_drive(cz_profile, drive, [0.0], [0.0]),
+            modulated_drive(cz_profile, drive, 0.0),
             gate_collapse_ops(reference_config, drive.rabi_frequency),
             cz_profile.t_gate, 2, pairs, CZ_CHANNEL_RTOL, CZ_CHANNEL_ATOL)
     return pairs, m, seen
@@ -234,8 +223,7 @@ _IMAGES = (
     lambda x: x[np.ix_(_SWAP, _SWAP)],
     lambda x: x.conj().T[np.ix_(_SWAP, _SWAP)],
 )
-_ARGS = ((0.8, 14.0, 0.3, 2.0), [(0.0, 0.15, 0.4), (0.15, 0.3, -1.1)], 1e-8,
-         1e-11)
+_ARGS = ((0.8, 14.0, 0.3, 2.0), 0.3, 1e-8, 1e-11)
 
 
 def _swap_symmetric(a):
@@ -243,7 +231,7 @@ def _swap_symmetric(a):
 
 
 def _two_atom_generator(rng, n_jumps):
-    """Random exchange-symmetric (h0, coupling, detuning diagonal, jumps):
+    """Random exchange-symmetric (h0, coupling, jumps):
     h0 Hermitian, and each local jump a single matrix element on its own
     source level, on atom 0 then atom 1 (the order of
     ``CollapseOperator.expand``), so every part is exactly invariant."""
@@ -256,14 +244,13 @@ def _two_atom_generator(rng, n_jumps):
         local = np.zeros((3, 3))
         local[rng.integers(3), source] = rng.uniform(0.1, 0.8)
         jumps += [np.kron(local, np.eye(3)), np.kron(np.eye(3), local)]
-    return (h0 + h0.conj().T, _swap_symmetric(0.3 * cnormal()),
-            _swap_symmetric(np.diag(rng.normal(size=9))).diagonal(), jumps)
+    return h0 + h0.conj().T, _swap_symmetric(0.3 * cnormal()), jumps
 
 
 def _engine_args(generator):
-    h0, coupling, det, jumps = generator
-    phase, segments, rtol, atol = _ARGS
-    return h0, coupling, phase, det, segments, jumps, rtol, atol
+    h0, coupling, jumps = generator
+    phase, duration, rtol, atol = _ARGS
+    return h0, coupling, phase, duration, jumps, rtol, atol
 
 
 @settings(max_examples=10, deadline=None)
@@ -277,8 +264,8 @@ def test_images_are_exact_and_match_dense_grid(seed, n_jumps, draws):
     # is within rounding of integrating every member
     generator = _two_atom_generator(np.random.default_rng(seed), n_jumps)
     args = _engine_args(generator)
-    parts = liouvillian_parts(args[0], args[1], args[3], args[5])
-    perms, _ = _lindblad_py.symmetries(parts, args[0], args[3], _SWAP)
+    parts = liouvillian_parts(args[0], args[1], args[4])
+    perms, _ = _lindblad_py.symmetries(parts, args[0], _SWAP)
     assert len(perms) == 4
     rho = []
     for unit, mask in draws:
@@ -302,13 +289,13 @@ def test_asymmetric_generator_is_not_reduced(broken, monkeypatch):
     # only, and of adjoint images (no exchange images) under a non-Hermitian
     # h0: each is reduced under the intact generator, integrated whole under
     # the broken one, and then bit-identical to the dense-grid engine
-    h0, coupling, det, jumps = _two_atom_generator(np.random.default_rng(8), 2)
+    h0, coupling, jumps = _two_atom_generator(np.random.default_rng(8), 2)
     if broken == "one-atom collapse":
         units = [(1, 2), (3, 6), (1, 5), (3, 7), (0, 4)]
-        broken_generator = (h0, coupling, det, jumps[::2])
+        broken_generator = (h0, coupling, jumps[::2])
     else:
         units = [(i, j) for i in (1, 2, 5) for j in (1, 2, 5)]
-        broken_generator = (h0 + 0.5j * np.eye(9), coupling, det, jumps)
+        broken_generator = (h0 + 0.5j * np.eye(9), coupling, jumps)
     rho = _matrix_units(units, 9)
     sizes = []
     integrate = _lindblad_py.dopri5
@@ -318,7 +305,7 @@ def test_asymmetric_generator_is_not_reduced(broken, monkeypatch):
         return integrate(rhs, y0, t0, t1, rtol, atol, grid=grid)
 
     monkeypatch.setattr(_lindblad_py, "dopri5", dopri5)
-    _kernels.propagate(rho, *_engine_args((h0, coupling, det, jumps)),
+    _kernels.propagate(rho, *_engine_args((h0, coupling, jumps)),
                        exchange=_SWAP)
     assert all(n < full for n, full in sizes)
     sizes.clear()

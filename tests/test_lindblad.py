@@ -102,31 +102,6 @@ def test_state_dimension_must_match_atom_count():
         evolve_rho(np.eye(6), None, [], 1.0, 2)
 
 
-def test_piecewise_detuning_matches_callable():
-    edges = np.array([0.0, 0.4, 0.8, 1.2])
-    vals = np.array([1.5, -2.0, 0.7])
-    ndiag = np.zeros(6)
-    ndiag[R] = -1.0
-    drv = ModulatedDrive(
-        h0=np.zeros((6, 6), dtype=complex),
-        coupling=3.0 * levels.lop(Q1, R),
-        detuning_diag=ndiag,
-        detuning_edges=edges,
-        detuning_values=vals,
-    )
-    st = QuantumState.pure([Q1])
-    a = evolve_lindblad(st, drv, [], 1.2)
-    # reference: integrate each constant-detuning segment separately (the
-    # callable path cannot be trusted across the discontinuities)
-    b = st
-    for k in range(3):
-        h0 = np.zeros((6, 6), dtype=complex)
-        h0[np.diag_indices(6)] += vals[k] * ndiag
-        seg = ModulatedDrive(h0=h0, coupling=3.0 * levels.lop(Q1, R))
-        b = evolve_lindblad(b, seg, [], edges[k + 1] - edges[k])
-    assert np.max(np.abs(a.rho - b.rho)) < 1e-7
-
-
 def test_collapse_operator_validation():
     with pytest.raises(ValueError):
         CollapseOperator(-1.0, levels.lop(B, Q1))

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fsqsim.levels import B, G, Q0, Q1, R, X
 from fsqsim.lindblad import evolve_lindblad
@@ -100,6 +104,47 @@ def test_config_round_trip(reference_config):
     assert noise_config_from_text(noise_config_to_text(cfg)) == cfg
     assert noise_config_from_text(noise_config_to_text(reference_config)) == \
         reference_config
+
+
+_RATE = st.one_of(st.floats(0.0, 1e300), st.just(math.inf))
+
+
+def _branching(weights):
+    total = sum(weights)
+    return dict(zip(("g", "q1", "q0", "x"), (w / total for w in weights)))
+
+
+@st.composite
+def _noise_configs(draw):
+    weights = draw(st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4)
+                   .filter(lambda w: sum(w) > 0))
+    return NoiseConfig(
+        tau_bright=draw(_RATE), tau_dark=draw(_RATE),
+        branching=_branching(weights), ionization_a=draw(_RATE),
+        rydberg_detuning_sigma_mhz=draw(_RATE),
+        rydberg_dephasing_rate=draw(_RATE), raman_scatter_g=draw(_RATE),
+        raman_leak_x=draw(_RATE), raman_spinflip=draw(st.none() | _RATE),
+        state_prep_error=draw(st.floats(0.0, 1.0)), clock_rabi=draw(_RATE),
+        clock_dephasing=draw(_RATE),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_noise_configs())
+def test_config_text_round_trip_property(cfg):
+    # the text holds clock_rabi / 2 pi and clock_dephasing * 1e3, and an
+    # unset raman_spinflip as its derived rate, so those three are not
+    # returned bit for bit: the two clock fields come back within 4 ulp and
+    # the spin-flip rate the config acts with comes back equal
+    back = noise_config_from_text(noise_config_to_text(cfg))
+    inexact = ("clock_rabi", "clock_dephasing", "raman_spinflip")
+    for name in NoiseConfig.__dataclass_fields__:
+        if name not in inexact:
+            assert getattr(back, name) == getattr(cfg, name), name
+    for name in inexact[:2]:
+        a, b = getattr(cfg, name), getattr(back, name)
+        assert a == b or abs(b - a) <= 4 * np.spacing(a), name
+    assert back.raman_spinflip_rate == cfg.raman_spinflip_rate
 
 
 def test_config_text_rejects_unknown_keys():

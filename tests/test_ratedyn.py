@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fsqsim import _kernels
 from fsqsim.fitting import FitError
@@ -114,6 +116,24 @@ def test_dataset_csv_round_trip():
     back = LifetimeDataset.from_csv(data.to_csv())
     assert np.allclose(back.times, data.times)
     assert np.allclose(back.p1, data.p1, atol=1e-7)
+
+
+_VALUE = st.floats(-1e300, 1e300)
+_ERROR = st.floats(0.0, 1e300, exclude_min=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_VALUE, _VALUE, _ERROR, _VALUE, _ERROR),
+                min_size=1, max_size=20))
+def test_dataset_csv_round_trip_property(rows):
+    # the CSV holds 8 significant digits: every column comes back as those
+    # digits, and writes the same text again
+    data = LifetimeDataset(*np.array(rows).T)
+    back = LifetimeDataset.from_csv(data.to_csv())
+    for name in ("times", "p1", "p1_err", "p2", "p2_err"):
+        want = [float(f"{x:.8g}") for x in getattr(data, name)]
+        assert np.array_equal(getattr(back, name), want), name
+    assert back.to_csv() == data.to_csv()
 
 
 def test_branching_single_channel_degenerate():

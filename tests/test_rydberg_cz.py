@@ -179,6 +179,23 @@ def test_constant_detuning_stack_matches_shifted_drive():
         assert np.max(np.abs(u4[m] - s4)) <= 1e-7
 
 
+@pytest.mark.parametrize("delta", [-0.9, 0.4])
+def test_engines_agree_on_a_detuned_gate(cz_profile, drive, delta):
+    # the master-equation engine with the detuning folded into h0 against
+    # the sector propagator's one detuning piece (a flipped sign is 0.33
+    # off or more)
+    from fsqsim.channels import (channel_on_pairs, conjugation_on_pairs,
+                                 gate_pair_basis)
+
+    pairs = gate_pair_basis()
+    md = rydberg.modulated_drive(cz_profile, drive, delta)
+    engine, _ = channel_on_pairs(md, [], cz_profile.t_gate, 2, pairs,
+                                 rtol=1e-10, atol=1e-13)
+    sector = conjugation_on_pairs(assemble_unitary(*sector_unitaries(
+        cz_profile, drive, [0.0], [delta])), pairs)
+    assert np.max(np.abs(engine - sector)) <= 1e-7
+
+
 def _detuned_stack(members, pieces, seed):
     # modulated profiles with one gate time and a (members, pieces) detuning
     rng = np.random.default_rng(seed)
@@ -271,6 +288,49 @@ def test_profile_text_round_trip():
     assert drive_back.interaction == pytest.approx(drive.interaction)
     with pytest.raises(ValueError):
         CZPulseProfile.from_text("theta1_rad = 1.0\n")
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_DRIVE = st.builds(RydbergDrive, st.floats(0.0, allow_infinity=False),
+                   st.just(0.0), _FINITE)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_FINITE, min_size=4, max_size=4),
+       st.floats(0.0, exclude_min=True, allow_infinity=False), _FINITE,
+       st.none() | _DRIVE)
+def test_profile_text_round_trip_property(theta, t_gate, phi_sq, drive):
+    # the document writes reprs, so profile and drive come back exactly
+    profile = CZPulseProfile(theta, t_gate, phi_sq)
+    assert CZPulseProfile.from_text(profile.to_text(drive)) == (profile, drive)
+
+
+@pytest.mark.parametrize("line, message", [
+    ("phi_sq_rads = 2.1", "line 2: unknown key 'phi_sq_rads'"),
+    ("phi_sq_rad 2.1", "line 2: expected 'key = value', not 'phi_sq_rad 2.1'"),
+    ("phi_sq_rad = 2,1", "line 2: bad number for 'phi_sq_rad'"),
+])
+def test_profile_text_rejects_bad_lines(line, message):
+    # a typo'd key used to be dropped silently, leaving phi_sq at 0.0
+    text = default_profile().to_text().replace("phi_sq_rad = ", "# ")
+    lines = text.splitlines()
+    lines.insert(1, line)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        CZPulseProfile.from_text("\n".join(lines))
+
+
+_UNIT_DISK = st.builds(lambda r, a: r * np.exp(1j * a), st.floats(0.0, 1.0),
+                       st.floats(-np.pi, np.pi))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_UNIT_DISK, _UNIT_DISK)
+def test_closed_form_phase_beats_a_fine_grid(a01, a11):
+    grid = np.linspace(0.0, 2 * np.pi, 20_000, endpoint=False)
+    for a, b in ((a01, a11), (a01, 0.0), (0.0, 0.0)):
+        f, phi = cz_average_fidelity(a, b)
+        assert f >= np.max(cz_average_fidelity(a, b, grid)[0]) - 1e-12
+        assert f == cz_average_fidelity(a, b, phi)[0]
 
 
 def test_global_phase_invariance_of_populations():
