@@ -5,4 +5,3 @@ from . import _lindblad_py
 BACKEND = "sparse-liouvillian"
 
 propagate = _lindblad_py.propagate
-dopri5 = _lindblad_py.dopri5

@@ -11,7 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..channels import channel_superoperator
+from ..channels import channel_superoperator, check_cptp
 from ..cliffords import CliffordGate, clifford_group, find_index
 from ..fitting import DecayFit, fit_power_decay
 from ..levels import DIM, G, Q0, Q1, lop
@@ -67,7 +67,10 @@ def _x90_channel_cached(scatter_g, leak_x, spinflip, noiseless):
                           raman_spinflip=spinflip)
         ops = raman_scatter_collapse_ops(cfg)
     t90 = (np.pi / 2) / RAMAN_RABI
-    return channel_superoperator(h, ops, t90, n_atoms=1, rtol=1e-10, atol=1e-12)
+    s = channel_superoperator(h, ops, t90, n_atoms=1)
+    units = [(k // DIM, k % DIM) for k in range(DIM * DIM)]
+    check_cptp(s, units, 1, range(DIM), "the Raman pi/2 channel")
+    return s
 
 
 def raman_pulse_channel(config: NoiseConfig | None) -> np.ndarray:

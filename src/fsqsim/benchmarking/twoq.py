@@ -15,6 +15,7 @@ import numpy as np
 from ..channels import (
     LOCAL_PAIRS,
     channel_on_pairs,
+    check_cptp,
     conjugation_on_pairs,
     gate_pair_basis,
     pair_index,
@@ -35,13 +36,6 @@ from ..rydberg import (
 QUARTER_PHASES = (0.0, np.pi / 2, np.pi, 3 * np.pi / 2)
 KEPT_LEVELS = (Q0, Q1, X)  # valid computational states for loss correction
 
-# Integrator tolerances of the master-equation CZ channel build. They are
-# local per-step tolerances, not a bound on the channel: at 1e-6 the largest
-# channel entry is 3.7e-4 off an rtol-1e-12 build, while the Bell and budget
-# headlines move by less than 4e-10.
-CZ_CHANNEL_RTOL = 1e-6
-CZ_CHANNEL_ATOL = 1e-9
-
 
 class GateExecutor:
     """Pair-basis circuit simulator around one calibrated CZ gate channel.
@@ -61,6 +55,7 @@ class GateExecutor:
         self.noise = noise
         self.pairs = gate_pair_basis()
         channel = self._build_cz_channel(dephasing_nodes)
+        check_cptp(channel, self.pairs, 2, (Q0, Q1, R), "the CZ gate channel")
         z = embed_qubit_unitary(virtual_z_equivalent(profile.phi_sq))
         self.cz = self.product_unitary(z, z) @ channel
 
@@ -77,7 +72,6 @@ class GateExecutor:
                 channel_on_pairs(
                     modulated_drive(self.profile, self.drive, delta),
                     collapses, self.profile.t_gate, 2, self.pairs,
-                    CZ_CHANNEL_RTOL, CZ_CHANNEL_ATOL,
                 )[0]
                 for delta in deltas
             ]

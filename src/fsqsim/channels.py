@@ -34,21 +34,18 @@ def channel_superoperator(
     collapses,
     duration: float,
     n_atoms: int,
-    rtol: float = 1e-8,
-    atol: float = 1e-10,
 ) -> np.ndarray:
     """Lindblad channel on all d^2 matrix units in row-major order: the
     (d^2, d^2) matrix acting on ``rho.ravel()``.
 
-    ``rtol`` and ``atol`` are the integrator's local per-step tolerances, not
-    a bound on the entries of the result. For the two-atom gate channels
-    prefer :func:`channel_on_pairs` on :func:`gate_pair_basis`, which
-    propagates only the closed operator subspace.
+    For the two-atom gate channels prefer :func:`channel_on_pairs` on
+    :func:`gate_pair_basis`, which propagates only the closed operator
+    subspace.
     """
     d = DIM**n_atoms
     pairs = [(k // d, k % d) for k in range(d * d)]
-    return channel_on_pairs(hamiltonian, collapses, duration, n_atoms, pairs,
-                            rtol, atol)[0]
+    return channel_on_pairs(hamiltonian, collapses, duration, n_atoms,
+                            pairs)[0]
 
 
 def channel_on_pairs(
@@ -57,23 +54,20 @@ def channel_on_pairs(
     duration: float,
     n_atoms: int,
     pairs,
-    rtol: float = 1e-8,
-    atol: float = 1e-10,
 ):
     """Channel restricted to the operator subspace spanned by matrix units.
 
     ``pairs`` is a list of (row, col) full-space indices whose span must be
     closed under the dynamics; the residual outside the span is returned so
     callers can assert exactness. Returns (matrix, leak) where matrix[p, q]
-    is the coefficient of E_pairs[p] in Lambda(E_pairs[q]). ``rtol`` and
-    ``atol`` are the integrator's local per-step tolerances.
+    is the coefficient of E_pairs[p] in Lambda(E_pairs[q]).
     """
     d = DIM**n_atoms
     npairs = len(pairs)
     basis = np.zeros((npairs, d, d), dtype=complex)
     for k, (i, j) in enumerate(pairs):
         basis[k, i, j] = 1.0
-    out = evolve_rho(basis, hamiltonian, collapses, duration, n_atoms, rtol, atol)
+    out = evolve_rho(basis, hamiltonian, collapses, duration, n_atoms)
     rows = np.array([p[0] for p in pairs])
     cols = np.array([p[1] for p in pairs])
     m = out[:, rows, cols].T.copy()
@@ -132,9 +126,11 @@ def cptp_defects(m: np.ndarray, pairs, n_atoms: int, levels):
     must be in ``pairs``: all 36 one-atom units, or the 81 units of
     {q0, q1, r}^2 in the gate pair basis. The channel restricted to that
     input space is completely positive iff C is positive semidefinite
-    (Choi, Linear Algebra Appl. 10, 285 (1975)). The all-zero rows and
-    columns of C are dropped before ``eigvalsh``; that is exact, since each
-    only adds an eigenvalue 0.
+    (Choi, Linear Algebra Appl. 10, 285 (1975)). C (Hermitian part) is
+    split into the blocks its nonzero pattern connects, and each block goes
+    to ``eigvalsh`` alone; an all-zero row only adds an eigenvalue 0. For
+    the gate basis that is 16 blocks of at most 81 rows, not one dense 324
+    x 324 matrix.
     """
     d = DIM**n_atoms
     m = np.asarray(m)
@@ -152,15 +148,43 @@ def cptp_defects(m: np.ndarray, pairs, n_atoms: int, levels):
                          f"the unit {exc.args[0]}, which is not in the list"
                          ) from None
     n = len(states)
-    a_idx = np.arange(n)[None, :, None]
-    b_idx = np.arange(n)[None, None, :]
-    choi = np.zeros((n, d, n, d), dtype=complex)
-    choi[a_idx, rows[:, None, None], b_idx, cols[:, None, None]] = m[:, inputs]
-    choi = choi.reshape(n * d, n * d)
-    choi = 0.5 * (choi + choi.conj().T)
-    kept = np.flatnonzero(np.any(choi != 0, axis=1))
-    eigs = np.linalg.eigvalsh(choi[np.ix_(kept, kept)])
-    min_eig = float(eigs.min()) if len(kept) else 0.0
-    if len(kept) < n * d:
-        min_eig = min(min_eig, 0.0)
+    # C[(a, row p), (b, col p)] = m[p, unit |a><b|], held at [a, b, p]
+    vals = np.moveaxis(m[:, inputs], 0, -1)
+    i = np.broadcast_to(np.arange(n)[:, None, None] * d + rows, vals.shape)
+    j = np.broadcast_to(np.arange(n)[None, :, None] * d + cols, vals.shape)
+    nz = vals != 0
+    i, j, vals = i[nz], j[nz], vals[nz]
+    label = np.arange(n * d)
+    while True:  # each row takes the smallest label it is linked to
+        linked = label.copy()
+        np.minimum.at(linked, i, label[j])
+        np.minimum.at(linked, j, label[i])
+        if np.array_equal(linked, label):
+            break
+        label = linked
+    used = np.zeros(n * d, dtype=bool)
+    used[i] = used[j] = True
+    min_eig = 0.0 if not used.all() else np.inf  # a zero row: eigenvalue 0
+    at = np.zeros(n * d, dtype=int)  # a row's place in its block
+    for root in np.flatnonzero(used & (label == np.arange(n * d))):
+        block = np.flatnonzero(used & (label == root))
+        at[block] = np.arange(block.size)
+        mine = label[i] == root
+        c = np.zeros((block.size, block.size), dtype=complex)
+        c[at[i[mine]], at[j[mine]]] = vals[mine]
+        c = 0.5 * (c + c.conj().T)
+        min_eig = min(min_eig, float(np.linalg.eigvalsh(c).min()))
     return tp_defect, min_eig
+
+
+def check_cptp(m: np.ndarray, pairs, n_atoms: int, levels, source: str):
+    """Raise ValueError naming ``source`` unless the channel ``m`` on
+    ``pairs`` passes :func:`cptp_defects` within ``TP_TOL`` and
+    ``CHOI_TOL``."""
+    tp_defect, min_eig = cptp_defects(m, pairs, n_atoms, levels)
+    if tp_defect > TP_TOL or min_eig < -CHOI_TOL:
+        raise ValueError(
+            f"{source} is not CPTP: trace-preservation defect "
+            f"{tp_defect:.3g} (bound {TP_TOL:g}), minimum Choi eigenvalue "
+            f"{min_eig:.3g} (bound {-CHOI_TOL:g})"
+        )

@@ -3,9 +3,12 @@
 A Hamiltonian is one of three forms: a :class:`ModulatedDrive` (a static
 part and a phase-modulated coupling), a static matrix, or ``None`` for free
 decay. All three go through the one sparse engine in ``_kernels``, which
-propagates one generator over one span; there is no generic ``t -> matrix``
-path. A constant detuning is part of the static matrix; piecewise detuning
-belongs to the sector propagator, ``rydberg.sector_unitaries``.
+propagates one generator over one span in a fixed number of CF4:2 steps
+(``_kernels._lindblad_py.STEPS_PER_RADIAN`` per radian of a bound on the
+generator); there is no generic ``t -> matrix`` path and no tolerance to
+set. A constant generator is exact to rounding. A constant detuning is part
+of the static matrix; piecewise detuning belongs to the sector propagator,
+``rydberg.sector_unitaries``.
 """
 
 from dataclasses import dataclass, field
@@ -16,15 +19,11 @@ from . import _kernels
 from .levels import DIM
 from .states import QuantumState, embed_local
 
-# Local per-step tolerances of the adaptive integrator, not a bound on the
-# error of the result, which accumulates over the steps.
-DEFAULT_RTOL = 1e-8
-DEFAULT_ATOL = 1e-9
 TRACE_DRIFT_TOL = 1e-8
 
 
 class IntegrationError(RuntimeError):
-    """Raised when the integrator cannot certify the requested accuracy."""
+    """Raised when a propagated state's trace drifts beyond rounding."""
 
 
 @dataclass(frozen=True)
@@ -87,8 +86,6 @@ def evolve_rho(
     collapses,
     duration,
     n_atoms,
-    rtol=DEFAULT_RTOL,
-    atol=DEFAULT_ATOL,
 ):
     """Propagate a (d, d) matrix or a (B, d, d) batch; no state validation.
 
@@ -129,8 +126,6 @@ def evolve_rho(
         (drive.phase_amp, drive.phase_freq, drive.phase_offset, drive.phase_slope),
         duration,
         [np.sqrt(rate) * op for rate, op in pairs if rate != 0.0],
-        rtol,
-        atol,
         exchange=swap,
     )
     return out if batched else out[0]
@@ -142,14 +137,14 @@ def evolve_lindblad(
     collapses,
     duration: float,
 ) -> QuantumState:
-    """Evolve a state under the Lindblad equation for ``duration`` (us) at
-    the default tolerances."""
+    """Evolve a state under the Lindblad equation for ``duration`` (us)."""
     out = evolve_rho(state.rho, hamiltonian, collapses, duration, state.n_atoms)
     drift = abs(np.trace(out).real - 1.0)
     if drift > TRACE_DRIFT_TOL:
         raise IntegrationError(
-            f"trace drifted by {drift:.3e} (> {TRACE_DRIFT_TOL}); "
-            "tighten tolerances"
+            f"trace drifted by {drift:.3e} (> {TRACE_DRIFT_TOL}): every step "
+            "preserves the trace up to rounding, so the generator is too "
+            "large for double precision"
         )
     out = 0.5 * (out + out.conj().T)  # scrub roundoff asymmetry only
     return QuantumState(state.n_atoms, out / np.trace(out).real)

@@ -55,7 +55,7 @@ class FrequencyNoisePSD:
     def to_text(self) -> str:
         lines = ["# frequency_Hz  psd_Hz^2_per_Hz"]
         for f, s in zip(self.frequency_hz, self.psd_hz2_per_hz):
-            lines.append(f"{f:.10e} {s:.10e}")
+            lines.append(f"{float(f)!r} {float(s)!r}")
         return "\n".join(lines) + "\n"
 
     @classmethod

@@ -18,6 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._kernels._lindblad_py import GAUSS_NODES, WEIGHT_MINUS, WEIGHT_PLUS
 from .lindblad import ModulatedDrive
 from .levels import DIM, Q0, Q1, R, full_index, lop, unravel_index
 from .noise import read_key_values
@@ -151,16 +152,11 @@ _SECTOR = tuple(
 )
 
 
-# CF4:2, the fourth-order commutator-free Magnus scheme of Blanes & Moan
-# (Appl. Numer. Math. 56, 1519 (2006)). One step of length h samples H at the
-# Gauss nodes t + c h, then applies exp(-i h (a+ H1 + a- H2)) and after it
-# exp(-i h (a- H1 + a+ H2)); for a constant H the two multiply to exp(-i h H).
-_GAUSS_NODES = np.array([0.5 - np.sqrt(3) / 6, 0.5 + np.sqrt(3) / 6])
-_WEIGHT_PLUS = (3 + 2 * np.sqrt(3)) / 12
-_WEIGHT_MINUS = (3 - 2 * np.sqrt(3)) / 12
-# Steps per radian of ||H||_inf * t_gate over a modulated gate: the default
-# gate at V / Omega = 19 takes 309 steps, max entry error ~1e-8; the error
-# falls 16x per doubling.
+# CF4:2, the fourth-order commutator-free Magnus scheme, with the nodes and
+# weights of the master-equation engine. Steps per radian of
+# ||H||_inf * t_gate over a modulated gate: the default gate at
+# V / Omega = 19 takes 309 steps, max entry error ~1e-8; the error falls 16x
+# per doubling.
 STEPS_PER_RADIAN = 2.0
 STEP_CHUNK = 64  # steps exponentiated together within one detuning piece
 
@@ -269,9 +265,9 @@ def sector_unitaries(
         node_shape = (-1, 2) + (1,) * max(np.ndim(th1), half.ndim)
         for j0 in range(0, n, STEP_CHUNK):
             j = np.arange(j0, min(j0 + STEP_CHUNK, n))
-            t = (t0 + h * (j[:, None] + _GAUSS_NODES)).reshape(node_shape)
+            t = (t0 + h * (j[:, None] + GAUSS_NODES)).reshape(node_shape)
             e = np.exp(1j * (th1 * np.cos(freq * t + offset) + slope * t))
-            f = _WEIGHT_PLUS * e + _WEIGHT_MINUS * e[:, ::-1]
+            f = WEIGHT_PLUS * e + WEIGHT_MINUS * e[:, ::-1]
             a = rate * (half + f * coup + np.conj(f) * coup_dag)
             w, v = np.linalg.eigh(a.reshape(-1, *a.shape[2:]))
             exps = (v * np.exp(-1j * h * w)[..., None, :]) @ np.swapaxes(

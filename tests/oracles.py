@@ -1,11 +1,13 @@
 """Reference implementations the tests check ``fsqsim`` against.
 
 None of these runs in a protocol. Each is the plain, slow form of something
-the package does another way (a dense Lindblad right-hand side, fixed-step
-RK4, a whole-pattern breadth-first support closure, H(t) as a callable, the
-rearrangement planner on uncached segment checks and scipy's assignment, the
-Clifford lookup as a linear scan, the Bell readout as per-level loops, a
-process fidelity through the inverse of a generic ideal map), or an API only
+the package does another way (a dense Lindblad right-hand side, adaptive
+Dormand-Prince and fixed-step RK4 integrators, a pair-basis channel by
+Dormand-Prince, a whole-pattern breadth-first support closure, H(t) as a
+callable, the rearrangement planner on uncached segment checks and scipy's
+assignment, the Clifford lookup as a linear scan, the Bell readout as
+per-level loops, a process fidelity through the inverse of a generic ideal
+map), or an API only
 the tests exercise (Raman pulses read through a virtual-Z frame object, the
 ideal CZ and an executor built on it). Tests import them as
 ``from oracles import ...``.
@@ -49,6 +51,75 @@ def dense_lindblad_rhs(h_of_t, pairs):
         return out
 
     return rhs
+
+
+# Dormand-Prince 5(4) tableau
+_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+_DP_A = [
+    np.array([]),
+    np.array([1 / 5]),
+    np.array([3 / 40, 9 / 40]),
+    np.array([44 / 45, -56 / 15, 32 / 9]),
+    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
+    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
+    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
+]
+# y5 uses row 7 of A (FSAL); embedded 4th-order weights:
+_DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
+                   -92097 / 339200, 187 / 2100, 1 / 40])
+_DP_E = np.concatenate([_DP_A[6], [0.0]]) - _DP_B4  # error weights, with k7
+DOPRI5_MAX_STEPS = 1_000_000
+
+
+def dopri5(rhs, y0, t0, t1, rtol, atol):
+    """Adaptive Dormand-Prince 5(4) integration of dy/dt = rhs(t, y), the
+    reference integrator: returns y(t1) for a complex ``y0`` of any shape,
+    with the step error the RMS over ``y`` of err / (atol + rtol |y|)."""
+    span = t1 - t0
+    if span < 0:
+        raise ValueError("integration span must be non-negative")
+    y = np.array(y0, dtype=complex)
+    if span == 0:
+        return y
+    t = t0
+    k = [None] * 7
+    k[0] = rhs(t, y)
+    h = span / 100.0
+    nsteps = 0
+    while t < t1:
+        if nsteps > DOPRI5_MAX_STEPS:
+            raise RuntimeError(f"dopri5 exceeded {DOPRI5_MAX_STEPS} steps at "
+                               f"t = {t!r}")
+        nsteps += 1
+        h = min(h, t1 - t)
+        for i in range(1, 7):
+            yi = y
+            for j, a in enumerate(_DP_A[i]):
+                if a != 0.0:
+                    yi = yi + (h * a) * k[j]
+            k[i] = rhs(t + _DP_C[i] * h, yi)
+        y5 = yi  # stage 7 input is the 5th-order solution (FSAL)
+        err_vec = k[0] * _DP_E[0]
+        for j in range(1, 7):
+            if _DP_E[j] != 0.0:
+                err_vec = err_vec + _DP_E[j] * k[j]
+        err_vec = err_vec * h
+        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
+        err = np.sqrt(np.mean(np.abs(err_vec / scale) ** 2))
+        if err <= 1.0:
+            t = t + h
+            y = y5
+            k[0] = k[6]  # FSAL
+            factor = 5.0 if err == 0.0 else min(5.0, 0.9 * err ** -0.2)
+        else:
+            factor = max(0.2, 0.9 * err ** -0.2)
+            k0 = k[0]
+            k = [None] * 7
+            k[0] = k0
+        h = h * factor
+        if h <= 0 or not np.isfinite(h):
+            raise RuntimeError(f"dopri5 step size underflow at t = {t!r}")
+    return y
 
 
 def rk4(rhs, y0, t0, t1, n_steps):
@@ -107,6 +178,64 @@ def breadth_first_support(parts, seed):
         frontier = (pattern @ frontier.astype(float) != 0) & ~reach
         reach |= frontier
     return np.flatnonzero(reach)
+
+
+def pair_channel_reference(drive, jumps, duration, pairs, rtol, atol):
+    """The channel of a ``ModulatedDrive`` on the closed unit list ``pairs``
+    by :func:`dopri5`, independent of the engine: the generator's parts are
+    built densely on the list (rho -> A rho B has entry A[i_p, i_q]
+    B[j_q, j_p] at unit pair (p, q)), split into the blocks they connect,
+    and blocks of one size are integrated as one stack. ``jumps`` are
+    full-space (rate, L_k)."""
+    rows = np.array([p[0] for p in pairs])
+    cols = np.array([p[1] for p in pairs])
+    eye = np.eye(drive.dim)
+
+    def side(a, b):
+        return a[np.ix_(rows, rows)] * b[np.ix_(cols, cols)].T
+
+    def commutator(h):
+        return -1j * (side(h, eye) - side(eye, h))
+
+    g = sum((r * op.conj().T @ op for r, op in jumps), 0 * eye)
+    l0 = commutator(drive.h0) - 0.5 * (side(g, eye) + side(eye, g))
+    l0 = l0 + sum(r * side(op, op.conj().T) for r, op in jumps)
+    parts = [l0, commutator(drive.coupling),
+             commutator(drive.coupling.conj().T)]
+    linked = sum(p != 0 for p in parts) > 0
+    linked = linked | linked.T | np.eye(len(pairs), dtype=bool)
+    label = np.arange(len(pairs))
+    while True:  # each unit takes the smallest label it is linked to
+        new = np.array([label[row].min() for row in linked])
+        if np.array_equal(new, label):
+            break
+        label = new
+    blocks = [np.flatnonzero(label == k) for k in np.unique(label)]
+    stacks = [np.array([b for b in blocks if len(b) == n])
+              for n in sorted({len(b) for b in blocks})]
+    ops = [np.array([[p[np.ix_(b, b)] for b in s] for p in parts])
+           for s in stacks]
+    cuts = np.cumsum([0] + [s.size * s.shape[1] for s in stacks])
+
+    def rhs(t, y):
+        e = np.exp(1j * (drive.phase_amp * np.cos(drive.phase_freq * t
+                                                  + drive.phase_offset)
+                         + drive.phase_slope * t))
+        return np.concatenate([
+            ((l0 + e * lp + np.conj(e) * lm) @ y[a:b].reshape(len(s), n, n)
+             ).ravel()
+            for (l0, lp, lm), s, a, b, n in zip(
+                ops, stacks, cuts, cuts[1:], (s.shape[1] for s in stacks))])
+
+    y0 = np.concatenate([np.broadcast_to(np.eye(s.shape[1]),
+                                         (len(s),) + (s.shape[1],) * 2).ravel()
+                         for s in stacks])
+    y = dopri5(rhs, y0.astype(complex), 0.0, duration, rtol, atol)
+    out = np.zeros((len(pairs), len(pairs)), dtype=complex)
+    for s, a, b in zip(stacks, cuts, cuts[1:]):
+        for blk, m in zip(s, y[a:b].reshape(len(s), s.shape[1], -1)):
+            out[np.ix_(blk, blk)] = m
+    return out
 
 
 @dataclass(frozen=True)

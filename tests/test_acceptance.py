@@ -46,10 +46,10 @@ def test_criterion_01_noiseless_cz(drive, cz_profile):
 
 
 def test_criterion_02_rate_equations():
-    from fsqsim import _kernels
     from fsqsim.ratedyn import (DecayModel, LifetimeDataset,
                                 analytic_populations, fit_lifetimes,
                                 rate_equation_rhs)
+    from oracles import dopri5
 
     rng = np.random.default_rng(12)
     worst = 0.0
@@ -57,7 +57,7 @@ def test_criterion_02_rate_equations():
         model = DecayModel(rng.uniform(20, 400), rng.uniform(5, 200),
                            rng.uniform(0.1, 1.0))
         t_end = rng.uniform(10, 300)
-        y = _kernels.dopri5(
+        y = dopri5(
             lambda t, y: rate_equation_rhs(y.real, model).astype(complex),
             np.array([model.amplitude, 0, 0], dtype=complex),
             0.0, t_end, 1e-10, 1e-13,

@@ -275,9 +275,6 @@ ALLOWED = {
         "calibration-map API; the fit is checked by mapping points back",
     "benchmarking.twoq.loss_excise":
         "per-shot loss excision of SRD records, the analysis SSB reports",
-    "channels.cptp_defects":
-        "the CPTP check of a built channel; the build-time check and the run "
-        "telemetry (ROADMAP items 2 and 6) will call it",
     "cliffords.compose":
         "group product of two Cliffords; the group API",
     "cliffords.invert":

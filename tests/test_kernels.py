@@ -9,7 +9,8 @@ from fsqsim._kernels._lindblad_py import (CSR, closed_support,
                                           liouvillian_parts)
 from fsqsim.levels import B, G, Q0, Q1, R, X
 from fsqsim.lindblad import CollapseOperator, ModulatedDrive, evolve_rho
-from oracles import breadth_first_support, dense_lindblad_rhs, drive_hamiltonian
+from oracles import (breadth_first_support, dense_lindblad_rhs, dopri5,
+                     drive_hamiltonian, pair_channel_reference)
 
 
 def _structured_problem(seed, d=6, batch=3):
@@ -20,11 +21,11 @@ def _structured_problem(seed, d=6, batch=3):
     coup = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     jumps = [0.3 * levels.lop(G, Q1) + 0.1j * levels.lop(G, R),
              0.2 * levels.lop(B, R)]
-    args = (h0, coup, (0.8, 14.0, 0.3, 2.0), 0.9, jumps, 1e-9, 1e-12)
+    args = (h0, coup, (0.8, 14.0, 0.3, 2.0), 0.9, jumps)
     return rho, args
 
 
-def test_engine_matches_dense_path():
+def test_engine_matches_dense_path(monkeypatch):
     # coupling, phase modulation, a constant detuning of r folded into h0
     # and a collapse set whose sum L^dag L is not diagonal, against the
     # generic dense right-hand side
@@ -47,11 +48,13 @@ def test_engine_matches_dense_path():
     assert np.max(np.abs(g - np.diag(np.diag(g)))) > 0.1
     rho = rng.normal(size=(3, 6, 6)) + 1j * rng.normal(size=(3, 6, 6))
 
-    out = evolve_rho(rho, drive, ops, 0.9, 1, rtol=1e-10, atol=1e-12)
+    monkeypatch.setattr(_lindblad_py, "STEPS_PER_RADIAN",
+                        32 * _lindblad_py.STEPS_PER_RADIAN)
+    out = evolve_rho(rho, drive, ops, 0.9, 1)
 
     rhs = dense_lindblad_rhs(drive_hamiltonian(drive),
                              [p for c in ops for p in c.expand(1)])
-    ref = _kernels.dopri5(rhs, rho, 0.0, 0.9, 1e-10, 1e-12)
+    ref = dopri5(rhs, rho, 0.0, 0.9, 1e-10, 1e-12)
     assert np.max(np.abs(out - ref)) <= 1e-8
 
 
@@ -67,28 +70,20 @@ def test_zero_span_returns_input():
     args = args[:3] + (0.0,) + args[4:]
     out = _kernels.propagate(rho.copy(), *args)
     assert np.array_equal(out, rho)
+    with pytest.raises(ValueError, match="non-negative"):
+        _kernels.propagate(rho, *args[:3], -0.1, *args[4:])
 
 
-def _dense_grid_propagate(rho, h0, coupling, phase, duration, jumps, rtol,
-                          atol):
-    # the engine before per-member support: one (live, B) grid over the
-    # union of every member's reachable entries
+def _dense_grid_propagate(rho, h0, coupling, phase, duration, jumps):
+    # the engine without per-member support or images: the same steps on
+    # one (live, B) grid over the union of every member's reachable entries
     b, d, _ = rho.shape
     flat = rho.reshape(b, d * d)
     parts = liouvillian_parts(h0, coupling, jumps)
     live = closed_support(parts, np.any(flat != 0, axis=0))
-    l0, lplus, lminus = (None if p is None else p.restrict(live)
-                         for p in parts)
-    amp, freq, offset, slope = phase
-
-    def rhs(t, y):
-        out = l0 @ y
-        if lplus is not None:
-            e = np.exp(1j * (amp * np.cos(freq * t + offset) + slope * t))
-            out += e * (lplus @ y) + np.conj(e) * (lminus @ y)
-        return out
-
-    y = _kernels.dopri5(rhs, flat[:, live].T, 0.0, duration, rtol, atol)
+    subs = [p.restrict(live) for p in parts if p is not None]
+    n = _lindblad_py.step_count(subs, phase, duration)
+    y = _lindblad_py.cf42_steps(subs, flat[:, live].T, phase, duration, n)
     out = np.zeros((b, d * d), dtype=complex)
     out[:, live] = y.T
     return out.reshape(b, d, d)
@@ -112,7 +107,7 @@ def _gate_problem(cz_profile, drive, reference_config, span):
     rho = _matrix_units(gate_pair_basis(), 36)
     args = (md.h0, md.coupling,
             (md.phase_amp, md.phase_freq, md.phase_offset, md.phase_slope),
-            span, jumps, 1e-6, 1e-9)
+            span, jumps)
     return rho, args
 
 
@@ -128,7 +123,7 @@ def test_packed_engine_matches_dense_grid_one_atom():
              np.sqrt(0.2) * (levels.lop(X, Q0) + 1j * levels.lop(X, Q1)),
              np.sqrt(0.1) * levels.lop(B, R)]
     args = (np.diag([0.0, 0.3, -1.2, 0.5, 0.0, 0.1]).astype(complex),
-            coupling, (0.8, 14.0, 0.3, 2.0), 0.5, jumps, 1e-8, 1e-10)
+            coupling, (0.8, 14.0, 0.3, 2.0), 0.5, jumps)
     rho = _matrix_units([(i, j) for i in range(6) for j in range(6)], 6)
     parts = liouvillian_parts(args[0], coupling, jumps)
     seed = (rho.reshape(36, 36) != 0).T
@@ -158,7 +153,7 @@ def test_packed_engine_matches_dense_grid_gate_pairs(cz_profile, drive,
 def test_packed_size_of_reference_gate(cz_profile, drive, reference_config):
     # 144 live entries, but each pair-basis unit reaches only its own block
     # (one of 64, four of 16, four of 4 entries): 2,116 of 144 x 144
-    rho, (h0, coupling, _, _, jumps, *_) = _gate_problem(
+    rho, (h0, coupling, _, _, jumps) = _gate_problem(
         cz_profile, drive, reference_config, cz_profile.t_gate)
     parts = liouvillian_parts(h0, coupling, jumps)
     seed = (rho.reshape(len(rho), -1) != 0).T
@@ -170,42 +165,57 @@ def test_packed_size_of_reference_gate(cz_profile, drive, reference_config):
 def reference_channel(cz_profile, drive, reference_config):
     """The reference CZ channel (one detuning node) as ``GateExecutor``
     builds it, with the members and (entry, member) pairs the engine
-    integrated and the pairs its step-error grid covers."""
-    from fsqsim.benchmarking.twoq import CZ_CHANNEL_ATOL, CZ_CHANNEL_RTOL
+    integrated and its step count."""
     from fsqsim.channels import channel_on_pairs, gate_pair_basis
     from fsqsim.noise import gate_collapse_ops
     from fsqsim.rydberg import modulated_drive
 
     seen = {}
-    reps, integrate = _lindblad_py.representatives, _lindblad_py.dopri5
+    reps, steps = _lindblad_py.representatives, _lindblad_py.cf42_steps
 
     def representatives(flat, perms, conj):
         source, how = reps(flat, perms, conj)
         seen["members"] = int(np.count_nonzero(source == np.arange(len(flat))))
         return source, how
 
-    def dopri5(rhs, y0, t0, t1, rtol, atol, *, grid):
-        seen["pairs"], seen["grid"] = len(y0), len(grid[1])
-        return integrate(rhs, y0, t0, t1, rtol, atol, grid=grid)
+    def cf42_steps(parts, y, phase, duration, n):
+        seen["pairs"], seen["steps"] = len(y), n
+        return steps(parts, y, phase, duration, n)
 
     pairs = gate_pair_basis()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_lindblad_py, "representatives", representatives)
-        mp.setattr(_lindblad_py, "dopri5", dopri5)
+        mp.setattr(_lindblad_py, "cf42_steps", cf42_steps)
         m, _ = channel_on_pairs(
             modulated_drive(cz_profile, drive, 0.0),
             gate_collapse_ops(reference_config, drive.rabi_frequency),
-            cz_profile.t_gate, 2, pairs, CZ_CHANNEL_RTOL, CZ_CHANNEL_ATOL)
+            cz_profile.t_gate, 2, pairs)
     return pairs, m, seen
 
 
 def test_reference_gate_integrates_51_members(reference_channel):
     # the adjoint and the atom exchange leave 51 of the 144 units and 791 of
-    # the 2,116 (entry, member) pairs to integrate; the step error still
-    # covers all 2,116. A rounding change that breaks the exchange's exact
-    # invariance (say in G) shows here, not only as a slower build.
+    # the 2,116 (entry, member) pairs to integrate, over 43 steps. A
+    # rounding change that breaks the exchange's exact invariance (say in G)
+    # shows here, not only as a slower build.
     _, _, seen = reference_channel
-    assert seen == {"members": 51, "pairs": 791, "grid": 2116}
+    assert seen == {"members": 51, "pairs": 791, "steps": 43}
+
+
+def test_reference_channel_is_within_5e_5_of_a_tight_build(
+        reference_channel, cz_profile, drive, reference_config):
+    # the shipped step density against a Dormand-Prince build at rtol 1e-12,
+    # in every entry (3.1e-5 measured)
+    from fsqsim.noise import gate_collapse_ops
+    from fsqsim.rydberg import modulated_drive
+
+    pairs, m, _ = reference_channel
+    jumps = [p for c in gate_collapse_ops(reference_config,
+                                          drive.rabi_frequency)
+             for p in c.expand(2)]
+    ref = pair_channel_reference(modulated_drive(cz_profile, drive, 0.0),
+                                 jumps, cz_profile.t_gate, pairs, 1e-12, 1e-12)
+    assert np.max(np.abs(m - ref)) <= 5e-5
 
 
 def test_reference_channel_columns_are_adjoint_images(reference_channel):
@@ -223,7 +233,7 @@ _IMAGES = (
     lambda x: x[np.ix_(_SWAP, _SWAP)],
     lambda x: x.conj().T[np.ix_(_SWAP, _SWAP)],
 )
-_ARGS = ((0.8, 14.0, 0.3, 2.0), 0.3, 1e-8, 1e-11)
+_ARGS = ((0.8, 14.0, 0.3, 2.0), 0.3)
 
 
 def _swap_symmetric(a):
@@ -249,8 +259,8 @@ def _two_atom_generator(rng, n_jumps):
 
 def _engine_args(generator):
     h0, coupling, jumps = generator
-    phase, duration, rtol, atol = _ARGS
-    return h0, coupling, phase, duration, jumps, rtol, atol
+    phase, duration = _ARGS
+    return h0, coupling, phase, duration, jumps
 
 
 @settings(max_examples=10, deadline=None)
@@ -298,20 +308,23 @@ def test_asymmetric_generator_is_not_reduced(broken, monkeypatch):
         broken_generator = (h0 + 0.5j * np.eye(9), coupling, jumps)
     rho = _matrix_units(units, 9)
     sizes = []
-    integrate = _lindblad_py.dopri5
+    steps = _lindblad_py.cf42_steps
 
-    def dopri5(rhs, y0, t0, t1, rtol, atol, *, grid):
-        sizes.append((len(y0), len(grid[1])))
-        return integrate(rhs, y0, t0, t1, rtol, atol, grid=grid)
+    def cf42_steps(parts, y, *args):
+        sizes.append(len(y))
+        return steps(parts, y, *args)
 
-    monkeypatch.setattr(_lindblad_py, "dopri5", dopri5)
-    _kernels.propagate(rho, *_engine_args((h0, coupling, jumps)),
-                       exchange=_SWAP)
-    assert all(n < full for n, full in sizes)
-    sizes.clear()
+    def every_pair(args):  # the (entry, member) pairs of the whole batch
+        parts = liouvillian_parts(args[0], args[1], args[4])
+        return closed_support(parts, (rho.reshape(len(rho), -1) != 0).T).size
+
+    monkeypatch.setattr(_lindblad_py, "cf42_steps", cf42_steps)
+    args = _engine_args((h0, coupling, jumps))
+    _kernels.propagate(rho, *args, exchange=_SWAP)
+    assert sizes.pop() < every_pair(args)
     args = _engine_args(broken_generator)
     out = _kernels.propagate(rho, *args, exchange=_SWAP)
-    assert all(n == full for n, full in sizes)
+    assert sizes.pop() == every_pair(args)
     # bit-identical to the engine with no symmetry at all, and within
     # rounding of the dense grid: the grid's (entry, member) layout moves
     # numpy's fused complex products (1.3e-15 on this batch at the parent
@@ -354,18 +367,18 @@ def test_zero_input_propagates_to_zero():
     assert np.array_equal(evolve_rho(batch, h, ops, 0.5, 1), batch)
 
 
-def test_dopri5_failures_name_time_step_and_count(monkeypatch):
-    y0 = np.ones(3, dtype=complex)
-    with pytest.raises(RuntimeError,
-                       match=r"underflow at t = 0\.0 of .*h = 0\.0, after "
-                             r"\d+ steps"), np.errstate(invalid="ignore"):
-        _kernels.dopri5(lambda t, y: np.full_like(y, np.nan), y0, 0.0, 1.0,
-                        1e-8, 1e-10)
-    monkeypatch.setattr(_lindblad_py, "MAX_STEPS", 3)
-    with pytest.raises(RuntimeError,
-                       match=r"maximum step count at t = \S+ of \[0\.0, "
-                             r"1\.0\], h = \S+, after 4 steps"):
-        _kernels.dopri5(lambda t, y: -300j * y, y0, 0.0, 1.0, 1e-8, 1e-10)
+def test_stiff_input_fails_before_stepping(monkeypatch):
+    # a 1e9 /us collapse over 1 us would take 2.5e8 steps: the step count is
+    # refused, naming the norm, the duration and the count, before any step
+    def no_steps(*args):
+        raise AssertionError("stepped")
+
+    monkeypatch.setattr(_lindblad_py, "cf42_steps", no_steps)
+    ops = [CollapseOperator(1e9, levels.lop(G, Q1))]
+    with pytest.raises(ValueError, match=r"norm 1e\+09 /us over 1\.0 us "
+                                         r"needs 250000000 steps, more than "
+                                         r"MAX_STEPS"):
+        evolve_rho(np.diag([0.0, 1.0, 0, 0, 0, 0]), None, ops, 1.0, 1)
 
 
 _VALUES = st.sampled_from([0.0, 1.0, -1.0, 0.5j, -0.5j, 2.0 + 3.0j,

@@ -1,18 +1,17 @@
 import numpy as np
 import pytest
 
-from fsqsim import _kernels, levels
+from fsqsim import levels
+from fsqsim._kernels import _lindblad_py
 from fsqsim.levels import B, G, Q0, Q1, R
 from fsqsim.lindblad import (
-    DEFAULT_ATOL,
-    DEFAULT_RTOL,
     CollapseOperator,
     ModulatedDrive,
     evolve_lindblad,
     evolve_rho,
 )
 from fsqsim.states import QuantumState
-from oracles import dense_lindblad_rhs, drive_hamiltonian, rk4
+from oracles import dense_lindblad_rhs, dopri5, drive_hamiltonian, rk4
 
 
 def test_identity_evolution():
@@ -73,7 +72,9 @@ def test_integrator_order_rk4_oracle():
     assert 8 < ratio < 32
 
 
-def test_structured_path_matches_callable_path():
+def test_structured_path_matches_callable_path(monkeypatch):
+    monkeypatch.setattr(_lindblad_py, "STEPS_PER_RADIAN",
+                        16 * _lindblad_py.STEPS_PER_RADIAN)
     drv = ModulatedDrive(
         h0=np.diag([0.0, 0.0, -1.5, 0, 0, 0]).astype(complex),
         coupling=2.2 * levels.lop(Q1, R),
@@ -87,7 +88,7 @@ def test_structured_path_matches_callable_path():
     a = evolve_lindblad(st, drv, ops, 1.3)
     rhs = dense_lindblad_rhs(drive_hamiltonian(drv),
                              [p for c in ops for p in c.expand(1)])
-    b = _kernels.dopri5(rhs, st.rho, 0.0, 1.3, DEFAULT_RTOL, DEFAULT_ATOL)
+    b = dopri5(rhs, st.rho, 0.0, 1.3, 1e-10, 1e-12)
     assert np.max(np.abs(a.rho - b)) < 1e-7
 
 

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fsqsim import _kernels
 from fsqsim.fitting import FitError
 from fsqsim.ratedyn import (
     DecayModel,
@@ -14,6 +13,7 @@ from fsqsim.ratedyn import (
     predicted_observables,
     rate_equation_rhs,
 )
+from oracles import dopri5
 
 PAPER_MODEL = DecayModel(110.0, 37.0, 0.4)
 
@@ -59,7 +59,7 @@ def test_numeric_integration_matches_analytic():
             amplitude=rng.uniform(0.1, 1.0),
         )
         t_end = rng.uniform(10, 300)
-        y = _kernels.dopri5(
+        y = dopri5(
             lambda t, y: rate_equation_rhs(y.real, model).astype(complex),
             np.array([model.amplitude, 0, 0], dtype=complex),
             0.0, t_end, 1e-10, 1e-13,
