@@ -1,43 +1,4 @@
-"""Protocol generators, simulators and fitters: CRB, SSB, Bell states with
-parity analysis, Ramsey coherence, and loss excision."""
-
-from .singleq import (
-    RBSequence,
-    CRBResult,
-    generate_crb,
-    run_crb,
-    raman_pulse_channel,
-    depolarizing_channel,
-)
-from .twoq import (
-    SSBSequence,
-    SSBResult,
-    BellResult,
-    GateExecutor,
-    generate_ssb,
-    run_ssb,
-    fit_ssb,
-    bell_protocol,
-    loss_excise,
-)
-from .ramsey import simulate_ramsey, ramsey_envelope_time
-
-__all__ = [
-    "RBSequence",
-    "CRBResult",
-    "generate_crb",
-    "run_crb",
-    "raman_pulse_channel",
-    "depolarizing_channel",
-    "SSBSequence",
-    "SSBResult",
-    "BellResult",
-    "GateExecutor",
-    "generate_ssb",
-    "run_ssb",
-    "fit_ssb",
-    "bell_protocol",
-    "loss_excise",
-    "simulate_ramsey",
-    "ramsey_envelope_time",
-]
+"""Protocol generators, simulators and fitters, one module per family:
+``singleq`` (CRB), ``twoq`` (SSB, Bell states with parity analysis, loss
+excision) and ``ramsey`` (Ramsey coherence). The package re-exports
+nothing, so loading one protocol module loads no other."""

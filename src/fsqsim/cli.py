@@ -27,11 +27,18 @@ from .noise import (
 from .states import QuantumState
 
 PROTOCOLS = {}
+# Each subcommand's config keys and their defaults, kept apart from
+# PROTOCOLS so that a wrapped entry there still finds its declaration.
+CONFIG_KEYS = {}
 
 
-def protocol(name):
+def protocol(name, **keys):
+    """Register a subcommand and declare its config keys with their
+    defaults. ``main`` rejects any other key in the section, parses each
+    value like its default (see ``_value``) and passes it by keyword."""
     def wrap(fn):
         PROTOCOLS[name] = fn
+        CONFIG_KEYS[name] = keys
         return fn
 
     return wrap
@@ -77,11 +84,26 @@ def _ints(s):
 
 
 def _bool(s):
-    if str(s).lower() in ("1", "true", "yes", "on"):
+    if s.lower() in ("1", "true", "yes", "on"):
         return True
-    if str(s).lower() in ("0", "false", "no", "off"):
+    if s.lower() in ("0", "false", "no", "off"):
         return False
     raise ConfigError(f"not a boolean: {s!r}")
+
+
+def _value(raw, default):
+    """The config string ``raw`` (None when the key is absent) parsed like
+    ``default``: a bool, int or float; a tuple of ints, given as a list;
+    or, for a None default, the raw string the subcommand converts."""
+    if raw is None:
+        return list(default) if isinstance(default, tuple) else default
+    if default is None:
+        return raw
+    if isinstance(default, bool):
+        return _bool(raw)
+    if isinstance(default, tuple):
+        return _ints(raw)
+    return type(default)(raw)
 
 
 def write_csv(path: Path, header, rows):
@@ -129,74 +151,62 @@ def _rabi_rows(h, ops, t_max, n, groups):
     return rows
 
 
-@protocol("rabi")
-def run_rabi(ctx):
-    cfg = ctx.proto
-    _known(cfg, {"rabi_mhz", "t_max_us", "n_points", "noiseless"}, "rabi")
-    rabi = 2 * np.pi * float(cfg.get("rabi_mhz", 0.017))
-    t_max = float(cfg.get("t_max_us", 2.2 * np.pi / rabi * 2))
-    n = int(cfg.get("n_points", 41))
-    noiseless = _bool(cfg.get("noiseless", "false"))
+@protocol("rabi", rabi_mhz=0.017, t_max_us=None, n_points=41, noiseless=False)
+def run_rabi(ctx, rabi_mhz, t_max_us, n_points, noiseless):
+    rabi = 2 * np.pi * rabi_mhz
+    t_max = float(t_max_us) if t_max_us is not None else 2.2 * np.pi / rabi * 2
     ops = [] if noiseless else raman_scatter_collapse_ops(ctx.noise)
     h = (rabi / 2) * (lop(Q0, Q1) + lop(Q1, Q0))
-    rows = _rabi_rows(h, ops, t_max, n, [(Q0,), (Q1,), (G, X)])
+    rows = _rabi_rows(h, ops, t_max, n_points, [(Q0,), (Q1,), (G, X)])
     ctx.emit("rabi", ["t_us", "p_q0", "p_q1", "p_leak"], rows)
     _summary(ctx.out / "summary.json", {
-        "protocol": "rabi", "rabi_rad_per_us": rabi, "points": n,
+        "protocol": "rabi", "rabi_rad_per_us": rabi, "points": n_points,
         "p_q0_max": max(r[1] for r in rows),
     })
 
 
-@protocol("rydberg-rabi")
-def run_rydberg_rabi(ctx):
-    cfg = ctx.proto
-    _known(cfg, {"rabi_mhz", "t_max_us", "n_points", "noiseless"}, "rydberg-rabi")
-    rabi = 2 * np.pi * float(cfg.get("rabi_mhz", 6.0))
-    t_max = float(cfg.get("t_max_us", 0.5))
-    n = int(cfg.get("n_points", 51))
-    noiseless = _bool(cfg.get("noiseless", "false"))
+@protocol("rydberg-rabi", rabi_mhz=6.0, t_max_us=0.5, n_points=51,
+          noiseless=False)
+def run_rydberg_rabi(ctx, rabi_mhz, t_max_us, n_points, noiseless):
+    rabi = 2 * np.pi * rabi_mhz
     ops = [] if noiseless else rydberg_collapse_ops(ctx.noise)
     h = (rabi / 2) * (lop(Q1, R) + lop(R, Q1))
-    rows = _rabi_rows(h, ops, t_max, n, [(Q1,), (R,), (B,)])
+    rows = _rabi_rows(h, ops, t_max_us, n_points, [(Q1,), (R,), (B,)])
     ctx.emit("rydberg_rabi", ["t_us", "p_q1", "p_r", "p_lost"], rows)
     _summary(ctx.out / "summary.json", {
-        "protocol": "rydberg-rabi", "rabi_rad_per_us": rabi, "points": n,
+        "protocol": "rydberg-rabi", "rabi_rad_per_us": rabi,
+        "points": n_points,
     })
 
 
-@protocol("crb")
-def run_crb_cmd(ctx):
-    from .benchmarking import run_crb
+@protocol("crb", lengths=(2, 8, 16, 28, 40), n_sequences=40, erasure=True,
+          injected_depolarizing=None)
+def run_crb_cmd(ctx, lengths, n_sequences, erasure, injected_depolarizing):
+    from .benchmarking.singleq import run_crb
 
-    cfg = ctx.proto
-    _known(cfg, {"lengths", "n_sequences", "erasure", "injected_depolarizing"},
-           "crb")
-    lengths = _ints(cfg.get("lengths", "2,8,16,28,40"))
-    n_seq = int(cfg.get("n_sequences", 40))
-    erasure = _bool(cfg.get("erasure", "true"))
-    injected = cfg.get("injected_depolarizing")
+    injected = (float(injected_depolarizing)
+                if injected_depolarizing is not None else None)
     res = run_crb(
         lengths,
-        n_seq,
+        n_sequences,
         ctx.shots,
         None if injected is not None else ctx.noise,
         erasure=erasure and injected is None,
         seed=ctx.seed,
-        injected_depolarizing=float(injected) if injected is not None else None,
+        injected_depolarizing=injected,
     )
-    rows = []
-    for i, m in enumerate(res.lengths):
-        row = [m, res.raw_survival[i], res.raw_sem[i], ctx.shots, 1.0]
-        if res.corrected_fit is not None:
-            row = [m, res.raw_survival[i], res.raw_sem[i],
-                   res.corrected_survival[i], res.corrected_sem[i],
-                   ctx.shots, res.retained_fraction]
-            header = ["length", "raw_mean", "raw_sem", "corrected_mean",
-                      "corrected_sem", "n_shots", "retained_fraction"]
-        else:
-            header = ["length", "raw_mean", "raw_sem", "n_shots",
-                      "retained_fraction"]
-        rows.append(row)
+    raw = [[m, res.raw_survival[i], res.raw_sem[i]]
+           for i, m in enumerate(res.lengths)]
+    if res.corrected_fit is None:
+        header = ["length", "raw_mean", "raw_sem", "n_shots",
+                  "retained_fraction"]
+        rows = [r + [ctx.shots, 1.0] for r in raw]
+    else:
+        header = ["length", "raw_mean", "raw_sem", "corrected_mean",
+                  "corrected_sem", "n_shots", "retained_fraction"]
+        rows = [r + [res.corrected_survival[i], res.corrected_sem[i],
+                     ctx.shots, res.retained_fraction]
+                for i, r in enumerate(raw)]
     ctx.emit("crb", header, rows)
     payload = {
         "protocol": "crb",
@@ -215,19 +225,16 @@ def run_crb_cmd(ctx):
     _summary(ctx.out / "summary.json", payload)
 
 
-@protocol("ssb")
-def run_ssb_cmd(ctx):
-    from .benchmarking import GateExecutor, run_ssb
+@protocol("ssb", n_cz=(2, 6, 10, 14), n_sequences=12, noiseless=False)
+def run_ssb_cmd(ctx, n_cz, n_sequences, noiseless):
+    from .benchmarking.twoq import GateExecutor, run_ssb
     from .czopt import default_profile
     from .rydberg import RydbergDrive
 
-    cfg = ctx.proto
-    _known(cfg, {"n_cz", "n_sequences", "noiseless"}, "ssb")
-    n_cz = _ints(cfg.get("n_cz", "2,6,10,14"))
-    n_seq = int(cfg.get("n_sequences", 12))
-    noise = None if _bool(cfg.get("noiseless", "false")) else ctx.noise
+    noise = None if noiseless else ctx.noise
     executor = GateExecutor(default_profile(), RydbergDrive(), noise)
-    res = run_ssb(n_cz, n_seq, ctx.shots, seed=ctx.seed, executor=executor)
+    res = run_ssb(n_cz, n_sequences, ctx.shots, seed=ctx.seed,
+                  executor=executor)
     ctx.emit(
         "ssb",
         ["n_cz", "p11_raw", "sem_raw", "p11_erasure", "sem_erasure",
@@ -255,16 +262,13 @@ def run_ssb_cmd(ctx):
     })
 
 
-@protocol("bell")
-def run_bell_cmd(ctx):
-    from .benchmarking import GateExecutor, bell_protocol
+@protocol("bell", n_phases=16, noiseless=False)
+def run_bell_cmd(ctx, n_phases, noiseless):
+    from .benchmarking.twoq import GateExecutor, bell_protocol
     from .czopt import default_profile
     from .rydberg import RydbergDrive
 
-    cfg = ctx.proto
-    _known(cfg, {"n_phases", "noiseless"}, "bell")
-    n_phases = int(cfg.get("n_phases", 16))
-    noise = None if _bool(cfg.get("noiseless", "false")) else ctx.noise
+    noise = None if noiseless else ctx.noise
     phases = np.linspace(0, 2 * np.pi, n_phases, endpoint=False)
     executor = GateExecutor(default_profile(), RydbergDrive(), noise)
     results = {}
@@ -292,37 +296,30 @@ def run_bell_cmd(ctx):
     })
 
 
-@protocol("ramsey")
-def run_ramsey_cmd(ctx):
-    from .benchmarking import ramsey_envelope_time, simulate_ramsey
+@protocol("ramsey", sigma_mhz=0.053, t_max_us=10.0, n_points=26,
+          mid_circuit_erasure=False)
+def run_ramsey_cmd(ctx, sigma_mhz, t_max_us, n_points, mid_circuit_erasure):
+    from .benchmarking.ramsey import ramsey_envelope_time, simulate_ramsey
 
-    cfg = ctx.proto
-    _known(cfg, {"sigma_mhz", "t_max_us", "n_points", "mid_circuit_erasure"},
-           "ramsey")
-    sigma = 2 * np.pi * float(cfg.get("sigma_mhz", 0.053))
-    t_max = float(cfg.get("t_max_us", 10.0))
-    n = int(cfg.get("n_points", 26))
-    erasure = _bool(cfg.get("mid_circuit_erasure", "false"))
-    times = np.linspace(0.0, t_max, n)
-    contrast = simulate_ramsey(sigma, times, mid_circuit_erasure=erasure)
+    sigma = 2 * np.pi * sigma_mhz
+    times = np.linspace(0.0, t_max_us, n_points)
+    contrast = simulate_ramsey(sigma, times,
+                               mid_circuit_erasure=mid_circuit_erasure)
     ctx.emit("ramsey", ["t_us", "contrast"], list(zip(times, contrast)))
     _summary(ctx.out / "summary.json", {
         "protocol": "ramsey",
         "sigma_rad_per_us": sigma,
         "t2_star_us": ramsey_envelope_time(sigma) if sigma > 0 else None,
-        "mid_circuit_erasure": erasure,
+        "mid_circuit_erasure": mid_circuit_erasure,
     })
 
 
-@protocol("erasure-roc")
-def run_roc_cmd(ctx):
+@protocol("erasure-roc", n_thresholds=60)
+def run_roc_cmd(ctx, n_thresholds):
     from .readout import roc_sweep, shallow_trap_model
 
-    cfg = ctx.proto
-    _known(cfg, {"n_thresholds"}, "erasure-roc")
     model = shallow_trap_model()
-    n = int(cfg.get("n_thresholds", 60))
-    ths = np.linspace(-5, model.signal_mean + 15, n)
+    ths = np.linspace(-5, model.signal_mean + 15, n_thresholds)
     reports = roc_sweep(model, ths)
     ctx.emit(
         "roc",
@@ -339,44 +336,39 @@ def run_roc_cmd(ctx):
     })
 
 
-@protocol("state-prep-curve")
-def run_prep_cmd(ctx):
+@protocol("state-prep-curve", eps_sp=None, imaging_survival=0.998,
+          n_thresholds=60)
+def run_prep_cmd(ctx, eps_sp, imaging_survival, n_thresholds):
     from .readout import shallow_trap_model, state_prep_curve
 
-    cfg = ctx.proto
-    _known(cfg, {"eps_sp", "imaging_survival", "n_thresholds"},
-           "state-prep-curve")
-    eps = float(cfg.get("eps_sp", ctx.noise.state_prep_error))
-    surv = float(cfg.get("imaging_survival", 0.998))
+    eps = float(eps_sp) if eps_sp is not None else ctx.noise.state_prep_error
     model = shallow_trap_model()
-    ths = np.linspace(-5, model.signal_mean + 15, int(cfg.get("n_thresholds", 60)))
-    curve = state_prep_curve(eps, model, surv, ths)
+    ths = np.linspace(-5, model.signal_mean + 15, n_thresholds)
+    curve = state_prep_curve(eps, model, imaging_survival, ths)
     ctx.emit("state_prep", ["threshold", "apparent_fidelity"],
              [(t, c) for t, c in zip(ths, curve)])
     _summary(ctx.out / "summary.json", {
         "protocol": "state-prep-curve",
         "eps_sp": eps,
-        "imaging_survival": surv,
+        "imaging_survival": imaging_survival,
         "plateau": float(np.nanmax(curve)),
     })
 
 
-@protocol("srd")
-def run_srd_cmd(ctx):
+@protocol("srd", n_trials=100000)
+def run_srd_cmd(ctx, n_trials):
     from .readout import SRDModel, srd_counts, srd_probabilities
 
-    cfg = ctx.proto
-    _known(cfg, {"n_trials"}, "srd")
-    n = int(cfg.get("n_trials", 100000))
     model = SRDModel()
     rng = np.random.default_rng(ctx.seed)
     rows = []
     labels = {Q0: "q0", Q1: "q1", X: "x", G: "g", B: "B"}
     for lv, name in labels.items():
         probs = srd_probabilities(lv, model)
-        counts = srd_counts(lv, model, n, rng)
+        counts = srd_counts(lv, model, n_trials, rng)
         for outcome in ("detected-0", "detected-1", "loss"):
-            rows.append((name, outcome, probs[outcome], counts[outcome] / n, n))
+            rows.append((name, outcome, probs[outcome],
+                         counts[outcome] / n_trials, n_trials))
     ctx.emit("srd",
              ["input", "outcome", "p_analytic", "p_empirical", "n_trials"],
              rows)
@@ -384,18 +376,16 @@ def run_srd_cmd(ctx):
         "protocol": "srd",
         "detected0_fidelity_q0": srd_probabilities(Q0, model)["detected-0"],
         "detected1_fidelity_q1": srd_probabilities(Q1, model)["detected-1"],
-        "n_trials": n,
+        "n_trials": n_trials,
     })
 
 
-@protocol("lifetime-fit")
-def run_lifetime_cmd(ctx):
+@protocol("lifetime-fit", dataset=None)
+def run_lifetime_cmd(ctx, dataset):
     from .ratedyn import LifetimeDataset, fit_lifetimes, predicted_observables
 
-    cfg = ctx.proto
-    _known(cfg, {"dataset"}, "lifetime-fit")
-    if "dataset" in cfg:
-        p = Path(cfg["dataset"])
+    if dataset is not None:
+        p = Path(dataset)
         if not p.is_absolute():
             p = ctx.base_dir / p
         data = LifetimeDataset.from_csv(p.read_text())
@@ -426,15 +416,11 @@ def run_lifetime_cmd(ctx):
     })
 
 
-@protocol("error-budget")
-def run_budget_cmd(ctx):
+@protocol("error-budget", n_cz=(2, 4, 6), n_sequences=32)
+def run_budget_cmd(ctx, n_cz, n_sequences):
     from .budget import error_budget
 
-    cfg = ctx.proto
-    _known(cfg, {"n_cz", "n_sequences"}, "error-budget")
-    n_cz = _ints(cfg.get("n_cz", "2,4,6"))
-    n_seq = int(cfg.get("n_sequences", 32))
-    rep = error_budget(ctx.noise, n_cz_list=tuple(n_cz), n_seq=n_seq,
+    rep = error_budget(ctx.noise, n_cz_list=tuple(n_cz), n_seq=n_sequences,
                        seed=ctx.seed)
     ctx.emit(
         "budget",
@@ -451,59 +437,54 @@ def run_budget_cmd(ctx):
     })
 
 
-@protocol("psd-infidelity")
-def run_psd_cmd(ctx):
+@protocol("psd-infidelity", psd_file=None, n_trajectories=40,
+          already_uv=False)
+def run_psd_cmd(ctx, psd_file, n_trajectories, already_uv):
     from .czopt import default_profile
     from .psd import FrequencyNoisePSD, mc_gate_infidelity, psd_to_uv
     from .rydberg import RydbergDrive
 
-    cfg = ctx.proto
-    _known(cfg, {"psd_file", "n_trajectories", "already_uv"}, "psd-infidelity")
-    if "psd_file" not in cfg:
+    if psd_file is None:
         raise ConfigError("psd-infidelity needs psd_file in the config")
-    p = Path(cfg["psd_file"])
+    p = Path(psd_file)
     if not p.is_absolute():
         p = ctx.base_dir / p
     psd = FrequencyNoisePSD.from_text(p.read_text())
-    if not _bool(cfg.get("already_uv", "false")):
+    if not already_uv:
         psd = psd_to_uv(psd)
-    n_traj = int(cfg.get("n_trajectories", 40))
     mean, err = mc_gate_infidelity(
-        psd, default_profile(), RydbergDrive(), n_traj, ctx.seed
+        psd, default_profile(), RydbergDrive(), n_trajectories, ctx.seed
     )
     ctx.emit("psd_infidelity",
              ["n_trajectories", "infidelity", "std_error"],
-             [(n_traj, mean, err)])
+             [(n_trajectories, mean, err)])
     _summary(ctx.out / "summary.json", {
         "protocol": "psd-infidelity",
         "infidelity": mean,
         "std_error": err,
-        "n_trajectories": n_traj,
+        "n_trajectories": n_trajectories,
         "psd_variance_hz2": psd.variance_hz2(),
     })
 
 
-@protocol("rearrange")
-def run_rearrange_cmd(ctx):
+@protocol("rearrange", n_trials=2000, loading_probability=0.5,
+          per_move_success=None, target_sites=(0, 1, 2, 3, 4, 5, 6, 7))
+def run_rearrange_cmd(ctx, n_trials, loading_probability, per_move_success,
+                      target_sites):
     from .assembly import (PER_MOVE_SUCCESS, pair_grid_geometry,
                            plan_rearrangement, replay_plan, simulate_assembly)
 
-    cfg = ctx.proto
-    _known(cfg, {"n_trials", "loading_probability", "per_move_success",
-                 "target_sites"}, "rearrange")
     geom = pair_grid_geometry()
     target = np.zeros(geom.n_sites, dtype=bool)
-    tgt = _ints(cfg.get("target_sites", "0,1,2,3,4,5,6,7"))
-    target[tgt] = True
-    n_trials = int(cfg.get("n_trials", 2000))
-    p_load = float(cfg.get("loading_probability", 0.5))
-    p_move = float(cfg.get("per_move_success", PER_MOVE_SUCCESS))
+    target[target_sites] = True
+    p_move = (float(per_move_success) if per_move_success is not None
+              else PER_MOVE_SUCCESS)
     prob, err = simulate_assembly(
-        geom, target, loading_probability=p_load, per_move_success=p_move,
-        n_trials=n_trials, seed=ctx.seed,
+        geom, target, loading_probability=loading_probability,
+        per_move_success=p_move, n_trials=n_trials, seed=ctx.seed,
     )
     rng = np.random.default_rng(ctx.seed)
-    occ = rng.random(geom.n_sites) < p_load
+    occ = rng.random(geom.n_sites) < loading_probability
     plan = plan_rearrangement(occ, target, geom)
     final = replay_plan(plan, occ, geom)
     ctx.emit(
@@ -530,25 +511,20 @@ def run_rearrange_cmd(ctx):
     })
 
 
-@protocol("equalize")
-def run_equalize_cmd(ctx):
+@protocol("equalize", n_sites=32, initial_spread=0.05, iterations=8, gain=0.7)
+def run_equalize_cmd(ctx, n_sites, initial_spread, iterations, gain):
     from .assembly import equalize_depths
 
-    cfg = ctx.proto
-    _known(cfg, {"n_sites", "initial_spread", "iterations", "gain"}, "equalize")
-    n_sites = int(cfg.get("n_sites", 32))
-    spread0 = float(cfg.get("initial_spread", 0.05))
-    iters = int(cfg.get("iterations", 8))
-    gain = float(cfg.get("gain", 0.7))
     rng = np.random.default_rng(ctx.seed)
-    gains = 1.0 + spread0 * rng.standard_normal(n_sites)
-    res = equalize_depths(gains, iterations=iters, gain=gain, seed=ctx.seed + 1)
+    gains = 1.0 + initial_spread * rng.standard_normal(n_sites)
+    res = equalize_depths(gains, iterations=iterations, gain=gain,
+                          seed=ctx.seed + 1)
     ctx.emit("equalize", ["iteration", "relative_spread"],
              list(enumerate(res.spread_history)))
     _summary(ctx.out / "summary.json", {
         "protocol": "equalize",
         "final_spread": res.final_spread,
-        "iterations": iters,
+        "iterations": iterations,
         "converged": res.converged,
     })
 
@@ -570,8 +546,7 @@ class RunContext:
                 json.dumps(payload, sort_keys=True, indent=1) + "\n"
             )
 
-    def __init__(self, args, run, proto, base_dir):
-        self.proto = proto
+    def __init__(self, args, run, base_dir):
         self.base_dir = base_dir
         seed = args.seed if args.seed is not None else run.get("seed")
         if seed is None:
@@ -608,12 +583,15 @@ def main(argv=None) -> int:
             else ({}, {}, "")
         )
         _known(run, _RUN_KEYS, "run")
+        keys = CONFIG_KEYS[args.command]
+        _known(proto, keys, args.command)
+        params = {k: _value(proto.get(k), d) for k, d in keys.items()}
         base = args.config.parent if args.config else Path.cwd()
-        ctx = RunContext(args, run, proto, base)
+        ctx = RunContext(args, run, base)
         (ctx.out / "config_snapshot.ini").write_text(
             snapshot or f"# no config file; seed={ctx.seed}\n"
         )
-        PROTOCOLS[args.command](ctx)
+        PROTOCOLS[args.command](ctx, **params)
     except (ConfigError, configparser.Error, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

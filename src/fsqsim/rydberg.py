@@ -158,7 +158,10 @@ _SECTOR = tuple(
 # V / Omega = 19 takes 309 steps, max entry error ~1e-8; the error falls 16x
 # per doubling.
 STEPS_PER_RADIAN = 2.0
-STEP_CHUNK = 64  # steps exponentiated together within one detuning piece
+# Matrices exponentiated together (steps x Gauss nodes x members): a solo
+# gate takes 64 steps per batch, a stack fewer, so memory does not grow
+# with the member count.
+EIGH_BATCH = 128
 
 
 @lru_cache(maxsize=64)
@@ -263,8 +266,10 @@ def sector_unitaries(
         h = (t1 - t0) / n
         # node times broadcast against the member and the matrix axes
         node_shape = (-1, 2) + (1,) * max(np.ndim(th1), half.ndim)
-        for j0 in range(0, n, STEP_CHUNK):
-            j = np.arange(j0, min(j0 + STEP_CHUNK, n))
+        stack = np.broadcast_shapes(np.shape(th1), half.shape)[:-2]
+        chunk = max(1, EIGH_BATCH // (len(GAUSS_NODES) * math.prod(stack)))
+        for j0 in range(0, n, chunk):
+            j = np.arange(j0, min(j0 + chunk, n))
             t = (t0 + h * (j[:, None] + GAUSS_NODES)).reshape(node_shape)
             e = np.exp(1j * (th1 * np.cos(freq * t + offset) + slope * t))
             f = WEIGHT_PLUS * e + WEIGHT_MINUS * e[:, ::-1]

@@ -85,7 +85,7 @@ def test_criterion_02_rate_equations():
 
 
 def test_criterion_03_crb(reference_config):
-    from fsqsim.benchmarking import run_crb
+    from fsqsim.benchmarking.singleq import run_crb
 
     res_inj = run_crb([2, 20, 50, 100, 160], n_seq=200, shots=200, noise=None,
                       injected_depolarizing=0.007, seed=11)
@@ -105,7 +105,7 @@ def test_criterion_03_crb(reference_config):
 
 
 def test_criterion_04_ssb(budget_report):
-    from fsqsim.benchmarking import fit_ssb
+    from fsqsim.benchmarking.twoq import fit_ssb
 
     rng = np.random.default_rng(23)
     n = np.arange(2, 31, 4)
@@ -128,8 +128,8 @@ def test_criterion_04_ssb(budget_report):
 
 
 def test_criterion_05_bell(noiseless_executor, reference_executor):
-    from fsqsim.benchmarking import bell_protocol
-    from fsqsim.benchmarking.twoq import _assigned_probs, _bell_state_vector
+    from fsqsim.benchmarking.twoq import (_assigned_probs, _bell_state_vector,
+                                         bell_protocol)
 
     phases = np.linspace(0, 2 * np.pi, 16, endpoint=False)
     noiseless = bell_protocol(phases, shots=4000, seed=2,
@@ -203,7 +203,8 @@ def test_criterion_07_erasure(shallow_model):
 
 
 def test_criterion_08_ramsey():
-    from fsqsim.benchmarking import ramsey_envelope_time, simulate_ramsey
+    from fsqsim.benchmarking.ramsey import (ramsey_envelope_time,
+                                           simulate_ramsey)
 
     sigma = 2 * np.pi * 0.053
     times = np.linspace(0.05, 9.0, 25)

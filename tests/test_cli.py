@@ -1,4 +1,6 @@
+import configparser
 import hashlib
+import inspect
 import os
 import subprocess
 import sys
@@ -6,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from fsqsim.cli import main
+from fsqsim.cli import CONFIG_KEYS, PROTOCOLS, main
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIG_DIR = ROOT / "configs"
@@ -65,18 +67,61 @@ def test_missing_seed_rejected(tmp_path):
     assert rc == 2
 
 
-def test_unknown_key_rejected(tmp_path):
-    cfg = tmp_path / "bad.ini"
-    cfg.write_text("[run]\nseed = 1\n\n[ramsey]\nbanana = 1\n")
-    rc = main(["ramsey", "--config", str(cfg), "--out", str(tmp_path / "o")])
-    assert rc == 2
-
-
 def test_unknown_section_rejected(tmp_path):
     cfg = tmp_path / "bad.ini"
     cfg.write_text("[run]\nseed = 1\n\n[wrong]\nx = 1\n")
     rc = main(["ramsey", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert rc == 2
+
+
+SHIPPED = [
+    ("rabi", "rabi.ini"),
+    ("rydberg-rabi", "rydberg_rabi.ini"),
+    ("crb", "crb.ini"),
+    ("ssb", "ssb.ini"),
+    ("bell", "bell.ini"),
+    ("ramsey", "ramsey.ini"),
+    ("erasure-roc", "erasure_roc.ini"),
+    ("state-prep-curve", "state_prep.ini"),
+    ("srd", "srd.ini"),
+    ("lifetime-fit", "lifetime.ini"),
+    ("error-budget", "budget.ini"),
+    ("psd-infidelity", "psd.ini"),
+    ("rearrange", "rearrange.ini"),
+    ("equalize", "equalize.ini"),
+]
+
+
+def shipped_config(name):
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    parser.read_string((CONFIG_DIR / name).read_text())
+    return parser
+
+
+def test_every_subcommand_ships_a_config():
+    assert sorted(c for c, _ in SHIPPED) == sorted(PROTOCOLS)
+
+
+@pytest.mark.parametrize("command,config", SHIPPED)
+def test_shipped_keys_are_declared(command, config):
+    declared = CONFIG_KEYS[command]
+    assert set(shipped_config(config)[command]) <= set(declared)
+    # the subcommand takes its context and then exactly the declared keys
+    params = inspect.signature(PROTOCOLS[command]).parameters
+    assert list(params) == ["ctx", *declared]
+
+
+@pytest.mark.parametrize("command,config", SHIPPED)
+def test_unknown_key_rejected(tmp_path, capsys, command, config):
+    parser = shipped_config(config)
+    parser[command]["banana"] = "1"
+    cfg = tmp_path / config
+    with cfg.open("w") as f:
+        parser.write(f)
+    rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert f"unknown key 'banana' in [{command}]" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()  # rejected before the run starts
 
 
 def test_noise_config_loading(tmp_path):
@@ -173,6 +218,17 @@ def test_subcommand_loads_no_numpy_ma(tmp_path, command, config):
     # distinct counts are set sizes: np.unique without optional outputs
     # imports numpy.ma (12-14 ms a process)
     assert not modules_loaded(tmp_path, command, config, "numpy.ma")
+
+
+@pytest.mark.parametrize("command,config,module", [
+    ("bell", "configs/bell.ini", "twoq"),
+    ("crb", "perfbench/configs/crb_raw.ini", "singleq"),
+    ("ramsey", "configs/ramsey.ini", "ramsey"),
+])
+def test_subcommand_loads_only_its_protocol_module(tmp_path, command, config,
+                                                   module):
+    loaded = modules_loaded(tmp_path, command, config, "fsqsim.benchmarking")
+    assert loaded == {"fsqsim.benchmarking", f"fsqsim.benchmarking.{module}"}
 
 
 def test_format_json_mirrors_tables(tmp_path):

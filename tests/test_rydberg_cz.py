@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -230,6 +232,20 @@ def test_detuned_stack_equals_solo_on_one_gate_time():
                                   detuning_values=values[m])
         assert np.max(np.abs(u2[m] - s2)) <= 1e-12
         assert np.max(np.abs(u4[m] - s4)) <= 1e-12
+
+
+def test_stack_working_set_does_not_grow_with_members():
+    # eigh batches hold at most EIGH_BATCH matrices: 400 members over 16
+    # pieces peak near 4 MB, where 64 steps a batch took 58 MB
+    profiles, edges, values = _detuned_stack(400, 16, seed=6)
+    tracemalloc.start()
+    try:
+        sector_unitaries(profiles, RydbergDrive(), detuning_edges=edges,
+                         detuning_values=values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_doubled_steps_move_the_default_gate_below_1e9(monkeypatch):
