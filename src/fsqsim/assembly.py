@@ -118,11 +118,6 @@ class Move:
     path: tuple  # ((x0, y0), ..., (xn, yn)) waypoints
 
 
-def _path_length(path) -> float:
-    pts = np.asarray(path, dtype=float)
-    return float(np.sum(np.hypot(*np.diff(pts, axis=0).T)))
-
-
 @dataclass(frozen=True)
 class MovePlan:
     moves: tuple
@@ -146,8 +141,10 @@ class _RouteTable:
     ``points`` are the sites as float tuples and ``dist[a][b]`` is the
     distance from site a to site b. Occupancy is a bitmask (bit i for site
     i), and a path is clear when ``mask & occupied & ~skip == 0`` for its
-    hit mask. Segments and routes are worked out on first use and kept, so
-    a Monte Carlo over one geometry does its geometry once.
+    hit mask. Segments, routes and the moves along them are worked out on
+    first use and kept, so a Monte Carlo over one geometry does its
+    geometry once; the segments of a route's candidate paths are worked out
+    together, in one array pass.
     """
 
     def __init__(self, sites):
@@ -157,32 +154,56 @@ class _RouteTable:
         self.y_park = float(sites[:, 1].min()) - 20.0
         self._segments = {}
         self._routes = {}
+        self._site_routes = {}
+        self._park_routes = {}
+
+    def _fill(self, paths):
+        """Work out the hits of every segment of ``paths`` not yet known:
+        the sites within the exclusion radius of the segment,
+        nearest-first along it (ties in index order), whatever their
+        occupancy, and their bitmask."""
+        new = list(dict.fromkeys(
+            seg for path in paths for seg in zip(path, path[1:])
+            if seg not in self._segments))
+        if not new:
+            return
+        a = np.array([p0 for p0, _ in new])
+        d = np.array([p1 for _, p1 in new]) - a
+        l2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
+        rel = self.sites - a[:, None]  # (segments, sites, 2)
+        proj = rel[..., 0] * d[:, None, 0] + rel[..., 1] * d[:, None, 1]
+        t = np.clip(proj / np.where(l2 == 0, 1.0, l2)[:, None], 0.0, 1.0)
+        t[l2 == 0] = 0.0
+        off = self.sites - (a[:, None] + t[..., None] * d[:, None])
+        hit = np.hypot(off[..., 0], off[..., 1]) < EXCLUSION_RADIUS
+        order = np.argsort(np.where(hit, t, np.inf), axis=1, kind="stable")
+        for seg, row, n in zip(new, order.tolist(), hit.sum(axis=1).tolist()):
+            hits = tuple(row[:n])
+            self._segments[seg] = (hits, sum(1 << i for i in hits))
 
     def segment(self, p0, p1):
-        """(hits, mask) of the segment p0 -> p1: the sites within the
-        exclusion radius of it, nearest-first along the path (ties in index
-        order), whatever their occupancy."""
-        key = (p0, p1)
-        seg = self._segments.get(key)
+        """(hits, mask) of the segment p0 -> p1 (see :meth:`_fill`)."""
+        seg = self._segments.get((p0, p1))
         if seg is None:
-            sites = self.sites
-            a = np.asarray(p0, dtype=float)
-            d = np.asarray(p1, dtype=float) - a
-            l2 = float(d @ d)
-            t = (np.zeros(len(sites)) if l2 == 0
-                 else np.clip((sites - a) @ d / l2, 0.0, 1.0))
-            dist = np.hypot(*(sites - (a + t[:, None] * d)).T)
-            idxs = np.flatnonzero(dist < EXCLUSION_RADIUS)
-            hits = tuple(int(i) for i in idxs[np.argsort(t[idxs], kind="stable")])
-            seg = self._segments[key] = (hits, sum(1 << i for i in hits))
+            self._fill([(p0, p1)])
+            seg = self._segments[p0, p1]
         return seg
+
+    def _with_masks(self, paths):
+        """[(mask, path)]: each path with the union of its segments' hit
+        masks."""
+        self._fill(paths)
+        out = []
+        for path in paths:
+            mask = 0
+            for seg in zip(path, path[1:]):
+                mask |= self._segments[seg][1]
+            out.append((mask, path))
+        return out
 
     def path_mask(self, path) -> int:
         """Union of the hit masks of the path's segments."""
-        mask = 0
-        for p0, p1 in zip(path, path[1:]):
-            mask |= self.segment(p0, p1)[1]
-        return mask
+        return self._with_masks([path])[0][0]
 
     def routes(self, p0, p1):
         """[(mask, path)] from p0 to p1 in order of preference: the direct
@@ -195,9 +216,37 @@ class _RouteTable:
             lanes = [(p0, (p0[0] + s0 * _LANE_OFFSET, p0[1]),
                       (p1[0] + s1 * _LANE_OFFSET, p1[1]), p1)
                      for s0 in (+1, -1) for s1 in (+1, -1)]
-            lanes.sort(key=_path_length)
-            cands = self._routes[key] = [
-                (self.path_mask(path), path) for path in [(p0, p1), *lanes]]
+            legs = np.diff(np.array(lanes), axis=1)
+            length = np.sum(np.hypot(legs[..., 0], legs[..., 1]), axis=1)
+            lanes = [lanes[k] for k in sorted(range(len(lanes)),
+                                              key=length.tolist().__getitem__)]
+            cands = self._routes[key] = self._with_masks([(p0, p1), *lanes])
+        return cands
+
+    def site_routes(self, a: int, b: int):
+        """[(mask, move)]: :meth:`routes` from site a to site b as moves,
+        keyed by the indices. A move is immutable, so plans share it."""
+        cands = self._site_routes.get((a, b))
+        if cands is None:
+            cands = self._site_routes[a, b] = [
+                (mask, Move(a, b, path)) for mask, path in
+                self.routes(self.points[a], self.points[b])]
+        return cands
+
+    def park_routes(self, site: int, n_park: int):
+        """[(mask, move)] of the two lane routes from a site down to parking
+        slot ``n_park`` (the vertical leg runs in the inter-column lane,
+        which contains no sites), right lane first."""
+        key = (site, n_park)
+        cands = self._park_routes.get(key)
+        if cands is None:
+            p0 = self.points[site]
+            cands = self._park_routes[key] = [
+                (mask, Move(site, -1, path)) for mask, path in
+                self._with_masks([
+                    (p0, (p0[0] + s * _LANE_OFFSET, p0[1]),
+                     (p0[0] + s * _LANE_OFFSET + 0.01 * n_park, self.y_park))
+                    for s in (+1, -1)])]
         return cands
 
 
@@ -301,27 +350,23 @@ def plan_rearrangement(
     moves = []
     n_park = 0
 
-    def clear_route(p0, p1, skip):
-        """The first clear route from p0 to p1, or None."""
+    def clear_route(routes, skip):
+        """The first of ``routes`` (or of their moves) clear of occupied
+        sites, or None."""
         blocking = occ & ~skip
-        for mask, path in table.routes(p0, p1):
+        for mask, route in routes:
             if not mask & blocking:
-                return path
+                return route
         return None
 
-    def park_route(site):
-        """Lane route from a site down to a fresh parking slot (the vertical
-        leg runs in the inter-column lane, which contains no sites)."""
+    def park_move(site):
+        """A clear move from a site down to a fresh parking slot, or
+        None."""
         nonlocal n_park
-        p0 = points[site]
-        for s in (+1, -1):
-            a = (p0[0] + s * _LANE_OFFSET, p0[1])
-            slot = (p0[0] + s * _LANE_OFFSET + 0.01 * n_park, table.y_park)
-            path = (p0, a, slot)
-            if not table.path_mask(path) & occ & ~(1 << site):
-                n_park += 1
-                return path
-        return None
+        move = clear_route(table.park_routes(site, n_park), 1 << site)
+        if move is not None:
+            n_park += 1
+        return move
 
     empty_targets, extra_atoms = tmask & ~occ, occ & ~tmask
     needed = [i for i in range(n_sites) if empty_targets >> i & 1]
@@ -340,17 +385,19 @@ def plan_rearrangement(
         rows, cols = _linear_sum_assignment(
             [[dist[s][t] for t in needed] for s in sources])
         pending = {needed[c]: sources[r] for r, c in zip(rows, cols)}
-    surplus = [s for s in sources if s not in pending.values()]
-    # parked entries: (position, destination or None, deferred) -- deferred
-    # return-home atoms wait until every pending fill has executed
+    assigned = set(pending.values())
+    surplus = [s for s in sources if s not in assigned]
+    # parked atoms that go on to a target: (position, destination, deferred)
+    # -- deferred return-home atoms wait until every pending fill has
+    # executed. A parked surplus atom stays where it is and is not listed.
     parked = []
 
     guard = 0
-    while pending or surplus or any(t is not None for _, t, _d in parked):
+    while pending or surplus or parked:
         guard += 1
         if guard > 20 * (n_sites + 10):
             unplaced.extend(sorted(pending))
-            unplaced.extend(t for _, t, _d in parked if t is not None)
+            unplaced.extend(t for _, t, _d in parked)
             break
         progressed = False
         # direct fills first (so a parked blocker cannot bounce straight back)
@@ -358,9 +405,10 @@ def plan_rearrangement(
             src = pending[tgt]
             if occ >> tgt & 1:
                 continue
-            route = clear_route(points[src], points[tgt], 1 << src | 1 << tgt)
-            if route is not None:
-                moves.append(Move(src, tgt, route))
+            move = clear_route(table.site_routes(src, tgt),
+                               1 << src | 1 << tgt)
+            if move is not None:
+                moves.append(move)
                 occ = occ & ~(1 << src) | 1 << tgt
                 del pending[tgt]
                 progressed = True
@@ -369,9 +417,9 @@ def plan_rearrangement(
             continue
         # finish parked atoms whose target is free
         for k, (pos, tgt, deferred) in enumerate(parked):
-            if tgt is None or occ >> tgt & 1 or (deferred and pending):
+            if occ >> tgt & 1 or (deferred and pending):
                 continue
-            route = clear_route(pos, points[tgt], 1 << tgt)
+            route = clear_route(table.routes(pos, points[tgt]), 1 << tgt)
             if route is not None:
                 moves.append(Move(-1, tgt, route))
                 occ |= 1 << tgt
@@ -382,11 +430,10 @@ def plan_rearrangement(
             continue
         # surplus with a clear way out
         for k, src in enumerate(surplus):
-            route = park_route(src)
-            if route is not None:
-                moves.append(Move(src, -1, route))
+            move = park_move(src)
+            if move is not None:
+                moves.append(move)
                 occ &= ~(1 << src)
-                parked.append((route[-1], None, False))
                 surplus.pop(k)
                 progressed = True
                 break
@@ -402,14 +449,13 @@ def plan_rearrangement(
             blockers = [i for i in hits
                         if occ >> i & 1 and i != src and i != tgt]
             for blocker in blockers:
-                route = park_route(blocker)
-                if route is None:
+                move = park_move(blocker)
+                if move is None:
                     continue
-                moves.append(Move(blocker, -1, route))
+                moves.append(move)
                 occ &= ~(1 << blocker)
                 if blocker in surplus:
                     surplus.remove(blocker)
-                    parked.append((route[-1], None, False))
                 else:
                     dest = None
                     deferred = False
@@ -421,7 +467,8 @@ def plan_rearrangement(
                     if dest is None and tmask >> blocker & 1:
                         dest = blocker  # settled target atom, returns
                         deferred = True  # only after the fills are done
-                    parked.append((route[-1], dest, deferred))
+                    if dest is not None:
+                        parked.append((move.path[-1], dest, deferred))
                 relocated = True
                 break
             if relocated:
@@ -435,11 +482,7 @@ def plan_rearrangement(
             elif surplus:
                 surplus.pop(0)
             else:
-                for k, (pos, tgt, _d) in enumerate(parked):
-                    if tgt is not None:
-                        unplaced.append(tgt)
-                        parked[k] = (pos, None, False)
-                        break
+                unplaced.append(parked.pop(0)[1])
     return MovePlan(moves=tuple(moves), unplaced_targets=tuple(sorted(unplaced)))
 
 
@@ -528,8 +571,8 @@ def simulate_assembly(
                 occ[m.destination] = survived
             elif survived:
                 parked_ok.add(m.path[-1])
-        if all(occ[i] for i in target_sites) and np.all(
-                rng.random(len(target_sites)) < imaging_survival):
+        if all(occ[i] for i in target_sites) and (
+                rng.random(len(target_sites)) < imaging_survival).all():
             wins += 1
     p = wins / n_trials
     return p, float(np.sqrt(max(p * (1 - p), 1e-12) / n_trials))

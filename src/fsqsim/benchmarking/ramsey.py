@@ -38,24 +38,23 @@ def simulate_ramsey(
     deltas, weights = gaussian_quadrature(sigma, RAMSEY_NODES)
     phases = np.linspace(0, 2 * np.pi, RAMSEY_PHASES, endpoint=False)
     open_pulse = embed_qubit_unitary(rotation(np.pi / 2, 0.0))
-    closing = [embed_qubit_unitary(rotation(np.pi / 2, phi)) for phi in phases]
+    # the closing pulses' q1 rows: amplitude of q1 after each closing pulse
+    closing = np.array([embed_qubit_unitary(rotation(np.pi / 2, phi))[Q1]
+                        for phi in phases])
     erasure_block = np.eye(DIM, dtype=complex)  # no qubit back-action
 
     psi0 = np.zeros(DIM, dtype=complex)
     psi0[Q1] = 1.0
+    opened = open_pulse @ psi0
     contrast = np.zeros(len(times))
     for it, t in enumerate(times):
-        fringe = np.zeros(len(phases))
-        for d, w in zip(deltas, weights):
-            phase_gate = np.eye(DIM, dtype=complex)
-            phase_gate[Q0, Q0] = np.exp(0.5j * d * t)
-            phase_gate[Q1, Q1] = np.exp(-0.5j * d * t)
-            psi = phase_gate @ (open_pulse @ psi0)
-            if mid_circuit_erasure:
-                psi = erasure_block @ psi
-            for ip, pulse in enumerate(closing):
-                out = pulse @ psi
-                fringe[ip] += w * abs(out[Q1]) ** 2
+        # one row per detuning node: the opened state after the free phase
+        psi = np.tile(opened, (len(deltas), 1))
+        psi[:, Q0] *= np.exp(0.5j * deltas * t)
+        psi[:, Q1] *= np.exp(-0.5j * deltas * t)
+        if mid_circuit_erasure:
+            psi = psi @ erasure_block.T
+        fringe = weights @ np.abs(psi @ closing.T) ** 2  # (nodes, phases)
         amp, _, offset, _ = fit_sinusoid_fixed_period(phases, fringe,
                                                       period=2 * np.pi)
         # fringe = offset * (1 + C cos(...)): contrast is amplitude/offset

@@ -15,8 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from . import KERNEL_BACKEND, __version__
-from .levels import B, G, Q0, Q1, R, X, lop
-from .lindblad import evolve_lindblad
+from .channels import channel_superoperator, check_cptp
+from .levels import B, DIM, G, Q0, Q1, R, X, lop
 from .noise import (
     NoiseConfig,
     noise_config_from_text,
@@ -138,15 +138,20 @@ def _summary(path: Path, payload: dict):
 
 
 def _rabi_rows(h, ops, t_max, n, groups):
-    """(t, population of each level group) from |q1> at n times in
-    [0, t_max], each sample evolved on from the previous one."""
+    """(t, population of each level group) from |q1> at n evenly spaced
+    times in [0, t_max]: one CPTP-checked channel over the spacing, applied
+    to each sample to give the next."""
     times = np.linspace(0.0, t_max, n)
-    st = QuantumState.pure([Q1])
+    rho = QuantumState.pure([Q1]).rho.ravel()
+    if n > 1:
+        step = channel_superoperator(h, ops, times[1] - times[0], n_atoms=1)
+        units = [(k // DIM, k % DIM) for k in range(DIM * DIM)]
+        check_cptp(step, units, 1, range(DIM), "the Rabi sample-step channel")
     rows = []
     for k, t in enumerate(times):
         if k:
-            st = evolve_lindblad(st, h, ops, t - times[k - 1])
-        d = np.diag(st.rho).real
+            rho = step @ rho
+        d = rho[::DIM + 1].real
         rows.append((t,) + tuple(sum(d[lv] for lv in group) for group in groups))
     return rows
 

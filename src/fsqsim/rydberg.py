@@ -154,26 +154,65 @@ _SECTOR = tuple(
 
 # CF4:2, the fourth-order commutator-free Magnus scheme, with the nodes and
 # weights of the master-equation engine. Steps per radian of
-# ||H||_inf * t_gate over a modulated gate: the default gate at
-# V / Omega = 19 takes 309 steps, max entry error ~1e-8; the error falls 16x
-# per doubling.
+# ||H||_inf * t_gate (the 6x6 sector norm) over a modulated gate: the default
+# gate at V / Omega = 19 takes 309 steps, max entry error ~1e-8; the error
+# falls 16x per doubling.
 STEPS_PER_RADIAN = 2.0
-# Matrices exponentiated together (steps x Gauss nodes x members): a solo
-# gate takes 64 steps per batch, a stack fewer, so memory does not grow
-# with the member count.
-EIGH_BATCH = 128
+# Nodes exponentiated together (steps x Gauss nodes x members): a solo gate
+# or a 40-member stack over one detuning piece is one batch, and memory does
+# not grow with the member count beyond it.
+EIGH_BATCH = 4096
+
+
+def _exchange_basis():
+    """(x, pair, chain, dark): the orthogonal change from the sector states
+    to their atom-exchange basis (rows of ``x``) and the slices of its three
+    blocks.
+
+    The drive acts alike on both atoms, so it commutes with the atom swap
+    |a1 a2> -> |a2 a1>. A sector state whose swap image lies outside the
+    sector (one atom driven, partner frozen in q0) stays as it is: the
+    one-atom pair. A state the swap fixes stays; a swapped couple i < j
+    becomes (e_i + e_j)/sqrt2 and (e_i - e_j)/sqrt2. The symmetric states
+    form the chain q1q1 -- W+ -- rr, coupled at sqrt2 Omega/2, and the
+    antisymmetric W- is dark (Levine et al., PRL 123, 170503 (2019)).
+    """
+    images = [full_index(unravel_index(i, 2)[::-1]) for i in _SECTOR]
+    eye = np.eye(len(_SECTOR))
+    one, sym, anti = [], [], []
+    for k, image in enumerate(images):
+        j = _SECTOR.index(image) if image in _SECTOR else None
+        if j is None:
+            one.append(eye[k])
+        elif j == k:
+            sym.append(eye[k])
+        elif k < j:
+            sym.append((eye[k] + eye[j]) / math.sqrt(2))
+            anti.append((eye[k] - eye[j]) / math.sqrt(2))
+    cuts = np.cumsum([0, len(one), len(sym), len(anti)])
+    return (np.array(one + sym + anti),
+            *(slice(int(a), int(b)) for a, b in zip(cuts, cuts[1:])))
+
+
+_EXCHANGE, _PAIR, _CHAIN, _DARK = _exchange_basis()
 
 
 @lru_cache(maxsize=64)
 def _sector_parts(drive: RydbergDrive):
-    """Read-only (h0, coupling, detuning diagonal) of the 6x6 sector problem:
-    ``hamiltonian_parts`` and ``rydberg_count_diag`` restricted to
-    ``_SECTOR``."""
-    parts = [m[np.ix_(_SECTOR, _SECTOR)] for m in hamiltonian_parts(drive)]
-    parts.append(np.diag(rydberg_count_diag()[list(_SECTOR)]))
+    """(norm, static diagonal, detuning diagonal, coupling superdiagonal) of
+    the sector problem in the exchange basis, where every part is
+    tridiagonal within its block; ``norm`` is ||h0 + C + C^dag||_inf of the
+    6x6 product-state problem, which sets the step count."""
+    idx = np.ix_(_SECTOR, _SECTOR)
+    h0, coup = (m[idx] for m in hamiltonian_parts(drive))
+    norm = np.abs(h0 + coup + coup.conj().T).sum(axis=1).max()
+    x = _EXCHANGE
+    ndiag = np.diag(rydberg_count_diag()[list(_SECTOR)])
+    parts = (np.diag(x @ h0 @ x.T).real, np.diag(x @ ndiag @ x.T),
+             np.diagonal(x @ coup @ x.T, 1).copy())
     for m in parts:
         m.setflags(write=False)
-    return tuple(parts)
+    return (norm, *parts)
 
 
 def _piece_value(edges, values, t: float):
@@ -200,13 +239,54 @@ def detuning_segments(edges, values, duration: float) -> list:
     ]
 
 
+# The sector's small matrices are stored with their two indices leading,
+# (n, n, *batch), so that a product over a stack is a handful of whole-array
+# operations rather than one tiny matmul per member.
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for stacks of matrices with their indices leading."""
+    return np.einsum("ij...,jk...->ik...", a, b)
+
+
 def _time_ordered_product(m: np.ndarray) -> np.ndarray:
-    """m[-1] @ ... @ m[1] @ m[0] over the leading axis, as a pairwise tree:
-    one batched matmul per level."""
-    while len(m) > 1:
-        pairs = m[1::2] @ m[:len(m) - 1:2]
-        m = np.concatenate([pairs, m[-1:]]) if len(m) % 2 else pairs
-    return m[0]
+    """m[:, :, -1] @ ... @ m[:, :, 1] @ m[:, :, 0] over the first batch axis,
+    as a pairwise tree: one stacked product per level."""
+    while m.shape[2] > 1:
+        pairs = _matmul(m[:, :, 1::2], m[:, :, :m.shape[2] - 1:2])
+        m = (np.concatenate([pairs, m[:, :, -1:]], axis=2)
+             if m.shape[2] % 2 else pairs)
+    return m[:, :, 0]
+
+
+def _pair_exponentials(d: np.ndarray, g: np.ndarray, h: float) -> np.ndarray:
+    """exp(-i h A), indices leading, of the Hermitian A = [[d0, g],
+    [conj g, d1]] in closed form, for real ``d`` (2, ...) and complex ``g``
+    (...): with m the mean of the diagonal, (A - m)^2 = w^2."""
+    gap = 0.5 * (d[0] - d[1])
+    w = np.sqrt(gap**2 + np.abs(g) ** 2)
+    c = np.cos(h * w)
+    s = -1j * h * np.sinc(h * w / np.pi)  # -i sin(h w) / w
+    return np.exp(-0.5j * h * (d[0] + d[1])) * np.array(
+        [[c + s * gap, s * g], [s * np.conj(g), c - s * gap]])
+
+
+def _chain_exponentials(d: np.ndarray, g: np.ndarray, h: float) -> np.ndarray:
+    """exp(-i h A), indices leading, of the Hermitian tridiagonal A with
+    real diagonal ``d`` (n, ...) and superdiagonal ``g`` (n - 1, ...). The
+    phase gauge D = diag(1, e^{-i arg g0}, e^{-i (arg g0 + arg g1)}, ...)
+    makes D^dag A D real symmetric, so one real ``eigh`` of the stack
+    gives them all."""
+    n = len(d)
+    t = np.zeros(d.shape[1:] + (n, n))
+    t[..., range(n), range(n)] = np.moveaxis(d, 0, -1)
+    t[..., range(n - 1), range(1, n)] = t[..., range(1, n), range(n - 1)] = (
+        np.moveaxis(np.abs(g), 0, -1))
+    w, v = np.linalg.eigh(t)
+    v = np.ascontiguousarray(np.moveaxis(v, (-2, -1), (0, 1)))
+    phases = np.exp(-1j * h * np.moveaxis(w, -1, 0))
+    e = np.einsum("jm...,km...->jk...", v * phases, v)
+    gauge = np.exp(-1j * np.cumsum(np.angle(g), axis=0))
+    gauge = np.concatenate([np.ones((1,) + gauge.shape[1:]), gauge])
+    return gauge[:, None] * np.conj(gauge)[None, :] * e
 
 
 def sector_unitaries(
@@ -230,54 +310,71 @@ def sector_unitaries(
     and ``(members, 4, 4)``.
 
     The propagator is a fixed-step CF4:2 Magnus product: each step is two
-    exact exponentials of 6x6 Hermitian matrices, each from one ``eigh`` of
-    the stack, and the steps multiply as a pairwise tree. A modulated gate
-    takes ceil(STEPS_PER_RADIAN * ||H||_inf * t_gate) steps (the largest over
-    the stack, without the detuning pieces), spread over the detuning pieces
-    by length; the phase only rotates the couplings, so ||H||_inf is the same
-    at every t. Without phase modulation (theta[0] == theta[2] == 0 for every
-    member) H is constant on each piece, which then takes one step and is
-    exact.
+    exact exponentials of the sector Hamiltonian, and the steps multiply as
+    a pairwise tree. The Hamiltonian is taken in the atom-exchange basis of
+    :func:`_exchange_basis` (Levine et al., PRL 123, 170503 (2019); Jandura
+    & Pupillo, Quantum 6, 712 (2022)), where it splits into the one-atom
+    pair, exponentiated in closed form; the symmetric chain
+    q1q1 -- W+ -- rr, from one real ``eigh`` of the stack after a phase
+    gauge; and the dark W-, which only takes a phase. A modulated gate takes
+    ceil(STEPS_PER_RADIAN * ||H||_inf * t_gate) steps, with ||H||_inf the
+    6x6 sector norm (the largest over the stack, without the detuning
+    pieces), spread over the detuning pieces by length; the phase only
+    rotates the couplings, so ||H||_inf is the same at every t. Without
+    phase modulation (theta[0] == theta[2] == 0 for every member) H is
+    constant on each piece, which then takes one step and is exact.
     """
     solo = isinstance(profile, CZPulseProfile)
     profiles = [profile] if solo else list(profile)
-    shape = () if solo else (len(profiles), 1, 1)
+    shape = () if solo else (len(profiles),)
     th1, th2, th3, th4 = (  # [()] turns a solo 0-d array into a scalar
         np.reshape([p.theta[i] for p in profiles], shape)[()] for i in range(4)
     )
     t_ref = profiles[0].t_gate
-    rate = np.reshape([p.t_gate for p in profiles], shape) / t_ref
+    rate = np.reshape([p.t_gate for p in profiles], shape)[()] / t_ref
     if detuning_values is not None and np.ptp(rate) > 0:
         raise ValueError("detuning pieces need one gate time for every member")
-    h0, coup, ndiag = _sector_parts(drive)
-    norm = np.abs(h0 + coup + coup.conj().T).sum(axis=1).max()
-    coup = np.exp(1j * th4) * coup
-    coup_dag = np.swapaxes(coup.conj(), -1, -2)
+    norm, h0, ndiag, coup = _sector_parts(drive)
     offset, slope = -th2, th3 * rate
     freq = 2 * np.pi / t_ref  # every member's cosine period on this clock
     modulated = np.any(th1) or np.any(th3)
     n_gate = math.ceil(STEPS_PER_RADIAN * norm * t_ref * np.max(rate))
 
-    u = np.eye(len(_SECTOR), dtype=complex)
+    u_pair, u_chain, u_dark = np.eye(2), np.eye(3), 1.0
     for t0, t1, det in detuning_segments(detuning_edges, detuning_values, t_ref):
-        # a+ + a- = 1/2: each exponent holds half of the static part
-        half = 0.5 * (h0 - np.multiply.outer(det, ndiag))
+        # the static part, exchange-basis index leading
+        static = np.moveaxis(np.asarray(rate)[..., None]
+                             * (h0 - np.multiply.outer(det, ndiag)), -1, 0)
+        u_dark = np.exp(-1j * (t1 - t0) * static[_DARK][0]) * u_dark
         n = max(1, math.ceil(n_gate * (t1 - t0) / t_ref)) if modulated else 1
         h = (t1 - t0) / n
-        # node times broadcast against the member and the matrix axes
-        node_shape = (-1, 2) + (1,) * max(np.ndim(th1), half.ndim)
-        stack = np.broadcast_shapes(np.shape(th1), half.shape)[:-2]
+        stack = static.shape[1:]
+        node_shape = (-1, 2) + (1,) * len(stack)  # steps x nodes x members
         chunk = max(1, EIGH_BATCH // (len(GAUSS_NODES) * math.prod(stack)))
         for j0 in range(0, n, chunk):
             j = np.arange(j0, min(j0 + chunk, n))
             t = (t0 + h * (j[:, None] + GAUSS_NODES)).reshape(node_shape)
             e = np.exp(1j * (th1 * np.cos(freq * t + offset) + slope * t))
-            f = WEIGHT_PLUS * e + WEIGHT_MINUS * e[:, ::-1]
-            a = rate * (half + f * coup + np.conj(f) * coup_dag)
-            w, v = np.linalg.eigh(a.reshape(-1, *a.shape[2:]))
-            exps = (v * np.exp(-1j * h * w)[..., None, :]) @ np.swapaxes(
-                v.conj(), -1, -2)
-            u = _time_ordered_product(exps) @ u
+            f = rate * np.exp(1j * th4) * np.broadcast_to(
+                WEIGHT_PLUS * e + WEIGHT_MINUS * e[:, ::-1], (len(j), 2) + stack)
+            # a+ + a- = 1/2: each exponent holds half of the static part
+            d = np.broadcast_to(0.5 * static[:, None, None],
+                                static.shape[:1] + f.shape)
+            # superdiagonal entry k couples k and k + 1, so a block's own
+            # couplings are its entries but the last
+            g = np.multiply.outer(coup, f)
+            pair = _pair_exponentials(d[_PAIR], g[_PAIR][0], h)
+            chain = _chain_exponentials(d[_CHAIN], g[_CHAIN][:-1], h)
+            u_pair = _matmul(_time_ordered_product(
+                pair.reshape(2, 2, -1, *stack)), u_pair)
+            u_chain = _matmul(_time_ordered_product(
+                chain.reshape(3, 3, -1, *stack)), u_chain)
+    x = _EXCHANGE
+    u = np.zeros(np.shape(u_dark) + (len(x), len(x)), dtype=complex)
+    u[..., _PAIR, _PAIR] = np.moveaxis(u_pair, (0, 1), (-2, -1))
+    u[..., _CHAIN, _CHAIN] = np.moveaxis(u_chain, (0, 1), (-2, -1))
+    u[..., _DARK, _DARK] = np.asarray(u_dark)[..., None, None]
+    u = x.T @ u @ x
     return u[..., :2, :2].copy(), u[..., 2:, 2:].copy()
 
 

@@ -7,10 +7,11 @@ Dormand-Prince, a whole-pattern breadth-first support closure, H(t) as a
 callable, the rearrangement planner on uncached segment checks and scipy's
 assignment, the Clifford lookup as a linear scan, the Bell readout as
 per-level loops, a process fidelity through the inverse of a generic ideal
-map), or an API only
-the tests exercise (Raman pulses read through a virtual-Z frame object, the
-ideal CZ and an executor built on it). Tests import them as
-``from oracles import ...``.
+map, the Rydberg sector propagator on the whole 6x6 problem, a Rabi series
+as chained state evolutions, the Ramsey fringe as per-node vector
+products), or an API only the tests exercise (Raman pulses read through a
+virtual-Z frame object, the ideal CZ and an executor built on it). Tests
+import them as ``from oracles import ...``.
 """
 
 import itertools
@@ -20,13 +21,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from fsqsim import rydberg
+from fsqsim._kernels._lindblad_py import (GAUSS_NODES, WEIGHT_MINUS,
+                                         WEIGHT_PLUS)
 from fsqsim.assembly import EXCLUSION_RADIUS, GRID_X_SPACING, Move, MovePlan
+from fsqsim.benchmarking.ramsey import RAMSEY_NODES, RAMSEY_PHASES
 from fsqsim.benchmarking.twoq import SEQUENCE_SURVIVAL, GateExecutor
 from fsqsim.channels import conjugation_on_pairs
 from fsqsim.cliffords import clifford_group, equal_up_to_phase
 from fsqsim.czopt import default_profile
+from fsqsim.fitting import fit_sinusoid_fixed_period
 from fsqsim.levels import DIM, G, Q0, Q1, R, X, full_index
-from fsqsim.pulses import rotation
+from fsqsim.lindblad import evolve_lindblad
+from fsqsim.noise import gaussian_quadrature
+from fsqsim.pulses import embed_qubit_unitary, rotation
 from fsqsim.readout import (
     DETECTED_0,
     DETECTED_1,
@@ -35,6 +43,7 @@ from fsqsim.readout import (
     srd_probabilities,
 )
 from fsqsim.rydberg import RydbergDrive, hamiltonian_parts
+from fsqsim.states import QuantumState
 
 
 def dense_lindblad_rhs(h_of_t, pairs):
@@ -71,10 +80,15 @@ _DP_E = np.concatenate([_DP_A[6], [0.0]]) - _DP_B4  # error weights, with k7
 DOPRI5_MAX_STEPS = 1_000_000
 
 
+# the stage coefficients as one matrix, row i holding a_ij for j < i
+_DP_A_ROWS = np.array([np.pad(row, (0, 7 - len(row))) for row in _DP_A])
+
+
 def dopri5(rhs, y0, t0, t1, rtol, atol):
     """Adaptive Dormand-Prince 5(4) integration of dy/dt = rhs(t, y), the
     reference integrator: returns y(t1) for a complex ``y0`` of any shape,
-    with the step error the RMS over ``y`` of err / (atol + rtol |y|)."""
+    with the step error the RMS over ``y`` of err / (atol + rtol |y|). The
+    stages are kept as one array, so each stage sum is one product."""
     span = t1 - t0
     if span < 0:
         raise ValueError("integration span must be non-negative")
@@ -82,8 +96,9 @@ def dopri5(rhs, y0, t0, t1, rtol, atol):
     if span == 0:
         return y
     t = t0
-    k = [None] * 7
-    k[0] = rhs(t, y)
+    k = np.empty((7, y.size), dtype=complex)
+    k[0] = rhs(t, y).ravel()
+    abs_y = np.abs(y).ravel()
     h = span / 100.0
     nsteps = 0
     while t < t1:
@@ -93,29 +108,20 @@ def dopri5(rhs, y0, t0, t1, rtol, atol):
         nsteps += 1
         h = min(h, t1 - t)
         for i in range(1, 7):
-            yi = y
-            for j, a in enumerate(_DP_A[i]):
-                if a != 0.0:
-                    yi = yi + (h * a) * k[j]
-            k[i] = rhs(t + _DP_C[i] * h, yi)
+            yi = y + (h * _DP_A_ROWS[i, :i] @ k[:i]).reshape(y.shape)
+            k[i] = rhs(t + _DP_C[i] * h, yi).ravel()
         y5 = yi  # stage 7 input is the 5th-order solution (FSAL)
-        err_vec = k[0] * _DP_E[0]
-        for j in range(1, 7):
-            if _DP_E[j] != 0.0:
-                err_vec = err_vec + _DP_E[j] * k[j]
-        err_vec = err_vec * h
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
-        err = np.sqrt(np.mean(np.abs(err_vec / scale) ** 2))
+        abs_y5 = np.abs(y5).ravel()
+        ratio = np.abs((h * _DP_E) @ k) / (atol + rtol * np.maximum(abs_y,
+                                                                    abs_y5))
+        err = np.sqrt(ratio @ ratio / ratio.size)
         if err <= 1.0:
             t = t + h
-            y = y5
+            y, abs_y = y5, abs_y5
             k[0] = k[6]  # FSAL
             factor = 5.0 if err == 0.0 else min(5.0, 0.9 * err ** -0.2)
         else:
             factor = max(0.2, 0.9 * err ** -0.2)
-            k0 = k[0]
-            k = [None] * 7
-            k[0] = k0
         h = h * factor
         if h <= 0 or not np.isfinite(h):
             raise RuntimeError(f"dopri5 step size underflow at t = {t!r}")
@@ -588,3 +594,89 @@ def reference_plan_rearrangement(initial, target, geometry):
                         break
     return MovePlan(moves=tuple(moves),
                     unplaced_targets=tuple(sorted(int(u) for u in unplaced)))
+
+
+def reference_sector_unitaries(profile, drive, detuning_edges=None,
+                               detuning_values=None):
+    """``rydberg.sector_unitaries`` on the whole 6x6 sector problem: each
+    CF4:2 step is two exponentials of the full 6x6 Hermitian matrix, each
+    from one complex ``eigh``, with the step count of
+    ``rydberg.STEPS_PER_RADIAN`` and the steps multiplied one after
+    another."""
+    solo = isinstance(profile, rydberg.CZPulseProfile)
+    profiles = [profile] if solo else list(profile)
+    shape = () if solo else (len(profiles), 1, 1)
+    th1, th2, th3, th4 = (
+        np.reshape([p.theta[i] for p in profiles], shape)[()] for i in range(4)
+    )
+    t_ref = profiles[0].t_gate
+    rate = np.reshape([p.t_gate for p in profiles], shape) / t_ref
+    idx = np.ix_(rydberg._SECTOR, rydberg._SECTOR)
+    h0, coup = (m[idx] for m in hamiltonian_parts(drive))
+    ndiag = np.diag(rydberg.rydberg_count_diag()[list(rydberg._SECTOR)])
+    norm = np.abs(h0 + coup + coup.conj().T).sum(axis=1).max()
+    coup = np.exp(1j * th4) * coup
+    coup_dag = np.swapaxes(coup.conj(), -1, -2)
+    freq = 2 * np.pi / t_ref
+    modulated = np.any(th1) or np.any(th3)
+    n_gate = math.ceil(rydberg.STEPS_PER_RADIAN * norm * t_ref * np.max(rate))
+    u = np.eye(len(rydberg._SECTOR), dtype=complex)
+    for t0, t1, det in rydberg.detuning_segments(detuning_edges,
+                                                 detuning_values, t_ref):
+        half = 0.5 * (h0 - np.multiply.outer(det, ndiag))
+        n = max(1, math.ceil(n_gate * (t1 - t0) / t_ref)) if modulated else 1
+        h = (t1 - t0) / n
+        node_shape = (-1, 2) + (1,) * max(np.ndim(th1), half.ndim)
+        t = (t0 + h * (np.arange(n)[:, None] + GAUSS_NODES)).reshape(
+            node_shape)
+        e = np.exp(1j * (th1 * np.cos(freq * t - th2) + th3 * rate * t))
+        f = WEIGHT_PLUS * e + WEIGHT_MINUS * e[:, ::-1]
+        a = rate * (half + f * coup + np.conj(f) * coup_dag)
+        w, v = np.linalg.eigh(a.reshape(-1, *a.shape[2:]))
+        for m in (v * np.exp(-1j * h * w)[..., None, :]) @ np.swapaxes(
+                v.conj(), -1, -2):
+            u = m @ u
+    return u[..., :2, :2].copy(), u[..., 2:, 2:].copy()
+
+
+def reference_rabi_rows(h, ops, t_max, n, groups):
+    """``cli._rabi_rows`` as a chain of ``evolve_lindblad`` calls, one per
+    sample spacing, each on the state the previous one left."""
+    times = np.linspace(0.0, t_max, n)
+    st = QuantumState.pure([Q1])
+    rows = []
+    for k, t in enumerate(times):
+        if k:
+            st = evolve_lindblad(st, h, ops, t - times[k - 1])
+        d = np.diag(st.rho).real
+        rows.append((t,) + tuple(sum(d[lv] for lv in group) for group in groups))
+    return rows
+
+
+def reference_ramsey(sigma, times, mid_circuit_erasure=False):
+    """``simulate_ramsey`` as per-node, per-phase 6-vector products."""
+    times = np.asarray(times, dtype=float)
+    deltas, weights = gaussian_quadrature(sigma, RAMSEY_NODES)
+    phases = np.linspace(0, 2 * np.pi, RAMSEY_PHASES, endpoint=False)
+    open_pulse = embed_qubit_unitary(rotation(np.pi / 2, 0.0))
+    closing = [embed_qubit_unitary(rotation(np.pi / 2, phi)) for phi in phases]
+    erasure_block = np.eye(DIM, dtype=complex)
+    psi0 = np.zeros(DIM, dtype=complex)
+    psi0[Q1] = 1.0
+    contrast = np.zeros(len(times))
+    for it, t in enumerate(times):
+        fringe = np.zeros(len(phases))
+        for d, w in zip(deltas, weights):
+            phase_gate = np.eye(DIM, dtype=complex)
+            phase_gate[Q0, Q0] = np.exp(0.5j * d * t)
+            phase_gate[Q1, Q1] = np.exp(-0.5j * d * t)
+            psi = phase_gate @ (open_pulse @ psi0)
+            if mid_circuit_erasure:
+                psi = erasure_block @ psi
+            for ip, pulse in enumerate(closing):
+                out = pulse @ psi
+                fringe[ip] += w * abs(out[Q1]) ** 2
+        amp, _, offset, _ = fit_sinusoid_fixed_period(phases, fringe,
+                                                      period=2 * np.pi)
+        contrast[it] = amp / offset if offset > 0 else 0.0
+    return contrast

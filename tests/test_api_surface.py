@@ -281,6 +281,8 @@ ALLOWED = {
         "group inverse of a Clifford; the group API",
     "cliffords.average_pulse_count":
         "the paper's mean of one pi/2 pulse per compiled Clifford",
+    "lindblad.evolve_lindblad":
+        "package API (fsqsim.evolve_lindblad)",
     "noise.clock_pi_pulse_error":
         "clock pi-pulse preparation error of a noise model",
     "noise.noise_config_to_text":

@@ -6,9 +6,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from fsqsim.cli import CONFIG_KEYS, PROTOCOLS, main
+from fsqsim.cli import CONFIG_KEYS, PROTOCOLS, _rabi_rows, main
+from fsqsim.levels import B, G, Q0, Q1, R, X, lop
+from fsqsim.noise import (raman_scatter_collapse_ops, reference_budget_config,
+                          rydberg_collapse_ops)
+from oracles import reference_rabi_rows
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIG_DIR = ROOT / "configs"
@@ -28,6 +33,27 @@ def tree_hash(path: Path) -> str:
             h.update(p.name.encode())
             h.update(p.read_bytes())
     return h.hexdigest()
+
+
+@pytest.mark.parametrize("n_points", [1, 2, 41])
+@pytest.mark.parametrize("noisy", [False, True])
+@pytest.mark.parametrize("transition", ["raman", "rydberg"])
+def test_rabi_rows_match_chained_evolution(transition, noisy, n_points):
+    # one channel over the sample spacing, applied n - 1 times, against
+    # n - 1 chained evolve_lindblad calls, each renormalized
+    cfg = reference_budget_config()
+    if transition == "raman":
+        rabi, t_max, groups = 2 * np.pi * 0.017, 260.0, [(Q0,), (Q1,), (G, X)]
+        h = (rabi / 2) * (lop(Q0, Q1) + lop(Q1, Q0))
+        ops = raman_scatter_collapse_ops(cfg) if noisy else []
+    else:
+        rabi, t_max, groups = 2 * np.pi * 6.0, 0.5, [(Q1,), (R,), (B,)]
+        h = (rabi / 2) * (lop(Q1, R) + lop(R, Q1))
+        ops = rydberg_collapse_ops(cfg) if noisy else []
+    rows = np.array(_rabi_rows(h, ops, t_max, n_points, groups))
+    ref = np.array(reference_rabi_rows(h, ops, t_max, n_points, groups))
+    assert rows.shape == ref.shape == (n_points, 4)
+    assert np.max(np.abs(rows - ref)) <= 1e-13
 
 
 @pytest.mark.parametrize("command,config", [

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fsqsim.benchmarking.ramsey import ramsey_envelope_time, simulate_ramsey
+from oracles import reference_ramsey
 
 TWO_PI = 2 * np.pi
 
@@ -41,3 +42,16 @@ def test_mid_circuit_erasure_block_has_no_backaction():
 def test_negative_sigma_rejected():
     with pytest.raises(ValueError):
         simulate_ramsey(-1.0, [1.0])
+
+
+@pytest.mark.parametrize("sigma", [0.0, TWO_PI * 0.053])
+@pytest.mark.parametrize("erasure", [False, True])
+@pytest.mark.parametrize("n_points", [1, 2, 26])
+def test_fringe_arrays_match_per_node_products(sigma, erasure, n_points):
+    # one (nodes x phases) array per wait time against one 6-vector product
+    # per node and closing phase
+    times = np.linspace(0.0, 10.0, n_points)
+    contrast = simulate_ramsey(sigma, times, mid_circuit_erasure=erasure)
+    ref = reference_ramsey(sigma, times, mid_circuit_erasure=erasure)
+    assert contrast.shape == ref.shape == (n_points,)
+    assert np.max(np.abs(contrast - ref)) <= 1e-14

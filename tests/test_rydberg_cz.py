@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -20,7 +21,8 @@ from fsqsim.rydberg import (
     time_optimal_cz,
 )
 from fsqsim.czopt import default_profile
-from oracles import dopri5, ideal_cz_unitary, rk4, two_atom_hamiltonian
+from oracles import (dopri5, ideal_cz_unitary, reference_sector_unitaries,
+                     rk4, two_atom_hamiltonian)
 
 
 def test_hamiltonian_diagonal_at_zero_rabi():
@@ -258,6 +260,85 @@ def test_doubled_steps_move_the_default_gate_below_1e9(monkeypatch):
     monkeypatch.setattr(rydberg, "STEPS_PER_RADIAN",
                         2 * rydberg.STEPS_PER_RADIAN)
     assert np.max(np.abs(headline() - before)) < 1e-9
+
+
+@st.composite
+def _sector_inputs(draw):
+    # a solo profile or a stack, modulated or not, any Rabi frequency down
+    # to 0, a drive detuning, and no detuning pieces, a constant or pieces;
+    # pieces need one gate time, so only a stack without them has two
+    base = default_profile()
+    modulated = draw(st.booleans())
+    members = draw(st.sampled_from([None, 1, 3]))
+    pieces = draw(st.sampled_from([None, 1, 3]))
+    n = 1 if members is None else members
+    scale = st.floats(0.9, 1.1)
+    profiles = [
+        CZPulseProfile(
+            [x * draw(scale) for x in base.theta] if modulated
+            else [0.0, base.theta[1], 0.0, base.theta[3] * draw(scale)],
+            base.t_gate * (draw(scale) if pieces is None and m else 1.0))
+        for m in range(n)
+    ]
+    drive = RydbergDrive(
+        rabi_frequency=draw(st.sampled_from([0.0, 1.0])) * draw(
+            st.floats(0.5, 1.5)) * rydberg.OMEGA_DEFAULT,
+        detuning=draw(st.floats(-5.0, 5.0)),
+        interaction=draw(st.floats(0.2, 1.0)) * rydberg.V_DEFAULT)
+    args = (profiles[0] if members is None else profiles, drive)
+    if pieces is None:
+        return args
+    edges = np.arange(pieces) * base.t_gate / pieces
+    values = np.array([[draw(st.floats(-8.0, 8.0)) for _ in range(pieces)]
+                       for _ in range(n)])
+    return args + (edges, values[0] if members is None else values)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_sector_inputs())
+def test_sector_blocks_match_the_whole_6x6_product(args):
+    # the exchange blocks against CF4:2 on the whole 6x6 sector problem,
+    # the same step count, to rounding
+    u2, u4 = sector_unitaries(*args)
+    r2, r4 = reference_sector_unitaries(*args)
+    assert u2.shape == r2.shape and u4.shape == r4.shape
+    assert np.max(np.abs(u2 - r2)) <= 1e-12
+    assert np.max(np.abs(u4 - r4)) <= 1e-12
+    # the antisymmetric W- neither takes nor gives amplitude, in either
+    # (the whole-6x6 product mixes it by up to 3e-14 through rounding)
+    x = rydberg._EXCHANGE[2:, 2:]
+    dark = rydberg._DARK.start - 2
+    for u in (u4, r4):
+        ux = x @ u @ x.T
+        assert np.max(np.abs(np.abs(ux[..., dark, dark]) - 1.0)) <= 1e-12
+        rest = np.concatenate([np.delete(ux[..., dark, :], dark, axis=-1),
+                               np.delete(ux[..., :, dark], dark, axis=-1)],
+                              axis=-1)
+        assert np.max(np.abs(rest)) <= 1e-12
+
+
+def test_exchange_basis_is_the_swap_eigenbasis():
+    # rows are orthonormal; the one-atom pair is kept, the two-atom states
+    # are symmetric (chain) or antisymmetric (dark) under the atom swap
+    x = rydberg._EXCHANGE
+    assert np.allclose(x @ x.T, np.eye(len(x)), atol=1e-15)
+    sector = list(rydberg._SECTOR)
+    swap = [sector.index(full_index([b, a])) - 2 for a, b in
+            ((Q1, Q1), (Q1, R), (R, Q1), (R, R))]
+    p = np.eye(4)[swap]
+    two = x[2:, 2:]
+    for block, sign in ((rydberg._CHAIN, 1.0), (rydberg._DARK, -1.0)):
+        rows = two[block.start - 2:block.stop - 2]
+        assert np.array_equal(rows @ p.T, sign * rows)
+    assert np.array_equal(x[rydberg._PAIR, rydberg._PAIR], np.eye(2))
+
+
+def test_default_gate_step_count_is_unchanged():
+    # the step count still comes from the 6x6 product-state norm
+    norm = rydberg._sector_parts(RydbergDrive())[0]
+    steps = math.ceil(rydberg.STEPS_PER_RADIAN * norm
+                      * default_profile().t_gate)
+    assert steps == 309
 
 
 def test_detuning_needs_one_gate_time():

@@ -20,6 +20,7 @@ from fsqsim.channels import pair_index
 from fsqsim.cliffords import clifford_group
 from fsqsim.fitting import FitError
 from fsqsim.levels import B, DIM, Q1
+from fsqsim.pulses import rotation
 from oracles import (
     ideal_cz_executor,
     reference_assigned_probs,
@@ -74,6 +75,44 @@ def test_noiseless_return_exhaustive_short_depths(ideal_executor):
             pops = _run_sequence(ideal_executor, seq)
             worst = min(worst, pops[Q1, Q1])
     assert worst > 1 - 1e-9
+
+
+def _recovered_qubit_state(seq):
+    # the ideal two-qubit circuit of ``seq`` from |11>, rebuilt from the
+    # rotation and the CZ, then its recovery
+    group = clifford_group()
+    cz = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
+    psi = np.zeros(4, dtype=complex)
+    psi[3] = 1.0
+    for k, phase in enumerate(seq.phases):
+        if k:
+            psi = cz @ psi
+        r = rotation(np.pi / 2, phase)
+        psi = np.kron(r, r) @ psi
+    if seq.recovery_cz:
+        b1, b2 = (group[i].unitary for i in seq.recovery_pre)
+        psi = cz @ (np.kron(b1, b2) @ psi)
+    u1, u2 = (group[i].unitary for i in seq.recovery_cliffords)
+    return np.kron(u1, u2) @ psi
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 12), st.integers(0, 2**32 - 1))
+def test_recovery_returns_eleven_up_to_phase(n_cz, seed):
+    seq = generate_ssb(n_cz, seed)
+    assert len(seq.phases) == n_cz + 1
+    psi = _recovered_qubit_state(seq)
+    assert abs(abs(psi[3]) - 1.0) <= 1e-12
+    assert np.max(np.abs(psi[:3])) <= 1e-12
+
+
+def test_recovery_takes_both_branches():
+    # a product end state is undone by locals alone; an entangled one needs
+    # the extra CZ, and both occur at two CZs
+    seqs = [generate_ssb(2, seed) for seed in range(20)]
+    assert {s.recovery_cz for s in seqs} == {False, True}
+    for seq in seqs:
+        assert abs(abs(_recovered_qubit_state(seq)[3]) - 1.0) <= 1e-12
 
 
 def test_noiseless_return_sampled_depths(ideal_executor):
