@@ -64,17 +64,19 @@ _EPS = np.finfo(float).eps
 
 
 def _expmv(a, y):
-    """exp(A) y by its Taylor series, with ``a(x)`` = A x: terms A^k y / k!
-    are added until the largest entry of one is within rounding of the
-    largest of the sum (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488
-    (2011)). A NaN stops the series."""
+    """exp(A) y by its Taylor series, with ``a(x)`` = A x as a new array
+    (each term is divided in place): terms A^k y / k! are added until the
+    largest entry of one is within rounding of the largest of the sum
+    (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)). A NaN stops
+    the series."""
     total = y.copy()
     term, k = y, 0
     while True:
         k += 1
-        term = a(term) / k
+        term = a(term)
+        term /= k
         total += term
-        if not np.max(np.abs(term)) > _EPS * np.max(np.abs(total)):
+        if not abs(term).max() > _EPS * abs(total).max():
             return total
 
 
@@ -109,9 +111,11 @@ class CSR:
         self.vals = summed[keep]
 
     def __matmul__(self, y):
-        vals = self.vals.reshape((-1,) + (1,) * (y.ndim - 1))
-        out = np.zeros(self.shape[:1] + y.shape[1:], np.result_type(vals, y))
-        np.add.at(out, self.rows, vals * y[self.cols])
+        # the transposes put the member axis of a 2-d ``y`` first, so the
+        # values broadcast along it; on a 1-d ``y`` they cost nothing
+        prod = (self.vals * y[self.cols].T).T
+        out = np.zeros(self.shape[:1] + y.shape[1:], prod.dtype)
+        np.add.at(out, self.rows, prod)
         return out
 
     def restrict(self, live):
@@ -316,15 +320,16 @@ def cf42_steps(parts, y, phase, duration, n):
     rows = len(y)
     amp, freq, offset, slope = phase
     h = duration / max(n, 1)
+    half = 0.5 * h
     t = h * (np.arange(n)[:, None] + GAUSS_NODES)
     e = np.exp(1j * (amp * np.cos(freq * t + offset) + slope * t))
     for f in (WEIGHT_PLUS * e + WEIGHT_MINUS * e[:, ::-1]).ravel():
         def generator(x, plus=h * f, minus=h * np.conj(f)):
             x = ops @ x
             if len(parts) == 1:
-                return (0.5 * h) * x
-            return (0.5 * h) * x[:rows] + (plus * x[rows:2 * rows]
-                                           + minus * x[2 * rows:])
+                return half * x
+            return half * x[:rows] + (plus * x[rows:2 * rows]
+                                      + minus * x[2 * rows:])
 
         y = _expmv(generator, y)
     return y

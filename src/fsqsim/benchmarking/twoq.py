@@ -9,6 +9,7 @@ to be only weakly sensitive to it.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -96,6 +97,17 @@ class GateExecutor:
         u = embed_qubit_unitary(rotation(np.pi / 2, phase))
         return self.product_unitary(u, u)
 
+    @cached_property
+    def quarter_pulses(self) -> dict:
+        """:meth:`global_pulse` at each of ``QUARTER_PHASES``, keyed by
+        phase and read-only: the SSB's pulses, built at its first sequence.
+        (Bell's analyzer pulses are not kept: each is a 330 KB matrix.)"""
+        pulses = {}
+        for phase in QUARTER_PHASES:
+            pulses[phase] = self.global_pulse(phase)
+            pulses[phase].flags.writeable = False
+        return pulses
+
     # -- states and measurement ------------------------------------------
 
     def initial_state(self) -> np.ndarray:
@@ -121,7 +133,7 @@ class SSBSequence:
     """Random-phase pi/2 / CZ ladder with its computed recovery.
 
     ``phases`` has n_cz + 1 entries (initialization pulse plus one pulse per
-    CZ), all quarter-turn multiples so the circuit stays Clifford. The
+    CZ), each one of ``QUARTER_PHASES`` so the circuit stays Clifford. The
     recovery has the graph-state normal form locals . CZ . locals (the CZ
     and pre-locals are omitted when the final state is already a product):
     executed as ``recovery_pre`` Cliffords, then CZ if ``recovery_cz``, then
@@ -135,6 +147,11 @@ class SSBSequence:
     recovery_cz: bool
     seed: int
     recovery_pre: tuple = (None, None)
+
+    def __post_init__(self):
+        if not set(self.phases) <= set(QUARTER_PHASES):
+            raise ValueError(f"SSB phases must be entries of QUARTER_PHASES, "
+                             f"got {self.phases}")
 
 
 def _ideal_qubit_state(phases, n_cz):
@@ -221,11 +238,12 @@ def generate_ssb(n_cz: int, seed: int) -> SSBSequence:
 
 def _run_sequence(executor: GateExecutor, seq: SSBSequence) -> np.ndarray:
     group = clifford_group()
+    pulses = executor.quarter_pulses
     v = executor.initial_state()
-    v = executor.global_pulse(seq.phases[0]) @ v
+    v = pulses[seq.phases[0]] @ v
     for k in range(seq.n_cz):
         v = executor.apply_cz(v)
-        v = executor.global_pulse(seq.phases[k + 1]) @ v
+        v = pulses[seq.phases[k + 1]] @ v
     if seq.recovery_cz:
         if seq.recovery_pre[0] is not None:
             b1 = embed_qubit_unitary(group[seq.recovery_pre[0]].unitary)
@@ -301,6 +319,26 @@ def run_ssb(
     budget, where sampling noise would only obscure the comparison). The
     noise config is the executor's own.
     """
+    n_cz_list = tuple(int(n) for n in n_cz_list)
+    rng = np.random.default_rng(seed)
+    return _run_ssb(executor, n_cz_list, n_seq, shots, rng,
+                    _ssb_sequences(n_cz_list, n_seq, rng))
+
+
+def _ssb_sequences(n_cz_list, n_seq, rng):
+    """The sequences :func:`run_ssb` runs, in its order, generated lazily:
+    each draws its seed from ``rng`` only when it is reached, so at shots > 0
+    the seeds interleave with the shot draws. At shots=0 they are the only
+    draws, so a list of them from a fresh ``default_rng(seed)`` can be run
+    on any number of executors."""
+    for n_cz in n_cz_list:
+        for _ in range(n_seq):
+            yield generate_ssb(n_cz, seed=int(rng.integers(2**31)))
+
+
+def _run_ssb(executor, n_cz_list, n_seq, shots, rng, sequences) -> SSBResult:
+    """:func:`run_ssb` on the given ``sequences`` (n_seq per entry of the
+    tuple ``n_cz_list``); ``rng`` draws the shots."""
     if n_seq < 2:
         raise ValueError(f"n_sequences must be at least 2 for a standard "
                          f"error of the mean, got {n_seq}")
@@ -312,15 +350,13 @@ def run_ssb(
 
         erasure_tp, erasure_fp = erasure_operating_point()
 
-    n_cz_list = tuple(int(n) for n in n_cz_list)
     cols = {k: np.zeros((len(n_cz_list), n_seq)) for k in
             ("p11_raw", "p11_loss", "p11_erasure")}
     retention = []
-    rng = np.random.default_rng(seed)
-    for li, n_cz in enumerate(n_cz_list):
+    sequences = iter(sequences)
+    for li in range(len(n_cz_list)):
         for si in range(n_seq):
-            seq = generate_ssb(n_cz, seed=int(rng.integers(2**31)))
-            pops = _run_sequence(executor, seq)
+            pops = _run_sequence(executor, next(sequences))
             stats = _ssb_statistics(pops, erasure_tp, erasure_fp)
             retention.append(stats["retention_loss"])
             if shots:
@@ -441,6 +477,14 @@ def bell_protocol(
     state-resolved detection channel plus the sequence survival factor. The
     noise config is the executor's own.
     """
+    outcomes = _bell_outcomes(phases, shots, seed, executor)
+    return _bell_result(phases, shots, outcomes, loss_excision)
+
+
+def _bell_outcomes(phases, shots, seed, executor):
+    """Outcome frequencies (sampled from ``seed``, or exact at shots=0) of
+    the population setting, then of each analyzer phase: what
+    :func:`bell_protocol` reads for either ``loss_excision``."""
     phases = np.asarray(phases, dtype=float)
     if np.ptp(phases) < np.pi:
         raise ValueError("analyzer phases must cover at least one pi period")
@@ -451,17 +495,24 @@ def bell_protocol(
 
     readout = IDEAL_READOUT if noise is None else _srd_readout()
 
-    def sampled(probs_dict, n):
-        keys = list(probs_dict)
-        pr = np.clip([probs_dict[k] for k in keys], 0, None)
+    def sampled(v):
+        probs = _joint_outcomes(executor.populations(v), readout)
+        keys = list(probs)
+        pr = np.clip([probs[k] for k in keys], 0, None)
         pr = pr / pr.sum()
-        if n:
-            counts = rng.multinomial(n, pr)
-            return dict(zip(keys, counts / n))
+        if shots:
+            counts = rng.multinomial(shots, pr)
+            return dict(zip(keys, counts / shots))
         return dict(zip(keys, pr))
 
-    # population setting
-    meas = sampled(_joint_outcomes(executor.populations(bell), readout), shots)
+    return [sampled(bell)] + [sampled(executor.global_pulse(phi) @ bell)
+                              for phi in phases]
+
+
+def _bell_result(phases, shots, outcomes, loss_excision) -> BellResult:
+    """:func:`bell_protocol`'s analysis of its ``outcomes``."""
+    phases = np.asarray(phases, dtype=float)
+    meas, fringe = outcomes[0], outcomes[1:]
     if loss_excision:
         kept = 1.0 - meas["loss"]
         p00 = meas["00"] / kept
@@ -470,12 +521,9 @@ def bell_protocol(
         p00, p11 = meas["00"], meas["11"]
     retention = 1.0 - meas["loss"]
 
-    # parity fringe
     parities = np.zeros(len(phases))
     sems = np.zeros(len(phases))
-    for i, phi in enumerate(phases):
-        v = executor.global_pulse(phi) @ bell
-        m = sampled(_joint_outcomes(executor.populations(v), readout), shots)
+    for i, m in enumerate(fringe):
         kept = (1.0 - m["loss"]) if loss_excision else 1.0
         parities[i] = (m["00"] + m["11"] - m["01"] - m["10"]) / kept
         sems[i] = max(1.0 / np.sqrt(shots), 1e-6) if shots else 1e-6

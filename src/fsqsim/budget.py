@@ -11,7 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .benchmarking.twoq import KEPT_LEVELS, GateExecutor, run_ssb
+from .benchmarking.twoq import (
+    KEPT_LEVELS,
+    GateExecutor,
+    _run_ssb,
+    _ssb_sequences,
+)
 from .channels import LOCAL_PAIRS, conjugation_on_pairs, pair_index
 from .czopt import default_profile
 from .levels import DIM, Q0, Q1, QUBIT_LEVELS, X
@@ -124,27 +129,15 @@ def corrected_process_infidelity_from_executor(executor: GateExecutor) -> float:
     return 1.0 - favg
 
 
-def ssb_infidelities_from_executor(
-    executor: GateExecutor,
-    n_cz_list=(2, 4, 6),
-    n_seq: int = 32,
-    seed: int = 12,
-):
-    """(raw, loss-corrected) infidelity from a shot-noise-free SSB decay."""
-    res = run_ssb(n_cz_list, n_seq, shots=0, seed=seed, executor=executor)
-    return 1.0 - res.fit_raw.fidelity, 1.0 - res.fit_loss.fidelity
-
-
-def _entry(name: str, executor: GateExecutor, n_cz_list, n_seq, seed) -> BudgetEntry:
-    raw_ssb, cor_ssb = ssb_infidelities_from_executor(
-        executor, n_cz_list, n_seq, seed
-    )
+def _entry(name: str, executor: GateExecutor, n_cz_list, n_seq,
+           sequences) -> BudgetEntry:
+    res = _run_ssb(executor, n_cz_list, n_seq, 0, None, sequences)
     return BudgetEntry(
         name=name,
         raw_process=process_infidelity_from_executor(executor),
-        raw_ssb=raw_ssb,
+        raw_ssb=1.0 - res.fit_raw.fidelity,
         corrected_process=corrected_process_infidelity_from_executor(executor),
-        corrected_ssb=cor_ssb,
+        corrected_ssb=1.0 - res.fit_loss.fidelity,
     )
 
 
@@ -161,14 +154,19 @@ def error_budget(
     for s in sources:
         if s not in BUDGET_SOURCES:
             raise ValueError(f"unknown error source {s!r}")
+    # shot-noise-free, so run_ssb would draw nothing but these sequences'
+    # seeds: generate them once and run them on every executor
+    n_cz_list = tuple(int(n) for n in n_cz_list)
+    sequences = list(_ssb_sequences(n_cz_list, n_seq,
+                                    np.random.default_rng(seed)))
     entries = []
     for name in sources:
         executor = GateExecutor(
             profile, drive, config.only(name), dephasing_nodes=DEPHASING_NODES
         )
-        entries.append(_entry(name, executor, n_cz_list, n_seq, seed))
+        entries.append(_entry(name, executor, n_cz_list, n_seq, sequences))
     combined = GateExecutor(
         profile, drive, config.only(*sources), dephasing_nodes=DEPHASING_NODES
     )
-    total = _entry("total", combined, n_cz_list, n_seq, seed)
+    total = _entry("total", combined, n_cz_list, n_seq, sequences)
     return BudgetReport(entries=tuple(entries), total=total, sources=tuple(sources))

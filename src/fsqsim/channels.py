@@ -71,9 +71,8 @@ def channel_on_pairs(
     rows = np.array([p[0] for p in pairs])
     cols = np.array([p[1] for p in pairs])
     m = out[:, rows, cols].T.copy()
-    residual = out.copy()
-    residual[:, rows, cols] = 0.0
-    leak = float(np.max(np.abs(residual)))
+    out[:, rows, cols] = 0.0  # what is left is the residual
+    leak = float(np.max(np.abs(out)))
     if leak > PAIR_LEAK_TOL:
         raise ValueError(
             f"operator subspace is not closed (leak {leak:.2e}); "

@@ -269,18 +269,17 @@ def run_ssb_cmd(ctx, n_cz, n_sequences, noiseless):
 
 @protocol("bell", n_phases=16, noiseless=False)
 def run_bell_cmd(ctx, n_phases, noiseless):
-    from .benchmarking.twoq import GateExecutor, bell_protocol
+    from .benchmarking.twoq import GateExecutor, _bell_outcomes, _bell_result
     from .czopt import default_profile
     from .rydberg import RydbergDrive
 
     noise = None if noiseless else ctx.noise
     phases = np.linspace(0, 2 * np.pi, n_phases, endpoint=False)
     executor = GateExecutor(default_profile(), RydbergDrive(), noise)
-    results = {}
-    for tag, excise in (("raw", False), ("excised", True)):
-        r = bell_protocol(phases, ctx.shots, loss_excision=excise,
-                          seed=ctx.seed, executor=executor)
-        results[tag] = r
+    # both variants read the same draws, as two bell_protocol calls would
+    outcomes = _bell_outcomes(phases, ctx.shots, ctx.seed, executor)
+    results = {tag: _bell_result(phases, ctx.shots, outcomes, excise)
+               for tag, excise in (("raw", False), ("excised", True))}
     ctx.emit(
         "bell_summary",
         ["variant", "p00", "p11", "contrast", "fidelity", "fidelity_err",

@@ -6,6 +6,7 @@ _per_ms) because unit slips are the dominant failure mode of this kind of
 artifact.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -254,6 +255,9 @@ _FIELD_KEYS = {
 
 
 def noise_config_to_text(config: NoiseConfig) -> str:
+    # a line left out would read back as the default, not as unset
+    spinflip = math.nan if config.raman_spinflip is None \
+        else config.raman_spinflip
     lines = [
         "# noise configuration; all fields optional",
         f"tau_bright_us = {config.tau_bright!r}",
@@ -267,7 +271,7 @@ def noise_config_to_text(config: NoiseConfig) -> str:
         f"rydberg_dephasing_rate_per_us = {config.rydberg_dephasing_rate!r}",
         f"raman_scatter_g_per_us = {config.raman_scatter_g!r}",
         f"raman_leak_x_per_us = {config.raman_leak_x!r}",
-        f"raman_spinflip_per_us = {config.raman_spinflip_rate!r}",
+        f"raman_spinflip_per_us = {spinflip!r}",
         f"state_prep_error = {config.state_prep_error!r}",
         f"clock_rabi_MHz = {config.clock_rabi / TWO_PI!r}",
         f"clock_dephasing_per_ms = {config.clock_dephasing * 1e3!r}",
@@ -299,7 +303,9 @@ def read_key_values(text: str, keys) -> dict:
 
 
 def noise_config_from_text(text: str) -> NoiseConfig:
-    """Parse a key-value document; unknown keys are rejected."""
+    """Parse a key-value document; unknown keys are rejected. A
+    ``raman_spinflip_per_us`` of nan leaves the rate unset (derived from
+    ``raman_scatter_g``)."""
     kv = read_key_values(text, _FIELD_KEYS)
     kwargs = {}
     branching = dict(DEFAULT_BRANCHING)
@@ -309,6 +315,8 @@ def noise_config_from_text(text: str) -> NoiseConfig:
             kwargs["clock_rabi"] = TWO_PI * val
         elif key == "clock_dephasing_per_ms":
             kwargs["clock_dephasing"] = val * 1e-3
+        elif target == "raman_spinflip" and math.isnan(val):
+            kwargs[target] = None
         elif isinstance(target, tuple):
             branching[target[1]] = val
         else:

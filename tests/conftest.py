@@ -1,3 +1,6 @@
+# fsqsim before numpy, so that the suite runs on one OpenBLAS thread as
+# an fsqsim process does
+import fsqsim  # noqa: F401
 import numpy as np
 import pytest
 

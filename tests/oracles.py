@@ -9,7 +9,8 @@ assignment, the Clifford lookup as a linear scan, the Bell readout as
 per-level loops, a process fidelity through the inverse of a generic ideal
 map, the Rydberg sector propagator on the whole 6x6 problem, a Rabi series
 as chained state evolutions, the Ramsey fringe as per-node vector
-products), or an API only the tests exercise (Raman pulses read through a
+products, the error budget with each executor generating its own SSB
+sequences), or an API only the tests exercise (Raman pulses read through a
 virtual-Z frame object, the ideal CZ and an executor built on it). Tests
 import them as ``from oracles import ...``.
 """
@@ -21,12 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fsqsim import rydberg
+from fsqsim import budget, rydberg
 from fsqsim._kernels._lindblad_py import (GAUSS_NODES, WEIGHT_MINUS,
                                          WEIGHT_PLUS)
 from fsqsim.assembly import EXCLUSION_RADIUS, GRID_X_SPACING, Move, MovePlan
 from fsqsim.benchmarking.ramsey import RAMSEY_NODES, RAMSEY_PHASES
-from fsqsim.benchmarking.twoq import SEQUENCE_SURVIVAL, GateExecutor
+from fsqsim.benchmarking.twoq import SEQUENCE_SURVIVAL, GateExecutor, run_ssb
 from fsqsim.channels import conjugation_on_pairs
 from fsqsim.cliffords import clifford_group, equal_up_to_phase
 from fsqsim.czopt import default_profile
@@ -351,6 +352,39 @@ def ideal_cz_executor():
     ex = GateExecutor(default_profile(), RydbergDrive(), None)
     ex.cz = conjugation_on_pairs(ideal_cz_unitary(), ex.pairs)
     return ex
+
+
+def ssb_infidelities_from_executor(executor, n_cz_list=(2, 4, 6), n_seq=32,
+                                   seed=12):
+    """(raw, loss-corrected) infidelity from a shot-noise-free SSB decay that
+    generates its own sequences."""
+    res = run_ssb(n_cz_list, n_seq, shots=0, seed=seed, executor=executor)
+    return 1.0 - res.fit_raw.fidelity, 1.0 - res.fit_loss.fidelity
+
+
+def reference_error_budget(config, sources=budget.CZ_SOURCES):
+    """``budget.error_budget`` at its default sequences, each executor
+    generating the SSB sequences anew."""
+    profile, drive = default_profile(), RydbergDrive()
+
+    def entry(name, noise):
+        ex = GateExecutor(profile, drive, noise,
+                          dephasing_nodes=budget.DEPHASING_NODES)
+        raw_ssb, cor_ssb = ssb_infidelities_from_executor(ex)
+        return budget.BudgetEntry(
+            name=name,
+            raw_process=budget.process_infidelity_from_executor(ex),
+            raw_ssb=raw_ssb,
+            corrected_process=(
+                budget.corrected_process_infidelity_from_executor(ex)),
+            corrected_ssb=cor_ssb,
+        )
+
+    return budget.BudgetReport(
+        entries=tuple(entry(name, config.only(name)) for name in sources),
+        total=entry("total", config.only(*sources)),
+        sources=tuple(sources),
+    )
 
 
 def _ideal_assignment(level):

@@ -10,13 +10,13 @@ from fsqsim.budget import (
     error_budget,
     reference_budget_config,
     process_infidelity_from_executor,
-    ssb_infidelities_from_executor,
 )
 from fsqsim.channels import (CHOI_TOL, TP_TOL, channel_superoperator,
                              cptp_defects)
 from fsqsim.levels import DIM, Q0, Q1
 from fsqsim.noise import (NoiseConfig, gate_collapse_ops,
                           raman_scatter_collapse_ops, rydberg_collapse_ops)
+from oracles import reference_error_budget, ssb_infidelities_from_executor
 
 
 def test_all_sources_off_gives_zero(noiseless_executor):
@@ -59,6 +59,13 @@ def test_budget_routes_agree(budget_report):
 
 def test_budget_additivity(budget_report):
     assert budget_report.additivity_defect() < 0.15
+
+
+def test_budget_shares_its_sequences_bit_for_bit(budget_report,
+                                                 reference_config):
+    # error_budget generates its shot-noise-free SSB sequences once for all
+    # executors; each executor generating them anew gives the same report
+    assert budget_report == reference_error_budget(reference_config)
 
 
 def test_collapse_channels_are_cptp(reference_config, drive):

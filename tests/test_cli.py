@@ -257,6 +257,30 @@ def test_subcommand_loads_only_its_protocol_module(tmp_path, command, config,
     assert loaded == {"fsqsim.benchmarking", f"fsqsim.benchmarking.{module}"}
 
 
+@pytest.mark.parametrize("setting,threads", [(None, 1), ("2", 2)])
+def test_fsqsim_process_defaults_to_one_blas_thread(setting, threads):
+    # a process that imports fsqsim before numpy loads OpenBLAS with one
+    # thread, unless OPENBLAS_NUM_THREADS says otherwise; the count is read
+    # from the library as the benchmark records it
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    env.pop("OPENBLAS_NUM_THREADS", None)  # importing fsqsim here set it
+    if setting is not None:
+        env["OPENBLAS_NUM_THREADS"] = setting
+    code = ("import sys\n"
+            "import fsqsim, numpy\n"
+            f"sys.path.insert(0, {str(ROOT / 'perfbench')!r})\n"
+            "from round import blas_threads\n"
+            "print(blas_threads())\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    read = proc.stdout.split()[-1]
+    if read == "None":
+        pytest.skip("no OpenBLAS thread-count symbol in this numpy")
+    assert int(read) == threads
+
+
 def test_format_json_mirrors_tables(tmp_path):
     rc, out = run_cli(tmp_path, "ramsey", "ramsey.ini",
                       extra=("--format", "json"))

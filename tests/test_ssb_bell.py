@@ -5,6 +5,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fsqsim.benchmarking.twoq import (
+    QUARTER_PHASES,
+    _bell_outcomes,
+    _bell_result,
     _joint_outcomes,
     _run_sequence,
     _bell_state_vector,
@@ -20,7 +23,7 @@ from fsqsim.channels import pair_index
 from fsqsim.cliffords import clifford_group
 from fsqsim.fitting import FitError
 from fsqsim.levels import B, DIM, Q1
-from fsqsim.pulses import rotation
+from fsqsim.pulses import embed_qubit_unitary, rotation
 from oracles import (
     ideal_cz_executor,
     reference_assigned_probs,
@@ -299,6 +302,33 @@ def test_separable_state_bell_fidelity_bounded(cz_profile, drive):
     phases = np.linspace(0, 2 * np.pi, 16, endpoint=False)
     res = bell_protocol(phases, shots=0, executor=ex)
     assert res.fidelity <= 0.5 + 1e-9
+
+
+def test_bell_variants_share_one_draw(reference_executor):
+    # the CLI samples the outcomes once for both variants: each reads what
+    # its own bell_protocol call, drawing from the same seed, reads
+    phases = np.linspace(0, 2 * np.pi, 16, endpoint=False)
+    for shots in (0, 2000):
+        outcomes = _bell_outcomes(phases, shots, 5, reference_executor)
+        for excise in (False, True):
+            assert _bell_result(phases, shots, outcomes, excise) == \
+                bell_protocol(phases, shots, loss_excision=excise, seed=5,
+                              executor=reference_executor)
+
+
+def test_quarter_pulses_are_read_only_global_pulses(reference_executor):
+    pulses = reference_executor.quarter_pulses
+    assert list(pulses) == list(QUARTER_PHASES)
+    for phase, m in pulses.items():
+        u = embed_qubit_unitary(rotation(np.pi / 2, phase))
+        assert np.array_equal(m, reference_executor.product_unitary(u, u))
+        assert not m.flags.writeable
+    assert reference_executor.quarter_pulses is pulses  # built once
+    from fsqsim.benchmarking.twoq import SSBSequence
+
+    with pytest.raises(ValueError, match="QUARTER_PHASES"):  # no pulse kept
+        SSBSequence(n_cz=0, phases=(2 * np.pi,), recovery_cliffords=(0, 0),
+                    recovery_cz=False, seed=0)
 
 
 def test_bell_paper_calibrated(reference_executor):
