@@ -9,7 +9,7 @@ to be only weakly sensitive to it.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache
 
 import numpy as np
 
@@ -38,11 +38,45 @@ QUARTER_PHASES = (0.0, np.pi / 2, np.pi, 3 * np.pi / 2)
 KEPT_LEVELS = (Q0, Q1, X)  # valid computational states for loss correction
 
 
+def product_unitary(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    """Pair-basis matrix of rho -> (u1 x u2) rho (u1 x u2)^dag."""
+    return conjugation_on_pairs(np.kron(u1, u2), gate_pair_basis())
+
+
+def _global_pulse(phase):
+    u = embed_qubit_unitary(rotation(np.pi / 2, phase))
+    return product_unitary(u, u)
+
+
+@cache
+def quarter_pulse(phase: float) -> np.ndarray:
+    """:meth:`GateExecutor.global_pulse` at an entry of ``QUARTER_PHASES``:
+    an SSB pulse, read-only and built once per process for every executor.
+    (Bell's analyzer pulses are not kept: each is a 330 KB matrix.)"""
+    m = _global_pulse(phase)
+    m.flags.writeable = False
+    return m
+
+
+@cache
+def recovery_pulse(c1: int, c2: int) -> np.ndarray:
+    """Pair-basis matrix of the Cliffords with indices ``c1`` and ``c2`` in
+    ``clifford_group()`` on atoms 1 and 2: an SSB recovery pulse, read-only
+    and built once per process for every executor."""
+    group = clifford_group()
+    m = product_unitary(embed_qubit_unitary(group[c1].unitary),
+                        embed_qubit_unitary(group[c2].unitary))
+    m.flags.writeable = False
+    return m
+
+
 class GateExecutor:
     """Pair-basis circuit simulator around one calibrated CZ gate channel.
 
     ``cz`` is the gate's pair-basis matrix: the channel, then its
-    single-qubit phase correction."""
+    single-qubit phase correction. The pulses do not depend on the channel;
+    the SSB's are shared by every executor (:func:`quarter_pulse`,
+    :func:`recovery_pulse`)."""
 
     def __init__(
         self,
@@ -58,7 +92,7 @@ class GateExecutor:
         channel = self._build_cz_channel(dephasing_nodes)
         check_cptp(channel, self.pairs, 2, (Q0, Q1, R), "the CZ gate channel")
         z = embed_qubit_unitary(virtual_z_equivalent(profile.phi_sq))
-        self.cz = self.product_unitary(z, z) @ channel
+        self.cz = product_unitary(z, z) @ channel
 
     # -- channel construction -------------------------------------------
 
@@ -87,36 +121,12 @@ class GateExecutor:
             ]
         return sum(w * m for w, m in zip(weights, maps))
 
-    def product_unitary(self, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
-        """Pair-basis matrix of rho -> (u1 x u2) rho (u1 x u2)^dag."""
-        return conjugation_on_pairs(np.kron(u1, u2), self.pairs)
-
     def global_pulse(self, phase: float) -> np.ndarray:
         """Pair-basis matrix of a pi/2 pulse of laser phase ``phase`` on both
         atoms."""
-        u = embed_qubit_unitary(rotation(np.pi / 2, phase))
-        return self.product_unitary(u, u)
+        return _global_pulse(phase)
 
-    @cached_property
-    def quarter_pulses(self) -> dict:
-        """:meth:`global_pulse` at each of ``QUARTER_PHASES``, keyed by
-        phase and read-only: the SSB's pulses, built at its first sequence.
-        (Bell's analyzer pulses are not kept: each is a 330 KB matrix.)"""
-        pulses = {}
-        for phase in QUARTER_PHASES:
-            pulses[phase] = self.global_pulse(phase)
-            pulses[phase].flags.writeable = False
-        return pulses
-
-    # -- states and measurement ------------------------------------------
-
-    def initial_state(self) -> np.ndarray:
-        v = np.zeros(len(self.pairs), dtype=complex)
-        v[pair_index((Q1, Q1), (Q1, Q1))] = 1.0
-        return v
-
-    def apply_cz(self, v: np.ndarray) -> np.ndarray:
-        return self.cz @ v
+    # -- measurement ----------------------------------------------------
 
     def populations(self, v: np.ndarray) -> np.ndarray:
         """(6, 6) array of joint level populations: ``v`` as a 12 x 12 array
@@ -237,22 +247,17 @@ def generate_ssb(n_cz: int, seed: int) -> SSBSequence:
 
 
 def _run_sequence(executor: GateExecutor, seq: SSBSequence) -> np.ndarray:
-    group = clifford_group()
-    pulses = executor.quarter_pulses
-    v = executor.initial_state()
-    v = pulses[seq.phases[0]] @ v
+    v = np.zeros(len(executor.pairs), dtype=complex)
+    v[pair_index((Q1, Q1), (Q1, Q1))] = 1.0
+    v = quarter_pulse(seq.phases[0]) @ v
     for k in range(seq.n_cz):
-        v = executor.apply_cz(v)
-        v = pulses[seq.phases[k + 1]] @ v
+        v = executor.cz @ v
+        v = quarter_pulse(seq.phases[k + 1]) @ v
     if seq.recovery_cz:
         if seq.recovery_pre[0] is not None:
-            b1 = embed_qubit_unitary(group[seq.recovery_pre[0]].unitary)
-            b2 = embed_qubit_unitary(group[seq.recovery_pre[1]].unitary)
-            v = executor.product_unitary(b1, b2) @ v
-        v = executor.apply_cz(v)
-    u1 = embed_qubit_unitary(group[seq.recovery_cliffords[0]].unitary)
-    u2 = embed_qubit_unitary(group[seq.recovery_cliffords[1]].unitary)
-    v = executor.product_unitary(u1, u2) @ v
+            v = recovery_pulse(*seq.recovery_pre) @ v
+        v = executor.cz @ v
+    v = recovery_pulse(*seq.recovery_cliffords) @ v
     return executor.populations(v)
 
 
@@ -317,28 +322,10 @@ def run_ssb(
     Shot noise is binomial around the exact simulated probabilities; with
     shots=0 the exact probabilities are fitted directly (used by the error
     budget, where sampling noise would only obscure the comparison). The
-    noise config is the executor's own.
+    noise config is the executor's own. At shots=0 the sequence seeds are
+    the only draws from ``seed``, so every executor runs the same sequences.
     """
     n_cz_list = tuple(int(n) for n in n_cz_list)
-    rng = np.random.default_rng(seed)
-    return _run_ssb(executor, n_cz_list, n_seq, shots, rng,
-                    _ssb_sequences(n_cz_list, n_seq, rng))
-
-
-def _ssb_sequences(n_cz_list, n_seq, rng):
-    """The sequences :func:`run_ssb` runs, in its order, generated lazily:
-    each draws its seed from ``rng`` only when it is reached, so at shots > 0
-    the seeds interleave with the shot draws. At shots=0 they are the only
-    draws, so a list of them from a fresh ``default_rng(seed)`` can be run
-    on any number of executors."""
-    for n_cz in n_cz_list:
-        for _ in range(n_seq):
-            yield generate_ssb(n_cz, seed=int(rng.integers(2**31)))
-
-
-def _run_ssb(executor, n_cz_list, n_seq, shots, rng, sequences) -> SSBResult:
-    """:func:`run_ssb` on the given ``sequences`` (n_seq per entry of the
-    tuple ``n_cz_list``); ``rng`` draws the shots."""
     if n_seq < 2:
         raise ValueError(f"n_sequences must be at least 2 for a standard "
                          f"error of the mean, got {n_seq}")
@@ -350,13 +337,14 @@ def _run_ssb(executor, n_cz_list, n_seq, shots, rng, sequences) -> SSBResult:
 
         erasure_tp, erasure_fp = erasure_operating_point()
 
+    rng = np.random.default_rng(seed)
     cols = {k: np.zeros((len(n_cz_list), n_seq)) for k in
             ("p11_raw", "p11_loss", "p11_erasure")}
     retention = []
-    sequences = iter(sequences)
-    for li in range(len(n_cz_list)):
+    for li, n_cz in enumerate(n_cz_list):
         for si in range(n_seq):
-            pops = _run_sequence(executor, next(sequences))
+            seq = generate_ssb(n_cz, seed=int(rng.integers(2**31)))
+            pops = _run_sequence(executor, seq)
             stats = _ssb_statistics(pops, erasure_tp, erasure_fp)
             retention.append(stats["retention_loss"])
             if shots:
@@ -420,7 +408,7 @@ def _bell_state_vector(executor: GateExecutor, eps_sp: float = 0.0) -> np.ndarra
     local[LOCAL_PAIRS.index((G, G))] = eps_sp
     v = np.kron(local, local)
     v = executor.global_pulse(0.0) @ v
-    v = executor.apply_cz(v)
+    v = executor.cz @ v
     v = executor.global_pulse(BELL_SECOND_PHASE) @ v
     return v
 
@@ -455,36 +443,26 @@ def _joint_outcomes(pops: np.ndarray, readout: np.ndarray):
             "loss": 1.0 - (p00 + p01 + p10 + p11)}
 
 
-def _assigned_probs(pops: np.ndarray):
-    """(p00, p01, p10, p11, loss) under the ideal readout assignment."""
-    return _joint_outcomes(pops, IDEAL_READOUT)
-
-
 def bell_protocol(
     phases,
     shots: int,
-    loss_excision: bool = False,
     seed: int = 0,
     *,
     executor: GateExecutor,
-) -> BellResult:
-    """Bell-state generation and parity-oscillation analysis.
+) -> dict:
+    """Bell-state generation and parity-oscillation analysis, raw and
+    loss-excised: ``{"raw": BellResult, "excised": BellResult}``.
 
     Populations come from one measurement setting without the analyzer; the
     parity fringe is fitted with period pi over the scanned analyzer phases.
-    F = (P00 + P11)/2 + C/2. With a noise config, state preparation leaves
-    each atom in g with probability eps_sp and readout goes through the
+    F = (P00 + P11)/2 + C/2. The outcome frequencies of every setting are
+    sampled once from ``seed`` (exact at shots=0), and both variants analyse
+    the same draws; the excised one renormalizes each setting by the shots
+    that kept both atoms. With a noise config, state preparation leaves each
+    atom in g with probability eps_sp and readout goes through the
     state-resolved detection channel plus the sequence survival factor. The
     noise config is the executor's own.
     """
-    outcomes = _bell_outcomes(phases, shots, seed, executor)
-    return _bell_result(phases, shots, outcomes, loss_excision)
-
-
-def _bell_outcomes(phases, shots, seed, executor):
-    """Outcome frequencies (sampled from ``seed``, or exact at shots=0) of
-    the population setting, then of each analyzer phase: what
-    :func:`bell_protocol` reads for either ``loss_excision``."""
     phases = np.asarray(phases, dtype=float)
     if np.ptp(phases) < np.pi:
         raise ValueError("analyzer phases must cover at least one pi period")
@@ -505,15 +483,16 @@ def _bell_outcomes(phases, shots, seed, executor):
             return dict(zip(keys, counts / shots))
         return dict(zip(keys, pr))
 
-    return [sampled(bell)] + [sampled(executor.global_pulse(phi) @ bell)
-                              for phi in phases]
+    meas = sampled(bell)
+    fringe = [sampled(executor.global_pulse(phi) @ bell) for phi in phases]
+    return {tag: _bell_result(phases, shots, meas, fringe, excise)
+            for tag, excise in (("raw", False), ("excised", True))}
 
 
-def _bell_result(phases, shots, outcomes, loss_excision) -> BellResult:
-    """:func:`bell_protocol`'s analysis of its ``outcomes``."""
-    phases = np.asarray(phases, dtype=float)
-    meas, fringe = outcomes[0], outcomes[1:]
-    if loss_excision:
+def _bell_result(phases, shots, meas, fringe, excise) -> BellResult:
+    """The analysis of :func:`bell_protocol`'s outcome frequencies ``meas``
+    (no analyzer) and ``fringe`` (one per analyzer phase)."""
+    if excise:
         kept = 1.0 - meas["loss"]
         p00 = meas["00"] / kept
         p11 = meas["11"] / kept
@@ -524,7 +503,7 @@ def _bell_result(phases, shots, outcomes, loss_excision) -> BellResult:
     parities = np.zeros(len(phases))
     sems = np.zeros(len(phases))
     for i, m in enumerate(fringe):
-        kept = (1.0 - m["loss"]) if loss_excision else 1.0
+        kept = (1.0 - m["loss"]) if excise else 1.0
         parities[i] = (m["00"] + m["11"] - m["01"] - m["10"]) / kept
         sems[i] = max(1.0 / np.sqrt(shots), 1e-6) if shots else 1e-6
     contrast, delta, _, c_err = fit_sinusoid_fixed_period(

@@ -11,12 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .benchmarking.twoq import (
-    KEPT_LEVELS,
-    GateExecutor,
-    _run_ssb,
-    _ssb_sequences,
-)
+from .benchmarking.twoq import KEPT_LEVELS, GateExecutor, run_ssb
 from .channels import LOCAL_PAIRS, conjugation_on_pairs, pair_index
 from .czopt import default_profile
 from .levels import DIM, Q0, Q1, QUBIT_LEVELS, X
@@ -130,8 +125,8 @@ def corrected_process_infidelity_from_executor(executor: GateExecutor) -> float:
 
 
 def _entry(name: str, executor: GateExecutor, n_cz_list, n_seq,
-           sequences) -> BudgetEntry:
-    res = _run_ssb(executor, n_cz_list, n_seq, 0, None, sequences)
+           seed) -> BudgetEntry:
+    res = run_ssb(n_cz_list, n_seq, 0, seed, executor=executor)
     return BudgetEntry(
         name=name,
         raw_process=process_infidelity_from_executor(executor),
@@ -154,19 +149,15 @@ def error_budget(
     for s in sources:
         if s not in BUDGET_SOURCES:
             raise ValueError(f"unknown error source {s!r}")
-    # shot-noise-free, so run_ssb would draw nothing but these sequences'
-    # seeds: generate them once and run them on every executor
-    n_cz_list = tuple(int(n) for n in n_cz_list)
-    sequences = list(_ssb_sequences(n_cz_list, n_seq,
-                                    np.random.default_rng(seed)))
+    # shot-noise-free, so every executor runs the same sequences
     entries = []
     for name in sources:
         executor = GateExecutor(
             profile, drive, config.only(name), dephasing_nodes=DEPHASING_NODES
         )
-        entries.append(_entry(name, executor, n_cz_list, n_seq, sequences))
+        entries.append(_entry(name, executor, n_cz_list, n_seq, seed))
     combined = GateExecutor(
         profile, drive, config.only(*sources), dephasing_nodes=DEPHASING_NODES
     )
-    total = _entry("total", combined, n_cz_list, n_seq, sequences)
+    total = _entry("total", combined, n_cz_list, n_seq, seed)
     return BudgetReport(entries=tuple(entries), total=total, sources=tuple(sources))

@@ -35,7 +35,8 @@ CONFIG_KEYS = {}
 def protocol(name, **keys):
     """Register a subcommand and declare its config keys with their
     defaults. ``main`` rejects any other key in the section, parses each
-    value like its default (see ``_value``) and passes it by keyword."""
+    value like its default (see ``_value``) and passes it by keyword. The
+    default ``float`` declares an optional number, None when absent."""
     def wrap(fn):
         PROTOCOLS[name] = fn
         CONFIG_KEYS[name] = keys
@@ -91,19 +92,28 @@ def _bool(s):
     raise ConfigError(f"not a boolean: {s!r}")
 
 
-def _value(raw, default):
-    """The config string ``raw`` (None when the key is absent) parsed like
-    ``default``: a bool, int or float; a tuple of ints, given as a list;
-    or, for a None default, the raw string the subcommand converts."""
+_KINDS = {bool: "a boolean", int: "an integer", float: "a number",
+          tuple: "a list of integers"}
+
+
+def _value(raw, default, key, section):
+    """The config string ``raw`` of ``key`` in ``[section]`` (None when the
+    key is absent) parsed like ``default``: a bool, int or float; a tuple
+    of ints, given as a list; for ``float``, a number or None; or, for a
+    None default, the raw string the subcommand converts. A malformed value
+    raises ConfigError naming the section, the key and the value."""
     if raw is None:
+        if default is float:
+            return None
         return list(default) if isinstance(default, tuple) else default
     if default is None:
         return raw
-    if isinstance(default, bool):
-        return _bool(raw)
-    if isinstance(default, tuple):
-        return _ints(raw)
-    return type(default)(raw)
+    kind = default if default is float else type(default)
+    try:
+        return {bool: _bool, tuple: _ints}.get(kind, kind)(raw)
+    except ValueError:
+        raise ConfigError(f"malformed value for {key!r} in [{section}]: "
+                          f"{raw!r} is not {_KINDS[kind]}") from None
 
 
 def write_csv(path: Path, header, rows):
@@ -156,10 +166,11 @@ def _rabi_rows(h, ops, t_max, n, groups):
     return rows
 
 
-@protocol("rabi", rabi_mhz=0.017, t_max_us=None, n_points=41, noiseless=False)
+@protocol("rabi", rabi_mhz=0.017, t_max_us=float, n_points=41,
+          noiseless=False)
 def run_rabi(ctx, rabi_mhz, t_max_us, n_points, noiseless):
     rabi = 2 * np.pi * rabi_mhz
-    t_max = float(t_max_us) if t_max_us is not None else 2.2 * np.pi / rabi * 2
+    t_max = t_max_us if t_max_us is not None else 2.2 * np.pi / rabi * 2
     ops = [] if noiseless else raman_scatter_collapse_ops(ctx.noise)
     h = (rabi / 2) * (lop(Q0, Q1) + lop(Q1, Q0))
     rows = _rabi_rows(h, ops, t_max, n_points, [(Q0,), (Q1,), (G, X)])
@@ -185,20 +196,19 @@ def run_rydberg_rabi(ctx, rabi_mhz, t_max_us, n_points, noiseless):
 
 
 @protocol("crb", lengths=(2, 8, 16, 28, 40), n_sequences=40, erasure=True,
-          injected_depolarizing=None)
+          injected_depolarizing=float)
 def run_crb_cmd(ctx, lengths, n_sequences, erasure, injected_depolarizing):
     from .benchmarking.singleq import run_crb
 
-    injected = (float(injected_depolarizing)
-                if injected_depolarizing is not None else None)
+    injected = injected_depolarizing is not None
     res = run_crb(
         lengths,
         n_sequences,
         ctx.shots,
-        None if injected is not None else ctx.noise,
-        erasure=erasure and injected is None,
+        None if injected else ctx.noise,
+        erasure=erasure and not injected,
         seed=ctx.seed,
-        injected_depolarizing=injected,
+        injected_depolarizing=injected_depolarizing,
     )
     raw = [[m, res.raw_survival[i], res.raw_sem[i]]
            for i, m in enumerate(res.lengths)]
@@ -269,17 +279,14 @@ def run_ssb_cmd(ctx, n_cz, n_sequences, noiseless):
 
 @protocol("bell", n_phases=16, noiseless=False)
 def run_bell_cmd(ctx, n_phases, noiseless):
-    from .benchmarking.twoq import GateExecutor, _bell_outcomes, _bell_result
+    from .benchmarking.twoq import GateExecutor, bell_protocol
     from .czopt import default_profile
     from .rydberg import RydbergDrive
 
     noise = None if noiseless else ctx.noise
     phases = np.linspace(0, 2 * np.pi, n_phases, endpoint=False)
     executor = GateExecutor(default_profile(), RydbergDrive(), noise)
-    # both variants read the same draws, as two bell_protocol calls would
-    outcomes = _bell_outcomes(phases, ctx.shots, ctx.seed, executor)
-    results = {tag: _bell_result(phases, ctx.shots, outcomes, excise)
-               for tag, excise in (("raw", False), ("excised", True))}
+    results = bell_protocol(phases, ctx.shots, ctx.seed, executor=executor)
     ctx.emit(
         "bell_summary",
         ["variant", "p00", "p11", "contrast", "fidelity", "fidelity_err",
@@ -340,12 +347,12 @@ def run_roc_cmd(ctx, n_thresholds):
     })
 
 
-@protocol("state-prep-curve", eps_sp=None, imaging_survival=0.998,
+@protocol("state-prep-curve", eps_sp=float, imaging_survival=0.998,
           n_thresholds=60)
 def run_prep_cmd(ctx, eps_sp, imaging_survival, n_thresholds):
     from .readout import shallow_trap_model, state_prep_curve
 
-    eps = float(eps_sp) if eps_sp is not None else ctx.noise.state_prep_error
+    eps = eps_sp if eps_sp is not None else ctx.noise.state_prep_error
     model = shallow_trap_model()
     ths = np.linspace(-5, model.signal_mean + 15, n_thresholds)
     curve = state_prep_curve(eps, model, imaging_survival, ths)
@@ -472,7 +479,7 @@ def run_psd_cmd(ctx, psd_file, n_trajectories, already_uv):
 
 
 @protocol("rearrange", n_trials=2000, loading_probability=0.5,
-          per_move_success=None, target_sites=(0, 1, 2, 3, 4, 5, 6, 7))
+          per_move_success=float, target_sites=(0, 1, 2, 3, 4, 5, 6, 7))
 def run_rearrange_cmd(ctx, n_trials, loading_probability, per_move_success,
                       target_sites):
     from .assembly import (PER_MOVE_SUCCESS, pair_grid_geometry,
@@ -481,7 +488,7 @@ def run_rearrange_cmd(ctx, n_trials, loading_probability, per_move_success,
     geom = pair_grid_geometry()
     target = np.zeros(geom.n_sites, dtype=bool)
     target[target_sites] = True
-    p_move = (float(per_move_success) if per_move_success is not None
+    p_move = (per_move_success if per_move_success is not None
               else PER_MOVE_SUCCESS)
     prob, err = simulate_assembly(
         geom, target, loading_probability=loading_probability,
@@ -555,8 +562,8 @@ class RunContext:
         seed = args.seed if args.seed is not None else run.get("seed")
         if seed is None:
             raise ConfigError("seed is mandatory (config [run] or --seed)")
-        self.seed = int(seed)
-        self.shots = int(run.get("shots", 200))
+        self.seed = _value(seed, 0, "seed", "run")
+        self.shots = _value(run.get("shots"), 200, "shots", "run")
         self.fmt = args.format
         self.noise = _noise_from_run(run, base_dir)
         out_root = Path(args.out if args.out else run.get("out", "runs"))
@@ -589,7 +596,8 @@ def main(argv=None) -> int:
         _known(run, _RUN_KEYS, "run")
         keys = CONFIG_KEYS[args.command]
         _known(proto, keys, args.command)
-        params = {k: _value(proto.get(k), d) for k, d in keys.items()}
+        params = {k: _value(proto.get(k), d, k, args.command)
+                  for k, d in keys.items()}
         base = args.config.parent if args.config else Path.cwd()
         ctx = RunContext(args, run, base)
         (ctx.out / "config_snapshot.ini").write_text(

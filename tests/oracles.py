@@ -8,11 +8,11 @@ callable, the rearrangement planner on uncached segment checks and scipy's
 assignment, the Clifford lookup as a linear scan, the Bell readout as
 per-level loops, a process fidelity through the inverse of a generic ideal
 map, the Rydberg sector propagator on the whole 6x6 problem, a Rabi series
-as chained state evolutions, the Ramsey fringe as per-node vector
-products, the error budget with each executor generating its own SSB
-sequences), or an API only the tests exercise (Raman pulses read through a
-virtual-Z frame object, the ideal CZ and an executor built on it). Tests
-import them as ``from oracles import ...``.
+as chained state evolutions, the Ramsey fringe as per-node vector products,
+the error budget with each executor generating its own SSB sequences, one
+Bell variant per protocol call), or an API only the tests exercise (Raman
+pulses read through a virtual-Z frame object, the ideal CZ and an executor
+built on it). Tests import them as ``from oracles import ...``.
 """
 
 import itertools
@@ -26,6 +26,7 @@ from fsqsim import budget, rydberg
 from fsqsim._kernels._lindblad_py import (GAUSS_NODES, WEIGHT_MINUS,
                                          WEIGHT_PLUS)
 from fsqsim.assembly import EXCLUSION_RADIUS, GRID_X_SPACING, Move, MovePlan
+from fsqsim.benchmarking import twoq
 from fsqsim.benchmarking.ramsey import RAMSEY_NODES, RAMSEY_PHASES
 from fsqsim.benchmarking.twoq import SEQUENCE_SURVIVAL, GateExecutor, run_ssb
 from fsqsim.channels import conjugation_on_pairs
@@ -384,6 +385,57 @@ def reference_error_budget(config, sources=budget.CZ_SOURCES):
         entries=tuple(entry(name, config.only(name)) for name in sources),
         total=entry("total", config.only(*sources)),
         sources=tuple(sources),
+    )
+
+
+def reference_bell_protocol(phases, shots, loss_excision=False, seed=0, *,
+                            executor):
+    """One variant of ``twoq.bell_protocol`` (raw, or loss-excised with
+    ``loss_excision``), sampling its own outcomes from ``seed``."""
+    phases = np.asarray(phases, dtype=float)
+    noise = executor.noise
+    rng = np.random.default_rng(seed)
+    eps_sp = noise.state_prep_error if noise is not None else 0.0
+    bell = twoq._bell_state_vector(executor, eps_sp)
+    readout = twoq.IDEAL_READOUT if noise is None else twoq._srd_readout()
+
+    def sampled(v):
+        probs = twoq._joint_outcomes(executor.populations(v), readout)
+        keys = list(probs)
+        pr = np.clip([probs[k] for k in keys], 0, None)
+        pr = pr / pr.sum()
+        if shots:
+            return dict(zip(keys, rng.multinomial(shots, pr) / shots))
+        return dict(zip(keys, pr))
+
+    meas = sampled(bell)
+    fringe = [sampled(executor.global_pulse(phi) @ bell) for phi in phases]
+    retention = 1.0 - meas["loss"]
+    kept = retention if loss_excision else 1.0
+    p00, p11 = meas["00"] / kept, meas["11"] / kept
+    parities = np.zeros(len(phases))
+    sems = np.zeros(len(phases))
+    for i, m in enumerate(fringe):
+        kept = (1.0 - m["loss"]) if loss_excision else 1.0
+        parities[i] = (m["00"] + m["11"] - m["01"] - m["10"]) / kept
+        sems[i] = max(1.0 / np.sqrt(shots), 1e-6) if shots else 1e-6
+    contrast, delta, _, c_err = fit_sinusoid_fixed_period(
+        phases, parities, period=np.pi, sigma=sems
+    )
+    contrast = min(contrast, 1.0)
+    fidelity = (p00 + p11) / 2.0 + contrast / 2.0
+    pop_err = np.sqrt(p00 * (1 - p00) / shots + p11 * (1 - p11) / shots) / 2 \
+        if shots else 0.0
+    return twoq.BellResult(
+        p00=float(p00),
+        p11=float(p11),
+        contrast=float(contrast),
+        contrast_err=float(c_err),
+        phase_offset=float(delta),
+        fidelity=float(min(fidelity, 1.0)),
+        fidelity_err=float(np.hypot(pop_err, c_err / 2)),
+        retention=float(retention),
+        shots_per_point=shots,
     )
 
 

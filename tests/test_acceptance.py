@@ -128,12 +128,12 @@ def test_criterion_04_ssb(budget_report):
 
 
 def test_criterion_05_bell(noiseless_executor, reference_executor):
-    from fsqsim.benchmarking.twoq import (_assigned_probs, _bell_state_vector,
-                                         bell_protocol)
+    from fsqsim.benchmarking.twoq import (IDEAL_READOUT, _bell_state_vector,
+                                         _joint_outcomes, bell_protocol)
 
     phases = np.linspace(0, 2 * np.pi, 16, endpoint=False)
     noiseless = bell_protocol(phases, shots=4000, seed=2,
-                              executor=noiseless_executor)
+                              executor=noiseless_executor)["raw"]
     ok_noiseless = noiseless.fidelity > 1 - 3.0 / np.sqrt(4000)
 
     bell = _bell_state_vector(noiseless_executor)
@@ -141,15 +141,14 @@ def test_criterion_05_bell(noiseless_executor, reference_executor):
     parities = []
     for phi in dense:
         v = noiseless_executor.global_pulse(phi) @ bell
-        m = _assigned_probs(noiseless_executor.populations(v))
+        m = _joint_outcomes(noiseless_executor.populations(v),
+                            IDEAL_READOUT)
         parities.append(m["00"] + m["11"] - m["01"] - m["10"])
     parities = np.array(parities)
     ok_period = np.max(np.abs(parities[:16] - parities[16:])) < 1e-6
 
-    raw = bell_protocol(phases, 2000, loss_excision=False,
-                        seed=5, executor=reference_executor)
-    exc = bell_protocol(phases, 2000, loss_excision=True,
-                        seed=5, executor=reference_executor)
+    res = bell_protocol(phases, 2000, seed=5, executor=reference_executor)
+    raw, exc = res["raw"], res["excised"]
     ok_raw = abs(raw.fidelity - 0.935) <= 0.009 + 2 * raw.fidelity_err
     ok_exc = abs(exc.fidelity - 0.983) <= 0.008 + 2 * exc.fidelity_err
     _report(5, "Bell: noiseless ~1, parity period pi, 0.983/0.935 pair",

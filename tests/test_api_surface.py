@@ -29,6 +29,13 @@ internals gets a public attribute or a shared helper instead, so the layout
 behind the attribute can change in one place. The scan is syntactic and
 reports every offending ``file:line``.
 
+No module of ``fsqsim`` imports a private name (``_name``, not a dunder)
+from another ``fsqsim`` module: a helper another module needs is public, or
+the caller goes through the public function that uses it. A private
+submodule (``_kernels``, ``_lindblad_py``) is a module, not a name, and may
+be imported. The scan is syntactic and reports every offending
+``file:line``.
+
 Every public name of ``fsqsim`` is reached: each public module-level function
 or class, and each public method, is referenced from ``src/`` outside its own
 definition or from ``tests/test_acceptance.py``, or is in ``ALLOWED`` with a
@@ -267,6 +274,42 @@ def foreign_private_attributes():
 def test_no_module_touches_another_objects_private_attributes():
     found = foreign_private_attributes()
     assert not found, "private attributes touched from outside: " + \
+        ", ".join(found)
+
+
+def private_imports():
+    """``file:line module.name`` of each private name a ``src/fsqsim`` module
+    imports from another ``fsqsim`` module, relatively or absolutely; a
+    name that is a submodule's file or package is not counted."""
+    src = ROOT / "src"
+    found = []
+    for path in sorted((src / "fsqsim").rglob("*.py")):
+        package = path.relative_to(src).with_suffix("").parts[:-1]
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            named = node.module.split(".") if node.module else []
+            if node.level:
+                parts = [*package[:len(package) - node.level + 1], *named]
+            elif named[:1] == ["fsqsim"]:
+                parts = named
+            else:
+                continue
+            for alias in node.names:
+                name = alias.name
+                if not name.startswith("_") or name.endswith("__"):
+                    continue
+                target = src.joinpath(*parts, name)
+                if target.is_dir() or target.with_suffix(".py").is_file():
+                    continue
+                found.append(f"{path.relative_to(ROOT)}:{alias.lineno} "
+                             f"{'.'.join(parts)}.{name}")
+    return found
+
+
+def test_no_module_imports_another_modules_private_names():
+    found = private_imports()
+    assert not found, "private names imported from another module: " + \
         ", ".join(found)
 
 

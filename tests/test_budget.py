@@ -63,8 +63,8 @@ def test_budget_additivity(budget_report):
 
 def test_budget_shares_its_sequences_bit_for_bit(budget_report,
                                                  reference_config):
-    # error_budget generates its shot-noise-free SSB sequences once for all
-    # executors; each executor generating them anew gives the same report
+    # error_budget's shot-noise-free SSB runs draw the same sequences on
+    # every executor, as the oracle's own run_ssb calls do
     assert budget_report == reference_error_budget(reference_config)
 
 
@@ -117,10 +117,9 @@ def test_headlines_are_converged_at_the_channel_tolerance(
         combined = GateExecutor(cz_profile, drive,
                                 reference_config.only(*CZ_SOURCES),
                                 dephasing_nodes=budget.DEPHASING_NODES)
+        res = twoq.bell_protocol(phases, 0, executor=bell)
         return np.array([
-            twoq.bell_protocol(phases, 0, excise, executor=bell).fidelity
-            for excise in (False, True)
-        ] + [
+            res["raw"].fidelity, res["excised"].fidelity,
             process_infidelity_from_executor(combined),
             corrected_process_infidelity_from_executor(combined),
             *ssb_infidelities_from_executor(combined),

@@ -150,6 +150,35 @@ def test_unknown_key_rejected(tmp_path, capsys, command, config):
     assert not (tmp_path / "o").exists()  # rejected before the run starts
 
 
+@pytest.mark.parametrize("command,config,section,key,raw", [
+    ("srd", "srd.ini", "srd", "n_trials", "2.5"),
+    ("ramsey", "ramsey.ini", "ramsey", "sigma_mhz", "fast"),
+    ("ssb", "ssb.ini", "ssb", "n_cz", "2 four 6"),
+    ("bell", "bell.ini", "bell", "noiseless", "maybe"),
+    ("srd", "srd.ini", "run", "seed", "seven"),
+    ("srd", "srd.ini", "run", "shots", "lots"),
+    ("rabi", "rabi.ini", "rabi", "t_max_us", "long"),
+    ("crb", "crb.ini", "crb", "injected_depolarizing", "1e-3x"),
+    ("state-prep-curve", "state_prep.ini", "state-prep-curve", "eps_sp",
+     "small"),
+    ("rearrange", "rearrange.ini", "rearrange", "per_move_success", "high"),
+])
+def test_malformed_value_rejected(tmp_path, capsys, command, config, section,
+                                  key, raw):
+    parser = shipped_config(config)
+    if not parser.has_section(section):
+        parser.add_section(section)
+    parser[section][key] = raw
+    cfg = tmp_path / config
+    with cfg.open("w") as f:
+        parser.write(f)
+    rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{key!r} in [{section}]: {raw!r}" in err
+    assert not (tmp_path / "o").exists()  # rejected before the run starts
+
+
 def test_noise_config_loading(tmp_path):
     cfg = tmp_path / "run.ini"
     noise = tmp_path / "noise.txt"

@@ -5,18 +5,19 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fsqsim.benchmarking.twoq import (
+    IDEAL_READOUT,
     QUARTER_PHASES,
-    _bell_outcomes,
-    _bell_result,
     _joint_outcomes,
     _run_sequence,
     _bell_state_vector,
-    _assigned_probs,
     _srd_readout,
     bell_protocol,
     fit_ssb,
     generate_ssb,
     loss_excise,
+    product_unitary,
+    quarter_pulse,
+    recovery_pulse,
     run_ssb,
 )
 from fsqsim.channels import pair_index
@@ -27,6 +28,7 @@ from fsqsim.pulses import embed_qubit_unitary, rotation
 from oracles import (
     ideal_cz_executor,
     reference_assigned_probs,
+    reference_bell_protocol,
     reference_srd_assigned_probs,
 )
 
@@ -222,7 +224,7 @@ def test_loss_excise_binomial_retention():
 
 def test_bell_state_noiseless(noiseless_executor):
     v = _bell_state_vector(noiseless_executor)
-    probs = _assigned_probs(noiseless_executor.populations(v))
+    probs = _joint_outcomes(noiseless_executor.populations(v), IDEAL_READOUT)
     assert probs["00"] == pytest.approx(0.5, abs=1e-6)
     assert probs["11"] == pytest.approx(0.5, abs=1e-6)
     assert probs["01"] + probs["10"] < 1e-6
@@ -246,7 +248,8 @@ def test_matrix_readout_matches_per_level_loops(pops):
     # then agree to rounding, ideal and SRD alike
     assume(pops.sum() > 0)
     pops = pops / pops.sum()
-    for new, old in ((_assigned_probs(pops), reference_assigned_probs(pops)),
+    for new, old in ((_joint_outcomes(pops, IDEAL_READOUT),
+                      reference_assigned_probs(pops)),
                      (_joint_outcomes(pops, _srd_readout()),
                       reference_srd_assigned_probs(pops))):
         assert list(new) == list(old)
@@ -257,7 +260,8 @@ def test_matrix_readout_matches_per_level_loops(pops):
 def test_bell_noiseless_fidelity(noiseless_executor):
     phases = np.linspace(0, 2 * np.pi, 16, endpoint=False)
     res = bell_protocol(phases, shots=0, executor=noiseless_executor)
-    assert res.fidelity > 1 - 1e-5
+    assert res["raw"].fidelity > 1 - 1e-5
+    assert res["excised"].fidelity > 1 - 1e-5
 
 
 def test_parity_period_is_pi(noiseless_executor):
@@ -266,7 +270,7 @@ def test_parity_period_is_pi(noiseless_executor):
     parities = []
     for phi in phases:
         v = noiseless_executor.global_pulse(phi) @ bell
-        m = _assigned_probs(noiseless_executor.populations(v))
+        m = _joint_outcomes(noiseless_executor.populations(v), IDEAL_READOUT)
         parities.append(m["00"] + m["11"] - m["01"] - m["10"])
     parities = np.array(parities)
     half = len(phases) // 2
@@ -285,13 +289,14 @@ def test_parity_contrast_invariant_under_global_virtual_z(noiseless_executor):
         vals = []
         for phi in phases:
             v = noiseless_executor.global_pulse(phi) @ state
-            m = _assigned_probs(noiseless_executor.populations(v))
+            m = _joint_outcomes(noiseless_executor.populations(v),
+                                IDEAL_READOUT)
             vals.append(m["00"] + m["11"] - m["01"] - m["10"])
         c, _, _, _ = fit_sinusoid_fixed_period(phases, vals, period=np.pi)
         return c
 
     z = embed_qubit_unitary(virtual_z_equivalent(0.77))
-    rotated = noiseless_executor.product_unitary(z, z) @ bell
+    rotated = product_unitary(z, z) @ bell
     assert contrast(rotated) == pytest.approx(contrast(bell), abs=1e-9)
 
 
@@ -301,29 +306,31 @@ def test_separable_state_bell_fidelity_bounded(cz_profile, drive):
     ex.cz = np.eye(len(ex.pairs), dtype=complex)
     phases = np.linspace(0, 2 * np.pi, 16, endpoint=False)
     res = bell_protocol(phases, shots=0, executor=ex)
-    assert res.fidelity <= 0.5 + 1e-9
+    assert res["raw"].fidelity <= 0.5 + 1e-9
+    assert res["excised"].fidelity <= 0.5 + 1e-9
 
 
 def test_bell_variants_share_one_draw(reference_executor):
-    # the CLI samples the outcomes once for both variants: each reads what
-    # its own bell_protocol call, drawing from the same seed, reads
+    # bell_protocol samples the outcomes once for both variants: each reads
+    # what a one-variant protocol drawing from the same seed reads
     phases = np.linspace(0, 2 * np.pi, 16, endpoint=False)
     for shots in (0, 2000):
-        outcomes = _bell_outcomes(phases, shots, 5, reference_executor)
-        for excise in (False, True):
-            assert _bell_result(phases, shots, outcomes, excise) == \
-                bell_protocol(phases, shots, loss_excision=excise, seed=5,
-                              executor=reference_executor)
+        res = bell_protocol(phases, shots, 5, executor=reference_executor)
+        assert list(res) == ["raw", "excised"]
+        for tag, excise in (("raw", False), ("excised", True)):
+            assert res[tag] == reference_bell_protocol(
+                phases, shots, loss_excision=excise, seed=5,
+                executor=reference_executor)
 
 
 def test_quarter_pulses_are_read_only_global_pulses(reference_executor):
-    pulses = reference_executor.quarter_pulses
-    assert list(pulses) == list(QUARTER_PHASES)
-    for phase, m in pulses.items():
+    for phase in QUARTER_PHASES:
+        m = quarter_pulse(phase)
         u = embed_qubit_unitary(rotation(np.pi / 2, phase))
-        assert np.array_equal(m, reference_executor.product_unitary(u, u))
+        assert np.array_equal(m, product_unitary(u, u))
+        assert np.array_equal(m, reference_executor.global_pulse(phase))
         assert not m.flags.writeable
-    assert reference_executor.quarter_pulses is pulses  # built once
+        assert quarter_pulse(phase) is m  # built once per process
     from fsqsim.benchmarking.twoq import SSBSequence
 
     with pytest.raises(ValueError, match="QUARTER_PHASES"):  # no pulse kept
@@ -331,12 +338,36 @@ def test_quarter_pulses_are_read_only_global_pulses(reference_executor):
                     recovery_cz=False, seed=0)
 
 
+def test_recovery_pulses_are_read_only_and_built_once(reference_config):
+    from fsqsim.budget import error_budget
+
+    # one error budget runs 4 x 96 sequences; 9 distinct Clifford pairs
+    # recover every two-qubit stabilizer state they reach
+    recovery_pulse.cache_clear()
+    error_budget(reference_config)
+    info = recovery_pulse.cache_info()
+    assert info.misses <= 9 and info.hits > 0
+    group = clifford_group()
+    pairs = set()
+    for seed in range(40):
+        seq = generate_ssb(6, seed)
+        pairs.add(seq.recovery_cliffords)
+        if seq.recovery_cz:
+            pairs.add(seq.recovery_pre)
+    for c1, c2 in sorted(pairs):
+        m = recovery_pulse(c1, c2)
+        u1 = embed_qubit_unitary(group[c1].unitary)
+        u2 = embed_qubit_unitary(group[c2].unitary)
+        assert np.array_equal(m, product_unitary(u1, u2))
+        assert not m.flags.writeable
+        assert recovery_pulse(c1, c2) is m
+    assert recovery_pulse.cache_info().misses == info.misses
+
+
 def test_bell_paper_calibrated(reference_executor):
     phases = np.linspace(0, 2 * np.pi, 16, endpoint=False)
-    raw = bell_protocol(phases, 2000, loss_excision=False,
-                        seed=5, executor=reference_executor)
-    exc = bell_protocol(phases, 2000, loss_excision=True,
-                        seed=5, executor=reference_executor)
+    res = bell_protocol(phases, 2000, seed=5, executor=reference_executor)
+    raw, exc = res["raw"], res["excised"]
     # reference: 0.935(9) raw, 0.983(8) excised
     assert raw.fidelity == pytest.approx(0.935, abs=0.009 + 2 * raw.fidelity_err)
     assert exc.fidelity == pytest.approx(0.983, abs=0.008 + 2 * exc.fidelity_err)
