@@ -10,6 +10,7 @@ to be only weakly sensitive to it.
 
 from dataclasses import dataclass, field
 from functools import cache
+from itertools import chain, product
 
 import numpy as np
 
@@ -140,15 +141,14 @@ class GateExecutor:
 
 @dataclass(frozen=True)
 class SSBSequence:
-    """Random-phase pi/2 / CZ ladder with its computed recovery.
+    """Random-phase pi/2 / CZ ladder, drawn from ``seed``, with its recovery.
 
     ``phases`` has n_cz + 1 entries (initialization pulse plus one pulse per
     CZ), each one of ``QUARTER_PHASES`` so the circuit stays Clifford. The
-    recovery has the graph-state normal form locals . CZ . locals (the CZ
-    and pre-locals are omitted when the final state is already a product):
-    executed as ``recovery_pre`` Cliffords, then CZ if ``recovery_cz``, then
-    ``recovery_cliffords``, which returns any reachable stabilizer state to
-    |11> exactly.
+    recovery runs the ``recovery_pre`` Clifford pair, a CZ if
+    ``recovery_cz`` (else ``recovery_pre`` is (None, None)), then the
+    ``recovery_cliffords`` pair (``clifford_group()`` indices for atoms 1
+    and 2); with an ideal CZ it returns |11> up to a global phase.
     """
 
     n_cz: int
@@ -164,85 +164,70 @@ class SSBSequence:
                              f"got {self.phases}")
 
 
-def _ideal_qubit_state(phases, n_cz):
-    cz = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
-    psi = np.zeros(4, dtype=complex)
-    psi[3] = 1.0
-    r = rotation(np.pi / 2, phases[0])
-    psi = np.kron(r, r) @ psi
-    for k in range(n_cz):
-        psi = cz @ psi
-        r = rotation(np.pi / 2, phases[k + 1])
-        psi = np.kron(r, r) @ psi
-    return psi
+# CZ on a two-qubit state psi held as the 2 x 2 array psi.reshape(2, 2)
+_CZ_SIGNS = np.array([[1.0, 1.0], [1.0, -1.0]])
 
 
-def _single_qubit_factors(psi):
-    # psi[2i + j] = u_i v_j for a product state, i.e. rank-1 reshape
-    m = psi.reshape(2, 2)
-    u, s, vh = np.linalg.svd(m)
-    if s[-1] > 1e-9:
-        return None
-    return u[:, 0], vh[0, :]
+@cache
+def _ssb_table():
+    """(states, first, step): the 12 ideal SSB states reachable from |11>, up
+    to phase, as 2 x 2 arrays a[i, j] = psi[2i + j]; ``first[p]`` indexes the
+    state after the first pulse at ``QUARTER_PHASES[p]``, ``step[s][p]`` the
+    state after a CZ and that pulse from state ``s``."""
+    pulses = [rotation(np.pi / 2, phase) for phase in QUARTER_PHASES]
+    states = []
+
+    def index(a):
+        for k, b in enumerate(states):
+            if abs(np.vdot(b, a)) > 1 - 1e-9:
+                return k
+        states.append(a)
+        return len(states) - 1
+
+    first = tuple(index(np.outer(r[:, 1], r[:, 1])) for r in pulses)
+    step = []
+    while len(step) < len(states):  # breadth first; each new state is queued
+        a = _CZ_SIGNS * states[len(step)]
+        step.append(tuple(index(r @ a @ r.T) for r in pulses))
+    return tuple(states), first, tuple(step)
 
 
-def _clifford_to_target(state):
-    """Lowest-index Clifford mapping ``state`` onto |q1> up to phase."""
-    for g in clifford_group():
-        if abs((g.unitary @ state)[1]) > 1 - 1e-9:
-            return g.index
-    return None
-
-
-def _product_recovery(psi):
-    """(c1, c2) Clifford indices with (c1 x c2) psi = |11> up to phase."""
-    factors = _single_qubit_factors(psi)
-    if factors is None:
-        return None
-    c1 = _clifford_to_target(factors[0])
-    c2 = _clifford_to_target(factors[1])
-    if c1 is None or c2 is None:
-        return None
-    return c1, c2
+@cache
+def _ssb_recovery(state: int):
+    """(recovery_pre, recovery_cliffords) of table state ``state``: one scan,
+    in lexicographic index order, for the first Clifford pair that takes the
+    state to |11> up to phase, first alone, then after each pre-local pair
+    and a CZ (``recovery_pre`` is (None, None) for the first)."""
+    group = [g.unitary for g in clifford_group()]
+    rows = np.array([u[1] for u in group])  # <1| u of each Clifford
+    a = _ssb_table()[0][state]
+    for pre in chain([(None, None)], product(range(len(group)), repeat=2)):
+        b = a if pre[0] is None else \
+            _CZ_SIGNS * (group[pre[0]] @ a @ group[pre[1]].T)
+        hits = np.argwhere(np.abs(rows @ b @ rows.T) > 1 - 1e-9)
+        if len(hits):
+            return pre, (int(hits[0, 0]), int(hits[0, 1]))
+    raise RuntimeError(f"no recovery for SSB table state {state}")
 
 
 def generate_ssb(n_cz: int, seed: int) -> SSBSequence:
-    """Random quarter-turn-phase sequence plus its exact recovery."""
+    """Random quarter-turn-phase sequence, walked on :func:`_ssb_table`,
+    plus its end state's recovery."""
     if n_cz < 0:
         raise ValueError("n_cz must be non-negative")
-    rng = np.random.default_rng(seed)
-    phases = tuple(
-        QUARTER_PHASES[i] for i in rng.integers(0, 4, size=n_cz + 1)
-    )
-    psi = _ideal_qubit_state(phases, n_cz)
-    rec = _product_recovery(psi)
-    if rec is not None:
-        return SSBSequence(
-            n_cz=n_cz,
-            phases=phases,
-            recovery_cliffords=rec,
-            recovery_cz=False,
-            seed=seed,
-        )
-    # entangled stabilizer state: find pre-locals so one CZ disentangles it
-    cz = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
-    group = clifford_group()
-    for b1 in group:
-        u1 = b1.unitary
-        for b2 in group:
-            cand = cz @ (np.kron(u1, b2.unitary) @ psi)
-            rec = _product_recovery(cand)
-            if rec is not None:
-                return SSBSequence(
-                    n_cz=n_cz,
-                    phases=phases,
-                    recovery_cliffords=rec,
-                    recovery_cz=True,
-                    seed=seed,
-                    recovery_pre=(b1.index, b2.index),
-                )
-    raise RuntimeError(
-        "no recovery found; impossible for a two-qubit stabilizer state"
+    draws = np.random.default_rng(seed).integers(0, 4, size=n_cz + 1).tolist()
+    _, first, step = _ssb_table()
+    state = first[draws[0]]
+    for p in draws[1:]:
+        state = step[state][p]
+    pre, rec = _ssb_recovery(state)
+    return SSBSequence(
+        n_cz=n_cz,
+        phases=tuple(QUARTER_PHASES[i] for i in draws),
+        recovery_cliffords=rec,
+        recovery_cz=pre[0] is not None,
+        seed=seed,
+        recovery_pre=pre,
     )
 
 

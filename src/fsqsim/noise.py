@@ -35,14 +35,19 @@ def gaussian_quadrature(sigma: float, n_nodes: int):
     return sigma * nodes, weights / np.sqrt(2 * np.pi)
 
 
+def _check_non_negative(name, value):
+    if not value >= 0:  # also true for nan
+        raise ValueError(f"{name} must be non-negative, got {value!r}")
+
+
 def _check_branching(b):
+    if set(b) != {"g", "q1", "q0", "x"}:
+        raise ValueError("branching table needs exactly the keys g, q1, q0, x")
+    for key, value in b.items():
+        _check_non_negative(f"branching fraction {key!r}", value)
     total = sum(b.values())
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"branching fractions sum to {total}, not 1")
-    if set(b) != {"g", "q1", "q0", "x"}:
-        raise ValueError("branching table needs exactly the keys g, q1, q0, x")
-    if any(v < 0 for v in b.values()):
-        raise ValueError("branching fractions must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -52,6 +57,8 @@ class NoiseConfig:
     ``rydberg_detuning_sigma_mhz`` is the r.m.s. of a quasi-static Gaussian
     detuning (slow drift); ``rydberg_dephasing_rate`` is the Markovian
     alternative (q1-r coherence decay rate). Both default to the drift model.
+    A nan in any field is rejected; an infinite ``tau_*`` or
+    ``ionization_a`` turns that source off.
     """
 
     tau_bright: float = 110.0  # us
@@ -83,10 +90,9 @@ class NoiseConfig:
             "clock_rabi",
             "clock_dephasing",
         ):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
-        if self.raman_spinflip is not None and self.raman_spinflip < 0:
-            raise ValueError("raman_spinflip must be non-negative")
+            _check_non_negative(name, getattr(self, name))
+        if self.raman_spinflip is not None:
+            _check_non_negative("raman_spinflip", self.raman_spinflip)
         if not 0.0 <= self.state_prep_error <= 1.0:
             raise ValueError("state_prep_error must be a probability")
         _check_branching(self.branching)

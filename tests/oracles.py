@@ -9,7 +9,8 @@ assignment, the Clifford lookup as a linear scan, the Bell readout as
 per-level loops, a process fidelity through the inverse of a generic ideal
 map, the Rydberg sector propagator on the whole 6x6 problem, a Rabi series
 as chained state evolutions, the Ramsey fringe as per-node vector products,
-the error budget with each executor generating its own SSB sequences, one
+the error budget with each executor generating its own SSB sequences, SSB
+sequences by pulse-by-pulse state tracking and a recovery search each, one
 Bell variant per protocol call), or an API only the tests exercise (Raman
 pulses read through a virtual-Z frame object, the ideal CZ and an executor
 built on it). Tests import them as ``from oracles import ...``.
@@ -361,6 +362,89 @@ def ssb_infidelities_from_executor(executor, n_cz_list=(2, 4, 6), n_seq=32,
     generates its own sequences."""
     res = run_ssb(n_cz_list, n_seq, shots=0, seed=seed, executor=executor)
     return 1.0 - res.fit_raw.fidelity, 1.0 - res.fit_loss.fidelity
+
+
+def _ideal_qubit_state(phases, n_cz):
+    """The ideal two-qubit state of an SSB ladder from |11>, pulse by pulse."""
+    cz = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
+    psi = np.zeros(4, dtype=complex)
+    psi[3] = 1.0
+    r = rotation(np.pi / 2, phases[0])
+    psi = np.kron(r, r) @ psi
+    for k in range(n_cz):
+        psi = cz @ psi
+        r = rotation(np.pi / 2, phases[k + 1])
+        psi = np.kron(r, r) @ psi
+    return psi
+
+
+def _single_qubit_factors(psi):
+    # psi[2i + j] = u_i v_j for a product state, i.e. rank-1 reshape
+    m = psi.reshape(2, 2)
+    u, s, vh = np.linalg.svd(m)
+    if s[-1] > 1e-9:
+        return None
+    return u[:, 0], vh[0, :]
+
+
+def _clifford_to_target(state):
+    """Lowest-index Clifford mapping ``state`` onto |q1> up to phase."""
+    for g in clifford_group():
+        if abs((g.unitary @ state)[1]) > 1 - 1e-9:
+            return g.index
+    return None
+
+
+def _product_recovery(psi):
+    """(c1, c2) Clifford indices with (c1 x c2) psi = |11> up to phase."""
+    factors = _single_qubit_factors(psi)
+    if factors is None:
+        return None
+    c1 = _clifford_to_target(factors[0])
+    c2 = _clifford_to_target(factors[1])
+    if c1 is None or c2 is None:
+        return None
+    return c1, c2
+
+
+def reference_ssb_sequence(phases, seed=0):
+    """The ``SSBSequence`` of ``phases`` with its recovery found by an SVD
+    product test, a Clifford scan per factor and, for an entangled end
+    state, a nested scan over pre-local pairs."""
+    n_cz = len(phases) - 1
+    psi = _ideal_qubit_state(phases, n_cz)
+    rec = _product_recovery(psi)
+    if rec is not None:
+        return twoq.SSBSequence(n_cz=n_cz, phases=phases,
+                                recovery_cliffords=rec, recovery_cz=False,
+                                seed=seed)
+    # entangled stabilizer state: find pre-locals so one CZ disentangles it
+    cz = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
+    group = clifford_group()
+    for b1 in group:
+        for b2 in group:
+            cand = cz @ (np.kron(b1.unitary, b2.unitary) @ psi)
+            rec = _product_recovery(cand)
+            if rec is not None:
+                return twoq.SSBSequence(n_cz=n_cz, phases=phases,
+                                        recovery_cliffords=rec,
+                                        recovery_cz=True, seed=seed,
+                                        recovery_pre=(b1.index, b2.index))
+    raise RuntimeError(
+        "no recovery found; impossible for a two-qubit stabilizer state"
+    )
+
+
+def reference_generate_ssb(n_cz, seed):
+    """``twoq.generate_ssb`` tracking the ideal state pulse by pulse and
+    searching its recovery anew for every sequence."""
+    if n_cz < 0:
+        raise ValueError("n_cz must be non-negative")
+    rng = np.random.default_rng(seed)
+    phases = tuple(
+        twoq.QUARTER_PHASES[i] for i in rng.integers(0, 4, size=n_cz + 1)
+    )
+    return reference_ssb_sequence(phases, seed)
 
 
 def reference_error_budget(config, sources=budget.CZ_SOURCES):

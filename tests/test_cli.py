@@ -286,6 +286,22 @@ def test_subcommand_loads_only_its_protocol_module(tmp_path, command, config,
     assert loaded == {"fsqsim.benchmarking", f"fsqsim.benchmarking.{module}"}
 
 
+def test_bell_leaves_the_ssb_table_unbuilt(tmp_path):
+    # fsqsim bell imports twoq but runs no SSB sequence: the SSB state table
+    # and its recoveries stay unbuilt, off bell's start-up and wall time
+    cfg = tmp_path / "bell.ini"
+    cfg.write_text("[run]\nseed = 3\nshots = 20\n\n[bell]\nn_phases = 4\n")
+    loaded = loaded_after(
+        "from fsqsim.cli import main\n"
+        f"rc = main(['bell', '--config', {str(cfg)!r}, "
+        f"'--out', {str(tmp_path / 'bell')!r}])\n"
+        "assert rc == 0, rc\n"
+        "from fsqsim.benchmarking import twoq\n"
+        "assert twoq._ssb_table.cache_info().currsize == 0\n"
+        "assert twoq._ssb_recovery.cache_info().currsize == 0\n", "fsqsim")
+    assert "fsqsim.benchmarking.twoq" in loaded
+
+
 @pytest.mark.parametrize("setting,threads", [(None, 1), ("2", 2)])
 def test_fsqsim_process_defaults_to_one_blas_thread(setting, threads):
     # a process that imports fsqsim before numpy loads OpenBLAS with one

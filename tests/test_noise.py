@@ -152,6 +152,50 @@ def test_config_text_rejects_unknown_keys():
         noise_config_from_text("tau_bright_us = abc\n")
 
 
+_NUMERIC_FIELDS = ("tau_bright", "tau_dark", "ionization_a",
+                   "rydberg_detuning_sigma_mhz", "rydberg_dephasing_rate",
+                   "raman_scatter_g", "raman_leak_x", "raman_spinflip",
+                   "state_prep_error", "clock_rabi", "clock_dephasing")
+
+
+def test_numeric_fields_are_listed():
+    assert set(NoiseConfig.__dataclass_fields__) == \
+        {*_NUMERIC_FIELDS, "branching"}
+
+
+@pytest.mark.parametrize("name", _NUMERIC_FIELDS)
+def test_config_rejects_nan_naming_the_field(name):
+    # nan fails every comparison, so it must not slip past the range checks
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        NoiseConfig(**{name: math.nan})
+
+
+@pytest.mark.parametrize("key", sorted(DEFAULT_BRANCHING))
+def test_config_rejects_nan_branching_naming_the_fraction(key):
+    branching = dict(DEFAULT_BRANCHING, **{key: math.nan})
+    with pytest.raises(ValueError, match=f"branching fraction '{key}' .*nan"):
+        NoiseConfig(branching=branching)
+
+
+def test_config_text_rejects_nan_rate():
+    # rydberg_dephasing_rate_per_us = nan used to run as a config with a nan
+    # rate; only raman_spinflip_per_us reads nan as unset
+    with pytest.raises(ValueError, match="rydberg_dephasing_rate"):
+        noise_config_from_text("rydberg_dephasing_rate_per_us = nan\n")
+    with pytest.raises(ValueError, match="branching fraction 'x'"):
+        noise_config_from_text("branch_x = nan\n")
+    cfg = noise_config_from_text("raman_spinflip_per_us = nan\n")
+    assert cfg.raman_spinflip is None
+    assert cfg.raman_spinflip_rate == cfg.raman_scatter_g / 3
+
+
+def test_infinite_lifetimes_and_ionization_turn_sources_off():
+    cfg = NoiseConfig(tau_bright=math.inf, tau_dark=math.inf,
+                      ionization_a=math.inf, rydberg_dephasing_rate=0.0)
+    assert rydberg_collapse_ops(cfg) == []
+    assert ionization_collapse_ops(cfg, 2 * np.pi * 6.0) == []
+
+
 def test_source_slicing(reference_config):
     only_decay = reference_config.only("rydberg_decay")
     assert only_decay.tau_bright == reference_config.tau_bright

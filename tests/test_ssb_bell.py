@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -7,10 +9,13 @@ from hypothesis.extra.numpy import arrays
 from fsqsim.benchmarking.twoq import (
     IDEAL_READOUT,
     QUARTER_PHASES,
+    SSBSequence,
     _joint_outcomes,
     _run_sequence,
     _bell_state_vector,
     _srd_readout,
+    _ssb_recovery,
+    _ssb_table,
     bell_protocol,
     fit_ssb,
     generate_ssb,
@@ -29,7 +34,9 @@ from oracles import (
     ideal_cz_executor,
     reference_assigned_probs,
     reference_bell_protocol,
+    reference_generate_ssb,
     reference_srd_assigned_probs,
+    reference_ssb_sequence,
 )
 
 
@@ -40,46 +47,31 @@ def test_recovery_without_cz_for_zero_depth():
 
 
 def test_noiseless_return_exhaustive_short_depths(ideal_executor):
-    # every phase pattern up to n_cz = 2 (4^(n+1) patterns each), plus a
-    # random sample at depths 3-6
-    import itertools
-
-    from fsqsim.benchmarking.twoq import QUARTER_PHASES, SSBSequence, \
-        _ideal_qubit_state, _product_recovery
-
+    # every phase pattern up to n_cz = 2 (4^(n+1) patterns each), each with
+    # the recovery the reference search finds for it
     worst = 1.0
     for n_cz in (0, 1, 2):
         for pattern in itertools.product(range(4), repeat=n_cz + 1):
-            phases = tuple(QUARTER_PHASES[i] for i in pattern)
-            psi = _ideal_qubit_state(phases, n_cz)
-            # construct via the public generator path by seed search is
-            # wasteful; call the internal pieces the generator uses
-            rec = _product_recovery(psi)
-            if rec is not None:
-                seq = SSBSequence(n_cz=n_cz, phases=phases,
-                                  recovery_cliffords=rec, recovery_cz=False,
-                                  seed=0)
-            else:
-                cz = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
-                group = clifford_group()
-                seq = None
-                for b1 in group:
-                    for b2 in group:
-                        cand = cz @ (np.kron(b1.unitary, b2.unitary) @ psi)
-                        rec = _product_recovery(cand)
-                        if rec is not None:
-                            seq = SSBSequence(
-                                n_cz=n_cz, phases=phases,
-                                recovery_cliffords=rec, recovery_cz=True,
-                                seed=0, recovery_pre=(b1.index, b2.index),
-                            )
-                            break
-                    if seq is not None:
-                        break
-                assert seq is not None, f"no recovery for {phases}"
+            seq = reference_ssb_sequence(
+                tuple(QUARTER_PHASES[i] for i in pattern))
             pops = _run_sequence(ideal_executor, seq)
             worst = min(worst, pops[Q1, Q1])
     assert worst > 1 - 1e-9
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 39), st.integers(0, 2**32 - 1))
+def test_generate_ssb_matches_reference(n_cz, seed):
+    assert generate_ssb(n_cz, seed) == reference_generate_ssb(n_cz, seed)
+
+
+def test_generate_ssb_matches_reference_on_a_grid():
+    # equal fields and equal repr: the indices are ints, as before
+    for n_cz in range(40):
+        for seed in range(60):
+            seq = generate_ssb(n_cz, seed)
+            ref = reference_generate_ssb(n_cz, seed)
+            assert (seq, repr(seq)) == (ref, repr(ref)), (n_cz, seed)
 
 
 def _recovered_qubit_state(seq):
@@ -118,6 +110,63 @@ def test_recovery_takes_both_branches():
     assert {s.recovery_cz for s in seqs} == {False, True}
     for seq in seqs:
         assert abs(abs(_recovered_qubit_state(seq)[3]) - 1.0) <= 1e-12
+
+
+def _table_walks():
+    """{state: phase indices of one shortest walk to it} over the SSB
+    table, breadth first from the first pulse."""
+    _, first, step = _ssb_table()
+    walks = {}
+    frontier = [((p,), t) for p, t in enumerate(first)]
+    while frontier:
+        later = []
+        for walk, t in frontier:
+            if t not in walks:
+                walks[t] = walk
+                later += [(walk + (p,), u) for p, u in enumerate(step[t])]
+        frontier = later
+    return walks
+
+
+def _table_sequence(state):
+    walk = _table_walks()[state]
+    pre, rec = _ssb_recovery(state)
+    return SSBSequence(n_cz=len(walk) - 1,
+                       phases=tuple(QUARTER_PHASES[p] for p in walk),
+                       recovery_cliffords=rec, recovery_cz=pre[0] is not None,
+                       seed=0, recovery_pre=pre)
+
+
+def test_ssb_table_has_twelve_states_closed_under_cz_and_pulses():
+    states, first, step = _ssb_table()
+    assert len(states) == len(step) == 12
+    vecs = [a.ravel() for a in states]
+    for i, j in itertools.combinations(range(12), 2):  # distinct up to phase
+        assert abs(np.vdot(vecs[i], vecs[j])) < 1 - 1e-9
+    cz = np.diag([1.0, 1.0, 1.0, -1.0])
+    eleven = np.array([0.0, 0.0, 0.0, 1.0])
+    for p, phase in enumerate(QUARTER_PHASES):
+        r = rotation(np.pi / 2, phase)
+        pulse = np.kron(r, r)
+        assert abs(abs(np.vdot(vecs[first[p]], pulse @ eleven)) - 1) <= 1e-12
+        for s in range(12):
+            after = pulse @ cz @ vecs[s]
+            assert abs(abs(np.vdot(vecs[step[s][p]], after)) - 1) <= 1e-12
+
+
+def test_every_table_state_is_recovered():
+    # exhaustive: each of the 12 states, reached by a walk of the table and
+    # rebuilt pulse by pulse, goes back to |11> under its recovery
+    assert sorted(_table_walks()) == list(range(12))
+    entangled = 0
+    for state in range(12):
+        seq = _table_sequence(state)
+        entangled += seq.recovery_cz
+        psi = _recovered_qubit_state(seq)
+        assert abs(abs(psi[3]) - 1.0) <= 1e-12
+        assert np.max(np.abs(psi[:3])) <= 1e-12
+        assert seq == reference_ssb_sequence(seq.phases)
+    assert entangled == 6
 
 
 def test_noiseless_return_sampled_depths(ideal_executor):
@@ -331,8 +380,6 @@ def test_quarter_pulses_are_read_only_global_pulses(reference_executor):
         assert np.array_equal(m, reference_executor.global_pulse(phase))
         assert not m.flags.writeable
         assert quarter_pulse(phase) is m  # built once per process
-    from fsqsim.benchmarking.twoq import SSBSequence
-
     with pytest.raises(ValueError, match="QUARTER_PHASES"):  # no pulse kept
         SSBSequence(n_cz=0, phases=(2 * np.pi,), recovery_cliffords=(0, 0),
                     recovery_cz=False, seed=0)
@@ -341,19 +388,19 @@ def test_quarter_pulses_are_read_only_global_pulses(reference_executor):
 def test_recovery_pulses_are_read_only_and_built_once(reference_config):
     from fsqsim.budget import error_budget
 
-    # one error budget runs 4 x 96 sequences; 9 distinct Clifford pairs
-    # recover every two-qubit stabilizer state they reach
+    # one error budget runs 4 x 96 sequences; the recoveries of the 12
+    # table states use 9 distinct Clifford pairs, and it builds each once
     recovery_pulse.cache_clear()
     error_budget(reference_config)
     info = recovery_pulse.cache_info()
-    assert info.misses <= 9 and info.hits > 0
     group = clifford_group()
     pairs = set()
-    for seed in range(40):
-        seq = generate_ssb(6, seed)
-        pairs.add(seq.recovery_cliffords)
-        if seq.recovery_cz:
-            pairs.add(seq.recovery_pre)
+    for state in range(len(_ssb_table()[0])):
+        pre, rec = _ssb_recovery(state)
+        pairs.add(rec)
+        if pre[0] is not None:
+            pairs.add(pre)
+    assert len(pairs) == info.misses == 9 and info.hits > 0
     for c1, c2 in sorted(pairs):
         m = recovery_pulse(c1, c2)
         u1 = embed_qubit_unitary(group[c1].unitary)
