@@ -289,12 +289,20 @@ def step_count(subs, phase, duration):
     ``duration``: ceil(STEPS_PER_RADIAN * bound * duration), with bound the
     largest row sum of |L0| + |L_plus| + |L_minus| plus the phase's largest
     rate |amp * freq| + |slope|. Raises ValueError for a negative duration
-    or beyond ``MAX_STEPS``."""
+    or beyond ``MAX_STEPS``, and for a bound that is not finite, naming
+    the input that feeds it."""
     if duration < 0:
         raise ValueError("duration must be non-negative")
     amp, freq, _, slope = phase
     rows = sum(np.bincount(p.rows, np.abs(p.vals), p.shape[0]) for p in subs)
-    bound = float(np.max(rows, initial=0.0)) + abs(amp * freq) + abs(slope)
+    generator = float(np.max(rows, initial=0.0))
+    bound = generator + abs(amp * freq) + abs(slope)
+    if not math.isfinite(bound):
+        source = ("an entry of h0, coupling or jumps"
+                  if not math.isfinite(generator)
+                  else "the phase's amp * freq or slope")
+        raise ValueError(f"the generator norm is not finite ({bound}): "
+                         f"{source} is not finite")
     n = math.ceil(STEPS_PER_RADIAN * bound * duration)
     if n > MAX_STEPS:
         raise ValueError(

@@ -14,6 +14,7 @@ so planning needs neither per-move array work nor ``scipy.optimize``.
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import itemgetter
 
 import numpy as np
 
@@ -132,7 +133,19 @@ _LANE_OFFSET = GRID_X_SPACING / 2  # um
 
 def _bitmask(flags) -> int:
     """Bit i set for each true entry i of ``flags``."""
-    return sum(1 << i for i, f in enumerate(flags) if f)
+    return int.from_bytes(
+        np.packbits(np.asarray(flags, dtype=bool), bitorder="little").tobytes(),
+        "little")
+
+
+def _bits(mask: int) -> list:
+    """The indices of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 class _RouteTable:
@@ -143,8 +156,9 @@ class _RouteTable:
     i), and a path is clear when ``mask & occupied & ~skip == 0`` for its
     hit mask. Segments, routes and the moves along them are worked out on
     first use and kept, so a Monte Carlo over one geometry does its
-    geometry once; the segments of a route's candidate paths are worked out
-    together, in one array pass.
+    geometry once; the first request for a destination site or a parking
+    slot works out the routes to it from every site together, in one array
+    pass.
     """
 
     def __init__(self, sites):
@@ -193,13 +207,14 @@ class _RouteTable:
         """[(mask, path)]: each path with the union of its segments' hit
         masks."""
         self._fill(paths)
-        out = []
-        for path in paths:
-            mask = 0
-            for seg in zip(path, path[1:]):
-                mask |= self._segments[seg][1]
-            out.append((mask, path))
-        return out
+        return [(self._mask(path), path) for path in paths]
+
+    def _mask(self, path) -> int:
+        """Union of the hit masks of the path's segments, all filled."""
+        mask = 0
+        for seg in zip(path, path[1:]):
+            mask |= self._segments[seg][1]
+        return mask
 
     def path_mask(self, path) -> int:
         """Union of the hit masks of the path's segments."""
@@ -213,41 +228,55 @@ class _RouteTable:
         key = (p0, p1)
         cands = self._routes.get(key)
         if cands is None:
-            lanes = [(p0, (p0[0] + s0 * _LANE_OFFSET, p0[1]),
-                      (p1[0] + s1 * _LANE_OFFSET, p1[1]), p1)
-                     for s0 in (+1, -1) for s1 in (+1, -1)]
-            legs = np.diff(np.array(lanes), axis=1)
-            length = np.sum(np.hypot(legs[..., 0], legs[..., 1]), axis=1)
-            lanes = [lanes[k] for k in sorted(range(len(lanes)),
-                                              key=length.tolist().__getitem__)]
-            cands = self._routes[key] = self._with_masks([(p0, p1), *lanes])
+            cands = self._routes[key] = self._with_masks(
+                _route_paths([p0], p1)[0])
         return cands
 
     def site_routes(self, a: int, b: int):
         """[(mask, move)]: :meth:`routes` from site a to site b as moves,
-        keyed by the indices. A move is immutable, so plans share it."""
+        keyed by the indices. A move is immutable, so plans share it. The
+        first request for a destination works out the routes to it from
+        every site, in one :meth:`_fill`."""
         cands = self._site_routes.get((a, b))
         if cands is None:
-            cands = self._site_routes[a, b] = [
-                (mask, Move(a, b, path)) for mask, path in
-                self.routes(self.points[a], self.points[b])]
+            starts = [s for s in range(len(self.points)) if s != b]
+            paths = _route_paths([self.points[s] for s in starts],
+                                 self.points[b])
+            self._fill([path for ps in paths for path in ps])
+            for s, ps in zip(starts, paths):
+                self._site_routes[s, b] = [
+                    (self._mask(path), Move(s, b, path)) for path in ps]
+            cands = self._site_routes[a, b]
         return cands
 
     def park_routes(self, site: int, n_park: int):
         """[(mask, move)] of the two lane routes from a site down to parking
         slot ``n_park`` (the vertical leg runs in the inter-column lane,
-        which contains no sites), right lane first."""
-        key = (site, n_park)
-        cands = self._park_routes.get(key)
+        which contains no sites), right lane first. The first request for a
+        slot works out its routes from every site, in one :meth:`_fill`."""
+        cands = self._park_routes.get((site, n_park))
         if cands is None:
-            p0 = self.points[site]
-            cands = self._park_routes[key] = [
-                (mask, Move(site, -1, path)) for mask, path in
-                self._with_masks([
-                    (p0, (p0[0] + s * _LANE_OFFSET, p0[1]),
-                     (p0[0] + s * _LANE_OFFSET + 0.01 * n_park, self.y_park))
-                    for s in (+1, -1)])]
+            paths = [[(p0, (p0[0] + s * _LANE_OFFSET, p0[1]),
+                       (p0[0] + s * _LANE_OFFSET + 0.01 * n_park, self.y_park))
+                      for s in (+1, -1)] for p0 in self.points]
+            self._fill([path for ps in paths for path in ps])
+            for s, ps in enumerate(paths):
+                self._park_routes[s, n_park] = [
+                    (self._mask(path), Move(s, -1, path)) for path in ps]
+            cands = self._park_routes[site, n_park]
         return cands
+
+
+def _route_paths(starts, p1):
+    """For each point of ``starts``, the candidate paths of
+    :meth:`_RouteTable.routes` from it to p1, in order of preference."""
+    lanes = [[(p0, (p0[0] + s0 * _LANE_OFFSET, p0[1]),
+               (p1[0] + s1 * _LANE_OFFSET, p1[1]), p1)
+              for s0 in (+1, -1) for s1 in (+1, -1)] for p0 in starts]
+    legs = np.diff(np.array(lanes), axis=2)
+    lengths = np.sum(np.hypot(legs[..., 0], legs[..., 1]), axis=2).tolist()
+    return [[(p0, p1), *(ls[k] for k in sorted(range(4), key=n.__getitem__))]
+            for p0, ls, n in zip(starts, lanes, lengths)]
 
 
 @lru_cache(maxsize=8)
@@ -266,6 +295,13 @@ def _linear_sum_assignment(cost):
     grid's many equal distances reach: ``remaining`` is filled in reverse, a
     column with no row wins a tie, a tall matrix is solved transposed and
     the result sorted by row.
+
+    Rows are augmented in order. While every augmenting path so far has
+    been one edge, the potentials are all zero, so the search from the next
+    row starts with a scan of that row's own costs; when the row's minimum
+    is reached at a free column, the lowest-index one ends the search. Such
+    rows take the builtin ``min``; the full search runs from the first row
+    whose minimum only taken columns reach.
     """
     nr, nc = len(cost), len(cost[0]) if cost else 0
     if nr == 0 or nc == 0:
@@ -276,7 +312,20 @@ def _linear_sum_assignment(cost):
         nr, nc = nc, nr
     u, v = [0.0] * nr, [0.0] * nc
     col4row, row4col, path = [-1] * nr, [-1] * nc, [-1] * nc
-    for cur in range(nr):
+    first = 0  # the first row that needs the full search
+    for ci in cost:
+        lowest = min(ci)
+        if not lowest < math.inf:
+            break
+        j = ci.index(lowest)
+        if row4col[j] >= 0:  # taken: the next free column at the minimum
+            j = next((k for k in range(j + 1, nc)
+                      if ci[k] == lowest and row4col[k] < 0), -1)
+            if j < 0:
+                break
+        u[first], col4row[first], row4col[j] = lowest, j, first
+        first += 1
+    for cur in range(first, nr):
         spc = [math.inf] * nc  # shortest path cost to each column
         rows_seen, cols_seen = [], []
         remaining = list(range(nc - 1, -1, -1))
@@ -343,10 +392,17 @@ def plan_rearrangement(
     n_sites = geometry.n_sites
     if len(initial) != n_sites or len(target) != n_sites:
         raise ValueError("occupancy length must match the site count")
-    table = _route_table(geometry.sites.tobytes())
+    moves, unplaced = _plan(_bitmask(initial), _bitmask(target),
+                            _route_table(geometry.sites.tobytes()))
+    return MovePlan(moves=tuple(moves), unplaced_targets=tuple(sorted(unplaced)))
+
+
+def _plan(occ, tmask, table):
+    """(moves, unplaced targets) of :func:`plan_rearrangement` for the
+    occupancy and target bitmasks ``occ`` and ``tmask`` on the layout of a
+    route table; the unplaced targets are not sorted."""
+    n_sites = len(table.points)
     points, dist = table.points, table.dist
-    occ = _bitmask(initial)
-    tmask = _bitmask(target)
     moves = []
     n_park = 0
 
@@ -369,8 +425,7 @@ def plan_rearrangement(
         return move
 
     empty_targets, extra_atoms = tmask & ~occ, occ & ~tmask
-    needed = [i for i in range(n_sites) if empty_targets >> i & 1]
-    sources = [i for i in range(n_sites) if extra_atoms >> i & 1]
+    needed, sources = _bits(empty_targets), _bits(extra_atoms)
     unplaced = []
     if len(sources) < len(needed):
         # fill nearest targets first (ties in index order), report the rest
@@ -379,12 +434,18 @@ def plan_rearrangement(
         unplaced = needed[len(sources):]
         needed = needed[: len(sources)]
 
+    # The cost of a source-target pair is their distance. With more sources
+    # than targets, rows are the targets: the orientation the port solves a
+    # tall sources x targets matrix in (the distances are symmetric).
     pending = {}
-    if needed:
-        # cost[i][j] = distance from sources[i] to needed[j]
-        rows, cols = _linear_sum_assignment(
-            [[dist[s][t] for t in needed] for s in sources])
-        pending = {needed[c]: sources[r] for r, c in zip(rows, cols)}
+    if needed and len(needed) < len(sources):
+        row = itemgetter(*sources)
+        cols = _linear_sum_assignment([row(dist[t]) for t in needed])[1]
+        pending = {t: sources[c] for t, c in zip(needed, cols)}
+    elif needed:
+        cols = _linear_sum_assignment(
+            [[dist[s][t] for t in needed] for s in sources])[1]
+        pending = {needed[c]: s for s, c in zip(sources, cols)}
     assigned = set(pending.values())
     surplus = [s for s in sources if s not in assigned]
     # parked atoms that go on to a target: (position, destination, deferred)
@@ -392,10 +453,10 @@ def plan_rearrangement(
     # executed. A parked surplus atom stays where it is and is not listed.
     parked = []
 
-    guard = 0
-    while pending or surplus or parked:
+    guard, max_guard = 0, 20 * (n_sites + 10)
+    while pending or parked:
         guard += 1
-        if guard > 20 * (n_sites + 10):
+        if guard > max_guard:
             unplaced.extend(sorted(pending))
             unplaced.extend(t for _, t, _d in parked)
             break
@@ -483,7 +544,27 @@ def plan_rearrangement(
                 surplus.pop(0)
             else:
                 unplaced.append(parked.pop(0)[1])
-    return MovePlan(moves=tuple(moves), unplaced_targets=tuple(sorted(unplaced)))
+    # Nothing is pending or parked now, and parking surplus adds neither, so
+    # each remaining step parks the first surplus atom with a clear way out,
+    # or gives up on the first one, under the same guard.
+    park_routes = table.park_routes
+    while surplus and guard < max_guard:
+        guard += 1
+        for k, src in enumerate(surplus):
+            blocking = occ & ~(1 << src)
+            for mask, move in park_routes(src, n_park):
+                if not mask & blocking:
+                    break
+            else:
+                continue
+            moves.append(move)
+            occ &= ~(1 << src)
+            n_park += 1
+            del surplus[k]
+            break
+        else:
+            del surplus[0]
+    return moves, unplaced
 
 
 def replay_plan(plan: MovePlan, initial, geometry: ArrayGeometry):
@@ -549,30 +630,47 @@ def simulate_assembly(
     seeds x 2000 trials): inside the +-0.01 acceptance band around the
     reference 0.955, though 3 standard errors below it.
     """
+    n_sites = geometry.n_sites
     flags = np.asarray(target, dtype=bool).tolist()
-    target_sites = [i for i, f in enumerate(flags) if f]
-    rng = np.random.default_rng(seed)
+    if len(flags) != n_sites:
+        raise ValueError("occupancy length must match the site count")
+    table = _route_table(geometry.sites.tobytes())
+    tmask = _bitmask(flags)
+    n_targets = tmask.bit_count()
+    draw = np.random.default_rng(seed).random
     wins = 0
     for _ in range(n_trials):
-        occ = (rng.random(geometry.n_sites) < loading_probability).tolist()
-        plan = plan_rearrangement(occ, flags, geometry)
-        if plan.unplaced_targets:
+        occ = _bitmask(draw(n_sites) < loading_probability)
+        moves, unplaced = _plan(occ, tmask, table)
+        if unplaced:
             continue
+        # Each move from a site takes one draw, and a return from parking
+        # takes one only when it carries an atom. A run of moves from sites
+        # takes its draws in one call, which returns the same doubles.
         parked_ok = set()  # parking slots holding a surviving atom
-        for m in plan.moves:
-            if m.source >= 0:
-                occ[m.source] = False
-                carried = True
-            else:
-                carried = m.path[0] in parked_ok
-                parked_ok.discard(m.path[0])
-            survived = carried and (rng.random() < per_move_success)
-            if m.destination >= 0:
-                occ[m.destination] = survived
-            elif survived:
-                parked_ok.add(m.path[-1])
-        if all(occ[i] for i in target_sites) and (
-                rng.random(len(target_sites)) < imaging_survival).all():
+        returns = [k for k, m in enumerate(moves) if m.source < 0]
+        start = 0
+        for stop in (*returns, len(moves)):
+            for m, u in zip(moves[start:stop], draw(stop - start).tolist()):
+                occ &= ~(1 << m.source)
+                if m.destination < 0:
+                    if u < per_move_success:
+                        parked_ok.add(m.path[-1])
+                elif u < per_move_success:
+                    occ |= 1 << m.destination
+                else:
+                    occ &= ~(1 << m.destination)
+            if stop < len(moves):
+                m = moves[stop]
+                slot = m.path[0]
+                if slot in parked_ok and draw() < per_move_success:
+                    occ |= 1 << m.destination
+                else:
+                    occ &= ~(1 << m.destination)
+                parked_ok.discard(slot)
+            start = stop + 1
+        if occ & tmask == tmask and all(
+                u < imaging_survival for u in draw(n_targets).tolist()):
             wins += 1
     p = wins / n_trials
     return p, float(np.sqrt(max(p * (1 - p), 1e-12) / n_trials))

@@ -12,7 +12,7 @@ from functools import lru_cache
 import numpy as np
 
 from ..channels import channel_superoperator, check_cptp
-from ..cliffords import CliffordGate, clifford_group, find_index
+from ..cliffords import CliffordGate, clifford_group, sequence_inverse
 from ..fitting import DecayFit, fit_power_decay
 from ..levels import DIM, G, Q0, Q1, lop
 from ..noise import NoiseConfig, raman_scatter_collapse_ops
@@ -38,11 +38,8 @@ def generate_crb(length: int, seed: int) -> RBSequence:
     rng = np.random.default_rng(seed)
     group = clifford_group()
     idx = tuple(int(i) for i in rng.integers(0, len(group), size=length))
-    u = np.eye(2, dtype=complex)
-    for i in idx:
-        u = group[i].unitary @ u
-    inverse = find_index(u.conj().T)
-    return RBSequence(clifford_indices=idx, inverse_index=inverse, seed=seed)
+    return RBSequence(clifford_indices=idx, inverse_index=sequence_inverse(idx),
+                      seed=seed)
 
 
 @lru_cache(maxsize=1024)

@@ -106,13 +106,40 @@ def find_index(u: np.ndarray) -> int:
     return index
 
 
+@lru_cache(maxsize=1)
+def _composition() -> tuple:
+    """(products, inverses, identity) by group index: ``products[a][b]`` is
+    the index of group[a] @ group[b] (``b`` applied first), ``inverses[a]``
+    that of the inverse of group[a]. Built on first use, not at import: all
+    products in one batched matmul, each read through its phase key."""
+    group = clifford_group()
+    u = np.array([g.unitary for g in group])
+    flat = (u[:, None] @ u[None, :]).reshape(-1, 4)
+    ref = flat[np.arange(len(flat)), np.argmax(np.abs(flat) > 0.5, axis=1)]
+    keys = np.round((flat * (np.abs(ref) / ref)[:, None]).view(float), 6)
+    index = _index_by_key()
+    products = np.reshape([index[tuple(k)] for k in keys.tolist()],
+                          (len(group), len(group))).tolist()
+    identity = find_index(np.eye(2))
+    return products, [row.index(identity) for row in products], identity
+
+
 def compose(a: CliffordGate, b: CliffordGate) -> CliffordGate:
     """Group element equal to applying ``b`` first, then ``a``."""
-    return clifford_group()[find_index(a.unitary @ b.unitary)]
+    return clifford_group()[_composition()[0][a.index][b.index]]
 
 
 def invert(a: CliffordGate) -> CliffordGate:
-    return clifford_group()[find_index(a.unitary.conj().T)]
+    return clifford_group()[_composition()[1][a.index]]
+
+
+def sequence_inverse(indices) -> int:
+    """Index of the element that undoes the Cliffords ``indices``, applied
+    first to last: a walk on the composition table."""
+    products, inverses, g = _composition()
+    for i in indices:
+        g = products[i][g]
+    return inverses[g]
 
 
 def average_pulse_count() -> float:

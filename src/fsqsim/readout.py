@@ -109,13 +109,27 @@ class PhotonCountModel:
         built once per model; the model is frozen, so they never go stale."""
         return {occ: self._poisson_mixture(occ) for occ in (False, True)}
 
-    def pdf(self, counts, occupied: bool) -> np.ndarray:
-        k, pk = self._mixtures[bool(occupied)]
+    def _read_noise_kernel(self, counts) -> np.ndarray:
+        """Density of count c given k photons: one row per count, one column
+        per photon number k. Both mixtures share the k axis, so one kernel
+        serves the occupied and the empty density. Each entry is
+        exp(-z^2 / 2) / sqrt(2 pi) / read_noise, z = (c - k) / read_noise."""
+        k = self._mixtures[True][0]
         c = np.atleast_1d(np.asarray(counts, dtype=float))
         s = self.read_noise
         z = (c[:, None] - k[None, :]) / s
-        out = (pk[None, :] * (np.exp(-z**2 / 2.0) / _SQRT_2PI / s)).sum(axis=1)
+        return np.exp(-z**2 / 2.0) / _SQRT_2PI / s
+
+    def pdf(self, counts, occupied: bool) -> np.ndarray:
+        out = self._mixed(self._read_noise_kernel(counts), occupied)
         return out if np.ndim(counts) else float(out[0])
+
+    def _density_gap(self, counts):
+        """pdf(counts, empty) - pdf(counts, occupied), from one read-noise
+        kernel (elementwise for an array of counts)."""
+        kernel = self._read_noise_kernel(counts)
+        gap = self._mixed(kernel, False) - self._mixed(kernel, True)
+        return gap if np.ndim(counts) else float(gap[0])
 
     def _read_noise_tail(self, threshold) -> np.ndarray:
         """P(k + read noise >= t): one row per threshold t, one column per
@@ -129,12 +143,14 @@ class PhotonCountModel:
         erfc = np.fromiter(map(math.erfc, x), dtype=float, count=len(x))
         return 0.5 * erfc.reshape(z.shape)
 
-    def _survival(self, tail: np.ndarray, occupied: bool) -> np.ndarray:
-        return (self._mixtures[bool(occupied)][1][None, :] * tail).sum(axis=1)
+    def _mixed(self, per_k: np.ndarray, occupied: bool) -> np.ndarray:
+        """Each row of ``per_k`` (one column per photon number k) summed
+        against the photon-number weights of the occupied or empty site."""
+        return (self._mixtures[bool(occupied)][1][None, :] * per_k).sum(axis=1)
 
     def survival_function(self, threshold, occupied: bool):
         """P(count >= threshold)."""
-        out = self._survival(self._read_noise_tail(threshold), occupied)
+        out = self._mixed(self._read_noise_tail(threshold), occupied)
         return out if np.ndim(threshold) else float(out[0])
 
     def sample(self, occupied: bool, rng: np.random.Generator) -> float:
@@ -154,8 +170,8 @@ class PhotonCountModel:
         site, from one read-noise tail (elementwise for an array of
         thresholds)."""
         tail = self._read_noise_tail(threshold)
-        tp = self._survival(tail, occupied=True)
-        fp = self._survival(tail, occupied=False)
+        tp = self._mixed(tail, occupied=True)
+        fp = self._mixed(tail, occupied=False)
         return (tp, fp) if np.ndim(threshold) else (float(tp[0]), float(fp[0]))
 
     def classification_fidelity(self, threshold):
@@ -173,14 +189,10 @@ class PhotonCountModel:
         crossing, solved with ``brentq``; of several, the one of highest
         fidelity is kept.
         """
-
-        def density_gap(t):
-            return self.pdf(t, False) - self.pdf(t, True)
-
         lo = self.background_mean - 5 * self.read_noise
         hi = self.signal_mean + 5 * math.sqrt(self.signal_mean)
         grid = np.linspace(lo, hi, 400)
-        gap = density_gap(grid)
+        gap = self._density_gap(grid)
         down = np.flatnonzero((gap[:-1] > 0) & (gap[1:] <= 0))
         if down.size == 0:
             raise ValueError(
@@ -188,7 +200,7 @@ class PhotonCountModel:
                 f"on [{lo}, {hi}] (background mean {self.background_mean}, "
                 f"signal mean {self.signal_mean})"
             )
-        ts = np.array([brentq(density_gap, grid[i], grid[i + 1],
+        ts = np.array([brentq(self._density_gap, grid[i], grid[i + 1],
                               xtol=THRESHOLD_XTOL) for i in down])
         fids = self.classification_fidelity(ts)
         i = int(np.argmax(fids))

@@ -338,6 +338,9 @@ def sector_unitaries(
     offset, slope = -th2, th3 * rate
     freq = 2 * np.pi / t_ref  # every member's cosine period on this clock
     modulated = np.any(th1) or np.any(th3)
+    if not math.isfinite(norm):
+        raise ValueError(f"the generator norm is not finite ({norm}): a "
+                         f"field of {drive} is not finite")
     n_gate = math.ceil(STEPS_PER_RADIAN * norm * t_ref * np.max(rate))
 
     u_pair, u_chain, u_dark = np.eye(2), np.eye(3), 1.0

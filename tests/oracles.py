@@ -5,7 +5,8 @@ the package does another way (a dense Lindblad right-hand side, adaptive
 Dormand-Prince and fixed-step RK4 integrators, a pair-basis channel by
 Dormand-Prince, a whole-pattern breadth-first support closure, H(t) as a
 callable, the rearrangement planner on uncached segment checks and scipy's
-assignment, the Clifford lookup as a linear scan, the Bell readout as
+assignment, the assembly Monte Carlo on list occupancy with one draw per
+move, the Clifford lookup as a linear scan, the Bell readout as
 per-level loops, a process fidelity through the inverse of a generic ideal
 map, the Rydberg sector propagator on the whole 6x6 problem, a Rabi series
 as chained state evolutions, the Ramsey fringe as per-node vector products,
@@ -26,7 +27,8 @@ import numpy as np
 from fsqsim import budget, rydberg
 from fsqsim._kernels._lindblad_py import (GAUSS_NODES, WEIGHT_MINUS,
                                          WEIGHT_PLUS)
-from fsqsim.assembly import EXCLUSION_RADIUS, GRID_X_SPACING, Move, MovePlan
+from fsqsim.assembly import (EXCLUSION_RADIUS, GRID_X_SPACING, Move, MovePlan,
+                             plan_rearrangement)
 from fsqsim.benchmarking import twoq
 from fsqsim.benchmarking.ramsey import RAMSEY_NODES, RAMSEY_PHASES
 from fsqsim.benchmarking.twoq import SEQUENCE_SURVIVAL, GateExecutor, run_ssb
@@ -764,6 +766,42 @@ def reference_plan_rearrangement(initial, target, geometry):
                         break
     return MovePlan(moves=tuple(moves),
                     unplaced_targets=tuple(sorted(int(u) for u in unplaced)))
+
+
+def reference_simulate_assembly(geometry, target, loading_probability,
+                                per_move_success, imaging_survival, n_trials,
+                                seed):
+    """``assembly.simulate_assembly`` as a list-occupancy loop over the
+    public ``plan_rearrangement``: one scalar draw per carried move, in
+    plan order, then the imaging draws of a trial whose targets are all
+    filled."""
+    flags = np.asarray(target, dtype=bool).tolist()
+    target_sites = [i for i, f in enumerate(flags) if f]
+    rng = np.random.default_rng(seed)
+    wins = 0
+    for _ in range(n_trials):
+        occ = (rng.random(geometry.n_sites) < loading_probability).tolist()
+        plan = plan_rearrangement(occ, flags, geometry)
+        if plan.unplaced_targets:
+            continue
+        parked_ok = set()  # parking slots holding a surviving atom
+        for m in plan.moves:
+            if m.source >= 0:
+                occ[m.source] = False
+                carried = True
+            else:
+                carried = m.path[0] in parked_ok
+                parked_ok.discard(m.path[0])
+            survived = carried and (rng.random() < per_move_success)
+            if m.destination >= 0:
+                occ[m.destination] = survived
+            elif survived:
+                parked_ok.add(m.path[-1])
+        if all(occ[i] for i in target_sites) and (
+                rng.random(len(target_sites)) < imaging_survival).all():
+            wins += 1
+    p = wins / n_trials
+    return p, float(np.sqrt(max(p * (1 - p), 1e-12) / n_trials))
 
 
 def reference_sector_unitaries(profile, drive, detuning_edges=None,

@@ -338,6 +338,9 @@ ALLOWED = {
         "writes the CSV format from_csv reads",
     "ratedyn.branching_ratios":
         "the decay branching analysis of the rate equations",
+    "readout.PhotonCountModel.pdf":
+        "count density for one occupancy; src reads the difference of both "
+        "through one read-noise kernel",
     "readout.PhotonCountModel.sample":
         "draws one shot's photon count from the model",
     "readout.PhotonCountModel.survival_function":

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
-from oracles import reference_plan_rearrangement
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import reference_plan_rearrangement, reference_simulate_assembly
 
 from fsqsim import assembly
 from fsqsim.assembly import (
@@ -210,6 +212,30 @@ def test_assignment_port_matches_scipy_on_ties_and_shapes():
     _assert_assignment_matches_scipy(np.zeros((5, 5)))
 
 
+def test_assignment_first_conflict_after_one_edge_rows():
+    # rows 0 and 1 take their free minima; row 2's minimum, 1, sits only in
+    # taken columns, so the full search starts at row 2 with the first two
+    # rows' potentials in place
+    cost = np.array([[0.0, 5, 5, 5], [5, 0, 5, 5], [1, 1, 9, 9]])
+    _assert_assignment_matches_scipy(cost)
+    _assert_assignment_matches_scipy(cost.T)
+    rows, cols = assembly._linear_sum_assignment(cost.tolist())
+    assert sum(cost[r, c] for r, c in zip(rows, cols)) == 6
+
+
+def test_assignment_free_column_wins_a_tie_with_a_taken_one():
+    # row 1's minimum is reached at a taken column and at free ones, on
+    # either side of it: the lowest-index free column takes the row in one
+    # edge
+    cases = [([[1.0, 9, 9], [1, 1, 9]], [0, 1]),
+             ([[9.0, 9, 1], [1, 9, 1]], [2, 0]),
+             ([[9.0, 1, 9, 9], [1, 1, 9, 1]], [1, 0])]
+    for cost, cols in cases:
+        assert assembly._linear_sum_assignment(cost) == ([0, 1], cols)
+        _assert_assignment_matches_scipy(np.array(cost))
+        _assert_assignment_matches_scipy(np.array(cost).T)
+
+
 def test_assignment_port_matches_scipy_on_pair_grid_costs(geometry, target):
     # the planner's cost matrices: sources (rows) by empty targets (columns)
     sites = geometry.sites
@@ -227,6 +253,25 @@ def test_assignment_port_matches_scipy_on_pair_grid_costs(geometry, target):
 def test_assembly_seed7_pin(geometry, target):
     # the rearrange subcommand's Monte Carlo at configs/rearrange.ini
     assert simulate_assembly(geometry, target, n_trials=2000, seed=7)[0] == 0.95
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       loading=st.floats(0.1, 0.95),
+       per_move=st.one_of(st.sampled_from([0.0, 0.5, 0.9907, 1.0]),
+                          st.floats(0.5, 1.0)),
+       imaging=st.one_of(st.just(1.0), st.floats(0.5, 1.0)),
+       target_bits=st.integers(0, 2**32 - 1),
+       n_trials=st.integers(1, 60))
+def test_assembly_matches_reference(seed, loading, per_move, imaging,
+                                    target_bits, n_trials):
+    # the bitmask Monte Carlo, with its batched draws and internal planner,
+    # against the list-occupancy loop over plan_rearrangement: the same
+    # random stream, so the same estimate to the last digit
+    geometry = pair_grid_geometry()
+    target = [bool(target_bits >> i & 1) for i in range(geometry.n_sites)]
+    args = (geometry, target, loading, per_move, imaging, n_trials, seed)
+    assert simulate_assembly(*args) == reference_simulate_assembly(*args)
 
 
 def test_assembly_perfect_components(geometry, target):

@@ -190,6 +190,26 @@ def test_noise_config_loading(tmp_path):
     assert rc == 0
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_noise_rate_fails_by_name(tmp_path, capsys):
+    # raman_scatter_g_per_us = inf makes the Raman generator nan: the run
+    # exits 1 naming the generator norm, not math.ceil's NaN conversion
+    text = (CONFIG_DIR / "noise_reference.txt").read_text()
+    noise = tmp_path / "noise.txt"
+    noise.write_text("".join(
+        "raman_scatter_g_per_us = inf\n"
+        if line.startswith("raman_scatter_g_per_us") else line
+        for line in text.splitlines(keepends=True)))
+    cfg = tmp_path / "crb.ini"
+    cfg.write_text(f"[run]\nseed = 7\nshots = 10\nnoise_config = {noise}\n\n"
+                   "[crb]\nlengths = 2\nn_sequences = 2\nerasure = false\n")
+    rc = main(["crb", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "generator norm is not finite" in err
+    assert "convert float NaN" not in err
+
+
 def test_srd_subcommand_small(tmp_path):
     cfg = tmp_path / "srd.ini"
     cfg.write_text("[run]\nseed = 2\n\n[srd]\nn_trials = 2000\n")
@@ -287,8 +307,9 @@ def test_subcommand_loads_only_its_protocol_module(tmp_path, command, config,
 
 
 def test_bell_leaves_the_ssb_table_unbuilt(tmp_path):
-    # fsqsim bell imports twoq but runs no SSB sequence: the SSB state table
-    # and its recoveries stay unbuilt, off bell's start-up and wall time
+    # fsqsim bell imports twoq (and so cliffords) but runs no SSB or CRB
+    # sequence: the SSB state table, its recoveries and the Clifford
+    # composition table stay unbuilt, off bell's start-up and wall time
     cfg = tmp_path / "bell.ini"
     cfg.write_text("[run]\nseed = 3\nshots = 20\n\n[bell]\nn_phases = 4\n")
     loaded = loaded_after(
@@ -298,7 +319,10 @@ def test_bell_leaves_the_ssb_table_unbuilt(tmp_path):
         "assert rc == 0, rc\n"
         "from fsqsim.benchmarking import twoq\n"
         "assert twoq._ssb_table.cache_info().currsize == 0\n"
-        "assert twoq._ssb_recovery.cache_info().currsize == 0\n", "fsqsim")
+        "assert twoq._ssb_recovery.cache_info().currsize == 0\n"
+        "from fsqsim import cliffords\n"
+        "assert cliffords._composition.cache_info().currsize == 0\n",
+        "fsqsim")
     assert "fsqsim.benchmarking.twoq" in loaded
 
 

@@ -381,6 +381,23 @@ def test_stiff_input_fails_before_stepping(monkeypatch):
         evolve_rho(np.diag([0.0, 1.0, 0, 0, 0, 0]), None, ops, 1.0, 1)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("rate,slope,source", [
+    (np.inf, 0.0, r"an entry of h0, coupling or jumps"),
+    (0.2, np.nan, r"the phase's amp \* freq or slope"),
+])
+def test_non_finite_generator_norm_is_named(rate, slope, source):
+    # an infinite collapse rate makes the generator's row sums nan; a nan
+    # phase slope makes its rate nan: either is refused by name, not by
+    # math.ceil's "cannot convert float NaN to integer"
+    jump = np.sqrt(rate) * levels.lop(B, R)
+    h0 = np.diag(np.arange(6.0))
+    subs = [p for p in liouvillian_parts(h0, h0, [jump]) if p is not None]
+    with pytest.raises(ValueError, match=r"generator norm is not finite "
+                                         r"\(nan\): " + source):
+        _lindblad_py.step_count(subs, (1.0, 1.0, 0.0, slope), 1.0)
+
+
 _VALUES = st.sampled_from([0.0, 1.0, -1.0, 0.5j, -0.5j, 2.0 + 3.0j,
                            -2.0 - 3.0j, 1e-300, 0.1 + 0.7j, -3.3])
 

@@ -9,6 +9,7 @@ from fsqsim.cliffords import (
     equal_up_to_phase,
     find_index,
     invert,
+    sequence_inverse,
 )
 from fsqsim.pulses import rotation, virtual_z_equivalent
 from oracles import (
@@ -112,6 +113,27 @@ def test_full_composition_table_closes():
         for b in group:
             c = compose(a, b)  # raises LookupError if the product is outside
             assert isinstance(c, CliffordGate)
+
+
+def test_composition_table_matches_find_index():
+    # compose and invert read a table built from one batched product; every
+    # entry is the element find_index gives for the product or the inverse
+    group = clifford_group()
+    for a in group:
+        assert invert(a).index == find_index(a.unitary.conj().T)
+        for b in group:
+            assert compose(a, b).index == find_index(a.unitary @ b.unitary)
+
+
+def test_sequence_inverse_matches_the_unitary_product():
+    group = clifford_group()
+    rng = np.random.default_rng(21)
+    for length in list(range(6)) + [40, 200]:
+        idx = rng.integers(0, len(group), size=length).tolist()
+        u = np.eye(2, dtype=complex)
+        for i in idx:
+            u = group[i].unitary @ u
+        assert sequence_inverse(idx) == find_index(u.conj().T)
 
 
 def test_inverses():

@@ -380,9 +380,8 @@ def test_optimal_threshold_without_a_crossing_names_the_means(monkeypatch):
     # identical densities never cross: fail fast instead of returning a
     # threshold that maximizes nothing
     model = PhotonCountModel(signal_mean=12.0)
-    pdf = PhotonCountModel.pdf
-    monkeypatch.setattr(PhotonCountModel, "pdf",
-                        lambda self, counts, occupied: pdf(self, counts, True))
+    monkeypatch.setattr(PhotonCountModel, "_density_gap",
+                        lambda self, counts: np.zeros(np.shape(counts)))
     with pytest.raises(ValueError, match=r"background mean 1\.0, signal mean "
                                          r"12\.0"):
         model.optimal_threshold()
@@ -393,18 +392,17 @@ def test_optimal_threshold_keeps_the_best_of_several_crossings(monkeypatch):
     # crossing left of the true one: both are solved, the better one is kept
     model = PhotonCountModel(signal_mean=12.0)
     best = model.optimal_threshold()
-    pdf = PhotonCountModel.pdf
+    density_gap = PhotonCountModel._density_gap
 
-    def bumped(self, counts, occupied):
+    def bumped(self, counts):
         c = np.asarray(counts, dtype=float)
-        return pdf(self, counts, occupied) + occupied * 0.1 * np.exp(
-            -((c + 4.0) / 0.3) ** 2)
+        return density_gap(self, counts) - 0.1 * np.exp(-((c + 4.0) / 0.3) ** 2)
 
     grid = np.linspace(model.background_mean - 5 * model.read_noise,
                        model.signal_mean + 5 * math.sqrt(model.signal_mean),
                        400)
-    gap = bumped(model, grid, False) - bumped(model, grid, True)
+    gap = bumped(model, grid)
     down = np.flatnonzero((gap[:-1] > 0) & (gap[1:] <= 0))
     assert len(down) == 2 and grid[down[0]] < -4.0 < best[0]
-    monkeypatch.setattr(PhotonCountModel, "pdf", bumped)
+    monkeypatch.setattr(PhotonCountModel, "_density_gap", bumped)
     assert model.optimal_threshold() == best

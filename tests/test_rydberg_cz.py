@@ -341,6 +341,15 @@ def test_default_gate_step_count_is_unchanged():
     assert steps == 309
 
 
+def test_non_finite_drive_is_refused_by_name():
+    # the step count reads the sector norm; a nan detuning (what an infinite
+    # quasi-static sigma gives) is named, not passed to math.ceil
+    with pytest.raises(ValueError, match=r"generator norm is not finite "
+                                         r"\(nan\): a field of RydbergDrive"
+                                         r"\(.*detuning=nan"):
+        sector_unitaries(default_profile(), RydbergDrive(detuning=math.nan))
+
+
 def test_detuning_needs_one_gate_time():
     base = default_profile()
     profiles = [base, CZPulseProfile(base.theta, base.t_gate * 1.01)]
