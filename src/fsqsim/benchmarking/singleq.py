@@ -55,14 +55,11 @@ def _z_superop_diag(angle: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _x90_channel_cached(scatter_g, leak_x, spinflip, noiseless):
+def _x90_channel_cached(scatter_g, leak_x, spinflip):
     h = (RAMAN_RABI / 2) * (lop(Q0, Q1) + lop(Q1, Q0))
-    if noiseless:
-        ops = []
-    else:
-        cfg = NoiseConfig(raman_scatter_g=scatter_g, raman_leak_x=leak_x,
-                          raman_spinflip=spinflip)
-        ops = raman_scatter_collapse_ops(cfg)
+    cfg = NoiseConfig(raman_scatter_g=scatter_g, raman_leak_x=leak_x,
+                      raman_spinflip=spinflip)
+    ops = raman_scatter_collapse_ops(cfg)
     t90 = (np.pi / 2) / RAMAN_RABI
     s = channel_superoperator(h, ops, t90, n_atoms=1)
     units = [(k // DIM, k % DIM) for k in range(DIM * DIM)]
@@ -78,10 +75,9 @@ def raman_pulse_channel(config: NoiseConfig | None) -> np.ndarray:
     scattering operators are phase covariant; asserted in tests).
     """
     if config is None:
-        return _x90_channel_cached(0.0, 0.0, 0.0, True)
+        return _x90_channel_cached(0.0, 0.0, 0.0)
     return _x90_channel_cached(
-        config.raman_scatter_g, config.raman_leak_x,
-        config.raman_spinflip_rate, False
+        config.raman_scatter_g, config.raman_leak_x, config.raman_spinflip_rate
     )
 
 
@@ -196,6 +192,9 @@ def run_crb(
     if n_seq < 2:
         raise ValueError(f"n_sequences must be at least 2 for a standard "
                          f"error of the mean, got {n_seq}")
+    if shots < 1:
+        raise ValueError(f"shots must be at least 1 for a sampled survival, "
+                         f"got {shots}")
     if erasure:
         from ..readout import erasure_operating_point
 

@@ -18,7 +18,6 @@ from . import KERNEL_BACKEND, __version__
 from .channels import channel_superoperator, check_cptp
 from .levels import B, DIM, G, Q0, Q1, R, X, lop
 from .noise import (
-    NoiseConfig,
     noise_config_from_text,
     raman_scatter_collapse_ops,
     reference_budget_config,
@@ -71,13 +70,16 @@ def _known(d, allowed, where):
             raise ConfigError(f"unknown key {k!r} in [{where}]")
 
 
-def _noise_from_run(run, base_dir: Path) -> NoiseConfig:
-    if "noise_config" in run:
-        p = Path(run["noise_config"])
-        if not p.is_absolute():
-            p = base_dir / p
-        return noise_config_from_text(p.read_text())
-    return reference_budget_config()
+def _read_document(path, base_dir: Path, parse):
+    """``parse`` of the file at ``path``, relative to ``base_dir`` unless
+    absolute; a document ``parse`` refuses is a ConfigError naming it."""
+    p = Path(path)
+    if not p.is_absolute():
+        p = base_dir / p
+    try:
+        return parse(p.read_text())
+    except ValueError as exc:
+        raise ConfigError(f"{p}: {exc}") from None
 
 
 def _ints(s):
@@ -132,6 +134,7 @@ def _fmt(x):
 
 
 def _summary(path: Path, payload: dict):
+    """Write strict JSON, which has no NaN or Infinity, naming a bad key."""
     def default(o):
         if isinstance(o, (np.floating, np.integer)):
             return o.item()
@@ -139,6 +142,12 @@ def _summary(path: Path, payload: dict):
             return o.tolist()
         raise TypeError(type(o))
 
+    for key, value in payload.items():
+        try:
+            json.dumps(value, default=default, allow_nan=False)
+        except ValueError:
+            raise ValueError(f"summary value {key!r} is not finite: "
+                             f"{value!r}") from None
     path.write_text(
         json.dumps(payload, sort_keys=True, indent=1, default=default) + "\n"
     )
@@ -396,10 +405,7 @@ def run_lifetime_cmd(ctx, dataset):
     from .ratedyn import LifetimeDataset, fit_lifetimes, predicted_observables
 
     if dataset is not None:
-        p = Path(dataset)
-        if not p.is_absolute():
-            p = ctx.base_dir / p
-        data = LifetimeDataset.from_csv(p.read_text())
+        data = _read_document(dataset, ctx.base_dir, LifetimeDataset.from_csv)
     else:
         from .ratedyn import DecayModel
 
@@ -457,10 +463,7 @@ def run_psd_cmd(ctx, psd_file, n_trajectories, already_uv):
 
     if psd_file is None:
         raise ConfigError("psd-infidelity needs psd_file in the config")
-    p = Path(psd_file)
-    if not p.is_absolute():
-        p = ctx.base_dir / p
-    psd = FrequencyNoisePSD.from_text(p.read_text())
+    psd = _read_document(psd_file, ctx.base_dir, FrequencyNoisePSD.from_text)
     if not already_uv:
         psd = psd_to_uv(psd)
     mean, err = mc_gate_infidelity(
@@ -564,8 +567,13 @@ class RunContext:
             raise ConfigError("seed is mandatory (config [run] or --seed)")
         self.seed = _value(seed, 0, "seed", "run")
         self.shots = _value(run.get("shots"), 200, "shots", "run")
+        if self.shots < 0:
+            raise ConfigError(f"'shots' in [run] must be non-negative, got "
+                              f"{self.shots}")
         self.fmt = args.format
-        self.noise = _noise_from_run(run, base_dir)
+        self.noise = (_read_document(run["noise_config"], base_dir,
+                                     noise_config_from_text)
+                      if "noise_config" in run else reference_budget_config())
         out_root = Path(args.out if args.out else run.get("out", "runs"))
         self.out = out_root
         self.out.mkdir(parents=True, exist_ok=True)

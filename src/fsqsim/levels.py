@@ -20,9 +20,6 @@ DIM = 6
 Q0, Q1, R, G, X, B = range(DIM)
 
 QUBIT_LEVELS = (Q0, Q1)
-# Levels that survive readout and are assigned to a computational state
-# (x masquerades as q0 in detection).
-COMPUTATIONAL_LEVELS = (Q0, Q1, X)
 
 
 @dataclass(frozen=True)
@@ -39,9 +36,6 @@ class LevelScheme:
 
     def index(self, label: str) -> int:
         return self.labels.index(label)
-
-
-DEFAULT_LEVELS = LevelScheme()
 
 
 def ket(level: int) -> np.ndarray:

@@ -7,7 +7,7 @@ artifact.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -35,19 +35,19 @@ def gaussian_quadrature(sigma: float, n_nodes: int):
     return sigma * nodes, weights / np.sqrt(2 * np.pi)
 
 
-def _check_non_negative(name, value):
+def _check_value(name, value):
+    """NoiseConfig's rule for the field, or ("branching", key), ``name``;
+    inf is allowed only where it turns a source off (``_SOURCE_OFF``)."""
+    if isinstance(name, tuple):
+        name = f"branching fraction {name[1]!r}"
+    if name == "raman_spinflip" and value is None:
+        return
+    if name == "state_prep_error" and not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must be a probability, got {value!r}")
     if not value >= 0:  # also true for nan
         raise ValueError(f"{name} must be non-negative, got {value!r}")
-
-
-def _check_branching(b):
-    if set(b) != {"g", "q1", "q0", "x"}:
-        raise ValueError("branching table needs exactly the keys g, q1, q0, x")
-    for key, value in b.items():
-        _check_non_negative(f"branching fraction {key!r}", value)
-    total = sum(b.values())
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"branching fractions sum to {total}, not 1")
+    if value == math.inf and name not in _OFF_AT_INF:
+        raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -57,8 +57,8 @@ class NoiseConfig:
     ``rydberg_detuning_sigma_mhz`` is the r.m.s. of a quasi-static Gaussian
     detuning (slow drift); ``rydberg_dephasing_rate`` is the Markovian
     alternative (q1-r coherence decay rate). Both default to the drift model.
-    A nan in any field is rejected; an infinite ``tau_*`` or
-    ``ionization_a`` turns that source off.
+    A nan or inf in any field is rejected, except that an infinite
+    ``tau_*`` or ``ionization_a`` turns that source off.
     """
 
     tau_bright: float = 110.0  # us
@@ -79,23 +79,17 @@ class NoiseConfig:
     clock_dephasing: float = 2.2e-5  # 1/us (0.022 per ms)
 
     def __post_init__(self):
-        for name in (
-            "tau_bright",
-            "tau_dark",
-            "ionization_a",
-            "rydberg_detuning_sigma_mhz",
-            "rydberg_dephasing_rate",
-            "raman_scatter_g",
-            "raman_leak_x",
-            "clock_rabi",
-            "clock_dephasing",
-        ):
-            _check_non_negative(name, getattr(self, name))
-        if self.raman_spinflip is not None:
-            _check_non_negative("raman_spinflip", self.raman_spinflip)
-        if not 0.0 <= self.state_prep_error <= 1.0:
-            raise ValueError("state_prep_error must be a probability")
-        _check_branching(self.branching)
+        for f in fields(self):
+            if f.name != "branching":
+                _check_value(f.name, getattr(self, f.name))
+        if set(self.branching) != {"g", "q1", "q0", "x"}:
+            raise ValueError("branching table needs exactly the keys g, q1, "
+                             "q0, x")
+        for key, value in self.branching.items():
+            _check_value(("branching", key), value)
+        total = sum(self.branching.values())
+        if abs(total - 1.0) > 1e-9:
+            raise ValueError(f"branching fractions sum to {total}, not 1")
 
     @property
     def raman_spinflip_rate(self) -> float:
@@ -148,6 +142,8 @@ _SOURCE_OFF = {
 }
 
 BUDGET_SOURCES = tuple(_SOURCE_OFF)
+_OFF_AT_INF = {name for off in _SOURCE_OFF.values()
+               for name, value in off.items() if value == math.inf}
 
 
 def rydberg_collapse_ops(config: NoiseConfig) -> list:
@@ -239,8 +235,70 @@ def clock_pi_pulse_error(config: NoiseConfig) -> float:
     return float(1.0 - clock_rabi_curve(t_pi, config))
 
 
-# --- plain-text key-value serialization ------------------------------------
+# --- plain-text documents ---------------------------------------------------
 
+
+def _content_lines(text):
+    """(line number, line) of each line that is not blank or a comment."""
+    for lineno, ln in enumerate(text.splitlines(), start=1):
+        ln = ln.strip()
+        if ln and not ln.startswith("#"):
+            yield lineno, ln
+
+
+def _number(text, lineno, name):
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"line {lineno}: bad number for {name!r}") from None
+
+
+def read_key_values(text: str, keys) -> dict:
+    """{key: float} of a ``key = value`` document with ``#`` comments; a line
+    without ``=``, a key not in ``keys`` or a value that is not a number is
+    rejected, naming the line."""
+    kv = {}
+    for lineno, ln in _content_lines(text):
+        key, sep, val = ln.partition("=")
+        key = key.strip()
+        if not sep:
+            raise ValueError(f"line {lineno}: expected 'key = value', "
+                             f"not {ln!r}")
+        if key not in keys:
+            raise ValueError(f"line {lineno}: unknown key {key!r}")
+        kv[key] = _number(val.strip(), lineno, key)
+    return kv
+
+
+def read_columns(text: str, columns, sep=None):
+    """One float array per name in ``columns`` of a table split at ``sep``
+    (whitespace when None) with ``#`` comments; a line of the names is a
+    header. A line with another number of fields or a bad number is
+    rejected, naming the line and the column."""
+    rows = []
+    for lineno, ln in _content_lines(text):
+        parts = [p.strip() for p in ln.split(sep)]
+        if parts == list(columns):
+            continue
+        if len(parts) != len(columns):
+            raise ValueError(f"line {lineno}: expected {len(columns)} "
+                             f"columns, got {len(parts)}")
+        rows.append([_number(p, lineno, c) for p, c in zip(parts, columns)])
+    return tuple(np.array(rows, dtype=float).reshape(-1, len(columns)).T.copy())
+
+
+def check_finite(name, values):
+    """Reject a nan or inf in ``values``, naming ``name`` and the first."""
+    values = np.asarray(values, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        at = f" at index {bad[0]}" if values.ndim else ""
+        raise ValueError(f"{name} must be finite, got "
+                         f"{float(values.flat[bad[0]])!r}{at}")
+
+
+# Each document key and the field it sets, ("branching", key) for a
+# branching fraction; the writer walks this table in order.
 _FIELD_KEYS = {
     "tau_bright_us": "tau_bright",
     "tau_dark_us": "tau_dark",
@@ -255,61 +313,28 @@ _FIELD_KEYS = {
     "raman_leak_x_per_us": "raman_leak_x",
     "raman_spinflip_per_us": "raman_spinflip",
     "state_prep_error": "state_prep_error",
-    "clock_rabi_MHz": None,  # converted
-    "clock_dephasing_per_ms": None,  # converted
+    "clock_rabi_MHz": "clock_rabi",
+    "clock_dephasing_per_ms": "clock_dephasing",
 }
+# the keys in another unit than their field: field = document value x factor
+_UNITS = {"clock_rabi_MHz": TWO_PI, "clock_dephasing_per_ms": 1e-3}
 
 
 def noise_config_to_text(config: NoiseConfig) -> str:
-    # a line left out would read back as the default, not as unset
-    spinflip = math.nan if config.raman_spinflip is None \
-        else config.raman_spinflip
-    lines = [
-        "# noise configuration; all fields optional",
-        f"tau_bright_us = {config.tau_bright!r}",
-        f"tau_dark_us = {config.tau_dark!r}",
-        f"branch_g = {config.branching['g']!r}",
-        f"branch_q1 = {config.branching['q1']!r}",
-        f"branch_q0 = {config.branching['q0']!r}",
-        f"branch_x = {config.branching['x']!r}",
-        f"ionization_a = {config.ionization_a!r}",
-        f"rydberg_detuning_sigma_MHz = {config.rydberg_detuning_sigma_mhz!r}",
-        f"rydberg_dephasing_rate_per_us = {config.rydberg_dephasing_rate!r}",
-        f"raman_scatter_g_per_us = {config.raman_scatter_g!r}",
-        f"raman_leak_x_per_us = {config.raman_leak_x!r}",
-        f"raman_spinflip_per_us = {spinflip!r}",
-        f"state_prep_error = {config.state_prep_error!r}",
-        f"clock_rabi_MHz = {config.clock_rabi / TWO_PI!r}",
-        f"clock_dephasing_per_ms = {config.clock_dephasing * 1e3!r}",
-    ]
+    lines = ["# noise configuration; all fields optional"]
+    for key, target in _FIELD_KEYS.items():
+        value = (config.branching[target[1]] if isinstance(target, tuple)
+                 else getattr(config, target))
+        if key in _UNITS:
+            value /= _UNITS[key]
+        # a line left out would read back as the default, not as unset
+        lines.append(f"{key} = {math.nan if value is None else value!r}")
     return "\n".join(lines) + "\n"
 
 
-def read_key_values(text: str, keys) -> dict:
-    """{key: float} of a ``key = value`` document with ``#`` comments; a line
-    without ``=``, a key not in ``keys`` or a value that is not a number is
-    rejected, naming the line."""
-    kv = {}
-    for lineno, ln in enumerate(text.splitlines(), start=1):
-        ln = ln.strip()
-        if not ln or ln.startswith("#"):
-            continue
-        key, sep, val = ln.partition("=")
-        key = key.strip()
-        if not sep:
-            raise ValueError(f"line {lineno}: expected 'key = value', "
-                             f"not {ln!r}")
-        if key not in keys:
-            raise ValueError(f"line {lineno}: unknown key {key!r}")
-        try:
-            kv[key] = float(val.strip())
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: bad number for {key!r}") from exc
-    return kv
-
-
 def noise_config_from_text(text: str) -> NoiseConfig:
-    """Parse a key-value document; unknown keys are rejected. A
+    """Parse a key-value document; unknown keys are rejected, and so is a
+    value ``NoiseConfig`` rejects, naming the key. A
     ``raman_spinflip_per_us`` of nan leaves the rate unset (derived from
     ``raman_scatter_g``)."""
     kv = read_key_values(text, _FIELD_KEYS)
@@ -317,16 +342,15 @@ def noise_config_from_text(text: str) -> NoiseConfig:
     branching = dict(DEFAULT_BRANCHING)
     for key, val in kv.items():
         target = _FIELD_KEYS[key]
-        if key == "clock_rabi_MHz":
-            kwargs["clock_rabi"] = TWO_PI * val
-        elif key == "clock_dephasing_per_ms":
-            kwargs["clock_dephasing"] = val * 1e-3
-        elif target == "raman_spinflip" and math.isnan(val):
-            kwargs[target] = None
-        elif isinstance(target, tuple):
+        val *= _UNITS.get(key, 1.0)
+        if target == "raman_spinflip" and math.isnan(val):
+            val = None
+        try:
+            _check_value(target, val)
+        except ValueError as exc:
+            raise ValueError(f"{key!r}: {exc}") from None
+        if isinstance(target, tuple):
             branching[target[1]] = val
         else:
             kwargs[target] = val
-    if any(k.startswith("branch_") for k in kv):
-        kwargs["branching"] = branching
-    return NoiseConfig(**kwargs)
+    return NoiseConfig(branching=branching, **kwargs)

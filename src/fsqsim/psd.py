@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .noise import gaussian_quadrature
+from .noise import check_finite, gaussian_quadrature, read_columns
 from .rydberg import (
     CZPulseProfile,
     RydbergDrive,
@@ -21,6 +21,7 @@ from .rydberg import (
 
 TWO_PI = 2 * np.pi
 QUASI_STATIC_NODES = 15  # Gauss-Hermite nodes of the quasi-static average
+_COLUMNS = ("frequency_Hz", "psd_Hz^2_per_Hz")  # of the text document
 
 
 @dataclass(frozen=True)
@@ -36,6 +37,8 @@ class FrequencyNoisePSD:
         s = np.asarray(self.psd_hz2_per_hz, dtype=float)
         if f.ndim != 1 or f.shape != s.shape:
             raise ValueError("frequency and PSD arrays must be 1-d and equal length")
+        for name, values in zip(_COLUMNS, (f, s)):
+            check_finite(name, values)
         if len(f) < 2 or np.any(np.diff(f) <= 0):
             raise ValueError("frequency grid must be strictly increasing")
         if np.any(s < 0):
@@ -53,24 +56,14 @@ class FrequencyNoisePSD:
         return float(np.trapezoid(self.psd_hz2_per_hz, self.frequency_hz))
 
     def to_text(self) -> str:
-        lines = ["# frequency_Hz  psd_Hz^2_per_Hz"]
+        lines = ["# " + "  ".join(_COLUMNS)]
         for f, s in zip(self.frequency_hz, self.psd_hz2_per_hz):
             lines.append(f"{float(f)!r} {float(s)!r}")
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "FrequencyNoisePSD":
-        freqs, vals = [], []
-        for lineno, ln in enumerate(text.splitlines(), start=1):
-            ln = ln.strip()
-            if not ln or ln.startswith("#"):
-                continue
-            parts = ln.split()
-            if len(parts) != 2:
-                raise ValueError(f"line {lineno}: expected two columns")
-            freqs.append(float(parts[0]))
-            vals.append(float(parts[1]))
-        return cls(np.array(freqs), np.array(vals))
+        return cls(*read_columns(text, _COLUMNS))
 
 
 def psd_to_uv(psd: FrequencyNoisePSD) -> FrequencyNoisePSD:

@@ -7,13 +7,15 @@ Rates out of r: 1/tau_d into the dark manifold (no fluorescence signal) and
 model is strictly three-state with the closed-form solution used throughout.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .fitting import FitError, gauss_newton
+from .noise import check_finite, read_columns
 
 REEXCITATION_WEIGHT = 1.0 / 9.0
+_COLUMNS = ("T_us", "P1", "P1_err", "P2", "P2_err")  # the CSV header
 
 
 @dataclass(frozen=True)
@@ -81,37 +83,27 @@ class LifetimeDataset:
     p2_err: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        arrays = [np.asarray(a, dtype=float) for a in
-                  (self.times, self.p1, self.p1_err, self.p2, self.p2_err)]
+        names = [f.name for f in fields(self)]
+        arrays = [np.asarray(getattr(self, n), dtype=float) for n in names]
         n = len(arrays[0])
         if any(len(a) != n for a in arrays):
             raise ValueError("dataset columns must have equal length")
+        for column, arr in zip(_COLUMNS, arrays):
+            check_finite(column, arr)
         if np.any(arrays[2] <= 0) or np.any(arrays[4] <= 0):
             raise ValueError("uncertainties must be positive")
-        for name, arr in zip(
-            ("times", "p1", "p1_err", "p2", "p2_err"), arrays
-        ):
+        for name, arr in zip(names, arrays):
             object.__setattr__(self, name, arr)
 
     def to_csv(self) -> str:
-        lines = ["T_us,P1,P1_err,P2,P2_err"]
+        lines = [",".join(_COLUMNS)]
         for row in zip(self.times, self.p1, self.p1_err, self.p2, self.p2_err):
             lines.append(",".join(f"{x:.8g}" for x in row))
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_csv(cls, text: str) -> "LifetimeDataset":
-        rows = []
-        for lineno, ln in enumerate(text.splitlines(), start=1):
-            ln = ln.strip()
-            if not ln or ln.startswith("#") or ln.startswith("T_us"):
-                continue
-            parts = ln.split(",")
-            if len(parts) != 5:
-                raise ValueError(f"line {lineno}: expected 5 columns")
-            rows.append([float(x) for x in parts])
-        cols = np.array(rows).T
-        return cls(*cols)
+        return cls(*read_columns(text, _COLUMNS, sep=","))
 
     @classmethod
     def synthesize(

@@ -21,7 +21,7 @@ import numpy as np
 from ._kernels._lindblad_py import GAUSS_NODES, WEIGHT_MINUS, WEIGHT_PLUS
 from .lindblad import ModulatedDrive
 from .levels import DIM, Q0, Q1, R, full_index, lop, unravel_index
-from .noise import read_key_values
+from .noise import check_finite, read_key_values
 from .states import embed_local
 
 OMEGA_DEFAULT = 2 * np.pi * 6.0  # rad/us
@@ -42,7 +42,7 @@ class RydbergDrive:
             raise ValueError("Rabi frequency must be non-negative")
 
 
-_PROFILE_KEYS = (  # the keys of CZPulseProfile.to_text
+_PROFILE_KEYS = (  # of the profile document: theta, t_gate, phi_sq, drive
     "theta1_rad", "theta2_rad", "theta3_rad_per_us", "theta4_rad",
     "t_gate_us", "phi_sq_rad", "omega_rad_per_us", "v_rad_per_us",
 )
@@ -60,11 +60,13 @@ class CZPulseProfile:
     phi_sq: float = 0.0
 
     def __post_init__(self):
-        if self.t_gate <= 0:
-            raise ValueError("gate duration must be positive")
         object.__setattr__(self, "theta", tuple(float(x) for x in self.theta))
         if len(self.theta) != 4:
             raise ValueError("profile needs four modulation parameters")
+        for name in ("theta", "t_gate", "phi_sq"):
+            check_finite(name, getattr(self, name))
+        if self.t_gate <= 0:
+            raise ValueError("gate duration must be positive")
 
     def phase(self, t):
         th = self.theta
@@ -80,18 +82,11 @@ class CZPulseProfile:
         return th[0], 2 * np.pi / self.t_gate, -th[1], th[2], th[3]
 
     def to_text(self, drive: RydbergDrive | None = None) -> str:
-        lines = [
-            f"theta1_rad = {self.theta[0]!r}",
-            f"theta2_rad = {self.theta[1]!r}",
-            f"theta3_rad_per_us = {self.theta[2]!r}",
-            f"theta4_rad = {self.theta[3]!r}",
-            f"t_gate_us = {self.t_gate!r}",
-            f"phi_sq_rad = {self.phi_sq!r}",
-        ]
+        values = (*self.theta, self.t_gate, self.phi_sq)
         if drive is not None:
-            lines.append(f"omega_rad_per_us = {drive.rabi_frequency!r}")
-            lines.append(f"v_rad_per_us = {drive.interaction!r}")
-        return "\n".join(lines) + "\n"
+            values += (drive.rabi_frequency, drive.interaction)
+        return "".join(f"{key} = {value!r}\n"
+                       for key, value in zip(_PROFILE_KEYS, values))
 
     @classmethod
     def from_text(cls, text: str):
@@ -99,16 +94,9 @@ class CZPulseProfile:
         Unknown keys, lines without ``=`` and bad numbers are rejected."""
         kv = read_key_values(text, _PROFILE_KEYS)
         try:
-            profile = cls(
-                theta=(
-                    kv["theta1_rad"],
-                    kv["theta2_rad"],
-                    kv["theta3_rad_per_us"],
-                    kv["theta4_rad"],
-                ),
-                t_gate=kv["t_gate_us"],
-                phi_sq=kv.get("phi_sq_rad", 0.0),
-            )
+            profile = cls(theta=tuple(kv[k] for k in _PROFILE_KEYS[:4]),
+                          t_gate=kv["t_gate_us"],
+                          phi_sq=kv.get("phi_sq_rad", 0.0))
         except KeyError as exc:
             raise ValueError(f"missing profile key: {exc}") from exc
         drive = None

@@ -46,6 +46,12 @@ CLI function is reached through the subcommand table. Code only the tests
 need lives in ``tests/oracles.py``, not in ``src/``. Matching is by name, so
 it has blind spots: one reference reaches every definition of that name, in
 any module or class.
+
+Every public module-level constant of ``fsqsim`` (a name bound by an
+assignment at module level) is referenced outside its own assignment, by a
+name, an attribute or an imported name in ``src/``, ``tests/`` or
+``perfbench/`` (the import scan above checks that an imported name is used).
+``__all__`` entries are not references; matching is by name, as above.
 """
 
 import ast
@@ -324,6 +330,8 @@ ALLOWED = {
         "group inverse of a Clifford; the group API",
     "cliffords.average_pulse_count":
         "the paper's mean of one pi/2 pulse per compiled Clifford",
+    "levels.LevelScheme":
+        "package API (fsqsim.LevelScheme): the six labels, checked",
     "lindblad.evolve_lindblad":
         "package API (fsqsim.evolve_lindblad)",
     "noise.clock_pi_pulse_error":
@@ -417,3 +425,48 @@ def test_every_public_name_is_reached():
     stale = sorted(set(ALLOWED) - set(unreached))
     assert not stale, "allowed names that are reached or gone: " + \
         ", ".join(stale)
+
+
+def public_constants():
+    """(key, path, name, assignment) of each public name bound by a
+    module-level assignment in ``src/fsqsim``."""
+    pkg = ROOT / "src" / "fsqsim"
+    for path in sorted(pkg.rglob("*.py")):
+        module = ".".join(path.relative_to(pkg).with_suffix("").parts)
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                for n in ast.walk(target):
+                    if isinstance(n, ast.Name) and not n.id.startswith("_"):
+                        yield f"{module}.{n.id}", path, n.id, node
+
+
+def unreferenced_constants():
+    refs = {}  # name -> [(path, line)]
+    for d in CALLER_DIRS:
+        for path in (ROOT / d).rglob("*.py"):
+            for n in ast.walk(ast.parse(path.read_text())):
+                if isinstance(n, ast.alias):
+                    name = n.name.split(".")[-1]
+                elif isinstance(n, ast.Name):
+                    name = n.id
+                else:
+                    name = getattr(n, "attr", None)
+                if name is not None:
+                    refs.setdefault(name, []).append((path, n.lineno))
+    return [key for key, path, name, node in public_constants()
+            if not any(p != path or not node.lineno <= line <= node.end_lineno
+                       for p, line in refs.get(name, []))]
+
+
+def test_every_public_constant_is_referenced():
+    assert sum(1 for _ in public_constants()) > 0
+    unreferenced = unreferenced_constants()
+    assert not unreferenced, (
+        "module constants nothing references outside their assignment; "
+        "use or delete: " + ", ".join(unreferenced))

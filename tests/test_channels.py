@@ -357,7 +357,7 @@ def test_builders_reject_a_channel_that_is_not_cp(monkeypatch, cz_profile,
                         lambda *args, **kwargs: _transpose_map(UNITS))
     with pytest.raises(ValueError, match=r"the Raman pi/2 channel is not "
                                          r"CPTP: trace-preservation defect 0"):
-        singleq._x90_channel_cached.__wrapped__(0.0, 0.0, 0.0, True)
+        singleq._x90_channel_cached.__wrapped__(0.0, 0.0, 0.0)
 
 
 @pytest.mark.parametrize("source", ["ionization", "rydberg_decay"])

@@ -9,10 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fsqsim.cli import CONFIG_KEYS, PROTOCOLS, _rabi_rows, main
+from fsqsim.cli import CONFIG_KEYS, PROTOCOLS, _rabi_rows, _summary, main
 from fsqsim.levels import B, G, Q0, Q1, R, X, lop
-from fsqsim.noise import (raman_scatter_collapse_ops, reference_budget_config,
-                          rydberg_collapse_ops)
+from fsqsim.noise import (_FIELD_KEYS, raman_scatter_collapse_ops,
+                          reference_budget_config, rydberg_collapse_ops)
 from oracles import reference_rabi_rows
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -190,10 +190,10 @@ def test_noise_config_loading(tmp_path):
     assert rc == 0
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_noise_rate_fails_by_name(tmp_path, capsys):
-    # raman_scatter_g_per_us = inf makes the Raman generator nan: the run
-    # exits 1 naming the generator norm, not math.ceil's NaN conversion
+    # raman_scatter_g_per_us = inf used to reach the engine as a nan Raman
+    # generator and exit 1; NoiseConfig refuses it, and the run exits 2 naming
+    # the file and the key before any output is written
     text = (CONFIG_DIR / "noise_reference.txt").read_text()
     noise = tmp_path / "noise.txt"
     noise.write_text("".join(
@@ -205,9 +205,108 @@ def test_non_finite_noise_rate_fails_by_name(tmp_path, capsys):
                    "[crb]\nlengths = 2\nn_sequences = 2\nerasure = false\n")
     rc = main(["crb", "--config", str(cfg), "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
-    assert rc == 1
-    assert "generator norm is not finite" in err
-    assert "convert float NaN" not in err
+    assert rc == 2
+    assert f"{noise}: 'raman_scatter_g_per_us': raman_scatter_g must be " \
+           f"finite, got inf" in err
+    assert not (tmp_path / "o").exists()
+
+
+_BAD_VALUES = ("nan", "inf", "-inf", "1e3x")
+# what the noise document keeps: inf turns a lifetime or the ionization
+# off, and nan leaves raman_spinflip unset
+_NOISE_KEPT = {("tau_bright_us", "inf"), ("tau_dark_us", "inf"),
+               ("ionization_a", "inf"), ("raman_spinflip_per_us", "nan")}
+_NOISE_LINES = (CONFIG_DIR / "noise_reference.txt").read_text().splitlines()
+_NOISE_KEYS = [ln.split(" = ")[0] for ln in _NOISE_LINES[1:]]
+
+
+def test_noise_cases_cover_every_key():
+    assert _NOISE_KEYS == list(_FIELD_KEYS)
+
+
+@pytest.mark.parametrize("key,raw", [
+    (k, v) for k in _NOISE_KEYS for v in _BAD_VALUES
+    if (k, v) not in _NOISE_KEPT])
+def test_refused_noise_value_exits_2_naming_file_and_key(tmp_path, capsys,
+                                                         key, raw):
+    noise = tmp_path / "noise.txt"
+    noise.write_text("".join(
+        f"{key} = {raw}\n" if ln.startswith(f"{key} =") else ln + "\n"
+        for ln in _NOISE_LINES))
+    cfg = tmp_path / "ramsey.ini"
+    cfg.write_text(f"[run]\nseed = 7\nnoise_config = {noise}\n\n"
+                   "[ramsey]\nn_points = 2\n")
+    rc = main(["ramsey", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"error: {noise}: " in err
+    assert f"'{key}'" in err
+    assert not (tmp_path / "o").exists()  # refused before the run starts
+
+
+def _table_cases(name, columns):
+    return [(name, column, raw) for column in range(columns)
+            for raw in _BAD_VALUES]
+
+
+@pytest.mark.parametrize("table,column,raw", [
+    *_table_cases("psd", 2), *_table_cases("lifetime", 5)])
+def test_refused_table_value_exits_2_naming_file_and_column(
+        tmp_path, capsys, table, column, raw):
+    # the third data row gets the bad value in one column
+    if table == "psd":
+        source, sep, header = CONFIG_DIR / "data" / "uv_psd.txt", " ", 2
+        names = ("frequency_Hz", "psd_Hz^2_per_Hz")
+        command, key = "psd-infidelity", "psd_file"
+        extra = "already_uv = true\nn_trajectories = 2\n"
+    else:
+        source, sep, header = (CONFIG_DIR / "data" / "lifetime_synthetic.csv",
+                               ",", 1)
+        names = ("T_us", "P1", "P1_err", "P2", "P2_err")
+        command, key, extra = "lifetime-fit", "dataset", ""
+    lines = source.read_text().splitlines()
+    row = lines[header + 2].split(sep)
+    row[column] = raw
+    lines[header + 2] = sep.join(row)
+    doc = tmp_path / source.name
+    doc.write_text("\n".join(lines) + "\n")
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[run]\nseed = 7\n\n[{command}]\n{key} = {doc}\n{extra}")
+    rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"error: {doc}: " in err
+    if raw == "1e3x":
+        assert f"line {header + 3}: bad number for {names[column]!r}" in err
+    else:
+        assert f"{names[column]} must be finite, got {float(raw)!r} at " \
+               f"index 2" in err
+    assert list((tmp_path / "o").iterdir()) == [
+        tmp_path / "o" / "config_snapshot.ini"]  # no CSV, no summary
+
+
+def test_negative_shots_exit_2_before_any_output(tmp_path, capsys):
+    cfg = tmp_path / "bell.ini"
+    cfg.write_text("[run]\nseed = 7\nshots = -5\n\n[bell]\nn_phases = 4\n")
+    rc = main(["bell", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "'shots' in [run] must be non-negative, got -5" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_summary_refuses_non_finite_values_by_key(tmp_path):
+    # RFC 8259 JSON has no NaN or Infinity token
+    path = tmp_path / "summary.json"
+    for payload, key in [({"a": 1.0, "b": np.float64("nan")}, "b"),
+                         ({"c": {"raw": np.array([1.0, np.inf])}}, "c")]:
+        with pytest.raises(ValueError,
+                           match=f"^summary value {key!r} is not finite"):
+            _summary(path, payload)
+        assert not path.exists()
+    _summary(path, {"a": np.float64(0.5), "b": None, "c": [1, 2]})
+    assert path.read_text() == \
+        '{\n "a": 0.5,\n "b": null,\n "c": [\n  1,\n  2\n ]\n}\n'
 
 
 def test_srd_subcommand_small(tmp_path):

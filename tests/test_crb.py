@@ -109,3 +109,10 @@ def test_one_sequence_is_rejected():
     # NaN sigmas and report F = 1
     with pytest.raises(ValueError, match="n_sequences"):
         run_crb([2, 10, 25], n_seq=1, shots=100, noise=None)
+
+
+def test_crb_refuses_zero_shots_by_name():
+    # the survival is a fraction of sampled shots; 0 shots used to divide
+    # 0 / 0 and fail in the fit with "decay values and sigmas must be finite"
+    with pytest.raises(ValueError, match="^shots must be at least 1 .*got 0$"):
+        run_crb([2, 10], n_seq=2, shots=0, noise=None)

@@ -106,7 +106,9 @@ def test_config_round_trip(reference_config):
         reference_config
 
 
-_RATE = st.one_of(st.floats(0.0, 1e300), st.just(math.inf))
+_RATE = st.floats(0.0, 1e300)
+# inf turns a source off only where NoiseConfig.without sets it
+_OFF_RATE = st.one_of(_RATE, st.just(math.inf))
 
 
 def _branching(weights):
@@ -119,8 +121,8 @@ def _noise_configs(draw):
     weights = draw(st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4)
                    .filter(lambda w: sum(w) > 0))
     return NoiseConfig(
-        tau_bright=draw(_RATE), tau_dark=draw(_RATE),
-        branching=_branching(weights), ionization_a=draw(_RATE),
+        tau_bright=draw(_OFF_RATE), tau_dark=draw(_OFF_RATE),
+        branching=_branching(weights), ionization_a=draw(_OFF_RATE),
         rydberg_detuning_sigma_mhz=draw(_RATE),
         rydberg_dephasing_rate=draw(_RATE), raman_scatter_g=draw(_RATE),
         raman_leak_x=draw(_RATE), raman_spinflip=draw(st.none() | _RATE),
@@ -168,6 +170,15 @@ def test_config_rejects_nan_naming_the_field(name):
     # nan fails every comparison, so it must not slip past the range checks
     with pytest.raises(ValueError, match=f"^{name} must"):
         NoiseConfig(**{name: math.nan})
+
+
+@pytest.mark.parametrize("name", sorted(set(_NUMERIC_FIELDS) - {
+    "tau_bright", "tau_dark", "ionization_a", "state_prep_error"}))
+def test_config_rejects_inf_naming_the_field(name):
+    # inf turns off only the lifetimes and ionization; an infinite rate
+    # would reach the engine as a nan generator
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got inf$"):
+        NoiseConfig(**{name: math.inf})
 
 
 @pytest.mark.parametrize("key", sorted(DEFAULT_BRANCHING))

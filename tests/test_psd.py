@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -33,6 +34,18 @@ def test_psd_validation():
         FrequencyNoisePSD(np.array([1.0, 1.0]), np.array([1.0, 1.0]))
     with pytest.raises(ValueError):
         FrequencyNoisePSD(np.array([0.0, 1.0]), np.array([1.0, -1.0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("column", [0, 1])
+def test_psd_refuses_non_finite_entries_by_column(column, bad):
+    # nan passes diff(f) <= 0 and s < 0, so it used to get through
+    cols = [np.array([1.0, 2.0, 3.0]), np.array([4.0, 5.0, 6.0])]
+    cols[column][1] = bad
+    name = ("frequency_Hz", "psd_Hz^2_per_Hz")[column]
+    message = f"{name} must be finite, got {bad} at index 1"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        FrequencyNoisePSD(*cols)
 
 
 def test_psd_to_uv_unity_transfer():

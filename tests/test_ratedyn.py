@@ -136,6 +136,18 @@ def test_dataset_csv_round_trip_property(rows):
     assert back.to_csv() == data.to_csv()
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("column", range(5))
+def test_dataset_refuses_non_finite_entries_by_column(column, bad):
+    # nan passes err <= 0, so it used to get through to the fit
+    cols = [np.array([1.0, 2.0]) for _ in range(5)]
+    cols[column][0] = bad
+    name = ("T_us", "P1", "P1_err", "P2", "P2_err")[column]
+    with pytest.raises(ValueError,
+                       match=f"^{name} must be finite, got {bad} at index 0$"):
+        LifetimeDataset(*cols)
+
+
 def test_branching_single_channel_degenerate():
     out = branching_ratios(3.0, 3.0, 3.0)
     assert out["3P0"] == pytest.approx(1.0)

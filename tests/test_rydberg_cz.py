@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -425,6 +426,26 @@ def test_profile_text_rejects_bad_lines(line, message):
     lines = text.splitlines()
     lines.insert(1, line)
     with pytest.raises(ValueError, match=f"^{message}$"):
+        CZPulseProfile.from_text("\n".join(lines))
+
+
+# a profile parameter must be finite; the drive's two keys (the last two)
+# are refused here only as bad numbers, a non-finite drive by the sector
+# step count (test_non_finite_drive_is_refused_by_name)
+@pytest.mark.parametrize("key,raw", [
+    (key, raw) for i, key in enumerate(rydberg._PROFILE_KEYS)
+    for raw in ("nan", "inf", "-inf", "1e3x") if raw == "1e3x" or i < 6])
+def test_profile_text_refuses_bad_values(key, raw):
+    lines = default_profile().to_text(RydbergDrive()).splitlines()
+    line = [ln.split(" = ")[0] for ln in lines].index(key) + 1
+    lines[line - 1] = f"{key} = {raw}"
+    if raw == "1e3x":
+        message = f"line {line}: bad number for {key!r}"
+    else:
+        name = {"t_gate_us": "t_gate", "phi_sq_rad": "phi_sq"}.get(key, "theta")
+        at = f" at index {int(key[5]) - 1}" if name == "theta" else ""
+        message = f"{name} must be finite, got {float(raw)!r}{at}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         CZPulseProfile.from_text("\n".join(lines))
 
 
