@@ -24,7 +24,6 @@ GRID_X_SPACING = 6.5  # um
 GRID_Y_PAIR = 2.0  # um
 GRID_Y_INTER_PAIR = 13.0  # um
 GRID_PAIR_ROWS = 2
-GRID_DEPTH = 700.0  # uK
 EXCLUSION_RADIUS = 1.0  # um, closest a moving atom may pass an occupied site
 
 
@@ -69,21 +68,15 @@ def affine_fit(source_points, target_points) -> AffineMap:
 
 @dataclass(frozen=True)
 class ArrayGeometry:
-    """Static tweezer sites with occupancy and per-site depth/weight."""
+    """Static tweezer site positions."""
 
     sites: np.ndarray = field(repr=False)  # (n, 2) um
-    depths: np.ndarray | None = field(default=None, repr=False)  # uK
 
     def __post_init__(self):
         sites = np.atleast_2d(np.asarray(self.sites, dtype=float))
         if len(set(map(tuple, sites.round(9).tolist()))) != len(sites):
             raise ValueError("sites must be distinct")
         object.__setattr__(self, "sites", sites)
-        if self.depths is not None:
-            d = np.asarray(self.depths, dtype=float)
-            if np.any(d <= 0):
-                raise ValueError("depths must be positive")
-            object.__setattr__(self, "depths", d)
 
     @property
     def n_sites(self) -> int:
@@ -99,10 +92,7 @@ def pair_grid_geometry() -> ArrayGeometry:
             x = col * GRID_X_SPACING
             sites.append([x, y0])
             sites.append([x, y0 + GRID_Y_PAIR])
-    return ArrayGeometry(
-        sites=np.array(sites),
-        depths=np.full(2 * GRID_COLUMNS * GRID_PAIR_ROWS, GRID_DEPTH),
-    )
+    return ArrayGeometry(sites=np.array(sites))
 
 
 @dataclass(frozen=True)

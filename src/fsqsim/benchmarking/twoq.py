@@ -83,7 +83,7 @@ class GateExecutor:
         self,
         profile: CZPulseProfile,
         drive: RydbergDrive,
-        noise: NoiseConfig | None = None,
+        noise: NoiseConfig | None,
         dephasing_nodes: int = 9,
     ):
         self.profile = profile

@@ -8,6 +8,7 @@ containing the config snapshot, CSV data and a JSON summary. Identical
 
 import argparse
 import configparser
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -31,14 +32,16 @@ PROTOCOLS = {}
 CONFIG_KEYS = {}
 
 
-def protocol(name, **keys):
-    """Register a subcommand and declare its config keys with their
-    defaults. ``main`` rejects any other key in the section, parses each
-    value like its default (see ``_value``) and passes it by keyword. The
+def protocol(name):
+    """Register a subcommand. Its config keys are the parameters after
+    ``ctx``, with their defaults: ``main`` rejects any other key in the
+    section, parses each value like its default (see ``_value``), passes it
+    by keyword and writes the returned dict as ``summary.json``. The
     default ``float`` declares an optional number, None when absent."""
     def wrap(fn):
         PROTOCOLS[name] = fn
-        CONFIG_KEYS[name] = keys
+        params = list(inspect.signature(fn).parameters.values())[1:]
+        CONFIG_KEYS[name] = {p.name: p.default for p in params}
         return fn
 
     return wrap
@@ -175,38 +178,33 @@ def _rabi_rows(h, ops, t_max, n, groups):
     return rows
 
 
-@protocol("rabi", rabi_mhz=0.017, t_max_us=float, n_points=41,
-          noiseless=False)
-def run_rabi(ctx, rabi_mhz, t_max_us, n_points, noiseless):
+@protocol("rabi")
+def run_rabi(ctx, rabi_mhz=0.017, t_max_us=float, n_points=41,
+             noiseless=False):
     rabi = 2 * np.pi * rabi_mhz
     t_max = t_max_us if t_max_us is not None else 2.2 * np.pi / rabi * 2
     ops = [] if noiseless else raman_scatter_collapse_ops(ctx.noise)
     h = (rabi / 2) * (lop(Q0, Q1) + lop(Q1, Q0))
     rows = _rabi_rows(h, ops, t_max, n_points, [(Q0,), (Q1,), (G, X)])
     ctx.emit("rabi", ["t_us", "p_q0", "p_q1", "p_leak"], rows)
-    _summary(ctx.out / "summary.json", {
-        "protocol": "rabi", "rabi_rad_per_us": rabi, "points": n_points,
-        "p_q0_max": max(r[1] for r in rows),
-    })
+    return {"rabi_rad_per_us": rabi, "points": n_points,
+            "p_q0_max": max(r[1] for r in rows)}
 
 
-@protocol("rydberg-rabi", rabi_mhz=6.0, t_max_us=0.5, n_points=51,
-          noiseless=False)
-def run_rydberg_rabi(ctx, rabi_mhz, t_max_us, n_points, noiseless):
+@protocol("rydberg-rabi")
+def run_rydberg_rabi(ctx, rabi_mhz=6.0, t_max_us=0.5, n_points=51,
+                     noiseless=False):
     rabi = 2 * np.pi * rabi_mhz
     ops = [] if noiseless else rydberg_collapse_ops(ctx.noise)
     h = (rabi / 2) * (lop(Q1, R) + lop(R, Q1))
     rows = _rabi_rows(h, ops, t_max_us, n_points, [(Q1,), (R,), (B,)])
     ctx.emit("rydberg_rabi", ["t_us", "p_q1", "p_r", "p_lost"], rows)
-    _summary(ctx.out / "summary.json", {
-        "protocol": "rydberg-rabi", "rabi_rad_per_us": rabi,
-        "points": n_points,
-    })
+    return {"rabi_rad_per_us": rabi, "points": n_points}
 
 
-@protocol("crb", lengths=(2, 8, 16, 28, 40), n_sequences=40, erasure=True,
-          injected_depolarizing=float)
-def run_crb_cmd(ctx, lengths, n_sequences, erasure, injected_depolarizing):
+@protocol("crb")
+def run_crb_cmd(ctx, lengths=(2, 8, 16, 28, 40), n_sequences=40, erasure=True,
+                injected_depolarizing=float):
     from .benchmarking.singleq import run_crb
 
     injected = injected_depolarizing is not None
@@ -233,7 +231,6 @@ def run_crb_cmd(ctx, lengths, n_sequences, erasure, injected_depolarizing):
                 for i, r in enumerate(raw)]
     ctx.emit("crb", header, rows)
     payload = {
-        "protocol": "crb",
         "f1q_raw": res.f1q_raw,
         "f1q_raw_err": res.f1q_raw_err,
         "decay_raw": res.raw_fit.fidelity,
@@ -246,11 +243,11 @@ def run_crb_cmd(ctx, lengths, n_sequences, erasure, injected_depolarizing):
             f1q_corrected_err=res.f1q_corrected_err,
             retained_fraction=res.retained_fraction,
         )
-    _summary(ctx.out / "summary.json", payload)
+    return payload
 
 
-@protocol("ssb", n_cz=(2, 6, 10, 14), n_sequences=12, noiseless=False)
-def run_ssb_cmd(ctx, n_cz, n_sequences, noiseless):
+@protocol("ssb")
+def run_ssb_cmd(ctx, n_cz=(2, 6, 10, 14), n_sequences=12, noiseless=False):
     from .benchmarking.twoq import GateExecutor, run_ssb
     from .czopt import default_profile
     from .rydberg import RydbergDrive
@@ -269,8 +266,7 @@ def run_ssb_cmd(ctx, n_cz, n_sequences, noiseless):
             for i, n in enumerate(res.n_cz)
         ],
     )
-    _summary(ctx.out / "summary.json", {
-        "protocol": "ssb",
+    return {
         "f2q_raw": res.fit_raw.fidelity,
         "f2q_raw_err": res.fit_raw.fidelity_err,
         "f2q_erasure": res.fit_erasure.fidelity,
@@ -283,11 +279,11 @@ def run_ssb_cmd(ctx, n_cz, n_sequences, noiseless):
             "erasure": res.fit_erasure.covariance.tolist(),
             "loss": res.fit_loss.covariance.tolist(),
         },
-    })
+    }
 
 
-@protocol("bell", n_phases=16, noiseless=False)
-def run_bell_cmd(ctx, n_phases, noiseless):
+@protocol("bell")
+def run_bell_cmd(ctx, n_phases=16, noiseless=False):
     from .benchmarking.twoq import GateExecutor, bell_protocol
     from .czopt import default_profile
     from .rydberg import RydbergDrive
@@ -306,19 +302,18 @@ def run_bell_cmd(ctx, n_phases, noiseless):
             for tag, r in results.items()
         ],
     )
-    _summary(ctx.out / "summary.json", {
-        "protocol": "bell",
+    return {
         "fidelity_raw": results["raw"].fidelity,
         "fidelity_excised": results["excised"].fidelity,
         "fidelity_raw_err": results["raw"].fidelity_err,
         "fidelity_excised_err": results["excised"].fidelity_err,
         "parity_phase_offset": results["excised"].phase_offset,
-    })
+    }
 
 
-@protocol("ramsey", sigma_mhz=0.053, t_max_us=10.0, n_points=26,
-          mid_circuit_erasure=False)
-def run_ramsey_cmd(ctx, sigma_mhz, t_max_us, n_points, mid_circuit_erasure):
+@protocol("ramsey")
+def run_ramsey_cmd(ctx, sigma_mhz=0.053, t_max_us=10.0, n_points=26,
+                   mid_circuit_erasure=False):
     from .benchmarking.ramsey import ramsey_envelope_time, simulate_ramsey
 
     sigma = 2 * np.pi * sigma_mhz
@@ -326,16 +321,15 @@ def run_ramsey_cmd(ctx, sigma_mhz, t_max_us, n_points, mid_circuit_erasure):
     contrast = simulate_ramsey(sigma, times,
                                mid_circuit_erasure=mid_circuit_erasure)
     ctx.emit("ramsey", ["t_us", "contrast"], list(zip(times, contrast)))
-    _summary(ctx.out / "summary.json", {
-        "protocol": "ramsey",
+    return {
         "sigma_rad_per_us": sigma,
         "t2_star_us": ramsey_envelope_time(sigma) if sigma > 0 else None,
         "mid_circuit_erasure": mid_circuit_erasure,
-    })
+    }
 
 
-@protocol("erasure-roc", n_thresholds=60)
-def run_roc_cmd(ctx, n_thresholds):
+@protocol("erasure-roc")
+def run_roc_cmd(ctx, n_thresholds=60):
     from .readout import roc_sweep, shallow_trap_model
 
     model = shallow_trap_model()
@@ -348,17 +342,15 @@ def run_roc_cmd(ctx, n_thresholds):
          for r in reports],
     )
     best = max(reports, key=lambda r: r.fidelity)
-    _summary(ctx.out / "summary.json", {
-        "protocol": "erasure-roc",
+    return {
         "signal_mean": model.signal_mean,
         "best_threshold": best.threshold,
         "best_fidelity": best.fidelity,
-    })
+    }
 
 
-@protocol("state-prep-curve", eps_sp=float, imaging_survival=0.998,
-          n_thresholds=60)
-def run_prep_cmd(ctx, eps_sp, imaging_survival, n_thresholds):
+@protocol("state-prep-curve")
+def run_prep_cmd(ctx, eps_sp=float, imaging_survival=0.998, n_thresholds=60):
     from .readout import shallow_trap_model, state_prep_curve
 
     eps = eps_sp if eps_sp is not None else ctx.noise.state_prep_error
@@ -367,16 +359,15 @@ def run_prep_cmd(ctx, eps_sp, imaging_survival, n_thresholds):
     curve = state_prep_curve(eps, model, imaging_survival, ths)
     ctx.emit("state_prep", ["threshold", "apparent_fidelity"],
              [(t, c) for t, c in zip(ths, curve)])
-    _summary(ctx.out / "summary.json", {
-        "protocol": "state-prep-curve",
+    return {
         "eps_sp": eps,
         "imaging_survival": imaging_survival,
         "plateau": float(np.nanmax(curve)),
-    })
+    }
 
 
-@protocol("srd", n_trials=100000)
-def run_srd_cmd(ctx, n_trials):
+@protocol("srd")
+def run_srd_cmd(ctx, n_trials=100000):
     from .readout import SRDModel, srd_counts, srd_probabilities
 
     model = SRDModel()
@@ -392,16 +383,15 @@ def run_srd_cmd(ctx, n_trials):
     ctx.emit("srd",
              ["input", "outcome", "p_analytic", "p_empirical", "n_trials"],
              rows)
-    _summary(ctx.out / "summary.json", {
-        "protocol": "srd",
+    return {
         "detected0_fidelity_q0": srd_probabilities(Q0, model)["detected-0"],
         "detected1_fidelity_q1": srd_probabilities(Q1, model)["detected-1"],
         "n_trials": n_trials,
-    })
+    }
 
 
-@protocol("lifetime-fit", dataset=None)
-def run_lifetime_cmd(ctx, dataset):
+@protocol("lifetime-fit")
+def run_lifetime_cmd(ctx, dataset=None):
     from .ratedyn import LifetimeDataset, fit_lifetimes, predicted_observables
 
     if dataset is not None:
@@ -421,8 +411,7 @@ def run_lifetime_cmd(ctx, dataset):
         list(zip(data.times, data.p1, data.p1_err, p1m, data.p2, data.p2_err,
                  p2m)),
     )
-    _summary(ctx.out / "summary.json", {
-        "protocol": "lifetime-fit",
+    return {
         "tau_bright_us": fit.model.tau_bright,
         "tau_bright_err": fit.tau_bright_err,
         "tau_dark_us": fit.model.tau_dark,
@@ -430,11 +419,11 @@ def run_lifetime_cmd(ctx, dataset):
         "amplitude": fit.model.amplitude,
         "converged": fit.converged,
         "at_bound": fit.at_bound,
-    })
+    }
 
 
-@protocol("error-budget", n_cz=(2, 4, 6), n_sequences=32)
-def run_budget_cmd(ctx, n_cz, n_sequences):
+@protocol("error-budget")
+def run_budget_cmd(ctx, n_cz=(2, 4, 6), n_sequences=32):
     from .budget import error_budget
 
     rep = error_budget(ctx.noise, n_cz_list=tuple(n_cz), n_seq=n_sequences,
@@ -445,18 +434,16 @@ def run_budget_cmd(ctx, n_cz, n_sequences):
          "corrected_ssb"],
         [e.as_row() for e in list(rep.entries) + [rep.total]],
     )
-    _summary(ctx.out / "summary.json", {
-        "protocol": "error-budget",
+    return {
         "raw_total": rep.raw_total,
         "corrected_total": rep.corrected_total,
         "additivity_defect": rep.additivity_defect(),
         "sources": list(rep.sources),
-    })
+    }
 
 
-@protocol("psd-infidelity", psd_file=None, n_trajectories=40,
-          already_uv=False)
-def run_psd_cmd(ctx, psd_file, n_trajectories, already_uv):
+@protocol("psd-infidelity")
+def run_psd_cmd(ctx, psd_file=None, n_trajectories=40, already_uv=False):
     from .czopt import default_profile
     from .psd import FrequencyNoisePSD, mc_gate_infidelity, psd_to_uv
     from .rydberg import RydbergDrive
@@ -472,19 +459,18 @@ def run_psd_cmd(ctx, psd_file, n_trajectories, already_uv):
     ctx.emit("psd_infidelity",
              ["n_trajectories", "infidelity", "std_error"],
              [(n_trajectories, mean, err)])
-    _summary(ctx.out / "summary.json", {
-        "protocol": "psd-infidelity",
+    return {
         "infidelity": mean,
         "std_error": err,
         "n_trajectories": n_trajectories,
         "psd_variance_hz2": psd.variance_hz2(),
-    })
+    }
 
 
-@protocol("rearrange", n_trials=2000, loading_probability=0.5,
-          per_move_success=float, target_sites=(0, 1, 2, 3, 4, 5, 6, 7))
-def run_rearrange_cmd(ctx, n_trials, loading_probability, per_move_success,
-                      target_sites):
+@protocol("rearrange")
+def run_rearrange_cmd(ctx, n_trials=2000, loading_probability=0.5,
+                      per_move_success=float,
+                      target_sites=(0, 1, 2, 3, 4, 5, 6, 7)):
     from .assembly import (PER_MOVE_SUCCESS, pair_grid_geometry,
                            plan_rearrangement, replay_plan, simulate_assembly)
 
@@ -515,18 +501,18 @@ def run_rearrange_cmd(ctx, n_trials, loading_probability, per_move_success,
         wps = " ".join(f"({x:.3f},{y:.3f})" for x, y in m.path)
         lines.append(f"{k} {m.source} {m.destination} {wps}")
     (ctx.out / "plan.txt").write_text("\n".join(lines) + "\n")
-    _summary(ctx.out / "summary.json", {
-        "protocol": "rearrange",
+    return {
         "defect_free_probability": prob,
         "mc_error": err,
         "n_trials": n_trials,
         "example_plan_moves": len(plan),
         "example_unplaced": list(plan.unplaced_targets),
-    })
+    }
 
 
-@protocol("equalize", n_sites=32, initial_spread=0.05, iterations=8, gain=0.7)
-def run_equalize_cmd(ctx, n_sites, initial_spread, iterations, gain):
+@protocol("equalize")
+def run_equalize_cmd(ctx, n_sites=32, initial_spread=0.05, iterations=8,
+                     gain=0.7):
     from .assembly import equalize_depths
 
     rng = np.random.default_rng(ctx.seed)
@@ -535,12 +521,11 @@ def run_equalize_cmd(ctx, n_sites, initial_spread, iterations, gain):
                           seed=ctx.seed + 1)
     ctx.emit("equalize", ["iteration", "relative_spread"],
              list(enumerate(res.spread_history)))
-    _summary(ctx.out / "summary.json", {
-        "protocol": "equalize",
+    return {
         "final_spread": res.final_spread,
         "iterations": iterations,
         "converged": res.converged,
-    })
+    }
 
 
 # --- driver -----------------------------------------------------------------
@@ -611,7 +596,9 @@ def main(argv=None) -> int:
         (ctx.out / "config_snapshot.ini").write_text(
             snapshot or f"# no config file; seed={ctx.seed}\n"
         )
-        PROTOCOLS[args.command](ctx, **params)
+        summary = PROTOCOLS[args.command](ctx, **params)
+        _summary(ctx.out / "summary.json",
+                 {"protocol": args.command, **summary})
     except (ConfigError, configparser.Error, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -113,7 +113,8 @@ def optimize_cz(
     initial: CZPulseProfile,
     drive: RydbergDrive,
     objective=None,
-    max_iterations: int = 60,
+    *,
+    max_iterations: int,
 ) -> OptimizeResult:
     """Maximize ``objective`` over (theta1, theta2, theta3, t_gate).
 

@@ -75,22 +75,17 @@ def brentq(f, xa, xb, xtol):
                        f"{BRENT_MAX_ITERATIONS} iterations, value is {xcur}")
 
 
-def gauss_newton(
-    model,
-    p0,
-    x,
-    y,
-    sigma=None,
-    bounds=None,
-):
-    """Levenberg-damped Gauss-Newton minimizing sum(((y-model)/sigma)^2).
+def gauss_newton(model, p0, x, y, sigma, bounds):
+    """Levenberg-damped Gauss-Newton minimizing sum(((y-model)/sigma)^2),
+    each step clipped to ``bounds`` = (lower, upper).
 
     Returns (params, covariance, residual_norm, converged).
     """
     p = np.asarray(p0, dtype=float).copy()
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    w = np.ones_like(y) if sigma is None else 1.0 / np.asarray(sigma, dtype=float)
+    w = 1.0 / np.asarray(sigma, dtype=float)
+    lo, hi = bounds
 
     def residuals(pp):
         return (y - model(pp, x)) * w
@@ -104,12 +99,6 @@ def gauss_newton(
             pp2[i] += h
             out[:, i] = (residuals(pp2) - r0) / h
         return out
-
-    def clip(pp):
-        if bounds is None:
-            return pp
-        lo, hi = bounds
-        return np.clip(pp, lo, hi)
 
     r = residuals(p)
     cost = float(r @ r)
@@ -126,7 +115,7 @@ def gauss_newton(
             except np.linalg.LinAlgError:
                 lam *= 10
                 continue
-            p_new = clip(p + step)
+            p_new = np.clip(p + step, lo, hi)
             r_new = residuals(p_new)
             cost_new = float(r_new @ r_new)
             if cost_new <= cost:
@@ -153,7 +142,7 @@ def gauss_newton(
 
 @dataclass(frozen=True)
 class DecayFit:
-    """Fitted survival decay P(N) = a * F^N (+ fixed or free offset)."""
+    """Fitted survival decay P(N) = a * F^N + b at a fixed offset b."""
 
     amplitude: float
     fidelity: float
@@ -173,49 +162,35 @@ class DecayFit:
         return float(np.sqrt(self.covariance[1, 1]))
 
 
-def fit_power_decay(n, y, sigma=None, offset=None) -> DecayFit:
-    """Fit P = a * F^n + b; ``offset`` fixes b (None leaves it free).
+def fit_power_decay(n, y, sigma, offset) -> DecayFit:
+    """Fit P = a * F^n + offset with the offset fixed.
 
-    Used for both two-qubit return-probability decays (b = 0) and
-    randomized-benchmarking survivals (b = 0.5 or free).
+    Used for both two-qubit return-probability decays (offset 0) and
+    randomized-benchmarking survivals (offset 0.5).
     """
     n = np.asarray(n, dtype=float)
     y = np.asarray(y, dtype=float)
-    if len(set(n.ravel().tolist())) < (3 if offset is not None else 4):
-        raise FitError("need at least 3 (4 with free offset) distinct lengths")
-    if not np.all(np.isfinite(y)) or (
-            sigma is not None and not np.all(np.isfinite(sigma))):
+    if len(set(n.ravel().tolist())) < 3:
+        raise FitError("need at least 3 distinct lengths")
+    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(sigma))):
         raise FitError("decay values and sigmas must be finite")
 
-    b0 = 0.0 if offset is None else offset
-    pos = np.clip(y - b0, 1e-6, None)
+    pos = np.clip(y - offset, 1e-6, None)
     slope, intercept = np.polyfit(n, np.log(pos), 1)
     f0 = float(np.clip(np.exp(slope), 1e-3, 1.0))
     a0 = float(np.clip(np.exp(intercept), 1e-3, 2.0))
 
-    if offset is None:
+    def model(p, x):
+        return p[0] * p[1] ** x + offset
 
-        def model(p, x):
-            return p[0] * p[1] ** x + p[2]
-
-        p0 = [a0, f0, 0.0]
-        bounds = ([0.0, 0.0, -1.0], [2.0, 1.0, 1.0])
-    else:
-
-        def model(p, x):
-            return p[0] * p[1] ** x + offset
-
-        p0 = [a0, f0]
-        bounds = ([0.0, 0.0], [2.0, 1.0])
-
-    p, cov, rn, conv = gauss_newton(model, p0, n, y, sigma, bounds=bounds)
-    fitted_offset = offset if offset is not None else float(p[2])
+    p, cov, rn, conv = gauss_newton(model, [a0, f0], n, y, sigma,
+                                    ([0.0, 0.0], [2.0, 1.0]))
     return DecayFit(
         amplitude=float(p[0]),
         fidelity=float(min(max(p[1], 0.0), 1.0)),
-        covariance=cov[:2, :2],
+        covariance=cov,
         residual_norm=rn,
-        offset=fitted_offset,
+        offset=offset,
         converged=conv,
     )
 

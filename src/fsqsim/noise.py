@@ -36,17 +36,21 @@ def gaussian_quadrature(sigma: float, n_nodes: int):
 
 
 def _check_value(name, value):
-    """NoiseConfig's rule for the field, or ("branching", key), ``name``;
-    inf is allowed only where it turns a source off (``_SOURCE_OFF``)."""
+    """NoiseConfig's rule for the field, or ("branching", key), ``name``. A
+    field that inf turns off (``_SOURCE_OFF``) is a lifetime or a lifetime
+    constant, so it must be positive; any other must be finite."""
     if isinstance(name, tuple):
         name = f"branching fraction {name[1]!r}"
     if name == "raman_spinflip" and value is None:
         return
     if name == "state_prep_error" and not 0.0 <= value <= 1.0:
         raise ValueError(f"{name} must be a probability, got {value!r}")
-    if not value >= 0:  # also true for nan
+    if name in _OFF_AT_INF:
+        if not value > 0:  # also true for nan
+            raise ValueError(f"{name} must be positive, got {value!r}")
+    elif not value >= 0:
         raise ValueError(f"{name} must be non-negative, got {value!r}")
-    if value == math.inf and name not in _OFF_AT_INF:
+    elif value == math.inf:
         raise ValueError(f"{name} must be finite, got {value!r}")
 
 
@@ -58,7 +62,9 @@ class NoiseConfig:
     detuning (slow drift); ``rydberg_dephasing_rate`` is the Markovian
     alternative (q1-r coherence decay rate). Both default to the drift model.
     A nan or inf in any field is rejected, except that an infinite
-    ``tau_*`` or ``ionization_a`` turns that source off.
+    ``tau_*`` or ``ionization_a`` turns that source off; those three must
+    be positive. The clock fields are in their document units, like
+    ``rydberg_detuning_sigma_mhz``, so the text round trip is exact.
     """
 
     tau_bright: float = 110.0  # us
@@ -75,8 +81,8 @@ class NoiseConfig:
     # None -> scatter_g / 3, the degeneracy-consistent share
     raman_spinflip: float | None = 3.6e-4
     state_prep_error: float = 1.0e-2
-    clock_rabi: float = TWO_PI * 3.3e-3  # rad/us
-    clock_dephasing: float = 2.2e-5  # 1/us (0.022 per ms)
+    clock_rabi_mhz: float = 3.3e-3
+    clock_dephasing_per_ms: float = 0.022
 
     def __post_init__(self):
         for f in fields(self):
@@ -149,8 +155,6 @@ _OFF_AT_INF = {name for off in _SOURCE_OFF.values()
 def rydberg_collapse_ops(config: NoiseConfig) -> list:
     """Decay out of r (bright split per branching table, dark to bucket)
     plus optional Markovian dephasing of the q1-r coherence."""
-    if config.tau_bright <= 0 or config.tau_dark <= 0:
-        raise ValueError("lifetimes must be positive")
     ops = []
     bright = 0.0 if np.isinf(config.tau_bright) else 1.0 / config.tau_bright
     dark = 0.0 if np.isinf(config.tau_dark) else 1.0 / config.tau_dark
@@ -222,16 +226,15 @@ def clock_rabi_curve(times, config: NoiseConfig) -> np.ndarray:
     """Damped Rabi oscillation model used for the clock pi-pulse estimate,
     P_q1(t) = 1/2 - 1/2 exp(-gamma t) cos(Omega t)."""
     t = np.asarray(times, dtype=float)
-    return 0.5 - 0.5 * np.exp(-config.clock_dephasing * t) * np.cos(
-        config.clock_rabi * t
-    )
+    return 0.5 - 0.5 * np.exp(-1e-3 * config.clock_dephasing_per_ms * t) * \
+        np.cos(TWO_PI * config.clock_rabi_mhz * t)
 
 
 def clock_pi_pulse_error(config: NoiseConfig) -> float:
     """Preparation infidelity of a single resonant clock pi-pulse."""
-    if config.clock_rabi == 0:
+    if config.clock_rabi_mhz == 0:
         return 1.0
-    t_pi = np.pi / config.clock_rabi
+    t_pi = np.pi / (TWO_PI * config.clock_rabi_mhz)
     return float(1.0 - clock_rabi_curve(t_pi, config))
 
 
@@ -313,11 +316,9 @@ _FIELD_KEYS = {
     "raman_leak_x_per_us": "raman_leak_x",
     "raman_spinflip_per_us": "raman_spinflip",
     "state_prep_error": "state_prep_error",
-    "clock_rabi_MHz": "clock_rabi",
-    "clock_dephasing_per_ms": "clock_dephasing",
+    "clock_rabi_MHz": "clock_rabi_mhz",
+    "clock_dephasing_per_ms": "clock_dephasing_per_ms",
 }
-# the keys in another unit than their field: field = document value x factor
-_UNITS = {"clock_rabi_MHz": TWO_PI, "clock_dephasing_per_ms": 1e-3}
 
 
 def noise_config_to_text(config: NoiseConfig) -> str:
@@ -325,8 +326,6 @@ def noise_config_to_text(config: NoiseConfig) -> str:
     for key, target in _FIELD_KEYS.items():
         value = (config.branching[target[1]] if isinstance(target, tuple)
                  else getattr(config, target))
-        if key in _UNITS:
-            value /= _UNITS[key]
         # a line left out would read back as the default, not as unset
         lines.append(f"{key} = {math.nan if value is None else value!r}")
     return "\n".join(lines) + "\n"
@@ -342,7 +341,6 @@ def noise_config_from_text(text: str) -> NoiseConfig:
     branching = dict(DEFAULT_BRANCHING)
     for key, val in kv.items():
         target = _FIELD_KEYS[key]
-        val *= _UNITS.get(key, 1.0)
         if target == "raman_spinflip" and math.isnan(val):
             val = None
         try:

@@ -9,7 +9,15 @@ position; a class's ``__init__`` is matched by the class name. A starred
 positional argument sets every positional parameter, ``**kwargs`` every
 parameter. A dataclass field with a default is a parameter of its class's
 generated ``__init__``, set by a constructor call as above or by a keyword
-to any ``replace(...)`` call (whose ``**kwargs`` names no field).
+to any ``replace(...)`` call (whose ``**kwargs`` names no field). A
+``@protocol``-registered CLI function is skipped: ``main`` sets each of its
+config keys by keyword from the config file.
+
+Every default of a function or method is relied on: some call to that name
+leaves it out. A default every caller overrides is a required parameter in
+disguise. A call with a starred argument or ``**kwargs`` may leave out any
+default it does not name by keyword, so it counts as relying on those.
+Dataclass fields and ``@protocol`` functions are not scanned.
 
 Every imported name in ``src/`` and ``tests/`` is referenced in its scope:
 a module-level import by a name anywhere in the module or, for a package's
@@ -113,6 +121,8 @@ def optional_parameters():
     for path in sorted((ROOT / "src" / "fsqsim").rglob("*.py")):
         tree = ast.parse(path.read_text())
         for name, fn, bound in _functions(tree):
+            if _registered(fn):
+                continue  # main sets every config key through **params
             a = fn.args
             positional = [p.arg for p in a.posonlyargs + a.args][int(bound):]
             optional = positional[len(positional) - len(a.defaults):] \
@@ -162,6 +172,35 @@ def test_every_optional_parameter_has_a_caller():
     assert not unset, (
         "optional parameters no caller sets; make each a module constant "
         "or a literal: " + ", ".join(unset)
+    )
+
+
+def unused_defaults():
+    """``file:function(parameter)`` of each default that every call of the
+    function's name passes. A call with a starred argument or ``**`` counts
+    as leaving out each default it does not name by keyword; dataclass
+    fields and ``@protocol`` functions are not scanned."""
+    calls = calls_by_name()
+    unused = []
+    for where, name, positional, optional, dataclass in optional_parameters():
+        if dataclass:
+            continue
+        relied = set()
+        for call in calls.get(name, []):
+            passed = {kw.arg for kw in call.keywords}
+            if not (None in passed
+                    or any(isinstance(x, ast.Starred) for x in call.args)):
+                passed.update(positional[:len(call.args)])
+            relied.update(p for p in optional if p not in passed)
+        unused += [f"{where}({p})" for p in optional if p not in relied]
+    return unused
+
+
+def test_every_default_is_relied_on():
+    unused = unused_defaults()
+    assert not unused, (
+        "defaults every caller overrides; make each parameter required: "
+        + ", ".join(unused)
     )
 
 

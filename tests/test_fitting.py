@@ -25,7 +25,7 @@ def test_exact_decay_recovery():
 
 def test_decay_fit_needs_enough_lengths():
     with pytest.raises(FitError):
-        fit_power_decay([3, 3, 3], [0.5, 0.5, 0.5], offset=0.0)
+        fit_power_decay([3, 3, 3], [0.5, 0.5, 0.5], [0.01] * 3, offset=0.0)
 
 
 def test_decay_fit_rejects_non_finite_values_and_sigmas():

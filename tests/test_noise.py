@@ -107,8 +107,10 @@ def test_config_round_trip(reference_config):
 
 
 _RATE = st.floats(0.0, 1e300)
-# inf turns a source off only where NoiseConfig.without sets it
-_OFF_RATE = st.one_of(_RATE, st.just(math.inf))
+# inf turns a source off only where NoiseConfig.without sets it, and those
+# fields (lifetimes and the ionization constant) must be positive
+_OFF_RATE = st.one_of(st.floats(0.0, 1e300, exclude_min=True),
+                      st.just(math.inf))
 
 
 def _branching(weights):
@@ -126,25 +128,17 @@ def _noise_configs(draw):
         rydberg_detuning_sigma_mhz=draw(_RATE),
         rydberg_dephasing_rate=draw(_RATE), raman_scatter_g=draw(_RATE),
         raman_leak_x=draw(_RATE), raman_spinflip=draw(st.none() | _RATE),
-        state_prep_error=draw(st.floats(0.0, 1.0)), clock_rabi=draw(_RATE),
-        clock_dephasing=draw(_RATE),
+        state_prep_error=draw(st.floats(0.0, 1.0)),
+        clock_rabi_mhz=draw(_RATE), clock_dephasing_per_ms=draw(_RATE),
     )
 
 
 @settings(max_examples=300, deadline=None)
 @given(_noise_configs())
 def test_config_text_round_trip_property(cfg):
-    # the text holds clock_rabi / 2 pi and clock_dephasing * 1e3, so those
-    # two come back within 4 ulp; every other field, an unset
+    # every field is held in its document unit, so every field, an unset
     # raman_spinflip included, comes back equal
-    back = noise_config_from_text(noise_config_to_text(cfg))
-    inexact = ("clock_rabi", "clock_dephasing")
-    for name in NoiseConfig.__dataclass_fields__:
-        if name not in inexact:
-            assert getattr(back, name) == getattr(cfg, name), name
-    for name in inexact:
-        a, b = getattr(cfg, name), getattr(back, name)
-        assert a == b or abs(b - a) <= 4 * np.spacing(a), name
+    assert noise_config_from_text(noise_config_to_text(cfg)) == cfg
 
 
 def test_config_text_rejects_unknown_keys():
@@ -157,7 +151,8 @@ def test_config_text_rejects_unknown_keys():
 _NUMERIC_FIELDS = ("tau_bright", "tau_dark", "ionization_a",
                    "rydberg_detuning_sigma_mhz", "rydberg_dephasing_rate",
                    "raman_scatter_g", "raman_leak_x", "raman_spinflip",
-                   "state_prep_error", "clock_rabi", "clock_dephasing")
+                   "state_prep_error", "clock_rabi_mhz",
+                   "clock_dephasing_per_ms")
 
 
 def test_numeric_fields_are_listed():
@@ -219,7 +214,7 @@ def test_source_slicing(reference_config):
 
 def test_clock_pulse_error():
     cfg = NoiseConfig()
-    t_pi = np.pi / cfg.clock_rabi
+    t_pi = np.pi / (2 * np.pi * cfg.clock_rabi_mhz)
     assert t_pi == pytest.approx(151.5, abs=1.0)  # ~150 us pulse
     err = clock_pi_pulse_error(cfg)
     assert 0.0005 < err < 0.01  # sub-percent preparation error
