@@ -145,16 +145,15 @@ class SSBSequence:
 
     ``phases`` has n_cz + 1 entries (initialization pulse plus one pulse per
     CZ), each one of ``QUARTER_PHASES`` so the circuit stays Clifford. The
-    recovery runs the ``recovery_pre`` Clifford pair, a CZ if
-    ``recovery_cz`` (else ``recovery_pre`` is (None, None)), then the
-    ``recovery_cliffords`` pair (``clifford_group()`` indices for atoms 1
-    and 2); with an ideal CZ it returns |11> up to a global phase.
+    recovery runs the ``recovery_pre`` Clifford pair and a CZ, unless
+    ``recovery_pre`` is (None, None), then the ``recovery_cliffords`` pair
+    (``clifford_group()`` indices for atoms 1 and 2); with an ideal CZ it
+    returns |11> up to a global phase.
     """
 
     n_cz: int
     phases: tuple
     recovery_cliffords: tuple
-    recovery_cz: bool
     seed: int
     recovery_pre: tuple = (None, None)
 
@@ -162,6 +161,11 @@ class SSBSequence:
         if not set(self.phases) <= set(QUARTER_PHASES):
             raise ValueError(f"SSB phases must be entries of QUARTER_PHASES, "
                              f"got {self.phases}")
+
+    @property
+    def recovery_cz(self) -> bool:
+        """Whether the recovery runs a CZ (after ``recovery_pre``)."""
+        return self.recovery_pre[0] is not None
 
 
 # CZ on a two-qubit state psi held as the 2 x 2 array psi.reshape(2, 2)
@@ -225,7 +229,6 @@ def generate_ssb(n_cz: int, seed: int) -> SSBSequence:
         n_cz=n_cz,
         phases=tuple(QUARTER_PHASES[i] for i in draws),
         recovery_cliffords=rec,
-        recovery_cz=pre[0] is not None,
         seed=seed,
         recovery_pre=pre,
     )
@@ -239,8 +242,7 @@ def _run_sequence(executor: GateExecutor, seq: SSBSequence) -> np.ndarray:
         v = executor.cz @ v
         v = quarter_pulse(seq.phases[k + 1]) @ v
     if seq.recovery_cz:
-        if seq.recovery_pre[0] is not None:
-            v = recovery_pulse(*seq.recovery_pre) @ v
+        v = recovery_pulse(*seq.recovery_pre) @ v
         v = executor.cz @ v
     v = recovery_pulse(*seq.recovery_cliffords) @ v
     return executor.populations(v)

@@ -18,7 +18,6 @@ from .levels import DIM, Q0, Q1, QUBIT_LEVELS, X
 # The reference config lives in noise, so the CLI builds it without importing
 # this module; both names stay importable from here.
 from .noise import (  # noqa: F401
-    BUDGET_SOURCES,
     DEPHASING_RATE_DEFAULT,
     NoiseConfig,
     reference_budget_config,
@@ -138,26 +137,24 @@ def _entry(name: str, executor: GateExecutor, n_cz_list, n_seq,
 
 def error_budget(
     config: NoiseConfig,
-    sources=CZ_SOURCES,
     n_cz_list=(2, 4, 6),
     n_seq: int = 32,
     seed: int = 12,
 ) -> BudgetReport:
     """Single-source and combined CZ infidelities, raw and loss-corrected,
-    for the default CZ profile and drive."""
+    of each of ``CZ_SOURCES``, for the default CZ profile and drive."""
     profile, drive = default_profile(), RydbergDrive()
-    for s in sources:
-        if s not in BUDGET_SOURCES:
-            raise ValueError(f"unknown error source {s!r}")
     # shot-noise-free, so every executor runs the same sequences
     entries = []
-    for name in sources:
+    for name in CZ_SOURCES:
         executor = GateExecutor(
             profile, drive, config.only(name), dephasing_nodes=DEPHASING_NODES
         )
         entries.append(_entry(name, executor, n_cz_list, n_seq, seed))
     combined = GateExecutor(
-        profile, drive, config.only(*sources), dephasing_nodes=DEPHASING_NODES
+        profile, drive, config.only(*CZ_SOURCES),
+        dephasing_nodes=DEPHASING_NODES
     )
     total = _entry("total", combined, n_cz_list, n_seq, seed)
-    return BudgetReport(entries=tuple(entries), total=total, sources=tuple(sources))
+    return BudgetReport(entries=tuple(entries), total=total,
+                        sources=CZ_SOURCES)

@@ -29,23 +29,24 @@ LOCAL_PAIRS = tuple(itertools.product((Q0, Q1, R), repeat=2)) + (
     (G, G), (X, X), (B, B))
 
 
-def channel_superoperator(
-    hamiltonian,
-    collapses,
-    duration: float,
-    n_atoms: int,
-) -> np.ndarray:
-    """Lindblad channel on all d^2 matrix units in row-major order: the
-    (d^2, d^2) matrix acting on ``rho.ravel()``.
+# All 36 one-atom matrix units in the engine's row-major order
+ONE_ATOM_UNITS = tuple((k // DIM, k % DIM) for k in range(DIM * DIM))
 
-    For the two-atom gate channels prefer :func:`channel_on_pairs` on
+
+def channel_superoperator(hamiltonian, collapses, duration: float) -> np.ndarray:
+    """One-atom Lindblad channel on :data:`ONE_ATOM_UNITS`: the (36, 36)
+    matrix acting on ``rho.ravel()``, checked by :func:`check_cptp` over all
+    six levels.
+
+    For the two-atom gate channels use :func:`channel_on_pairs` on
     :func:`gate_pair_basis`, which propagates only the closed operator
     subspace.
     """
-    d = DIM**n_atoms
-    pairs = [(k // d, k % d) for k in range(d * d)]
-    return channel_on_pairs(hamiltonian, collapses, duration, n_atoms,
-                            pairs)[0]
+    m = channel_on_pairs(hamiltonian, collapses, duration, 1,
+                         ONE_ATOM_UNITS)[0]
+    check_cptp(m, ONE_ATOM_UNITS, 1, range(DIM),
+               f"the one-atom channel over {duration:.6g} us")
+    return m
 
 
 def channel_on_pairs(
@@ -67,7 +68,7 @@ def channel_on_pairs(
     basis = np.zeros((npairs, d, d), dtype=complex)
     for k, (i, j) in enumerate(pairs):
         basis[k, i, j] = 1.0
-    out = evolve_rho(basis, hamiltonian, collapses, duration, n_atoms)
+    out = evolve_rho(basis, hamiltonian, collapses, duration)
     rows = np.array([p[0] for p in pairs])
     cols = np.array([p[1] for p in pairs])
     m = out[:, rows, cols].T.copy()

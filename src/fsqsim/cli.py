@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import KERNEL_BACKEND, __version__
-from .channels import channel_superoperator, check_cptp
+from .channels import channel_superoperator
 from .levels import B, DIM, G, Q0, Q1, R, X, lop
 from .noise import (
     noise_config_from_text,
@@ -35,9 +35,10 @@ CONFIG_KEYS = {}
 def protocol(name):
     """Register a subcommand. Its config keys are the parameters after
     ``ctx``, with their defaults: ``main`` rejects any other key in the
-    section, parses each value like its default (see ``_value``), passes it
-    by keyword and writes the returned dict as ``summary.json``. The
-    default ``float`` declares an optional number, None when absent."""
+    section and a missing key without a default, parses each value like its
+    default (see ``_value``), passes it by keyword and writes the returned
+    dict as ``summary.json``. The default ``float`` declares an optional
+    number, None when absent."""
     def wrap(fn):
         PROTOCOLS[name] = fn
         params = list(inspect.signature(fn).parameters.values())[1:]
@@ -105,13 +106,17 @@ def _value(raw, default, key, section):
     """The config string ``raw`` of ``key`` in ``[section]`` (None when the
     key is absent) parsed like ``default``: a bool, int or float; a tuple
     of ints, given as a list; for ``float``, a number or None; or, for a
-    None default, the raw string the subcommand converts. A malformed value
-    raises ConfigError naming the section, the key and the value."""
+    None default or none at all, the raw string the subcommand converts. A
+    malformed value, or an absent key without a default, raises ConfigError
+    naming the section and the key (and the malformed value)."""
+    required = default is inspect.Parameter.empty
     if raw is None:
+        if required:
+            raise ConfigError(f"missing key {key!r} in [{section}]")
         if default is float:
             return None
         return list(default) if isinstance(default, tuple) else default
-    if default is None:
+    if default is None or required:
         return raw
     kind = default if default is float else type(default)
     try:
@@ -166,9 +171,7 @@ def _rabi_rows(h, ops, t_max, n, groups):
     times = np.linspace(0.0, t_max, n)
     rho = QuantumState.pure([Q1]).rho.ravel()
     if n > 1:
-        step = channel_superoperator(h, ops, times[1] - times[0], n_atoms=1)
-        units = [(k // DIM, k % DIM) for k in range(DIM * DIM)]
-        check_cptp(step, units, 1, range(DIM), "the Rabi sample-step channel")
+        step = channel_superoperator(h, ops, times[1] - times[0])
     rows = []
     for k, t in enumerate(times):
         if k:
@@ -443,13 +446,11 @@ def run_budget_cmd(ctx, n_cz=(2, 4, 6), n_sequences=32):
 
 
 @protocol("psd-infidelity")
-def run_psd_cmd(ctx, psd_file=None, n_trajectories=40, already_uv=False):
+def run_psd_cmd(ctx, psd_file, n_trajectories=40, already_uv=False):
     from .czopt import default_profile
     from .psd import FrequencyNoisePSD, mc_gate_infidelity, psd_to_uv
     from .rydberg import RydbergDrive
 
-    if psd_file is None:
-        raise ConfigError("psd-infidelity needs psd_file in the config")
     psd = _read_document(psd_file, ctx.base_dir, FrequencyNoisePSD.from_text)
     if not already_uv:
         psd = psd_to_uv(psd)

@@ -30,9 +30,8 @@ class IntegrationError(RuntimeError):
 class CollapseOperator:
     """A single Lindblad jump operator with its rate in 1/us.
 
-    ``operator`` is either a 6x6 single-atom matrix, which acts on every
-    atom (one embedded copy per atom, as global noise channels do), or a
-    full-space matrix.
+    ``operator`` is a 6x6 single-atom matrix; it acts on every atom (one
+    embedded copy per atom, as global noise channels do).
     """
 
     rate: float
@@ -42,20 +41,13 @@ class CollapseOperator:
         if self.rate < 0:
             raise ValueError("collapse rate must be non-negative")
         op = np.asarray(self.operator, dtype=complex)
-        if op.ndim != 2 or op.shape[0] != op.shape[1]:
-            raise ValueError("collapse operator must be square")
+        if op.shape != (DIM, DIM):
+            raise ValueError(f"collapse operator must be {DIM}x{DIM}, "
+                             f"got {op.shape}")
         object.__setattr__(self, "operator", op)
 
     def expand(self, n_atoms: int) -> list:
         """Full-space (rate, operator) pairs for an ``n_atoms`` system."""
-        d = DIM**n_atoms
-        if self.operator.shape == (d, d):
-            return [(self.rate, self.operator)]
-        if self.operator.shape != (DIM, DIM):
-            raise ValueError(
-                f"collapse operator must be {DIM}x{DIM} or {d}x{d}, "
-                f"got {self.operator.shape}"
-            )
         return [(self.rate, embed_local(self.operator, a, n_atoms))
                 for a in range(n_atoms)]
 
@@ -80,14 +72,9 @@ class ModulatedDrive:
         return self.h0.shape[0]
 
 
-def evolve_rho(
-    rho,
-    hamiltonian,
-    collapses,
-    duration,
-    n_atoms,
-):
-    """Propagate a (d, d) matrix or a (B, d, d) batch; no state validation.
+def evolve_rho(rho, hamiltonian, collapses, duration):
+    """Propagate a (d, d) matrix or a (B, d, d) batch of one atom (d = 6)
+    or two (d = 36); no state validation.
 
     This is the raw engine behind :func:`evolve_lindblad` and the channel
     constructors; it happily evolves non-Hermitian matrix units.
@@ -98,9 +85,10 @@ def evolve_rho(
     batched = rho.ndim == 3
     work = rho if batched else rho[None, :, :]
     d = work.shape[-1]
-    if d != DIM**n_atoms:
-        raise ValueError(f"a {n_atoms}-atom matrix is {DIM**n_atoms}x"
-                         f"{DIM**n_atoms}, not {d}x{d}")
+    n_atoms = {DIM: 1, DIM**2: 2}.get(d)
+    if n_atoms is None:
+        raise ValueError(f"a {d}x{d} matrix is not one atom ({DIM}x{DIM}) "
+                         f"or two ({DIM**2}x{DIM**2})")
     pairs = [p for c in (collapses or []) for p in c.expand(n_atoms)]
     # the atom swap |a1 a2> -> |a2 a1>, used where the generator has it
     swap = np.arange(d).reshape(DIM, DIM).T.ravel() if n_atoms == 2 else None
@@ -138,7 +126,7 @@ def evolve_lindblad(
     duration: float,
 ) -> QuantumState:
     """Evolve a state under the Lindblad equation for ``duration`` (us)."""
-    out = evolve_rho(state.rho, hamiltonian, collapses, duration, state.n_atoms)
+    out = evolve_rho(state.rho, hamiltonian, collapses, duration)
     drift = abs(np.trace(out).real - 1.0)
     if drift > TRACE_DRIFT_TOL:
         raise IntegrationError(

@@ -38,7 +38,8 @@ def gaussian_quadrature(sigma: float, n_nodes: int):
 def _check_value(name, value):
     """NoiseConfig's rule for the field, or ("branching", key), ``name``. A
     field that inf turns off (``_SOURCE_OFF``) is a lifetime or a lifetime
-    constant, so it must be positive; any other must be finite."""
+    constant, so it must be positive with a finite reciprocal (the rate it
+    sets); any other must be finite and non-negative."""
     if isinstance(name, tuple):
         name = f"branching fraction {name[1]!r}"
     if name == "raman_spinflip" and value is None:
@@ -48,6 +49,9 @@ def _check_value(name, value):
     if name in _OFF_AT_INF:
         if not value > 0:  # also true for nan
             raise ValueError(f"{name} must be positive, got {value!r}")
+        if 1.0 / value == math.inf:
+            raise ValueError(f"{name} is too small: its reciprocal "
+                             f"overflows, got {value!r}")
     elif not value >= 0:
         raise ValueError(f"{name} must be non-negative, got {value!r}")
     elif value == math.inf:
@@ -63,8 +67,9 @@ class NoiseConfig:
     alternative (q1-r coherence decay rate). Both default to the drift model.
     A nan or inf in any field is rejected, except that an infinite
     ``tau_*`` or ``ionization_a`` turns that source off; those three must
-    be positive. The clock fields are in their document units, like
-    ``rydberg_detuning_sigma_mhz``, so the text round trip is exact.
+    be positive, with a finite reciprocal. The clock fields are in their
+    document units, like ``rydberg_detuning_sigma_mhz``, so the text round
+    trip is exact.
     """
 
     tau_bright: float = 110.0  # us
@@ -147,7 +152,6 @@ _SOURCE_OFF = {
     "state_prep": {"state_prep_error": 0.0},
 }
 
-BUDGET_SOURCES = tuple(_SOURCE_OFF)
 _OFF_AT_INF = {name for off in _SOURCE_OFF.values()
                for name, value in off.items() if value == math.inf}
 

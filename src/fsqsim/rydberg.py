@@ -18,7 +18,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._kernels._lindblad_py import GAUSS_NODES, WEIGHT_MINUS, WEIGHT_PLUS
+from ._kernels._lindblad_py import (GAUSS_NODES, MAX_STEPS, WEIGHT_MINUS,
+                                    WEIGHT_PLUS)
 from .lindblad import ModulatedDrive
 from .levels import DIM, Q0, Q1, R, full_index, lop, unravel_index
 from .noise import check_finite, read_key_values
@@ -308,7 +309,8 @@ def sector_unitaries(
     ceil(STEPS_PER_RADIAN * ||H||_inf * t_gate) steps, with ||H||_inf the
     6x6 sector norm (the largest over the stack, without the detuning
     pieces), spread over the detuning pieces by length; the phase only
-    rotates the couplings, so ||H||_inf is the same at every t. Without
+    rotates the couplings, so ||H||_inf is the same at every t; more than
+    the engine's ``MAX_STEPS`` is refused before the first step. Without
     phase modulation (theta[0] == theta[2] == 0 for every member) H is
     constant on each piece, which then takes one step and is exact.
     """
@@ -330,6 +332,10 @@ def sector_unitaries(
         raise ValueError(f"the generator norm is not finite ({norm}): a "
                          f"field of {drive} is not finite")
     n_gate = math.ceil(STEPS_PER_RADIAN * norm * t_ref * np.max(rate))
+    if modulated and n_gate > MAX_STEPS:
+        raise ValueError(f"the modulated gate under {drive} needs {n_gate} "
+                         f"steps, more than MAX_STEPS = {MAX_STEPS}: the "
+                         "drive is stiff or the gate over-long")
 
     u_pair, u_chain, u_dark = np.eye(2), np.eye(3), 1.0
     for t0, t1, det in detuning_segments(detuning_edges, detuning_values, t_ref):

@@ -418,8 +418,7 @@ def reference_ssb_sequence(phases, seed=0):
     rec = _product_recovery(psi)
     if rec is not None:
         return twoq.SSBSequence(n_cz=n_cz, phases=phases,
-                                recovery_cliffords=rec, recovery_cz=False,
-                                seed=seed)
+                                recovery_cliffords=rec, seed=seed)
     # entangled stabilizer state: find pre-locals so one CZ disentangles it
     cz = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
     group = clifford_group()
@@ -429,8 +428,7 @@ def reference_ssb_sequence(phases, seed=0):
             rec = _product_recovery(cand)
             if rec is not None:
                 return twoq.SSBSequence(n_cz=n_cz, phases=phases,
-                                        recovery_cliffords=rec,
-                                        recovery_cz=True, seed=seed,
+                                        recovery_cliffords=rec, seed=seed,
                                         recovery_pre=(b1.index, b2.index))
     raise RuntimeError(
         "no recovery found; impossible for a two-qubit stabilizer state"
@@ -449,7 +447,7 @@ def reference_generate_ssb(n_cz, seed):
     return reference_ssb_sequence(phases, seed)
 
 
-def reference_error_budget(config, sources=budget.CZ_SOURCES):
+def reference_error_budget(config):
     """``budget.error_budget`` at its default sequences, each executor
     generating the SSB sequences anew."""
     profile, drive = default_profile(), RydbergDrive()
@@ -468,9 +466,10 @@ def reference_error_budget(config, sources=budget.CZ_SOURCES):
         )
 
     return budget.BudgetReport(
-        entries=tuple(entry(name, config.only(name)) for name in sources),
-        total=entry("total", config.only(*sources)),
-        sources=tuple(sources),
+        entries=tuple(entry(name, config.only(name))
+                      for name in budget.CZ_SOURCES),
+        total=entry("total", config.only(*budget.CZ_SOURCES)),
+        sources=budget.CZ_SOURCES,
     )
 
 

@@ -7,7 +7,6 @@ from fsqsim.budget import (
     CZ_SOURCES,
     channel_retention,
     corrected_process_infidelity_from_executor,
-    error_budget,
     reference_budget_config,
     process_infidelity_from_executor,
 )
@@ -75,7 +74,7 @@ def test_collapse_channels_are_cptp(reference_config, drive):
         (gate_collapse_ops(reference_config, drive.rabi_frequency), 0.2),
         (raman_scatter_collapse_ops(reference_config), 10.0),
     ):
-        s = channel_superoperator(None, ops, duration, 1)
+        s = channel_superoperator(None, ops, duration)
         tp_defect, min_eig = cptp_defects(s, units, 1, range(DIM))
         assert tp_defect <= TP_TOL
         assert min_eig >= -CHOI_TOL
@@ -133,11 +132,6 @@ def test_headlines_are_converged_at_the_channel_tolerance(
 
 def test_channel_retention_noiseless_is_one(noiseless_executor):
     assert channel_retention(noiseless_executor) == pytest.approx(1.0, abs=1e-6)
-
-
-def test_budget_rejects_unknown_source(reference_config):
-    with pytest.raises(ValueError):
-        error_budget(reference_config, sources=("banana",))
 
 
 def test_reference_budget_config_shape():

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -40,7 +41,7 @@ def _unit(i, j, d=DIM):
 
 
 def test_identity_channel():
-    s = channel_superoperator(None, [], 5.0, 1)
+    s = channel_superoperator(None, [], 5.0)
     assert np.max(np.abs(s - np.eye(36))) < 1e-9
 
 
@@ -48,7 +49,7 @@ def test_unitary_conjugation_convention():
     # row-major: vec(U rho U^dag) = (U (x) conj U) vec(rho)
     h = _random_h(1)
     u = expm(-1j * h * 0.41)
-    s = channel_superoperator(h, [], 0.41, 1)
+    s = channel_superoperator(h, [], 0.41)
     assert np.max(np.abs(s - np.kron(u, u.conj()))) < 1e-7
 
 
@@ -57,7 +58,7 @@ def test_amplitude_damping_oracle():
     gamma = 0.5
     t = 1.0 / gamma
     c = CollapseOperator(gamma, levels.lop(Q0, Q1))
-    s = channel_superoperator(None, [c], t, 1)
+    s = channel_superoperator(None, [c], t)
     p = 1.0 - np.exp(-gamma * t)
     k0 = np.eye(6, dtype=complex)
     k0[Q1, Q1] = np.sqrt(1 - p)
@@ -71,7 +72,7 @@ def test_trace_preserving_and_choi_positive():
         CollapseOperator(0.3, levels.lop(G, Q1)),
         CollapseOperator(0.2, levels.lop(R, R)),
     ]
-    s = channel_superoperator(_random_h(2), ops, 1.7, 1)
+    s = channel_superoperator(_random_h(2), ops, 1.7)
     tp_defect, min_eig = cptp_defects(s, UNITS, 1, range(DIM))
     assert tp_defect < TP_TOL
     assert min_eig > -CHOI_TOL
@@ -124,13 +125,13 @@ def test_check_rejects_an_incomplete_choi_block():
 def test_superoperator_apply_matches_evolution_on_random_states():
     h = _random_h(3)
     ops = [CollapseOperator(0.25, levels.lop(G, Q1))]
-    s = channel_superoperator(h, ops, 0.8, 1)
+    s = channel_superoperator(h, ops, 0.8)
     rng = np.random.default_rng(7)
     for _ in range(20):
         psi = rng.normal(size=6) + 1j * rng.normal(size=6)
         psi /= np.linalg.norm(psi)
         rho = np.outer(psi, psi.conj())
-        direct = evolve_rho(rho, h, ops, 0.8, 1)
+        direct = evolve_rho(rho, h, ops, 0.8)
         via_s = (s @ rho.ravel()).reshape(DIM, DIM)
         assert np.max(np.abs(direct - via_s)) < 1e-7
 
@@ -150,9 +151,9 @@ def test_composition_is_matrix_product(monkeypatch):
         phase_offset=drive.phase_offset + 0.3 * drive.phase_freq,
     )
     ops = [CollapseOperator(0.1, levels.lop(G, Q1))]
-    s_full = channel_superoperator(drive, ops, 0.8, 1)
-    s_a = channel_superoperator(drive, ops, 0.3, 1)
-    s_b = channel_superoperator(shifted, ops, 0.5, 1)
+    s_full = channel_superoperator(drive, ops, 0.8)
+    s_a = channel_superoperator(drive, ops, 0.3)
+    s_b = channel_superoperator(shifted, ops, 0.5)
     assert np.max(np.abs(s_b @ s_a - s_full)) < 1e-7
 
 
@@ -184,7 +185,7 @@ def _collapses(draws):
 @settings(max_examples=40, deadline=None)
 @given(HAMILTONIANS, COLLAPSES, st.floats(0.05, 15.0))
 def test_random_one_atom_channels_pass_the_cptp_check(h, draws, duration):
-    s = channel_superoperator(_hermitian(h), _collapses(draws), duration, 1)
+    s = channel_superoperator(_hermitian(h), _collapses(draws), duration)
     tp_defect, min_eig = cptp_defects(s, UNITS, 1, range(DIM))
     assert tp_defect < TP_TOL
     assert min_eig > -CHOI_TOL
@@ -194,14 +195,14 @@ def test_random_one_atom_channels_pass_the_cptp_check(h, draws, duration):
 @given(HAMILTONIANS, COLLAPSES, st.floats(0.05, 7.5), st.floats(0.05, 7.5))
 def test_consecutive_channels_multiply_in_engine_order(h, draws, t1, t2):
     h, ops = _hermitian(h), _collapses(draws)
-    first = channel_superoperator(h, ops, t1, 1)
-    second = channel_superoperator(h, ops, t2, 1)
-    whole = channel_superoperator(h, ops, t1 + t2, 1)
+    first = channel_superoperator(h, ops, t1)
+    second = channel_superoperator(h, ops, t2)
+    whole = channel_superoperator(h, ops, t1 + t2)
     assert np.max(np.abs(second @ first - whole)) < 1e-7
 
 
 def test_process_fidelity_self_is_one():
-    s = channel_superoperator(_random_h(6), [], 0.2, 1)
+    s = channel_superoperator(_random_h(6), [], 0.2)
     assert process_fidelity(s, s) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -301,7 +302,7 @@ def test_pair_restriction_matches_full_superoperator():
     h[np.ix_((Q0, Q1), (Q0, Q1))] = _random_h(8, 2)
     ops = [CollapseOperator(0.2, levels.lop(B, R)),
            CollapseOperator(0.1, levels.lop(G, Q1))]
-    s = channel_superoperator(h, ops, 0.6, 1)
+    s = channel_superoperator(h, ops, 0.6)
     pairs = [(a, b) for a in (Q0, Q1) for b in (Q0, Q1)] + [(G, G)]
     m, leak = channel_on_pairs(h, ops, 0.6, 1, pairs)
     assert leak < 1e-9
@@ -309,7 +310,7 @@ def test_pair_restriction_matches_full_superoperator():
     assert np.max(np.abs(m - s[np.ix_(full, full)])) < 1e-7
     # each column of the full matrix is the evolved unit, read row-major
     for q, (i, j) in enumerate(UNITS):
-        col = evolve_rho(_unit(i, j), h, ops, 0.6, 1).ravel()
+        col = evolve_rho(_unit(i, j), h, ops, 0.6).ravel()
         assert np.max(np.abs(s[:, q] - col)) < 1e-7
     # the trace is kept on the restricted list; its Choi block over the
     # qubit levels is complete there
@@ -344,7 +345,9 @@ def test_shipped_gate_channels_are_cptp(noiseless_executor, reference_executor):
 
 def test_builders_reject_a_channel_that_is_not_cp(monkeypatch, cz_profile,
                                                  drive, reference_config):
-    # each built channel goes through the CPTP check, which names it
+    # each built channel goes through the CPTP check, which names it; every
+    # one-atom channel is built and checked by channel_superoperator
+    from fsqsim import channels, cli
     from fsqsim.benchmarking import singleq, twoq
 
     monkeypatch.setattr(twoq, "channel_on_pairs", lambda *args: (
@@ -353,11 +356,19 @@ def test_builders_reject_a_channel_that_is_not_cp(monkeypatch, cz_profile,
                                          r".*minimum Choi eigenvalue -1"):
         twoq.GateExecutor(cz_profile, drive, reference_config,
                           dephasing_nodes=1)
-    monkeypatch.setattr(singleq, "channel_superoperator",
-                        lambda *args, **kwargs: _transpose_map(UNITS))
-    with pytest.raises(ValueError, match=r"the Raman pi/2 channel is not "
-                                         r"CPTP: trace-preservation defect 0"):
+    monkeypatch.setattr(channels, "channel_on_pairs", lambda *args: (
+        _transpose_map(args[4]), 0.0))
+    # the Raman pi/2 pulse lasts (pi/2) / (2 pi x 17 kHz) = 14.7059 us
+    with pytest.raises(ValueError, match=re.escape(
+            "the one-atom channel over 14.7059 us is not CPTP: "
+            "trace-preservation defect 0 (bound 1e-08), minimum Choi "
+            "eigenvalue -1 (bound -1e-07)")):
         singleq._x90_channel_cached.__wrapped__(0.0, 0.0, 0.0)
+    # the Rabi step channel over the 0.5 us sample spacing
+    with pytest.raises(ValueError, match=r"the one-atom channel over 0\.5 us "
+                                         r"is not CPTP"):
+        cli._rabi_rows(levels.lop(Q0, Q1) + levels.lop(Q1, Q0), [], 1.0, 3,
+                       [(Q0,)])
 
 
 @pytest.mark.parametrize("source", ["ionization", "rydberg_decay"])

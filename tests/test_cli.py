@@ -132,9 +132,12 @@ def test_every_subcommand_ships_a_config():
 @pytest.mark.parametrize("command,config", SHIPPED)
 def test_shipped_keys_are_declared(command, config):
     declared = CONFIG_KEYS[command]
-    assert set(shipped_config(config)[command]) <= set(declared)
-    # the keys are the signature's parameters after ctx, each with a default
-    assert not [k for k, d in declared.items() if d is inspect.Parameter.empty]
+    shipped = set(shipped_config(config)[command])
+    assert shipped <= set(declared)
+    # the keys are the signature's parameters after ctx; one without a
+    # default is required, so the shipped config sets it
+    required = {k for k, d in declared.items() if d is inspect.Parameter.empty}
+    assert required <= shipped
 
 
 @pytest.mark.parametrize("command,config", SHIPPED)
@@ -227,8 +230,11 @@ def test_noise_cases_cover_every_key():
 @pytest.mark.parametrize("key,raw", [
     *((k, v) for k in _NOISE_KEYS for v in _BAD_VALUES
       if (k, v) not in _NOISE_KEPT),
-    # a zero lifetime or ionization constant is an infinite rate
-    ("tau_bright_us", "0.0"), ("tau_dark_us", "0"), ("ionization_a", "0")])
+    # a zero lifetime or ionization constant is an infinite rate, and so
+    # is one whose reciprocal overflows
+    ("tau_bright_us", "0.0"), ("tau_dark_us", "0"), ("ionization_a", "0"),
+    ("tau_bright_us", "1e-320"), ("tau_dark_us", "1e-320"),
+    ("ionization_a", "1e-320")])
 def test_refused_noise_value_exits_2_naming_file_and_key(tmp_path, capsys,
                                                          key, raw):
     noise = tmp_path / "noise.txt"
@@ -293,6 +299,19 @@ def test_negative_shots_exit_2_before_any_output(tmp_path, capsys):
     rc = main(["bell", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "'shots' in [run] must be non-negative, got -5" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_missing_required_key_exits_2_before_any_output(tmp_path, capsys):
+    # psd_file has no default: an empty [psd-infidelity] section is refused,
+    # like an unknown key, before the output directory exists
+    cfg = tmp_path / "psd.ini"
+    cfg.write_text("[run]\nseed = 7\n\n[psd-infidelity]\n")
+    rc = main(["psd-infidelity", "--config", str(cfg),
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "error: missing key 'psd_file' in [psd-infidelity]" in \
         capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 

@@ -50,7 +50,7 @@ def test_engine_matches_dense_path(monkeypatch):
 
     monkeypatch.setattr(_lindblad_py, "STEPS_PER_RADIAN",
                         32 * _lindblad_py.STEPS_PER_RADIAN)
-    out = evolve_rho(rho, drive, ops, 0.9, 1)
+    out = evolve_rho(rho, drive, ops, 0.9)
 
     rhs = dense_lindblad_rhs(drive_hamiltonian(drive),
                              [p for c in ops for p in c.expand(1)])
@@ -362,9 +362,9 @@ def test_zero_input_propagates_to_zero():
     assert np.array_equal(_kernels.propagate(batch, *args), batch)
     ops = [CollapseOperator(0.2, levels.lop(B, R))]
     h = np.diag(np.arange(6.0))
-    assert np.array_equal(evolve_rho(np.zeros((6, 6)), h, ops, 0.5, 1),
+    assert np.array_equal(evolve_rho(np.zeros((6, 6)), h, ops, 0.5),
                           np.zeros((6, 6)))
-    assert np.array_equal(evolve_rho(batch, h, ops, 0.5, 1), batch)
+    assert np.array_equal(evolve_rho(batch, h, ops, 0.5), batch)
 
 
 def test_stiff_input_fails_before_stepping(monkeypatch):
@@ -378,7 +378,7 @@ def test_stiff_input_fails_before_stepping(monkeypatch):
     with pytest.raises(ValueError, match=r"norm 1e\+09 /us over 1\.0 us "
                                          r"needs 250000000 steps, more than "
                                          r"MAX_STEPS"):
-        evolve_rho(np.diag([0.0, 1.0, 0, 0, 0, 0]), None, ops, 1.0, 1)
+        evolve_rho(np.diag([0.0, 1.0, 0, 0, 0, 0]), None, ops, 1.0)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

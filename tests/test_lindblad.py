@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -95,22 +97,24 @@ def test_structured_path_matches_callable_path(monkeypatch):
 def test_callable_hamiltonian_is_rejected():
     with pytest.raises(TypeError, match="ModulatedDrive, a static matrix or "
                                         "None"):
-        evolve_rho(np.eye(6), lambda t: np.zeros((6, 6)), [], 1.0, 1)
+        evolve_rho(np.eye(6), lambda t: np.zeros((6, 6)), [], 1.0)
 
 
 def test_state_dimension_must_match_atom_count():
-    with pytest.raises(ValueError, match=r"2-atom matrix is 36x36, not 6x6"):
-        evolve_rho(np.eye(6), None, [], 1.0, 2)
+    # the atom count is read off the matrix: 6x6 is one atom, 36x36 two
+    with pytest.raises(ValueError, match=r"a 12x12 matrix is not one atom "
+                                         r"\(6x6\) or two \(36x36\)"):
+        evolve_rho(np.eye(12), None, [], 1.0)
 
 
 def test_collapse_operator_validation():
     with pytest.raises(ValueError):
         CollapseOperator(-1.0, levels.lop(B, Q1))
-    with pytest.raises(ValueError):
-        CollapseOperator(1.0, np.zeros((3, 4)))
-    c = CollapseOperator(1.0, np.zeros((4, 4)))
-    with pytest.raises(ValueError):
-        c.expand(1)
+    # only the single-atom form: no full-space operator, refused when built
+    for shape in ((3, 4), (4, 4), (36, 36)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"collapse operator must be 6x6, got {shape}")):
+            CollapseOperator(1.0, np.zeros(shape))
 
 
 def test_batched_evolution_matches_loop():
@@ -119,7 +123,7 @@ def test_batched_evolution_matches_loop():
     h = h + h.conj().T
     ops = [CollapseOperator(0.2, levels.lop(G, Q1))]
     batch = rng.normal(size=(3, 6, 6)) + 1j * rng.normal(size=(3, 6, 6))
-    out = evolve_rho(batch, h, ops, 0.9, 1)
+    out = evolve_rho(batch, h, ops, 0.9)
     for k in range(3):
-        single = evolve_rho(batch[k], h, ops, 0.9, 1)
+        single = evolve_rho(batch[k], h, ops, 0.9)
         assert np.max(np.abs(out[k] - single)) < 1e-8

@@ -108,8 +108,10 @@ def test_config_round_trip(reference_config):
 
 _RATE = st.floats(0.0, 1e300)
 # inf turns a source off only where NoiseConfig.without sets it, and those
-# fields (lifetimes and the ionization constant) must be positive
-_OFF_RATE = st.one_of(st.floats(0.0, 1e300, exclude_min=True),
+# fields (lifetimes and the ionization constant) must be positive with a
+# finite reciprocal, which every normal float has
+_OFF_RATE = st.one_of(st.floats(0.0, 1e300, exclude_min=True,
+                                allow_subnormal=False),
                       st.just(math.inf))
 
 
@@ -174,6 +176,15 @@ def test_config_rejects_inf_naming_the_field(name):
     # would reach the engine as a nan generator
     with pytest.raises(ValueError, match=f"^{name} must be finite, got inf$"):
         NoiseConfig(**{name: math.inf})
+
+
+@pytest.mark.parametrize("name", ["tau_bright", "tau_dark", "ionization_a"])
+def test_config_rejects_a_lifetime_whose_rate_overflows(name):
+    # 1 / 1e-320 is inf, which would reach the engine as a nan generator
+    with pytest.raises(ValueError, match=f"^{name} is too small: its "
+                                         f"reciprocal overflows, got 1e-320$"):
+        NoiseConfig(**{name: 1e-320})
+    assert getattr(NoiseConfig(**{name: 1e-300}), name) == 1e-300
 
 
 @pytest.mark.parametrize("key", sorted(DEFAULT_BRANCHING))

@@ -342,6 +342,26 @@ def test_default_gate_step_count_is_unchanged():
     assert steps == 309
 
 
+def test_stiff_modulated_gate_fails_before_stepping(monkeypatch):
+    # V = 1e9 rad/us would take about 4e8 CF4:2 steps: the count is refused,
+    # naming the drive and the count, before any exponential; a gate without
+    # phase modulation takes one exact step per piece and is not capped
+    def no_steps(*args):
+        raise AssertionError("stepped")
+
+    drive = RydbergDrive(interaction=1e9)
+    with monkeypatch.context() as m:
+        m.setattr(rydberg, "_pair_exponentials", no_steps)
+        with pytest.raises(ValueError, match=r"the modulated gate under "
+                                             r"RydbergDrive\(.*interaction="
+                                             r"1000000000\.0\) needs \d+ "
+                                             r"steps, more than MAX_STEPS"):
+            sector_unitaries(default_profile(), drive)
+    flat = CZPulseProfile((0.0, 0.0, 0.0, 0.3), default_profile().t_gate)
+    u2, u4 = sector_unitaries(flat, drive)
+    assert np.allclose(u4 @ u4.conj().T, np.eye(4), atol=1e-12)
+
+
 def test_non_finite_drive_is_refused_by_name():
     # the step count reads the sector norm; a nan detuning (what an infinite
     # quasi-static sigma gives) is named, not passed to math.ceil

@@ -133,8 +133,7 @@ def _table_sequence(state):
     pre, rec = _ssb_recovery(state)
     return SSBSequence(n_cz=len(walk) - 1,
                        phases=tuple(QUARTER_PHASES[p] for p in walk),
-                       recovery_cliffords=rec, recovery_cz=pre[0] is not None,
-                       seed=0, recovery_pre=pre)
+                       recovery_cliffords=rec, seed=0, recovery_pre=pre)
 
 
 def test_ssb_table_has_twelve_states_closed_under_cz_and_pulses():
@@ -382,7 +381,7 @@ def test_quarter_pulses_are_read_only_global_pulses(reference_executor):
         assert quarter_pulse(phase) is m  # built once per process
     with pytest.raises(ValueError, match="QUARTER_PHASES"):  # no pulse kept
         SSBSequence(n_cz=0, phases=(2 * np.pi,), recovery_cliffords=(0, 0),
-                    recovery_cz=False, seed=0)
+                    seed=0)
 
 
 def test_recovery_pulses_are_read_only_and_built_once(reference_config):
