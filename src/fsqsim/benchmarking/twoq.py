@@ -4,8 +4,7 @@ All noisy circuit simulation runs in the 144-dimensional operator subspace
 that the gate dynamics closes over (see channels.gate_pair_basis): the CZ
 channel is built once per configuration, after which sequences are plain
 matrix-vector algebra. Single-qubit pulses inside these protocols are ideal
-unitaries; their own error is benchmarked separately and the SSB is designed
-to be only weakly sensitive to it.
+unitaries; their own error is benchmarked separately (CRB).
 """
 
 from dataclasses import dataclass, field
@@ -37,6 +36,10 @@ from ..rydberg import (
 
 QUARTER_PHASES = (0.0, np.pi / 2, np.pi, 3 * np.pi / 2)
 KEPT_LEVELS = (Q0, Q1, X)  # valid computational states for loss correction
+# Gauss-Hermite nodes of the CZ channel's quasi-static detuning average, the
+# fewest that keep both process infidelities at sigma = 0.2 MHz within 1e-11
+# of a 9-node average (5 nodes: 3.2e-13; 4: 7.3e-11)
+DEPHASING_NODES = 5
 
 
 def product_unitary(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
@@ -84,25 +87,24 @@ class GateExecutor:
         profile: CZPulseProfile,
         drive: RydbergDrive,
         noise: NoiseConfig | None,
-        dephasing_nodes: int = 9,
     ):
         self.profile = profile
         self.drive = drive
         self.noise = noise
         self.pairs = gate_pair_basis()
-        channel = self._build_cz_channel(dephasing_nodes)
+        channel = self._build_cz_channel()
         check_cptp(channel, self.pairs, 2, (Q0, Q1, R), "the CZ gate channel")
         z = embed_qubit_unitary(virtual_z_equivalent(profile.phi_sq))
         self.cz = product_unitary(z, z) @ channel
 
     # -- channel construction -------------------------------------------
 
-    def _build_cz_channel(self, n_nodes):
+    def _build_cz_channel(self):
         collapses, sigma = [], 0.0
         if self.noise is not None:
             collapses = gate_collapse_ops(self.noise, self.drive.rabi_frequency)
             sigma = self.noise.rydberg_detuning_sigma
-        deltas, weights = gaussian_quadrature(sigma, n_nodes)
+        deltas, weights = gaussian_quadrature(sigma, DEPHASING_NODES)
         if collapses:
             maps = [
                 channel_on_pairs(

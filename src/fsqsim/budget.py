@@ -27,7 +27,6 @@ from .rydberg import RydbergDrive
 # sources that act during a Rydberg gate (raman_scattering and state_prep
 # belong to the single-qubit benchmarks, not the CZ budget)
 CZ_SOURCES = ("rydberg_decay", "ionization", "rydberg_dephasing")
-DEPHASING_NODES = 5  # Gauss-Hermite nodes of each budget channel's detuning average
 
 
 @dataclass(frozen=True)
@@ -147,14 +146,9 @@ def error_budget(
     # shot-noise-free, so every executor runs the same sequences
     entries = []
     for name in CZ_SOURCES:
-        executor = GateExecutor(
-            profile, drive, config.only(name), dephasing_nodes=DEPHASING_NODES
-        )
+        executor = GateExecutor(profile, drive, config.only(name))
         entries.append(_entry(name, executor, n_cz_list, n_seq, seed))
-    combined = GateExecutor(
-        profile, drive, config.only(*CZ_SOURCES),
-        dephasing_nodes=DEPHASING_NODES
-    )
+    combined = GateExecutor(profile, drive, config.only(*CZ_SOURCES))
     total = _entry("total", combined, n_cz_list, n_seq, seed)
     return BudgetReport(entries=tuple(entries), total=total,
                         sources=CZ_SOURCES)

@@ -572,13 +572,11 @@ def main(argv=None) -> int:
         "qubit tweezer experiment",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in PROTOCOLS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", type=Path, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", type=str, default=None)
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+    parser.add_argument("command", choices=PROTOCOLS)
+    parser.add_argument("--config", type=Path, default=None)
+    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--out", type=str, default=None)
+    parser.add_argument("--format", choices=("csv", "json"), default="csv")
     args = parser.parse_args(argv)
 
     try:

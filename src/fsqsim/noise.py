@@ -39,7 +39,8 @@ def _check_value(name, value):
     """NoiseConfig's rule for the field, or ("branching", key), ``name``. A
     field that inf turns off (``_SOURCE_OFF``) is a lifetime or a lifetime
     constant, so it must be positive with a finite reciprocal (the rate it
-    sets); any other must be finite and non-negative."""
+    sets); any other must be finite and non-negative, and the quasi-static
+    detuning's angular frequency finite too."""
     if isinstance(name, tuple):
         name = f"branching fraction {name[1]!r}"
     if name == "raman_spinflip" and value is None:
@@ -56,6 +57,9 @@ def _check_value(name, value):
         raise ValueError(f"{name} must be non-negative, got {value!r}")
     elif value == math.inf:
         raise ValueError(f"{name} must be finite, got {value!r}")
+    elif name == "rydberg_detuning_sigma_mhz" and TWO_PI * value == math.inf:
+        raise ValueError(f"{name} is too large: its angular frequency "
+                         f"overflows, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -64,12 +68,16 @@ class NoiseConfig:
 
     ``rydberg_detuning_sigma_mhz`` is the r.m.s. of a quasi-static Gaussian
     detuning (slow drift); ``rydberg_dephasing_rate`` is the Markovian
-    alternative (q1-r coherence decay rate). Both default to the drift model.
-    A nan or inf in any field is rejected, except that an infinite
+    alternative (q1-r coherence decay rate). Both default to the drift model:
+    sigma is the qubit drift of ``configs/ramsey.ini`` (``sigma_mhz =
+    0.053``). So a noise document that omits ``rydberg_detuning_sigma_MHz``
+    turns on the quasi-static average, ``twoq.DEPHASING_NODES`` channel
+    builds per ``GateExecutor``; ``configs/noise_reference.txt`` sets sigma
+    to 0. A nan or inf in any field is rejected, except that an infinite
     ``tau_*`` or ``ionization_a`` turns that source off; those three must
-    be positive, with a finite reciprocal. The clock fields are in their
-    document units, like ``rydberg_detuning_sigma_mhz``, so the text round
-    trip is exact.
+    be positive, with a finite reciprocal, and sigma must have a finite
+    angular frequency. The clock fields are in their document units, like
+    ``rydberg_detuning_sigma_mhz``, so the text round trip is exact.
     """
 
     tau_bright: float = 110.0  # us

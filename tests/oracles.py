@@ -10,7 +10,8 @@ move, the Clifford lookup as a linear scan, the Bell readout as
 per-level loops, a process fidelity through the inverse of a generic ideal
 map, the Rydberg sector propagator on the whole 6x6 problem, a Rabi series
 as chained state evolutions, the Ramsey fringe as per-node vector products,
-the error budget with each executor generating its own SSB sequences, SSB
+the error budget with each executor generating its own SSB sequences, the
+quasi-static CZ channel at a chosen node count of Lindblad builds, SSB
 sequences by pulse-by-pulse state tracking and a recovery search each, one
 Bell variant per protocol call), or an API only the tests exercise (Raman
 pulses read through a virtual-Z frame object, the ideal CZ and an executor
@@ -32,14 +33,14 @@ from fsqsim.assembly import (EXCLUSION_RADIUS, GRID_X_SPACING, Move, MovePlan,
 from fsqsim.benchmarking import twoq
 from fsqsim.benchmarking.ramsey import RAMSEY_NODES, RAMSEY_PHASES
 from fsqsim.benchmarking.twoq import SEQUENCE_SURVIVAL, GateExecutor, run_ssb
-from fsqsim.channels import conjugation_on_pairs
+from fsqsim.channels import channel_on_pairs, conjugation_on_pairs
 from fsqsim.cliffords import clifford_group, equal_up_to_phase
 from fsqsim.czopt import default_profile
 from fsqsim.fitting import fit_sinusoid_fixed_period
 from fsqsim.levels import DIM, G, Q0, Q1, R, X, full_index
 from fsqsim.lindblad import evolve_lindblad
-from fsqsim.noise import gaussian_quadrature
-from fsqsim.pulses import embed_qubit_unitary, rotation
+from fsqsim.noise import gate_collapse_ops, gaussian_quadrature
+from fsqsim.pulses import embed_qubit_unitary, rotation, virtual_z_equivalent
 from fsqsim.readout import (
     DETECTED_0,
     DETECTED_1,
@@ -47,7 +48,7 @@ from fsqsim.readout import (
     SRDModel,
     srd_probabilities,
 )
-from fsqsim.rydberg import RydbergDrive, hamiltonian_parts
+from fsqsim.rydberg import RydbergDrive, hamiltonian_parts, modulated_drive
 from fsqsim.states import QuantumState
 
 
@@ -358,6 +359,23 @@ def ideal_cz_executor():
     return ex
 
 
+def reference_quasi_static_executor(config, n_nodes):
+    """An executor whose CZ is an ``n_nodes`` Gauss-Hermite average over the
+    quasi-static detuning of ``config``, each node's channel taken straight
+    from ``channel_on_pairs``, then the phase correction."""
+    ex = GateExecutor(default_profile(), RydbergDrive(), None)
+    collapses = gate_collapse_ops(config, ex.drive.rabi_frequency)
+    deltas, weights = gaussian_quadrature(config.rydberg_detuning_sigma,
+                                          n_nodes)
+    channel = sum(
+        w * channel_on_pairs(modulated_drive(ex.profile, ex.drive, delta),
+                             collapses, ex.profile.t_gate, 2, ex.pairs)[0]
+        for delta, w in zip(deltas, weights))
+    z = embed_qubit_unitary(virtual_z_equivalent(ex.profile.phi_sq))
+    ex.cz = twoq.product_unitary(z, z) @ channel
+    return ex
+
+
 def ssb_infidelities_from_executor(executor, n_cz_list=(2, 4, 6), n_seq=32,
                                    seed=12):
     """(raw, loss-corrected) infidelity from a shot-noise-free SSB decay that
@@ -453,8 +471,7 @@ def reference_error_budget(config):
     profile, drive = default_profile(), RydbergDrive()
 
     def entry(name, noise):
-        ex = GateExecutor(profile, drive, noise,
-                          dephasing_nodes=budget.DEPHASING_NODES)
+        ex = GateExecutor(profile, drive, noise)
         raw_ssb, cor_ssb = ssb_infidelities_from_executor(ex)
         return budget.BudgetEntry(
             name=name,

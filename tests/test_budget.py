@@ -1,8 +1,11 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from fsqsim import budget
-from fsqsim.benchmarking.twoq import GateExecutor
+from fsqsim.benchmarking.twoq import DEPHASING_NODES, GateExecutor
 from fsqsim.budget import (
     CZ_SOURCES,
     channel_retention,
@@ -14,8 +17,11 @@ from fsqsim.channels import (CHOI_TOL, TP_TOL, channel_superoperator,
                              cptp_defects)
 from fsqsim.levels import DIM, Q0, Q1
 from fsqsim.noise import (NoiseConfig, gate_collapse_ops,
-                          raman_scatter_collapse_ops, rydberg_collapse_ops)
-from oracles import reference_error_budget, ssb_infidelities_from_executor
+                          noise_config_from_text, raman_scatter_collapse_ops,
+                          rydberg_collapse_ops)
+from fsqsim.psd import quasi_static_infidelity
+from oracles import (reference_error_budget, reference_quasi_static_executor,
+                     ssb_infidelities_from_executor)
 
 
 def test_all_sources_off_gives_zero(noiseless_executor):
@@ -114,8 +120,7 @@ def test_headlines_are_converged_at_the_channel_tolerance(
     def headlines():
         bell = GateExecutor(cz_profile, drive, reference_config)
         combined = GateExecutor(cz_profile, drive,
-                                reference_config.only(*CZ_SOURCES),
-                                dephasing_nodes=budget.DEPHASING_NODES)
+                                reference_config.only(*CZ_SOURCES))
         res = twoq.bell_protocol(phases, 0, executor=bell)
         return np.array([
             res["raw"].fidelity, res["excised"].fidelity,
@@ -139,3 +144,60 @@ def test_reference_budget_config_shape():
     assert cfg.rydberg_detuning_sigma_mhz == 0.0
     assert cfg.rydberg_dephasing_rate > 0
     assert isinstance(cfg, NoiseConfig)
+
+
+# -- quasi-static Rydberg detuning (sigma > 0) -------------------------------
+
+
+@pytest.mark.parametrize("sigma_mhz", [0.053, 0.2])
+def test_collapse_free_quasi_static_channel_matches_the_psd_average(
+        cz_profile, drive, sigma_mhz):
+    # with every gate source off but the drift, the channel averages the
+    # sector unitaries over DEPHASING_NODES detunings, and its process
+    # infidelity is psd's 15-node average of the gate infidelity (at 0.2 MHz
+    # 3e-13 off with 5 nodes, 6.2e-11 with 4)
+    cfg = NoiseConfig(rydberg_detuning_sigma_mhz=sigma_mhz).without(
+        "rydberg_decay", "ionization")
+    assert gate_collapse_ops(cfg, drive.rabi_frequency) == []
+    ex = GateExecutor(cz_profile, drive, cfg)
+    assert process_infidelity_from_executor(ex) == pytest.approx(
+        quasi_static_infidelity(cz_profile, drive, cfg.rydberg_detuning_sigma),
+        rel=0, abs=1e-12)
+
+
+def test_lindblad_quasi_static_channel_matches_a_9_node_average(
+        cz_profile, drive, reference_config):
+    # the reference sources at 0.2 MHz: 3.2e-13 off a 9-node average with 5
+    # nodes, 6.0e-11 (raw) and 7.3e-11 (loss-corrected) with 4
+    cfg = replace(reference_config, rydberg_detuning_sigma_mhz=0.2)
+    ex = GateExecutor(cz_profile, drive, cfg)
+    ref = reference_quasi_static_executor(cfg, 9)
+    for infidelity in (process_infidelity_from_executor,
+                       corrected_process_infidelity_from_executor):
+        assert infidelity(ex) == pytest.approx(infidelity(ref), rel=0,
+                                               abs=1e-11)
+
+
+def test_omitted_sigma_builds_one_channel_per_node(monkeypatch,
+                                                       cz_profile, drive):
+    # a noise document without rydberg_detuning_sigma_MHz reads the 0.053 MHz
+    # drift default and averages over DEPHASING_NODES Lindblad builds;
+    # the shipped document's sigma = 0 builds one
+    text = (Path(__file__).resolve().parents[1] / "configs" /
+            "noise_reference.txt").read_text()
+    omitted = noise_config_from_text("".join(
+        ln for ln in text.splitlines(keepends=True)
+        if not ln.startswith("rydberg_detuning_sigma_MHz")))
+    assert omitted.rydberg_detuning_sigma_mhz == 0.053
+    builds = []
+
+    def counting(*args):  # an identity channel, which passes the CPTP check
+        builds.append(args)
+        return np.eye(len(args[4]), dtype=complex), 0.0
+
+    monkeypatch.setattr("fsqsim.benchmarking.twoq.channel_on_pairs", counting)
+    for cfg, expected in ((omitted, DEPHASING_NODES),
+                          (noise_config_from_text(text), 1)):
+        builds.clear()
+        GateExecutor(cz_profile, drive, cfg)
+        assert len(builds) == expected

@@ -354,8 +354,7 @@ def test_builders_reject_a_channel_that_is_not_cp(monkeypatch, cz_profile,
         _transpose_map(args[4]), 0.0))
     with pytest.raises(ValueError, match=r"the CZ gate channel is not CPTP: "
                                          r".*minimum Choi eigenvalue -1"):
-        twoq.GateExecutor(cz_profile, drive, reference_config,
-                          dephasing_nodes=1)
+        twoq.GateExecutor(cz_profile, drive, reference_config)
     monkeypatch.setattr(channels, "channel_on_pairs", lambda *args: (
         _transpose_map(args[4]), 0.0))
     # the Raman pi/2 pulse lasts (pi/2) / (2 pi x 17 kHz) = 14.7059 us
@@ -377,10 +376,8 @@ def test_budget_channels_are_cptp_at_the_shipped_step_density(
     # each CF4:2 step is two exponentials of a Lindblad generator, so the
     # channel is CP up to rounding at any step count (ionization: -1.4e-14)
     from fsqsim.benchmarking import twoq
-    from fsqsim.budget import DEPHASING_NODES
 
-    ex = twoq.GateExecutor(cz_profile, drive, reference_config.only(source),
-                           dephasing_nodes=DEPHASING_NODES)
+    ex = twoq.GateExecutor(cz_profile, drive, reference_config.only(source))
     tp_defect, min_eig = cptp_defects(ex.cz, ex.pairs, 2, (Q0, Q1, R))
     assert tp_defect < TP_TOL
     assert min_eig > -CHOI_TOL

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fsqsim
 from fsqsim.cli import CONFIG_KEYS, PROTOCOLS, _rabi_rows, _summary, main
 from fsqsim.levels import B, G, Q0, Q1, R, X, lop
 from fsqsim.noise import (_FIELD_KEYS, raman_scatter_collapse_ops,
@@ -231,10 +232,10 @@ def test_noise_cases_cover_every_key():
     *((k, v) for k in _NOISE_KEYS for v in _BAD_VALUES
       if (k, v) not in _NOISE_KEPT),
     # a zero lifetime or ionization constant is an infinite rate, and so
-    # is one whose reciprocal overflows
+    # is one whose reciprocal overflows; 2 pi x 1e308 MHz is inf rad/us
     ("tau_bright_us", "0.0"), ("tau_dark_us", "0"), ("ionization_a", "0"),
     ("tau_bright_us", "1e-320"), ("tau_dark_us", "1e-320"),
-    ("ionization_a", "1e-320")])
+    ("ionization_a", "1e-320"), ("rydberg_detuning_sigma_MHz", "1e308")])
 def test_refused_noise_value_exits_2_naming_file_and_key(tmp_path, capsys,
                                                          key, raw):
     noise = tmp_path / "noise.txt"
@@ -301,6 +302,21 @@ def test_negative_shots_exit_2_before_any_output(tmp_path, capsys):
     assert "'shots' in [run] must be non-negative, got -5" in \
         capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_unknown_subcommand_exits_2(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["banana", "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "invalid choice: 'banana'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_version_prints_the_package_version(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == f"{fsqsim.__version__}\n"
 
 
 def test_missing_required_key_exits_2_before_any_output(tmp_path, capsys):

@@ -187,6 +187,17 @@ def test_config_rejects_a_lifetime_whose_rate_overflows(name):
     assert getattr(NoiseConfig(**{name: 1e-300}), name) == 1e-300
 
 
+def test_config_rejects_a_sigma_whose_angular_frequency_overflows():
+    # 2 pi x 1e308 is inf, which the Gauss-Hermite average would multiply
+    # by its zero node
+    with pytest.raises(ValueError, match="^rydberg_detuning_sigma_mhz is too "
+                                         "large: its angular frequency "
+                                         "overflows, got 1e\\+308$"):
+        NoiseConfig(rydberg_detuning_sigma_mhz=1e308)
+    assert math.isfinite(
+        NoiseConfig(rydberg_detuning_sigma_mhz=1e300).rydberg_detuning_sigma)
+
+
 @pytest.mark.parametrize("key", sorted(DEFAULT_BRANCHING))
 def test_config_rejects_nan_branching_naming_the_fraction(key):
     branching = dict(DEFAULT_BRANCHING, **{key: math.nan})
